@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -47,19 +46,20 @@ DEFAULTS = {
 }
 
 # Extensibility point for "custom" problems: named pieces, each a factory of
-# (alpha, T) so configs stay purely declarative.
+# (alpha, T) so configs stay purely declarative.  The pieces are array-valued
+# (see hammerstein.Kernel): they are called on whole node arrays.
 KERNELS = {
-    "log-product": lambda alpha, T: (lambda t, s: 1.0 / (2.0 * math.log(T) * t * s)),
+    "log-product": lambda alpha, T: (lambda t, s: 1.0 / (2.0 * np.log(T) * t * s)),
     "constant": lambda alpha, T: (lambda t, s: 1.0 / (T - 1.0)),
 }
 NONLINEARITIES = {
-    "log-shift": lambda alpha, T: (lambda s, x: math.log(s + x)),
-    "neg-log-product": lambda alpha, T: (lambda s, x: -(math.log(s) + math.log(x))),
+    "log-shift": lambda alpha, T: (lambda s, x: np.log(s + x)),
+    "neg-log-product": lambda alpha, T: (lambda s, x: -(np.log(s) + np.log(x))),
     "zero": lambda alpha, T: (lambda s, x: 0.0),
 }
 FORCINGS = {
     "linear-minus-log": lambda alpha, T: (
-        lambda t: alpha * t - math.log((1 + alpha) / (alpha * math.sqrt(T))) / (2.0 * t)
+        lambda t: alpha * t - np.log((1 + alpha) / (alpha * np.sqrt(T))) / (2.0 * t)
     ),
     "linear": lambda alpha, T: (lambda t: alpha * t),
     "zero": lambda alpha, T: (lambda t: 0.0),

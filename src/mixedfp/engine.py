@@ -7,6 +7,7 @@ shift the components additionally collapse to a single base element.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -95,7 +96,8 @@ class IterationReport:
 
 
 class NonConvergenceError(RuntimeError):
-    """max_iters exhausted; ``report`` holds the partial trace."""
+    """max_iters exhausted or a non-finite step; ``report`` holds the partial
+    trace."""
 
     def __init__(self, report: IterationReport):
         self.report = report
@@ -197,6 +199,9 @@ def solve(
 
     The returned fixed_point is the last iterate whose residual was measured,
     so the report's final residual is the defect of the returned point.
+    Raises NonConvergenceError when max_iters is exhausted, or at once after
+    a sweep whose step is NaN or infinite; its report then holds the last
+    finite iterate as fixed_point.
     """
     partition = upsilon.partition
     if len(x0) != partition.k:
@@ -220,6 +225,19 @@ def solve(
     contraction_violations: List[int] = []
     monotone_ok = True
 
+    def report(iterations: int, converged: bool, collapsed: bool = False) -> IterationReport:
+        return IterationReport(
+            iterations=iterations,
+            step_history=tuple(steps),
+            residual_history=tuple(residuals),
+            spread_history=tuple(spreads),
+            monotone_ok=monotone_ok,
+            collapsed=collapsed,
+            converged=converged,
+            fixed_point=x,
+            contraction_violations=tuple(contraction_violations),
+        )
+
     for it in range(config.max_iters):
         y = iterate_step(F, upsilon, x)
         res = tuple(dist(xi, yi) for xi, yi in zip(x, y))
@@ -227,6 +245,12 @@ def solve(
         steps.append(d)
         residuals.append(res)
         spreads.append(_spread(x, dist))
+
+        # no later sweep can recover from a NaN or infinite step, and
+        # `d <= tol` is never true for NaN
+        if not all(math.isfinite(r) for r in res):
+            log.warning("non-finite step at sweep %d; stopping", it + 1)
+            raise NonConvergenceError(report(it + 1, converged=False))
 
         if config.check_monotone and not product_leq(x, y, partition, leq):
             if monotone_ok:
@@ -239,32 +263,11 @@ def solve(
                 contraction_violations.append(it)
 
         if d <= config.tol_step and d <= config.tol_residual:
-            collapsed = spreads[-1] <= config.tol_residual
-            return IterationReport(
-                iterations=it + 1,
-                step_history=tuple(steps),
-                residual_history=tuple(residuals),
-                spread_history=tuple(spreads),
-                monotone_ok=monotone_ok,
-                collapsed=collapsed,
-                converged=True,
-                fixed_point=x,
-                contraction_violations=tuple(contraction_violations),
-            )
+            return report(it + 1, converged=True,
+                          collapsed=spreads[-1] <= config.tol_residual)
         x = y
 
-    report = IterationReport(
-        iterations=config.max_iters,
-        step_history=tuple(steps),
-        residual_history=tuple(residuals),
-        spread_history=tuple(spreads),
-        monotone_ok=monotone_ok,
-        collapsed=False,
-        converged=False,
-        fixed_point=x,
-        contraction_violations=tuple(contraction_violations),
-    )
-    raise NonConvergenceError(report)
+    raise NonConvergenceError(report(config.max_iters, converged=False))
 
 
 def _spread(x: Sequence, dist: Distance) -> float:

@@ -3,7 +3,7 @@ order, monotone-safe interpolation, and composite quadrature."""
 
 import io
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -79,39 +79,56 @@ class GridFunction:
         return interpolate(self, t)
 
 
+def _check_same_grid(a: Grid, b: Grid) -> None:
+    if a is not b and not np.array_equal(a.nodes, b.nodes):
+        raise ValueError("grid mismatch")
+
+
 def sup_metric(u: GridFunction, v: GridFunction) -> float:
     """max_j |u_j - v_j| over the common grid."""
-    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
-        raise ValueError("grid mismatch")
+    _check_same_grid(u.grid, v.grid)
     return float(np.max(np.abs(u.values - v.values)))
 
 
 def pointwise_leq(u: GridFunction, v: GridFunction, tol: float = 0.0) -> bool:
     """u <= v nodewise, with nonnegative slack tol (default exact)."""
-    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
-        raise ValueError("grid mismatch")
+    _check_same_grid(u.grid, v.grid)
     return bool(np.all(u.values <= v.values + tol))
 
 
-def interpolate(u: GridFunction, t):
+def interpolate(u: Union[GridFunction, Sequence[GridFunction]], t):
     """Monotone-safe piecewise-cubic value(s) at t in [1, T].
 
     PCHIP keeps monotone data monotone (no overshoot), so order checks
     survive transfer to finer grids; it is exact at nodes and reproduces
     linear data to rounding.
+
+    ``u`` is one GridFunction, giving values shaped like ``t``, or a
+    sequence of GridFunctions on one grid, giving shape ``t.shape + (len(u),)``
+    (one column per function) from a single stacked interpolant.  Each
+    column equals the transfer of that function alone, bit for bit.
     """
+    fns = (u,) if isinstance(u, GridFunction) else tuple(u)
+    if not fns:
+        raise ValueError("nothing to interpolate")
+    grid = fns[0].grid
+    for f in fns[1:]:
+        _check_same_grid(grid, f.grid)
     t_arr = np.asarray(t, dtype=float)
-    lo, hi = u.grid.nodes[0], u.grid.nodes[-1]
+    lo, hi = grid.nodes[0], grid.nodes[-1]
     if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
         raise ValueError(f"evaluation point outside [{lo}, {hi}]")
-    flat = np.atleast_1d(np.clip(t_arr, lo, hi))
-    out = np.asarray(PchipInterpolator(u.grid.nodes, u.values)(flat))
+    flat = np.clip(t_arr, lo, hi).ravel()
+    values = np.column_stack([f.values for f in fns])
+    out = PchipInterpolator(grid.nodes, values, axis=0)(flat)
     # stored values win at exact node hits (polynomial evaluation can be
     # off by an ulp at panel edges)
-    pos = np.minimum(np.searchsorted(u.grid.nodes, flat), u.grid.nodes.size - 1)
-    exact = u.grid.nodes[pos] == flat
-    out[exact] = u.values[pos[exact]]
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    pos = np.minimum(np.searchsorted(grid.nodes, flat), grid.n - 1)
+    exact = grid.nodes[pos] == flat
+    out[exact] = values[pos[exact]]
+    if isinstance(u, GridFunction):
+        return float(out[0, 0]) if t_arr.ndim == 0 else out[:, 0].reshape(t_arr.shape)
+    return out.reshape(t_arr.shape + (len(fns),))
 
 
 @dataclass(frozen=True)

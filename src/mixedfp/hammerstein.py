@@ -11,6 +11,7 @@ x(t) = alpha * t.
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -43,8 +44,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-Kernel = Callable[[float, float], float]
-Nonlinearity = Callable[[float, float], float]
+# Problem data is array-valued: each piece is called on whole node arrays
+# (shapes in HammersteinProblem) and returns an array or scalar that
+# broadcasts to them, so write np.log, not math.log.
+Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Forcing = Callable[[np.ndarray], np.ndarray]
 
 
 class DomainFloorError(ValueError):
@@ -59,6 +64,21 @@ class DomainFloorError(ValueError):
         )
 
 
+def _node_array_output(piece: str, fn: Callable, shape: tuple, *args) -> np.ndarray:
+    """Call one piece of problem data on node arrays and broadcast its output
+    to ``shape``; a scalar-only callable fails here with a message naming the
+    piece.  Values are not checked."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(*args), dtype=float)
+        return np.broadcast_to(out, shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{piece} must accept node arrays and return values that broadcast "
+            f"to shape {shape}: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class HammersteinProblem:
     """Problem data plus its discretization (collocation grid and quadrature).
@@ -66,13 +86,21 @@ class HammersteinProblem:
     Nonlinearities come in ordered pairs: odd positions are nondecreasing in
     x with increments bounded above by eta*log(1+dx), even positions are
     nonincreasing with increments bounded below by -eta*log(1+dx).
+
+    Kernel, nonlinearities and forcing are array-valued (see ``Kernel``):
+    ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq),
+    ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``),
+    and ``forcing(t)`` with t of shape (n,).  A scalar return broadcasts.
+    Construction calls each piece once on the node arrays and raises
+    ValueError, naming the piece, when its output cannot broadcast to that
+    shape.
     """
 
     T: float
     m: int
     kernel: Kernel
     nonlinearities: Tuple[Nonlinearity, ...]
-    forcing: Callable[[float], float]
+    forcing: Forcing
     etas: Tuple[float, ...]
     domain_floor: float
     grid: Grid
@@ -87,37 +115,70 @@ class HammersteinProblem:
             raise ValueError(f"expected {2 * self.m} nonlinearities")
         if len(self.etas) != 2 * self.m or any(e <= 0 for e in self.etas):
             raise ValueError("need 2m positive eta constants")
-        kmat = self._kernel_matrix()
-        if np.any(kmat < 0.0) or not np.all(np.isfinite(kmat)):
-            raise ValueError("kernel must be finite and nonnegative on the grid")
+        # assemble and check the kernel and evaluate the forcing now (both
+        # cached), then probe each nonlinearity once
+        self._weighted_kernel
+        self._forcing_values
+        s = self.quadrature.nodes
+        x = np.full_like(s, self.domain_floor)
+        for i, fi in enumerate(self.nonlinearities, start=1):
+            _node_array_output(f"nonlinearity {i}", fi, s.shape, s, x)
 
     @property
     def k(self) -> int:
         return 2 * self.m
 
-    def _kernel_matrix(self) -> np.ndarray:
-        # rows: collocation nodes t_j; columns: quadrature nodes s_q
-        cache = getattr(self, "_kmat", None)
-        if cache is None:
-            tt = self.grid.nodes[:, None]
-            ss = self.quadrature.nodes[None, :]
-            cache = np.vectorize(self.kernel)(tt, ss)
-            object.__setattr__(self, "_kmat", cache)
-        return cache
-
+    @cached_property
     def _weighted_kernel(self) -> np.ndarray:
-        cache = getattr(self, "_wkmat", None)
-        if cache is None:
-            cache = self._kernel_matrix() * self.quadrature.weights[None, :]
-            object.__setattr__(self, "_wkmat", cache)
-        return cache
+        # rows: collocation nodes t_j; columns: quadrature nodes s_q
+        tt = self.grid.nodes[:, None]
+        ss = self.quadrature.nodes[None, :]
+        kmat = _node_array_output("kernel", self.kernel, (tt.size, ss.size), tt, ss)
+        if np.any(kmat < 0.0) or not np.all(np.isfinite(kmat)):
+            raise ValueError("kernel must be finite and nonnegative on the grid")
+        return kmat * self.quadrature.weights[None, :]
 
+    @cached_property
     def _forcing_values(self) -> np.ndarray:
-        cache = getattr(self, "_pvals", None)
-        if cache is None:
-            cache = np.array([self.forcing(t) for t in self.grid.nodes])
-            object.__setattr__(self, "_pvals", cache)
-        return cache
+        nodes = self.grid.nodes
+        return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
+
+
+def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: float):
+    """Raise DomainFloorError at the first component (column of ``values``),
+    then the first node, lying below ``floor - slack``."""
+    bad = values < floor - slack
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        j = int(np.argmax(bad[:, i]))
+        raise DomainFloorError(i + 1, float(nodes[j]), float(values[j, i]), floor)
+
+
+def _integral(
+    problem: HammersteinProblem,
+    nonlinearities: Sequence[Nonlinearity],
+    x: Sequence[GridFunction],
+) -> GridFunction:
+    """int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation
+    nodes, pairing each nonlinearity with the component in its position.
+
+    All components are transferred to the quadrature nodes in one stacked
+    interpolation; each f_i is then called once on the whole node array.
+    """
+    s_nodes = problem.quadrature.nodes
+    vals = interpolate(x, s_nodes)
+    floor = problem.domain_floor
+    _check_floor(np.column_stack([xi.values for xi in x]), x[0].grid.nodes, floor, 1e-12)
+    # interpolation cannot overshoot monotone data, but guard anyway
+    _check_floor(vals, s_nodes, floor, 1e-9)
+    total = np.zeros_like(s_nodes)
+    with np.errstate(all="ignore"):
+        for i, fi in enumerate(nonlinearities):
+            total += fi(s_nodes, vals[:, i])
+    if not np.all(np.isfinite(total)):
+        raise ArithmeticError("non-finite integrand encountered")
+    out = problem._weighted_kernel @ total + problem._forcing_values
+    return GridFunction(problem.grid, out)
 
 
 def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
@@ -125,33 +186,12 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
 
     Components are transferred to the quadrature nodes by monotone-safe
     interpolation; the integral is the configured weighted sum at every
-    collocation node.
+    collocation node.  Cost per call: one stacked PCHIP build over k
+    columns, k nonlinearity calls on nq nodes and one n x nq matvec.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
-    s_nodes = problem.quadrature.nodes
-    total = np.zeros_like(s_nodes)
-    for i, (fi, xi) in enumerate(zip(problem.nonlinearities, x), start=1):
-        vals_colloc = xi.values
-        bad = np.nonzero(vals_colloc < problem.domain_floor - 1e-12)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise DomainFloorError(
-                i, float(xi.grid.nodes[j]), float(vals_colloc[j]), problem.domain_floor
-            )
-        vals = interpolate(xi, s_nodes)
-        # interpolation cannot overshoot monotone data, but guard anyway
-        bad = np.nonzero(vals < problem.domain_floor - 1e-9)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise DomainFloorError(
-                i, float(s_nodes[j]), float(vals[j]), problem.domain_floor
-            )
-        total += np.array([fi(s, v) for s, v in zip(s_nodes, vals)])
-    if not np.all(np.isfinite(total)):
-        raise ArithmeticError("non-finite integrand encountered")
-    out = problem._weighted_kernel() @ total + problem._forcing_values()
-    return GridFunction(problem.grid, out)
+    return _integral(problem, problem.nonlinearities, x)
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
@@ -160,7 +200,7 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
 def kernel_bound(problem: HammersteinProblem) -> float:
     """2m * max over collocation nodes t of int_1^T G(t, s) ds."""
-    integrals = problem._weighted_kernel() @ np.ones(problem.quadrature.nodes.size)
+    integrals = problem._weighted_kernel @ np.ones(problem.quadrature.nodes.size)
     return problem.k * float(np.max(integrals))
 
 
@@ -248,11 +288,7 @@ def check_assumption_e(
         pairs = _h_index_pairs(r, problem.k)
         permuted = tuple(y0[yi - 1] for _, yi in pairs)
         fns = tuple(problem.nonlinearities[fi - 1] for fi, _ in pairs)
-        shuffled = HammersteinProblem(
-            problem.T, problem.m, problem.kernel, fns, problem.forcing,
-            problem.etas, problem.domain_floor, problem.grid, problem.quadrature,
-        )
-        hs.append(apply_A(shuffled, permuted))
+        hs.append(_integral(problem, fns, permuted))
     failures: List[tuple] = []
     for r, h in enumerate(hs, start=1):
         comp = y0[r - 1]
@@ -317,8 +353,8 @@ def build_log_example(
         m=1,
         kernel=lambda t, s: 1.0 / (two_lnT * t * s),
         nonlinearities=(
-            lambda s, x: math.log(s + x),
-            lambda s, x: -(math.log(s) + math.log(x)),
+            lambda s, x: np.log(s + x),
+            lambda s, x: -(np.log(s) + np.log(x)),
         ),
         forcing=lambda t: alpha * t - c / (2.0 * t),
         etas=(1.0, 1.0),

@@ -23,6 +23,9 @@ __all__ = [
     "random_instance",
 ]
 
+# Bounds n^k for enumerate_fixed_points, which visits the candidate tuples
+# one at a time, and (n^k)^2 for check_theorem_hypotheses, which builds
+# several pair tables of that many cells at once.
 SIZE_GUARD = 10 ** 6
 
 
@@ -70,6 +73,11 @@ class FiniteSpace:
 def _guard(space: FiniteSpace, k: int):
     if space.n ** k > SIZE_GUARD:
         raise ValueError(f"{space.n}^{k} candidates exceed the size guard")
+
+
+def _pair_guard(space: FiniteSpace, k: int):
+    if (space.n ** k) ** 2 > SIZE_GUARD:
+        raise ValueError(f"({space.n}^{k})^2 pair cells exceed the size guard")
 
 
 def enumerate_fixed_points(
@@ -124,7 +132,7 @@ def check_theorem_hypotheses(
     """
     partition = upsilon.partition
     k = partition.k
-    _guard(space, k)
+    _pair_guard(space, k)
     points = list(itertools.product(range(space.n), repeat=k))
     pts = np.array(points, dtype=int)
 

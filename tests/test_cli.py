@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mixedfp import apply_A, sup_metric
@@ -66,6 +67,14 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert not report["eta_ok"]
 
+    def test_check_assumption_d_violation_fails(self, tmp_path, capsys):
+        # eta 0.5 narrows the first band below log(s + y) - log(s + x)
+        path = write_config(tmp_path, eta=[0.5, 1.0])
+        assert main(["check", "--config", path]) == EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["eta_ok"]
+        assert {v[0] for v in report["assumption_d_violations"]} == {1}
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -117,12 +126,29 @@ class TestExitCodes:
         from mixedfp.cli import NONLINEARITIES
 
         NONLINEARITIES["triple-log-shift"] = lambda alpha, T: (
-            lambda s, x: 3.0 * math.log(s + x)
+            lambda s, x: 3.0 * np.log(s + x)
         )
         try:
             assert main(["verify", "--config", cfg, "--seed", "42"]) == EXIT_CHECK_FAILED
         finally:
             del NONLINEARITIES["triple-log-shift"]
+
+    def test_scalar_only_nonlinearity_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, problem="custom", kernel="log-product",
+            nonlinearities=["scalar-log-shift", "neg-log-product"],
+            forcing="linear-minus-log",
+        )
+        from mixedfp.cli import NONLINEARITIES
+
+        NONLINEARITIES["scalar-log-shift"] = lambda alpha, T: (
+            lambda s, x: math.log(s + x)
+        )
+        try:
+            assert main(["check", "--config", cfg]) == EXIT_CONFIG_ERROR
+        finally:
+            del NONLINEARITIES["scalar-log-shift"]
+        assert "nonlinearity 1 must accept node arrays" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mixedfp.contraction import builtin_log_triple
@@ -133,6 +135,17 @@ class TestSolve:
         assert exc.value.report.iterations == 3
         assert len(exc.value.report.step_history) == 3
         assert not exc.value.report.converged
+
+    def test_non_finite_step_stops_at_once(self):
+        nan_op = ProductOperator(2, lambda a, b: float("nan"))
+        with pytest.raises(NonConvergenceError) as exc:
+            solve(nan_op, ID_SWAP, (0.0, 1.0), IterationConfig(), builtin_log_triple(),
+                  dist=absdist, leq=realleq, skip_initial_check=True)
+        report = exc.value.report
+        assert report.iterations == 1
+        assert len(report.step_history) == 1 and math.isnan(report.step_history[0])
+        assert report.fixed_point == (0.0, 1.0)
+        assert not report.converged
 
     def test_deterministic(self):
         runs = [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from mixedfp.funcspace import (
     Grid,
@@ -180,6 +181,40 @@ class TestInterpolate:
         ts = np.linspace(1.0, 2.0, 997)
         vals = interpolate(u, ts)
         assert np.all(np.diff(vals) >= -1e-14)
+
+    @pytest.mark.parametrize("kind,points", [("gauss-legendre", 8), ("simpson", 4)])
+    def test_stacked_equals_each_component(self, grid12, kind, points):
+        # Simpson nodes land exactly on grid nodes, where stored values win
+        fns = [grid12.sample(f) for f in (math.sin, math.exp, lambda t: t * t, math.sqrt)]
+        s = make_quadrature(kind, 2.0, 16, points).nodes
+        stacked = interpolate(fns, s)
+        assert stacked.shape == (s.size, len(fns))
+        for j, u in enumerate(fns):
+            assert np.array_equal(stacked[:, j], interpolate(u, s))
+            # reference: a 1-D PCHIP per function, stored values at exact nodes
+            ref = PchipInterpolator(grid12.nodes, u.values)(s)
+            on_grid = np.isin(s, grid12.nodes)
+            ref[on_grid] = u.values[np.searchsorted(grid12.nodes, s[on_grid])]
+            assert np.array_equal(stacked[:, j], ref)
+        if kind == "simpson":
+            on_node = np.searchsorted(grid12.nodes, s)
+            assert np.array_equal(grid12.nodes[on_node], s)
+            assert np.array_equal(stacked, np.column_stack([u.values[on_node] for u in fns]))
+
+    def test_stacked_scalar_point(self, grid12):
+        fns = [grid12.sample(lambda t: t), grid12.sample(lambda t: 2 * t)]
+        assert interpolate(fns, 1.5).tolist() == [interpolate(fns[0], 1.5), 3.0]
+
+    def test_stacked_grid_mismatch(self, grid12):
+        u = grid12.sample(lambda t: t)
+        v = uniform_grid(2.0, 32).sample(lambda t: t)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            interpolate([u, v], 1.5)
+
+    def test_stacked_out_of_domain(self, grid12):
+        u = grid12.sample(lambda t: t)
+        with pytest.raises(ValueError):
+            interpolate([u, u], np.array([1.5, 2.5]))
 
 
 class TestCsv:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,53 @@ class TestBuildExample:
                 grid=uniform_grid(2.0, 16),
                 quadrature=make_quadrature("gauss-legendre", 2.0, 4, 4),
             )
+
+
+def _small_problem(**pieces):
+    data = dict(
+        T=2.0, m=1, kernel=lambda t, s: 1.0 / (t * s),
+        nonlinearities=(lambda s, x: np.log(s + x), lambda s, x: -np.log(x)),
+        forcing=lambda t: t, etas=(1.0, 1.0), domain_floor=1.0,
+        grid=uniform_grid(2.0, 16),
+        quadrature=make_quadrature("gauss-legendre", 2.0, 4, 4),
+    )
+    data.update(pieces)
+    return HammersteinProblem(**data)
+
+
+class TestArrayContract:
+    def test_scalar_returns_broadcast(self):
+        p = _small_problem(kernel=lambda t, s: 0.5, forcing=lambda t: 2,
+                           nonlinearities=(lambda s, x: 0.0, lambda s, x: 1.0))
+        out = apply_A(p, (linear(p, 1.0),) * 2)
+        assert np.array_equal(out.values, np.full(p.grid.n, 2.0 + 0.5 * 1.0))
+
+    @pytest.mark.parametrize("piece,fields", [
+        ("kernel", {"kernel": lambda t, s: 1.0 / math.log(t * s + 1.0)}),
+        ("nonlinearity 2", {"nonlinearities": (lambda s, x: np.log(s + x),
+                                               lambda s, x: -math.log(x))}),
+        ("forcing", {"forcing": lambda t: math.log(t)}),
+    ])
+    def test_scalar_only_callable_rejected(self, piece, fields):
+        with pytest.raises(ValueError, match=f"^{piece} must accept node arrays"):
+            _small_problem(**fields)
+
+    @pytest.mark.parametrize("piece,fields", [
+        ("kernel", {"kernel": lambda t, s: np.ones(3)}),
+        ("nonlinearity 1", {"nonlinearities": (lambda s, x: np.log(s + x)[:, None],
+                                               lambda s, x: -np.log(x))}),
+        ("forcing", {"forcing": lambda t: np.ones((2, t.size))}),
+    ])
+    def test_unbroadcastable_output_rejected(self, piece, fields):
+        with pytest.raises(ValueError, match=f"^{piece} must accept node arrays"):
+            _small_problem(**fields)
+
+    def test_values_are_not_probed(self):
+        # -log(0) on the probe at the floor is infinite; only shapes count,
+        # and the probe raises no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _small_problem(domain_floor=0.0)
 
 
 class TestKernelBound:
@@ -106,6 +155,15 @@ class TestApplyA:
             apply_A(example22, (bad, linear(example22, 2.0)))
         assert exc.value.component == 1
 
+    def test_domain_floor_names_first_bad_component_and_node(self, example22):
+        values = 2.0 * example22.grid.nodes
+        values[[7, 3]] = 0.5
+        bad = GridFunction(example22.grid, values)
+        with pytest.raises(DomainFloorError) as exc:
+            apply_A(example22, (linear(example22, 2.0), bad))
+        assert exc.value.component == 2
+        assert exc.value.node == example22.grid.nodes[3]
+
     def test_wrong_arity(self, example22):
         with pytest.raises(ValueError):
             apply_A(example22, (linear(example22, 2.0),))
@@ -157,6 +215,23 @@ class TestAssumptionE:
         _, y2 = initial_bracket(example22, 2.0)
         report = check_assumption_e(example22, (y1, y2))
         assert any(r == 1 for r, _ in report.failures)
+
+    def test_matches_problem_rebuilt_per_r(self, example22):
+        # reference: H_r as apply_A of a problem rebuilt with the permuted
+        # nonlinearities
+        p = dataclasses.replace(
+            example22, m=2, kernel=lambda t, s: example22.kernel(t, s) / 2,
+            nonlinearities=example22.nonlinearities * 2, etas=(1.0,) * 4,
+        )
+        lower, upper = initial_bracket(p, 2.0)
+        y0 = (lower, upper, linear(p, 1.5), linear(p, 2.5))
+        report = check_assumption_e(p, y0)
+        for r, h in enumerate(report.h_functions, start=1):
+            pairs = _h_index_pairs(r, p.k)
+            shuffled = dataclasses.replace(
+                p, nonlinearities=tuple(p.nonlinearities[fi - 1] for fi, _ in pairs))
+            expected = apply_A(shuffled, tuple(y0[yi - 1] for _, yi in pairs))
+            assert np.array_equal(h.values, expected.values)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_index_scheme_matches_cyclic_rotation(self, m):

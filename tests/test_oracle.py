@@ -4,6 +4,7 @@ import pytest
 from mixedfp.contraction import ContractionTriple, DeclaredProperties
 from mixedfp.engine import IterationConfig, ProductOperator, solve
 from mixedfp.oracle import (
+    SIZE_GUARD,
     FiniteSpace,
     check_theorem_hypotheses,
     enumerate_fixed_points,
@@ -81,6 +82,19 @@ class TestEnumeration:
 
 
 class TestHypothesisChecks:
+    def test_pair_guard_bounds_the_pair_tables(self):
+        # 10^4 candidates pass the n^k guard but need 10^8-cell tables
+        space = chain_space(10)
+        part = Partition.of(4, [1, 3])
+        ups = validate_upsilon([(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)], part)
+
+        def F(*x):
+            raise AssertionError("no table may be built")
+
+        with pytest.raises(ValueError, match=r"\(10\^4\)\^2 pair cells"):
+            check_theorem_hypotheses(space, F, ups, HALF_TRIPLE)
+        assert (4 ** 4) ** 2 <= SIZE_GUARD < (10 ** 4) ** 2
+
     def test_one_point_space(self):
         space = FiniteSpace(("o",), np.zeros((1, 1)), np.ones((1, 1), dtype=bool))
         report = check_theorem_hypotheses(space, lambda a, b: 0, ID_SWAP, HALF_TRIPLE)
