@@ -95,6 +95,8 @@ def load_config(path, overrides) -> dict:
 def build_problem(cfg: dict) -> hs.HammersteinProblem:
     try:
         alpha, T = float(cfg["alpha"]), float(cfg["T"])
+        if not (np.isfinite(alpha) and np.isfinite(T)):
+            raise ConfigError(f"alpha and T must be finite, got {alpha} and {T}")
         n = int(cfg["grid"]["n"])
         panels = int(cfg["quadrature"]["panels"])
         points = int(cfg["quadrature"]["points"])
@@ -134,12 +136,15 @@ def _start_tuple(problem, alpha):
 
 
 def _iteration_config(cfg) -> IterationConfig:
-    tols = cfg["tolerances"]
-    return IterationConfig(
-        tol_step=float(tols["step"]),
-        tol_residual=float(tols["residual"]),
-        max_iters=int(cfg["max_iters"]),
-    )
+    try:
+        tols = cfg["tolerances"]
+        return IterationConfig(
+            tol_step=float(tols["step"]),
+            tol_residual=float(tols["residual"]),
+            max_iters=int(cfg["max_iters"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
 
 
 def _run_checks(cfg, problem) -> dict:
@@ -229,6 +234,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
     problem = build_problem(cfg)
+    config = _iteration_config(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -243,7 +249,6 @@ def cmd_solve(args) -> int:
     x0 = _start_tuple(problem, float(cfg["alpha"]))
     leq = lambda u, v: bool(np.all(u.values <= v.values + 1e-12))  # noqa: E731
     triple = builtin_log_triple()
-    config = _iteration_config(cfg)
     try:
         report = solve(
             hs.product_operator(problem), upsilon, x0, config, triple,

@@ -24,8 +24,10 @@ __all__ = [
 ]
 
 # Bounds n^k for enumerate_fixed_points, which visits the candidate tuples
-# one at a time, and (n^k)^2 for check_theorem_hypotheses, which builds
-# several pair tables of that many cells at once.
+# one at a time, and (n^k)^2 for check_theorem_hypotheses, whose pair tables
+# have that many cells: one boolean (the product order) and one integer (the
+# rank of the max metric), plus two float gathers (both sides of the
+# contraction inequality) over them.
 SIZE_GUARD = 10 ** 6
 
 
@@ -45,19 +47,23 @@ class FiniteSpace:
             raise ValueError("table shapes must be n x n")
         if np.any(d < 0) or np.any(np.diag(d) != 0) or not np.array_equal(d, d.T):
             raise ValueError("distance table is not symmetric/zero-diagonal")
-        for i, j in itertools.product(range(n), repeat=2):
-            if i != j and d[i, j] == 0:
-                raise ValueError("distinct points at distance zero")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if d[i, k] > d[i, j] + d[j, k] + 1e-12:
+        off_diagonal = ~np.eye(n, dtype=bool)
+        if ((d == 0) & off_diagonal).any():
+            raise ValueError("distinct points at distance zero")
+        # d[i, k] <= d[i, j] + d[j, k] on axes (i, j, k), over blocks of
+        # middle points j of about 2^20 cells each, whatever n is
+        block = max(1, 2 ** 20 // max(n * n, 1))
+        for lo in range(0, n, block):
+            mid = slice(lo, lo + block)
+            if (d[:, None, :] > d[:, mid, None] + d[None, mid, :] + 1e-12).any():
                 raise ValueError("triangle inequality fails")
         if not np.all(np.diag(L)):
             raise ValueError("order is not reflexive")
-        if np.any(L & L.T & ~np.eye(n, dtype=bool)):
+        if np.any(L & L.T & off_diagonal):
             raise ValueError("order is not antisymmetric")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if L[i, j] and L[j, k] and not L[i, k]:
-                raise ValueError("order is not transitive")
+        # boolean matrix product: (L @ L)[i, k] iff i <= j <= k for some j
+        if ((L @ L) & ~L).any():
+            raise ValueError("order is not transitive")
 
     @property
     def n(self) -> int:
@@ -115,6 +121,27 @@ class HypothesisReport:
         )
 
 
+def _operator_table(space: FiniteSpace, F: Callable[..., int], k: int) -> np.ndarray:
+    """F at every tuple, evaluated once each, indexed like itertools.product:
+    tuple x has index sum_j x_j n^(k-j), first coordinate most significant."""
+    n = space.n
+    fvals = np.empty(n ** k, dtype=np.intp)
+    for p, x in enumerate(itertools.product(range(n), repeat=k)):
+        v = F(*x)
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+            raise ValueError(f"F{x} = {v!r} is not an element index in 0..{n - 1}")
+        fvals[p] = v
+    return fvals
+
+
+def _over_pairs(table: np.ndarray, i: int, k: int) -> np.ndarray:
+    """An n x n table read at (x_i, z_i), as a view broadcasting over the
+    (n,)*k x (n,)*k grid of pairs (x, z); i is 0-based."""
+    shape = [1] * (2 * k)
+    shape[i] = shape[k + i] = table.shape[0]
+    return table.reshape(shape)
+
+
 def check_theorem_hypotheses(
     space: FiniteSpace,
     F: Callable[..., int],
@@ -129,75 +156,68 @@ def check_theorem_hypotheses(
     fixed-point list is always returned; the theorem's conclusion (at least
     one point, exactly one under the bound condition) is only meaningful
     when every hypothesis passes.
+
+    F is called once per tuple and must return an element index in
+    0..n-1 (ValueError otherwise); the triple is called at most three times
+    per distinct entry of ``space.dist``.  Everything else is read off
+    tables of those values.
     """
     partition = upsilon.partition
     k = partition.k
+    n = space.n
     _pair_guard(space, k)
-    points = list(itertools.product(range(space.n), repeat=k))
-    pts = np.array(points, dtype=int)
+    size = n ** k
+    fvals = _operator_table(space, F, k)
+    digits = np.indices((n,) * k).reshape(k, size).T  # row p: the tuple of index p
+    place = n ** np.arange(k - 1, -1, -1)             # place[j - 1] = n^(k-j)
+    in_a = np.array([i in partition.a for i in range(1, k + 1)])
 
-    # pairwise product-order mask and max-metric table, vectorized
-    ordered = np.ones((len(points), len(points)), dtype=bool)
-    dk_table = np.zeros((len(points), len(points)))
-    for i in range(1, k + 1):
-        rows = pts[:, None, i - 1]
-        cols = pts[None, :, i - 1]
-        if i in partition.a:
-            ordered &= space.leq[rows, cols]
-        else:
-            ordered &= space.leq[cols, rows]
-        dk_table = np.maximum(dk_table, space.dist[rows, cols])
-
-    fvals = np.array([F(*x) for x in points], dtype=int)
-    lhs = np.vectorize(triple.psi)(space.dist[fvals[:, None], fvals[None, :]])
-    rhs = np.vectorize(lambda v: triple.theta(v) - triple.phi(v))(dk_table)
-    contraction_ok = bool(np.all(lhs[ordered] <= rhs[ordered] + 1e-12))
-
-    start_point = ()
-    for x in points:
-        ok = True
-        for i in range(1, k + 1):
-            fx = F(*upsilon.permute(i, x))
-            if i in partition.a:
-                ok = space.le(x[i - 1], fx)
-            else:
-                ok = space.le(fx, x[i - 1])
-            if not ok:
-                break
-        if ok:
-            start_point = x
-            break
-
-    mixed_monotone_ok = True
-    for x in points:
-        for j in range(1, k + 1):
-            for v in range(space.n):
-                if not space.le(x[j - 1], v) or v == x[j - 1]:
-                    continue
-                hi = list(x)
-                hi[j - 1] = v
-                f_lo, f_hi = F(*x), F(*hi)
-                if j in partition.a:
-                    ok = space.le(f_lo, f_hi)
-                else:
-                    ok = space.le(f_hi, f_lo)
-                if not ok:
-                    mixed_monotone_ok = False
-    # A common product-order bound exists for every pair iff every base pair
-    # has an upper bound (needed on the A block) and a lower bound (B block).
-    def _base_pairs_bounded(upper: bool) -> bool:
-        return all(
-            any(
-                (space.le(a, z) and space.le(b, z)) if upper
-                else (space.le(z, a) and space.le(z, b))
-                for z in range(space.n)
-            )
-            for a in range(space.n)
-            for b in range(space.n)
+    # Every distance compared below is an entry of space.dist, so the triple
+    # is evaluated once per distinct value and read back by rank.  Ranks
+    # preserve order, so the max metric is the value at the maximum rank.
+    vals, rank = np.unique(space.dist, return_inverse=True)
+    rank = rank.reshape(space.dist.shape)
+    psi = np.array([triple.psi(v) for v in vals.tolist()], dtype=float)
+    bound = np.array(
+        [triple.theta(v) - triple.phi(v) for v in vals.tolist()], dtype=float
+    )
+    # The first coordinate comes last, so the final, full-size operation
+    # broadcasts an n x n table over contiguous inner axes.
+    ordered, dk_rank = True, 0
+    for i in reversed(range(k)):
+        ordered = ordered & _over_pairs(
+            space.leq if in_a[i] else space.leq.T, i, k
         )
+        dk_rank = np.maximum(dk_rank, _over_pairs(rank, i, k))
+    ordered = ordered.reshape(size, size)
+    lhs = psi[rank][fvals][:, fvals]
+    rhs = bound[dk_rank.reshape(size, size)]
+    contraction_ok = bool((lhs[ordered] <= rhs[ordered] + 1e-12).all())
 
-    upper_bounds_ok = (not partition.a or _base_pairs_bounded(True)) and (
-        not partition.b or _base_pairs_bounded(False)
+    # f_perm[p, i - 1] = F(x permuted by sigma_i), x the tuple of index p
+    f_perm = fvals[digits[:, np.array(upsilon.sigmas) - 1] @ place]
+    below = space.leq[digits, f_perm]
+    above = space.leq[f_perm, digits]
+    starts = np.flatnonzero(np.where(in_a, below, above).all(axis=1))
+    start_point = tuple(digits[starts[0]].tolist()) if starts.size else ()
+    fixed_points = tuple(map(tuple, digits[(f_perm == digits).all(axis=1)].tolist()))
+
+    # Moving coordinate j of tuple p from x_j up to v lands on tuple
+    # p + (v - x_j) n^(k-j); axes are (tuple, coordinate, v).
+    x = digits[:, :, None]
+    values = np.arange(n)
+    moves = space.leq[x, values] & (x != values)
+    f_lo = fvals[:, None, None]
+    f_hi = fvals[np.arange(size)[:, None, None] + (values - x) * place[:, None]]
+    ok = np.where(in_a[:, None], space.leq[f_lo, f_hi], space.leq[f_hi, f_lo])
+    mixed_monotone_ok = bool((ok | ~moves).all())
+
+    # A common product-order bound exists for every pair iff every base pair
+    # has an upper bound (needed on the A block) and a lower bound (B block):
+    # (L @ L.T)[a, b] iff a, b <= z for some z, (L.T @ L)[a, b] iff z <= a, b.
+    L = space.leq
+    upper_bounds_ok = (not partition.a or bool((L @ L.T).all())) and (
+        not partition.b or bool((L.T @ L).all())
     )
 
     return HypothesisReport(
@@ -205,7 +225,7 @@ def check_theorem_hypotheses(
         start_point,
         mixed_monotone_ok,
         upper_bounds_ok,
-        tuple(enumerate_fixed_points(space, F, upsilon)),
+        fixed_points,
     )
 
 

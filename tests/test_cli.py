@@ -104,6 +104,20 @@ class TestExitCodes:
         assert code == EXIT_NO_CONVERGENCE
         assert (out / "trace.csv").read_text().count("\n") == 2  # header + 1 row
 
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"max_iters": 0}, [], "max_iters must be >= 1"),
+        ({"tolerances": {"step": -1}}, [], "tolerances must be positive"),
+        ({}, ["--alpha", "inf"], "alpha and T must be finite"),
+    ], ids=["max_iters_0", "negative_step", "alpha_inf"])
+    def test_invalid_solve_config_exits_2(self, tmp_path, capsys, config, flags, message):
+        cfg = write_config(tmp_path, **config)
+        out = tmp_path / "out"
+        code = main(["solve", "--config", cfg, "--out", str(out), *flags])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()  # rejected before any output is written
+
     def test_verify_passes(self, capsys):
         assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "42"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

@@ -1,7 +1,14 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from mixedfp.contraction import ContractionTriple, DeclaredProperties
+from mixedfp.contraction import (
+    ContractionTriple,
+    DeclaredProperties,
+    builtin_log_triple,
+)
 from mixedfp.engine import IterationConfig, ProductOperator, solve
 from mixedfp.oracle import (
     SIZE_GUARD,
@@ -10,7 +17,7 @@ from mixedfp.oracle import (
     enumerate_fixed_points,
     random_instance,
 )
-from mixedfp.order import Partition, validate_upsilon
+from mixedfp.order import Partition, max_metric, product_leq, validate_upsilon
 
 # goes with distances drawn from {1, 2}: factor-1/2 linear contraction
 HALF_TRIPLE = ContractionTriple(
@@ -37,19 +44,50 @@ class TestFiniteSpace:
 
     def test_rejects_asymmetric_distance(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric/zero-diagonal"):
             FiniteSpace(("a", "b"), d, np.eye(2, dtype=bool))
 
     def test_rejects_triangle_violation(self):
         d = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="triangle inequality fails"):
             FiniteSpace(("a", "b", "c"), d, np.eye(3, dtype=bool))
+
+    def test_triangle_check_covers_every_block_of_middle_points(self):
+        # at n = 128 the middle points come in two blocks; only middles
+        # 101..109 (second block) break d[100, 110] <= d[100, j] + d[j, 110]
+        space = chain_space(128)
+        d = space.dist.copy()
+        d[100, 110] = d[110, 100] = 10.5
+        with pytest.raises(ValueError, match="triangle inequality fails"):
+            FiniteSpace(space.labels, d, space.leq)
 
     def test_rejects_cyclic_order(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         leq = np.ones((2, 2), dtype=bool)  # a <= b and b <= a
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order is not antisymmetric"):
             FiniteSpace(("a", "b"), d, leq)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="table shapes must be n x n"):
+            FiniteSpace(("a", "b"), np.zeros((3, 3)), np.eye(2, dtype=bool))
+
+    def test_rejects_zero_distance_first(self):
+        # also breaks the triangle inequality; the earlier check reports
+        d = np.array([[0, 0, 5], [0, 0, 1], [5, 1, 0]], dtype=float)
+        with pytest.raises(ValueError, match="distinct points at distance zero"):
+            FiniteSpace(("a", "b", "c"), d, np.eye(3, dtype=bool))
+
+    def test_rejects_irreflexive_order(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="order is not reflexive"):
+            FiniteSpace(("a", "b"), d, np.array([[True, False], [False, False]]))
+
+    def test_rejects_intransitive_order(self):
+        # a <= b <= c without a <= c
+        leq = np.eye(3, dtype=bool)
+        leq[0, 1] = leq[1, 2] = True
+        with pytest.raises(ValueError, match="order is not transitive"):
+            FiniteSpace(("a", "b", "c"), chain_space(3).dist, leq)
 
 
 class TestEnumeration:
@@ -117,6 +155,96 @@ class TestHypothesisChecks:
         assert not report.all_pass
         # the enumeration result is still reported
         assert isinstance(report.fixed_points, tuple)
+
+    @pytest.mark.parametrize("value", [-1, 3, 0.5])
+    def test_rejects_operator_value_outside_the_space(self, value):
+        # numpy indexing would wrap -1 to element 2; 3 is past the tables
+        with pytest.raises(ValueError, match=rf"F\(0, 0\) = {value} is not an element"):
+            check_theorem_hypotheses(chain_space(3), lambda a, b: value, ID_SWAP, HALF_TRIPLE)
+
+    def test_calls_F_once_per_tuple_and_the_triple_once_per_distance(self):
+        space, ups, F = random_instance(4, 4, np.random.default_rng(3))
+        calls = {"F": 0, "triple": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        triple = ContractionTriple(
+            *(counted("triple", fn) for fn in (HALF_TRIPLE.psi, HALF_TRIPLE.theta, HALF_TRIPLE.phi))
+        )
+        check_theorem_hypotheses(space, counted("F", F), ups, triple)
+        assert calls["F"] == 4 ** 4
+        assert 0 < calls["triple"] <= 3 * len(np.unique(space.dist))
+
+
+def reference_report(space, F, ups, triple):
+    """The hypotheses read off their definitions, one pair or move at a time."""
+    part = ups.partition
+    k, n = part.k, space.n
+    points = list(itertools.product(range(n), repeat=k))
+
+    def within_bound(x, z):
+        dk = max_metric(x, z, space.d)
+        return triple.psi(space.d(F(*x), F(*z))) <= triple.theta(dk) - triple.phi(dk) + 1e-12
+
+    def starts(x):
+        return all(
+            space.le(x[i - 1], F(*ups.permute(i, x))) if i in part.a
+            else space.le(F(*ups.permute(i, x)), x[i - 1])
+            for i in range(1, k + 1)
+        )
+
+    def monotone_move(x, j, v):
+        hi = x[: j - 1] + (v,) + x[j:]
+        if j in part.a:
+            return space.le(F(*x), F(*hi))
+        return space.le(F(*hi), F(*x))
+
+    def bounded(upper):
+        return all(
+            any(space.le(a, z) and space.le(b, z) if upper
+                else space.le(z, a) and space.le(z, b) for z in range(n))
+            for a in range(n) for b in range(n)
+        )
+
+    return (
+        all(within_bound(x, z) for x in points for z in points
+            if product_leq(x, z, part, space.le)),
+        next((x for x in points if starts(x)), ()),
+        all(monotone_move(x, j, v) for x in points for j in range(1, k + 1)
+            for v in range(n) if space.le(x[j - 1], v) and v != x[j - 1]),
+        (not part.a or bounded(True)) and (not part.b or bounded(False)),
+        tuple(enumerate_fixed_points(space, F, ups)),
+    )
+
+
+@pytest.mark.parametrize("k, n", list(itertools.product((2, 3, 4), repeat=2)))
+def test_hypotheses_match_the_pairwise_reference(k, n):
+    # biased random_instance operators (some pass every hypothesis) and
+    # arbitrary table operators (almost all fail), under both triples
+    rng = np.random.default_rng(1000 * k + n)
+    triples = (HALF_TRIPLE, builtin_log_triple())
+    checked = 0
+    while checked < 10:
+        inst = random_instance(k, n, rng)
+        if inst is None:
+            continue
+        space, ups, F = inst
+        if checked >= 6:
+            table = rng.integers(0, n, size=(n,) * k)
+            F = lambda *x, table=table: int(table[x])  # noqa: E731
+        triple = triples[checked % 2]
+        report = check_theorem_hypotheses(space, F, ups, triple)
+        fields = (report.contraction_ok, report.start_point, report.mixed_monotone_ok,
+                  report.upper_bounds_ok, report.fixed_points)
+        assert fields == reference_report(space, F, ups, triple)
+        assert all(type(v) is int for v in report.start_point)
+        assert all(type(v) is int for x in report.fixed_points for v in x)
+        json.dumps([report.start_point, report.fixed_points])
+        checked += 1
 
 
 class TestRandomizedEquivalence:
