@@ -2,7 +2,9 @@
 checks, the solver, or the sampled property suite.
 
 Exit codes: 0 success, 1 check/property failure, 2 config error,
-3 non-convergence.
+3 non-convergence, 4 operator error (the operator could not be evaluated
+during a solve, e.g. a component below the domain floor under --force;
+report.json names the component and node).
 """
 
 import argparse
@@ -19,6 +21,7 @@ from .contraction import builtin_log_triple, verify_contraction_sampled
 from .engine import (
     IterationConfig,
     NonConvergenceError,
+    OperatorEvaluationError,
     check_mixed_monotone_sampled,
     solve,
     trace_csv,
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_OPERATOR_ERROR = 4
 
 DEFAULTS = {
     "problem": "paper-example",
@@ -258,6 +262,18 @@ def cmd_solve(args) -> int:
     except NonConvergenceError as exc:
         report = exc.report
         status = EXIT_NO_CONVERGENCE
+    except OperatorEvaluationError as exc:
+        print(f"operator error: {exc}", file=sys.stderr)
+        node = exc.cause.node if isinstance(exc.cause, hs.DomainFloorError) else None
+        payload = {
+            "config": cfg,
+            "converged": False,
+            "operator_error": {"component": exc.component, "node": node,
+                               "message": str(exc)},
+            "check": check_report,
+        }
+        (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+        return EXIT_OPERATOR_ERROR
 
     (out_dir / "trace.csv").write_text(trace_csv(report))
     solution = report.fixed_point[0]

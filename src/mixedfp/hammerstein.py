@@ -20,8 +20,9 @@ from .engine import ProductOperator
 from .funcspace import (
     Grid,
     GridFunction,
+    PchipPlan,
     QuadratureRule,
-    interpolate,
+    _check_same_grid,
     make_quadrature,
     uniform_grid,
 )
@@ -139,19 +140,24 @@ class HammersteinProblem:
         return kmat * self.quadrature.weights[None, :]
 
     @cached_property
+    def _transfer(self) -> PchipPlan:
+        # grid values -> quadrature nodes; built at the first operator call
+        return PchipPlan(self.grid, self.quadrature.nodes)
+
+    @cached_property
     def _forcing_values(self) -> np.ndarray:
         nodes = self.grid.nodes
         return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
 
 
 def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: float):
-    """Raise DomainFloorError at the first component (column of ``values``),
+    """Raise DomainFloorError at the first component (row of ``values``),
     then the first node, lying below ``floor - slack``."""
     bad = values < floor - slack
     if bad.any():
-        i = int(np.argmax(bad.any(axis=0)))
-        j = int(np.argmax(bad[:, i]))
-        raise DomainFloorError(i + 1, float(nodes[j]), float(values[j, i]), floor)
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
 def _integral(
@@ -162,19 +168,23 @@ def _integral(
     """int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation
     nodes, pairing each nonlinearity with the component in its position.
 
-    All components are transferred to the quadrature nodes in one stacked
-    interpolation; each f_i is then called once on the whole node array.
+    Every component must lie on the problem's grid.  All of them are
+    transferred to the quadrature nodes by the problem's cached PCHIP plan
+    in one apply; each f_i is then called once on the whole node array.
     """
+    for xi in x:
+        _check_same_grid(problem.grid, xi.grid)
     s_nodes = problem.quadrature.nodes
-    vals = interpolate(x, s_nodes)
     floor = problem.domain_floor
-    _check_floor(np.column_stack([xi.values for xi in x]), x[0].grid.nodes, floor, 1e-12)
+    values = np.stack([xi.values for xi in x])
+    _check_floor(values, problem.grid.nodes, floor, 1e-12)
+    vals = problem._transfer.apply(values)
     # interpolation cannot overshoot monotone data, but guard anyway
     _check_floor(vals, s_nodes, floor, 1e-9)
     total = np.zeros_like(s_nodes)
     with np.errstate(all="ignore"):
         for i, fi in enumerate(nonlinearities):
-            total += fi(s_nodes, vals[:, i])
+            total += fi(s_nodes, vals[i])
     if not np.all(np.isfinite(total)):
         raise ArithmeticError("non-finite integrand encountered")
     out = problem._weighted_kernel @ total + problem._forcing_values
@@ -186,8 +196,10 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
 
     Components are transferred to the quadrature nodes by monotone-safe
     interpolation; the integral is the configured weighted sum at every
-    collocation node.  Cost per call: one stacked PCHIP build over k
-    columns, k nonlinearity calls on nq nodes and one n x nq matvec.
+    collocation node.  Cost per call: O(k*n) for the PCHIP derivatives plus
+    O(k*nq) to evaluate them at the quadrature nodes (the interval search is
+    planned once per problem), k nonlinearity calls on nq nodes and one
+    n x nq matvec.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")

@@ -1,15 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixedfp
 from mixedfp import apply_A, sup_metric
 from mixedfp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_OPERATOR_ERROR,
     build_problem,
     load_config,
     main,
@@ -118,6 +124,19 @@ class TestExitCodes:
         assert err.startswith("config error:") and message in err
         assert not out.exists()  # rejected before any output is written
 
+    def test_forced_solve_below_floor_reports_operator_error(self, tmp_path, capsys):
+        # at alpha = 1.01 the first sweep takes component 1 below the floor
+        out = tmp_path / "out"
+        code = main(["solve", "--alpha", "1.01", "--force", "--out", str(out)])
+        assert code == EXIT_OPERATOR_ERROR
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        error = report["operator_error"]
+        assert error["component"] == 1 and error["node"] == 1.0
+        assert "below the domain floor" in error["message"]
+        err = capsys.readouterr().err
+        assert err.startswith("operator error:") and "Traceback" not in err
+
     def test_verify_passes(self, capsys):
         assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "42"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -163,6 +182,20 @@ class TestExitCodes:
         finally:
             del NONLINEARITIES["scalar-log-shift"]
         assert "nonlinearity 1 must accept node arrays" in capsys.readouterr().err
+
+
+def test_solve_does_not_import_scipy(tmp_path):
+    src = Path(mixedfp.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from mixedfp.cli import main\n"
+        f"assert main(['solve', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 class TestReproducibility:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from mixedfp.funcspace import (
@@ -215,6 +215,67 @@ class TestInterpolate:
         u = grid12.sample(lambda t: t)
         with pytest.raises(ValueError):
             interpolate([u, u], np.array([1.5, 2.5]))
+
+
+def _scipy_transfer(grid, values, t):
+    """Reference: scipy's PCHIP of the columns of ``values``, with the stored
+    values written at exact node hits."""
+    ref = PchipInterpolator(grid.nodes, values, axis=0)(t)
+    pos = np.minimum(np.searchsorted(grid.nodes, t), grid.n - 1)
+    exact = grid.nodes[pos] == t
+    ref[exact] = values[pos[exact]]
+    return ref
+
+
+def _column(rng, kind, n):
+    if kind == "monotone":
+        return np.cumsum(rng.uniform(0.0, 2.0, n))
+    if kind == "flat-runs":
+        return np.repeat(rng.integers(-3, 4, n // 3 + 1).astype(float), 3)[:n]
+    return rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n)  # sign changes
+
+
+class TestPchipTransfer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "loaded"]),
+        st.sampled_from(["gauss-legendre", "simpson"]),
+        st.integers(1, 16),
+    )
+    def test_equals_scipy_bit_for_bit(self, seed, grid_kind, quad_kind, k):
+        rng = np.random.default_rng(seed)
+        T = float(rng.uniform(1.5, 12.0))
+        n_intervals = int(rng.integers(8, 300))
+        if grid_kind == "uniform":
+            grid = uniform_grid(T, n_intervals)
+        else:
+            inner = np.unique(rng.uniform(1.0, T, n_intervals - 1))
+            grid = Grid(T, np.concatenate([[1.0], inner, [T]]), kind="loaded")
+        points = 2 * int(rng.integers(1, 9))
+        t = make_quadrature(quad_kind, T, int(rng.integers(1, 40)), points).nodes
+        kinds = rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)
+        values = np.column_stack([_column(rng, kind, grid.n) for kind in kinds])
+        out = interpolate([GridFunction(grid, v) for v in values.T], t)
+        assert np.array_equal(out, _scipy_transfer(grid, values, t))
+
+    def test_end_slope_branches(self):
+        # columns whose one-sided end slopes take scipy's three branches:
+        # the three-point estimate, zero (wrong sign) and 3 * m0 (overshoot)
+        grid = uniform_grid(2.0, 16)
+        h = grid.nodes[1] - grid.nodes[0]
+        base = np.linspace(0.0, 1.0, grid.n)
+        plain = base.copy()
+        wrong_sign = base.copy()
+        wrong_sign[:3] = [0.0, 1.0 * h, 5.0 * h]            # m0 = 1, m1 = 4
+        overshoot = base.copy()
+        overshoot[:3] = [0.0, 1.0 * h, -9.0 * h]            # m0 = 1, m1 = -10
+        values = np.column_stack([plain, wrong_sign, overshoot])
+        slopes = PchipInterpolator(grid.nodes, values, axis=0).derivative()(1.0)
+        assert slopes.tolist() == pytest.approx([1.0, 0.0, 3.0])
+        t = np.linspace(1.0, 2.0, 301)
+        out = interpolate([GridFunction(grid, v) for v in values.T], t)
+        assert np.array_equal(out, _scipy_transfer(grid, values, t))
 
 
 class TestCsv:

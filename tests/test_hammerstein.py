@@ -168,6 +168,15 @@ class TestApplyA:
         with pytest.raises(ValueError):
             apply_A(example22, (linear(example22, 2.0),))
 
+    def test_components_off_the_problem_grid(self, example22):
+        # one common grid among the components is not enough: the cached
+        # transfer plan is for the problem's grid
+        other = uniform_grid(2.0, 100).sample(lambda t: 2.0 * t)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            apply_A(example22, (other, other))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            check_assumption_e(example22, (linear(example22, 2.0), other))
+
 
 class TestAssumptionD:
     def test_example_passes(self, example22):
