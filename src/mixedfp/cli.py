@@ -4,11 +4,17 @@ checks, the solver, or the sampled property suite.
 Exit codes: 0 success, 1 check/property failure, 2 config error,
 3 non-convergence, 4 operator error (the operator could not be evaluated
 during a solve, e.g. a component below the domain floor under --force;
-report.json names the component and node).
+report.json names the component and node).  A check whose assumption E
+cannot be evaluated fails with an ``assumption_e_error`` in its report.
+
+One order slack, ORDER_SLACK, compares grid functions in every check and in
+solve, so assumption E and solve's start check are one predicate on one
+first sweep.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -26,7 +32,7 @@ from .engine import (
     solve,
     trace_csv,
 )
-from .funcspace import GridFunction, format_csv, sup_metric
+from .funcspace import GridFunction, format_csv, pointwise_leq, sup_metric
 from .order import cyclic_shift_upsilon, max_metric, product_leq
 
 log = logging.getLogger(__name__)
@@ -37,16 +43,20 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_OPERATOR_ERROR = 4
 
+ORDER_SLACK = 1e-12
+_leq = functools.partial(pointwise_leq, tol=ORDER_SLACK)
+
 DEFAULTS = {
     "problem": "paper-example",
     "T": 2.0,
     "alpha": 2.0,
     "m": 1,
     "eta": [1.0, 1.0],
-    "grid": {"n": 200, "kind": "uniform"},
+    "grid": {"n": 200},
     "quadrature": {"panels": 32, "points": 8},
-    "tolerances": {"step": 1e-10, "residual": 1e-8},
-    "max_iters": 100000,
+    "tolerances": {"step": IterationConfig.tol_step,
+                   "residual": IterationConfig.tol_residual},
+    "max_iters": IterationConfig.max_iters,
 }
 
 # Extensibility point for "custom" problems: named pieces, each a factory of
@@ -102,6 +112,9 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
         if not (np.isfinite(alpha) and np.isfinite(T)):
             raise ConfigError(f"alpha and T must be finite, got {alpha} and {T}")
         n = int(cfg["grid"]["n"])
+        grid_kind = cfg["grid"].get("kind", "uniform")
+        if grid_kind != "uniform":
+            raise ConfigError(f"grid kind {grid_kind!r} is not supported, only 'uniform'")
         panels = int(cfg["quadrature"]["panels"])
         points = int(cfg["quadrature"]["points"])
         kind = cfg["problem"]
@@ -160,23 +173,31 @@ def _run_checks(cfg, problem) -> dict:
     s_samples = list(np.linspace(1.0, problem.T, 9))
     d_report = hs.check_assumption_d(problem, pairs, s_samples)
     x0 = _start_tuple(problem, alpha)
-    e_report = hs.check_assumption_e(problem, x0)
+    e_error = None
+    try:
+        e_failures = hs.check_assumption_e(problem, x0, ORDER_SLACK).failures
+    except (hs.DomainFloorError, ArithmeticError) as exc:
+        # the start tuple cannot be evaluated: a failed check, not a crash
+        e_failures = ()
+        e_error = {"component": getattr(exc, "component", None),
+                   "node": getattr(exc, "node", None), "message": str(exc)}
     mono = _monotone_samples(problem, np.random.default_rng(0), 20)
     upsilon = cyclic_shift_upsilon(problem.m)
     violations = check_mixed_monotone_sampled(
-        hs.product_operator(problem),
-        upsilon.partition,
-        mono,
-        lambda u, v: bool(np.all(u.values <= v.values + 1e-10)),
+        hs.product_operator(problem), upsilon.partition, mono, _leq,
     )
-    return {
+    report = {
         "kernel_bound": bound,
         "eta_ok": d_report.eta_ok,
         "assumption_d_violations": [list(v) for v in d_report.violations],
-        "assumption_e_failures": [list(f) for f in e_report.failures],
+        "assumption_e_failures": [list(f) for f in e_failures],
         "mixed_monotone_violations": [list(v) for v in violations],
-        "passed": d_report.passed and e_report.passed and not violations,
+        "passed": (d_report.passed and e_error is None and not e_failures
+                   and not violations),
     }
+    if e_error is not None:
+        report["assumption_e_error"] = e_error
+    return report
 
 
 def _monotone_samples(problem, rng, count):
@@ -195,8 +216,9 @@ def _monotone_samples(problem, rng, count):
     return samples
 
 
-def _random_ordered_pairs(problem, rng, count, lo=1.0, hi=10.0):
-    """Seeded ordered pairs of product tuples with values in [lo, hi].
+def _random_ordered_pairs(problem, rng, count):
+    """Seeded ordered pairs of product tuples with values in [lo, lo + 9],
+    lo the domain floor.
 
     Half the pairs use constant functions with scalar gaps (these reach the
     extreme separations where a broken nonlinearity actually leaves the
@@ -204,6 +226,8 @@ def _random_ordered_pairs(problem, rng, count, lo=1.0, hi=10.0):
     """
     t = problem.grid.nodes
     ones = np.ones_like(t)
+    lo = problem.domain_floor
+    hi = lo + 9.0
     pairs = []
     for idx in range(count):
         x, z = [], []
@@ -251,12 +275,11 @@ def cmd_solve(args) -> int:
 
     upsilon = cyclic_shift_upsilon(problem.m)
     x0 = _start_tuple(problem, float(cfg["alpha"]))
-    leq = lambda u, v: bool(np.all(u.values <= v.values + 1e-12))  # noqa: E731
     triple = builtin_log_triple()
     try:
         report = solve(
             hs.product_operator(problem), upsilon, x0, config, triple,
-            dist=sup_metric, leq=leq, skip_initial_check=args.force,
+            dist=sup_metric, leq=_leq, skip_initial_check=args.force,
         )
         status = EXIT_OK
     except NonConvergenceError as exc:
@@ -304,7 +327,6 @@ def cmd_verify(args) -> int:
     upsilon = cyclic_shift_upsilon(problem.m)
     partition = upsilon.partition
     triple = builtin_log_triple()
-    leq = lambda u, v: bool(np.all(u.values <= v.values + 1e-10))  # noqa: E731
 
     pairs = _random_ordered_pairs(problem, rng, 200)
     report = verify_contraction_sampled(
@@ -313,12 +335,12 @@ def cmd_verify(args) -> int:
         triple,
         dist=sup_metric,
         dist_k=lambda x, z: max_metric(x, z, sup_metric),
-        ordered=lambda x, z: product_leq(x, z, partition, leq),
+        ordered=lambda x, z: product_leq(x, z, partition, _leq),
         tol_slack=1e-8,
     )
     mono_violations = check_mixed_monotone_sampled(
         hs.product_operator(problem), partition,
-        _monotone_samples(problem, rng, 50), leq,
+        _monotone_samples(problem, rng, 50), _leq,
     )
     summary = {
         "contraction_min_slack": report.min_slack,

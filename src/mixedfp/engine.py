@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .contraction import ContractionTriple, gain_bound_sequence
-from .order import Partition, UpsilonTuple, product_leq
+from .order import Partition, UpsilonTuple, twisted_leq
 
 __all__ = [
     "ProductOperator",
@@ -64,7 +64,6 @@ class IterationConfig:
     tol_step: float = 1e-10
     tol_residual: float = 1e-8
     max_iters: int = 100000
-    check_monotone: bool = True
     check_contraction_each_step: bool = False
 
     def __post_init__(self):
@@ -77,7 +76,6 @@ class IterationConfig:
 @dataclass(frozen=True)
 class IterationReport:
     iterations: int
-    step_history: Tuple[float, ...]
     residual_history: Tuple[Tuple[float, ...], ...]
     spread_history: Tuple[float, ...]
     monotone_ok: bool
@@ -85,6 +83,11 @@ class IterationReport:
     converged: bool
     fixed_point: tuple
     contraction_violations: Tuple[int, ...] = ()
+
+    @property
+    def step_history(self) -> Tuple[float, ...]:
+        """The step d_k of each sweep: the largest of its residuals."""
+        return tuple(max(res) for res in self.residual_history)
 
     @property
     def final_residual(self) -> float:
@@ -136,15 +139,10 @@ def check_initial_condition(
     leq: Leq,
 ) -> Tuple[bool, List[bool]]:
     """Starting-point condition: x0_i below its image for i in A, above for
-    i in B (the partition-twisted reading of the per-component order)."""
-    partition = upsilon.partition
+    i in B (the partition-twisted reading of the per-component order).
+    ``solve`` applies it to its first sweep."""
     y = iterate_step(F, upsilon, x0)
-    per_component = []
-    for i in range(1, partition.k + 1):
-        if i in partition.a:
-            per_component.append(leq(x0[i - 1], y[i - 1]))
-        else:
-            per_component.append(leq(y[i - 1], x0[i - 1]))
+    per_component = list(twisted_leq(x0, y, upsilon.partition, leq))
     return all(per_component), per_component
 
 
@@ -197,6 +195,11 @@ def solve(
     """Iterate Jacobi sweeps until both the step displacement and the
     fixed-tuple residual fall below tolerance.
 
+    The first sweep doubles as the starting-point condition of
+    ``check_initial_condition``: unless ``skip_initial_check``, a failing
+    start raises ValueError before any history is recorded.  The same
+    comparison of every later sweep sets ``monotone_ok``.
+
     The returned fixed_point is the last iterate whose residual was measured,
     so the report's final residual is the defect of the returned point.
     Raises NonConvergenceError when max_iters is exhausted, or at once after
@@ -206,20 +209,12 @@ def solve(
     partition = upsilon.partition
     if len(x0) != partition.k:
         raise ValueError("starting point dimension mismatch")
-    if not skip_initial_check:
-        ok, per_component = check_initial_condition(F, upsilon, x0, leq)
-        if not ok:
-            raise ValueError(
-                f"starting point fails the initial-order condition; "
-                f"per-component: {per_component}"
-            )
-    else:
+    if skip_initial_check:
         log.warning("initial-order condition check overridden by caller")
     if triple is not None:
         triple.warn_if_undeclared()
 
     x = tuple(x0)
-    steps: List[float] = []
     residuals: List[Tuple[float, ...]] = []
     spreads: List[float] = []
     contraction_violations: List[int] = []
@@ -228,7 +223,6 @@ def solve(
     def report(iterations: int, converged: bool, collapsed: bool = False) -> IterationReport:
         return IterationReport(
             iterations=iterations,
-            step_history=tuple(steps),
             residual_history=tuple(residuals),
             spread_history=tuple(spreads),
             monotone_ok=monotone_ok,
@@ -240,9 +234,14 @@ def solve(
 
     for it in range(config.max_iters):
         y = iterate_step(F, upsilon, x)
+        ordered = list(twisted_leq(x, y, partition, leq))
+        if it == 0 and not skip_initial_check and not all(ordered):
+            raise ValueError(
+                f"starting point fails the initial-order condition; "
+                f"per-component: {ordered}"
+            )
         res = tuple(dist(xi, yi) for xi, yi in zip(x, y))
         d = max(res)
-        steps.append(d)
         residuals.append(res)
         spreads.append(_spread(x, dist))
 
@@ -252,13 +251,13 @@ def solve(
             log.warning("non-finite step at sweep %d; stopping", it + 1)
             raise NonConvergenceError(report(it + 1, converged=False))
 
-        if config.check_monotone and not product_leq(x, y, partition, leq):
+        if not all(ordered):
             if monotone_ok:
                 log.warning("monotone bracketing violated at sweep %d", it + 1)
             monotone_ok = False
 
-        if config.check_contraction_each_step and triple is not None and len(steps) >= 2:
-            prev = steps[-2]
+        if config.check_contraction_each_step and triple is not None and it >= 1:
+            prev = max(residuals[-2])
             if triple.psi(d) > triple.theta(prev) - triple.phi(prev) + 1e-10:
                 contraction_violations.append(it)
 

@@ -3,7 +3,7 @@ order, monotone-safe interpolation, and composite quadrature."""
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -176,29 +176,18 @@ class PchipPlan:
         return out
 
 
-def interpolate(u: Union[GridFunction, Sequence[GridFunction]], t):
-    """Monotone-safe piecewise-cubic value(s) at t in [1, T].
+def interpolate(u: GridFunction, t):
+    """Monotone-safe piecewise-cubic value(s) at t in [1, T], shaped like t.
 
     PCHIP keeps monotone data monotone (no overshoot), so order checks
     survive transfer to finer grids; it is exact at nodes and reproduces
-    linear data to rounding.
-
-    ``u`` is one GridFunction, giving values shaped like ``t``, or a
-    sequence of GridFunctions on one grid, giving shape ``t.shape + (len(u),)``
-    (one column per function) from one ``PchipPlan``.  Each column equals
-    the transfer of that function alone, bit for bit.
+    linear data to rounding.  To transfer several functions of one grid to
+    the same points, build one ``PchipPlan`` and ``apply`` it to their
+    stacked values.
     """
-    fns = (u,) if isinstance(u, GridFunction) else tuple(u)
-    if not fns:
-        raise ValueError("nothing to interpolate")
-    grid = fns[0].grid
-    for f in fns[1:]:
-        _check_same_grid(grid, f.grid)
-    plan = PchipPlan(grid, t)
-    out = plan.apply(np.stack([f.values for f in fns]))
-    if isinstance(u, GridFunction):
-        return float(out[0, 0]) if plan.shape == () else out[0].reshape(plan.shape)
-    return out.T.reshape(plan.shape + (len(fns),))
+    plan = PchipPlan(u.grid, t)
+    out = plan.apply(u.values[None, :])
+    return float(out[0, 0]) if plan.shape == () else out[0].reshape(plan.shape)
 
 
 @dataclass(frozen=True)

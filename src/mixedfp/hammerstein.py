@@ -26,6 +26,7 @@ from .funcspace import (
     make_quadrature,
     uniform_grid,
 )
+from .order import cyclic_shift_upsilon
 
 __all__ = [
     "HammersteinProblem",
@@ -160,18 +161,19 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: flo
         raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
-def _integral(
-    problem: HammersteinProblem,
-    nonlinearities: Sequence[Nonlinearity],
-    x: Sequence[GridFunction],
-) -> GridFunction:
-    """int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation
-    nodes, pairing each nonlinearity with the component in its position.
+def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
+    """Evaluate the product operator at a 2m-tuple of grid functions:
+    int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation nodes.
 
     Every component must lie on the problem's grid.  All of them are
     transferred to the quadrature nodes by the problem's cached PCHIP plan
     in one apply; each f_i is then called once on the whole node array.
+    Cost per call: O(k*n) for the PCHIP derivatives plus O(k*nq) to evaluate
+    them at the quadrature nodes (the interval search is planned once per
+    problem), k nonlinearity calls on nq nodes and one n x nq matvec.
     """
+    if len(x) != problem.k:
+        raise ValueError(f"expected {problem.k} components, got {len(x)}")
     for xi in x:
         _check_same_grid(problem.grid, xi.grid)
     s_nodes = problem.quadrature.nodes
@@ -183,27 +185,12 @@ def _integral(
     _check_floor(vals, s_nodes, floor, 1e-9)
     total = np.zeros_like(s_nodes)
     with np.errstate(all="ignore"):
-        for i, fi in enumerate(nonlinearities):
-            total += fi(s_nodes, vals[i])
+        for fi, v in zip(problem.nonlinearities, vals):
+            total += fi(s_nodes, v)
     if not np.all(np.isfinite(total)):
         raise ArithmeticError("non-finite integrand encountered")
     out = problem._weighted_kernel @ total + problem._forcing_values
     return GridFunction(problem.grid, out)
-
-
-def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
-    """Evaluate the product operator at a 2m-tuple of grid functions.
-
-    Components are transferred to the quadrature nodes by monotone-safe
-    interpolation; the integral is the configured weighted sum at every
-    collocation node.  Cost per call: O(k*n) for the PCHIP derivatives plus
-    O(k*nq) to evaluate them at the quadrature nodes (the interval search is
-    planned once per problem), k nonlinearity calls on nq nodes and one
-    n x nq matvec.
-    """
-    if len(x) != problem.k:
-        raise ValueError(f"expected {problem.k} components, got {len(x)}")
-    return _integral(problem, problem.nonlinearities, x)
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
@@ -271,45 +258,30 @@ class AssumptionEReport:
         return not self.failures
 
 
-def _h_index_pairs(r: int, two_m: int) -> List[Tuple[int, int]]:
-    """(nonlinearity index, component index) pairs for the r-th comparison
-    function, 1-based.  For r >= 2 this is the printed two-sum scheme, which
-    coincides with pairing f_i against component sigma_r(i) of the cyclic
-    shift; the equality is asserted in tests."""
-    if r == 1:
-        return [(i, i) for i in range(1, two_m + 1)]
-    pairs = [(i, i + r - 1) for i in range(1, two_m - r + 2)]
-    pairs += [(two_m - ell, r - 1 - ell) for ell in range(0, r - 1)]
-    for fi, yi in pairs:
-        if not (1 <= fi <= two_m and 1 <= yi <= two_m):
-            raise ValueError(f"index scheme leaves 1..{two_m} at r={r}")
-    return pairs
-
-
 def check_assumption_e(
     problem: HammersteinProblem,
     y0: Sequence[GridFunction],
     tol: float = 1e-10,
 ) -> AssumptionEReport:
     """Starting-bracket condition: odd components sit below their comparison
-    integrals H_r, even components above, nodewise."""
+    integrals H_r, even components above, nodewise, up to the order slack
+    ``tol`` (u <= v + tol, as ``funcspace.pointwise_leq``).
+
+    H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
+    are the first Jacobi sweep from y0 and this is the starting-point
+    condition of ``engine.check_initial_condition`` read node by node.
+    """
     if len(y0) != problem.k:
         raise ValueError(f"expected {problem.k} components")
-    hs = []
-    for r in range(1, problem.k + 1):
-        pairs = _h_index_pairs(r, problem.k)
-        permuted = tuple(y0[yi - 1] for _, yi in pairs)
-        fns = tuple(problem.nonlinearities[fi - 1] for fi, _ in pairs)
-        hs.append(_integral(problem, fns, permuted))
+    upsilon = cyclic_shift_upsilon(problem.m)
+    h_functions = tuple(
+        apply_A(problem, upsilon.permute(r, y0)) for r in range(1, problem.k + 1)
+    )
     failures: List[tuple] = []
-    for r, h in enumerate(hs, start=1):
-        comp = y0[r - 1]
-        if r % 2 == 1:
-            bad = np.nonzero(comp.values > h.values + tol)[0]
-        else:
-            bad = np.nonzero(comp.values < h.values - tol)[0]
-        failures.extend((r, int(j)) for j in bad)
-    return AssumptionEReport(tuple(hs), tuple(failures))
+    for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
+        lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)
+        failures.extend((r, int(j)) for j in np.nonzero(lo.values > hi.values + tol)[0])
+    return AssumptionEReport(h_functions, tuple(failures))
 
 
 def closed_H_formulas(alpha: float, T: float, t) -> Tuple[float, float]:

@@ -7,7 +7,7 @@ B-block).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 __all__ = [
     "Partition",
@@ -15,6 +15,7 @@ __all__ = [
     "UpsilonMembershipError",
     "max_metric",
     "product_leq",
+    "twisted_leq",
     "upsilon_violations",
     "validate_upsilon",
     "cyclic_shift_upsilon",
@@ -111,49 +112,40 @@ def max_metric(x: Sequence, y: Sequence, dist: Distance) -> float:
     return max(dist(xi, yi) for xi, yi in zip(x, y))
 
 
-def product_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> bool:
-    """Partition-twisted product order: x_i <= y_i on A, x_i >= y_i on B."""
+def twisted_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> Iterator[bool]:
+    """Per-component reading of the partition-twisted order, lazily:
+    leq(x_i, y_i) for i in A, leq(y_i, x_i) for i in B."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     if len(x) != partition.k:
         raise ValueError(f"dimension {len(x)} does not match k={partition.k}")
-    for i in range(1, partition.k + 1):
-        if i in partition.a:
-            if not leq(x[i - 1], y[i - 1]):
-                return False
-        else:
-            if not leq(y[i - 1], x[i - 1]):
-                return False
-    return True
+    return (
+        leq(xi, yi) if i in partition.a else leq(yi, xi)
+        for i, (xi, yi) in enumerate(zip(x, y), start=1)
+    )
+
+
+def product_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> bool:
+    """Partition-twisted product order: x_i <= y_i on A, x_i >= y_i on B."""
+    return all(twisted_leq(x, y, partition, leq))
 
 
 def upsilon_violations(sigmas, partition: Partition):
     """All (i, j) at which the block-membership rules fail.
 
-    Raises ValueError for structurally bad input (non-total maps, values out
-    of range); that is distinct from a membership rejection.
+    Raises ValueError for structurally bad input (the checks of
+    ``UpsilonTuple``: non-total maps, values out of range); that is distinct
+    from a membership rejection.
     """
-    k = partition.k
-    if len(sigmas) != k:
-        raise ValueError(f"expected {k} maps, got {len(sigmas)}")
-    violations = []
-    for i in range(1, k + 1):
-        sigma = sigmas[i - 1]
-        if len(sigma) != k:
-            raise ValueError(f"sigma_{i} is not total on {{1,...,{k}}}")
-        for j in range(1, k + 1):
-            v = sigma[j - 1]
-            if not (1 <= v <= k):
-                raise ValueError(f"sigma_{i}({j}) = {v} is outside {{1,...,{k}}}")
-            j_in_a = j in partition.a
-            v_in_a = v in partition.a
-            if i in partition.a:
-                ok = (v_in_a == j_in_a)  # block-preserving
-            else:
-                ok = (v_in_a != j_in_a)  # block-swapping
-            if not ok:
-                violations.append((i, j))
-    return violations
+    UpsilonTuple(partition, tuple(tuple(s) for s in sigmas))
+    a = partition.a
+    # maps in A preserve the blocks, maps in B swap them
+    return [
+        (i, j)
+        for i, sigma in enumerate(sigmas, start=1)
+        for j, v in enumerate(sigma, start=1)
+        if ((v in a) == (j in a)) != (i in a)
+    ]
 
 
 def validate_upsilon(sigmas, partition: Partition) -> UpsilonTuple:

@@ -16,10 +16,12 @@ from mixedfp.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_OPERATOR_ERROR,
+    _random_ordered_pairs,
     build_problem,
     load_config,
     main,
 )
+from mixedfp.engine import IterationConfig
 from mixedfp.funcspace import load_csv
 
 
@@ -35,6 +37,13 @@ class TestConfig:
         cfg = load_config(None, {})
         assert cfg["problem"] == "paper-example"
         assert cfg["quadrature"] == {"panels": 32, "points": 8}
+
+    def test_iteration_defaults_are_the_engine_defaults(self):
+        cfg = load_config(None, {})
+        engine = IterationConfig()
+        assert cfg["tolerances"] == {"step": engine.tol_step, "residual": engine.tol_residual}
+        assert cfg["max_iters"] == engine.max_iters
+        assert cfg["grid"] == {"n": 200}
 
     def test_file_overrides_defaults(self, tmp_path):
         path = write_config(tmp_path, alpha=3.0, tolerances={"residual": 1e-6})
@@ -114,7 +123,8 @@ class TestExitCodes:
         ({"max_iters": 0}, [], "max_iters must be >= 1"),
         ({"tolerances": {"step": -1}}, [], "tolerances must be positive"),
         ({}, ["--alpha", "inf"], "alpha and T must be finite"),
-    ], ids=["max_iters_0", "negative_step", "alpha_inf"])
+        ({"grid": {"kind": "loaded"}}, [], "grid kind 'loaded'"),
+    ], ids=["max_iters_0", "negative_step", "alpha_inf", "grid_kind_loaded"])
     def test_invalid_solve_config_exits_2(self, tmp_path, capsys, config, flags, message):
         cfg = write_config(tmp_path, **config)
         out = tmp_path / "out"
@@ -136,6 +146,10 @@ class TestExitCodes:
         assert "below the domain floor" in error["message"]
         err = capsys.readouterr().err
         assert err.startswith("operator error:") and "Traceback" not in err
+
+    def test_uniform_grid_kind_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid={"kind": "uniform"})
+        assert main(["check", "--config", cfg]) == EXIT_OK
 
     def test_verify_passes(self, capsys):
         assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "42"]) == EXIT_OK
@@ -218,3 +232,45 @@ class TestReproducibility:
             solution, apply_A(problem, (solution,) * problem.k)
         )
         assert abs(recomputed - report["solution_residual"]) < 1e-12
+
+
+def floor_config(tmp_path, floor):
+    # the start bracket (alpha*t/2 clamped to the floor, 3*alpha*t/2) has its
+    # upper component below a floor of 10 at t = 1
+    return write_config(
+        tmp_path, problem="custom", kernel="constant",
+        nonlinearities=["log-shift", "neg-log-product"], forcing="linear",
+        domain_floor=floor,
+    )
+
+
+class TestCustomDomainFloor:
+    def test_check_reports_assumption_e_error(self, tmp_path, capsys):
+        assert main(["check", "--config", floor_config(tmp_path, 10)]) == EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert not report["passed"]
+        error = report["assumption_e_error"]
+        assert error["component"] == 2 and error["node"] == 1.0
+        assert "below the domain floor 10" in error["message"]
+
+    def test_solve_fails_the_check_then_forced_exits_4(self, tmp_path, capsys):
+        cfg = floor_config(tmp_path, 10)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert "assumption_e_error" in json.loads(capsys.readouterr().out)
+        code = main(["solve", "--config", cfg, "--out", str(out), "--force"])
+        assert code == EXIT_OPERATOR_ERROR
+        report = json.loads((out / "report.json").read_text())
+        assert report["operator_error"]["node"] == 1.0
+        assert "assumption_e_error" in report["check"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor, expected", [(2.0, EXIT_CHECK_FAILED), (10.0, EXIT_OK)])
+    def test_verify_draws_pairs_above_the_floor(self, tmp_path, capsys, floor, expected):
+        cfg = floor_config(tmp_path, floor)
+        assert main(["verify", "--config", cfg, "--seed", "42"]) == expected
+        json.loads(capsys.readouterr().out)
+        problem = build_problem(load_config(cfg, {}))
+        for x, z in _random_ordered_pairs(problem, np.random.default_rng(0), 20):
+            for f in x + z:
+                assert floor <= f.values.min() and f.values.max() <= floor + 9.0

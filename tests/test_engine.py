@@ -112,7 +112,7 @@ class TestSolve:
         assert report.final_residual == 0.0
 
     def test_rejects_bad_start(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"per-component: \[False, False\]"):
             solve(
                 MIDPOINT, ID_SWAP, (1.0, 0.0), self.config, builtin_log_triple(),
                 dist=absdist, leq=realleq,
@@ -164,6 +164,16 @@ class TestSolve:
                        dist=absdist, leq=realleq, skip_initial_check=True)
         assert not report.monotone_ok
         assert report.converged
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_one_operator_call_per_component_and_sweep(self, skip):
+        # the start check reads the first sweep instead of making its own
+        calls = []
+        op = ProductOperator(2, lambda a, b: calls.append(1) or 0.5 * (a + b))
+        report = solve(op, ID_SWAP, (0.0, 1.0), self.config, builtin_log_triple(),
+                       dist=absdist, leq=realleq, skip_initial_check=skip)
+        assert report.iterations >= 2
+        assert len(calls) == 2 * report.iterations
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from scipy.interpolate import PchipInterpolator
 from mixedfp.funcspace import (
     Grid,
     GridFunction,
+    PchipPlan,
     QuadratureRule,
     format_csv,
     integrate,
@@ -187,34 +188,28 @@ class TestInterpolate:
         # Simpson nodes land exactly on grid nodes, where stored values win
         fns = [grid12.sample(f) for f in (math.sin, math.exp, lambda t: t * t, math.sqrt)]
         s = make_quadrature(kind, 2.0, 16, points).nodes
-        stacked = interpolate(fns, s)
-        assert stacked.shape == (s.size, len(fns))
+        stacked = PchipPlan(grid12, s).apply(np.stack([u.values for u in fns]))
+        assert stacked.shape == (len(fns), s.size)
         for j, u in enumerate(fns):
-            assert np.array_equal(stacked[:, j], interpolate(u, s))
+            assert np.array_equal(stacked[j], interpolate(u, s))
             # reference: a 1-D PCHIP per function, stored values at exact nodes
             ref = PchipInterpolator(grid12.nodes, u.values)(s)
             on_grid = np.isin(s, grid12.nodes)
             ref[on_grid] = u.values[np.searchsorted(grid12.nodes, s[on_grid])]
-            assert np.array_equal(stacked[:, j], ref)
+            assert np.array_equal(stacked[j], ref)
         if kind == "simpson":
             on_node = np.searchsorted(grid12.nodes, s)
             assert np.array_equal(grid12.nodes[on_node], s)
-            assert np.array_equal(stacked, np.column_stack([u.values[on_node] for u in fns]))
+            assert np.array_equal(stacked, np.stack([u.values[on_node] for u in fns]))
 
     def test_stacked_scalar_point(self, grid12):
         fns = [grid12.sample(lambda t: t), grid12.sample(lambda t: 2 * t)]
-        assert interpolate(fns, 1.5).tolist() == [interpolate(fns[0], 1.5), 3.0]
-
-    def test_stacked_grid_mismatch(self, grid12):
-        u = grid12.sample(lambda t: t)
-        v = uniform_grid(2.0, 32).sample(lambda t: t)
-        with pytest.raises(ValueError, match="grid mismatch"):
-            interpolate([u, v], 1.5)
+        stacked = PchipPlan(grid12, 1.5).apply(np.stack([u.values for u in fns]))
+        assert stacked[:, 0].tolist() == [interpolate(fns[0], 1.5), 3.0]
 
     def test_stacked_out_of_domain(self, grid12):
-        u = grid12.sample(lambda t: t)
         with pytest.raises(ValueError):
-            interpolate([u, u], np.array([1.5, 2.5]))
+            PchipPlan(grid12, np.array([1.5, 2.5]))
 
 
 def _scipy_transfer(grid, values, t):
@@ -256,8 +251,8 @@ class TestPchipTransfer:
         t = make_quadrature(quad_kind, T, int(rng.integers(1, 40)), points).nodes
         kinds = rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)
         values = np.column_stack([_column(rng, kind, grid.n) for kind in kinds])
-        out = interpolate([GridFunction(grid, v) for v in values.T], t)
-        assert np.array_equal(out, _scipy_transfer(grid, values, t))
+        out = PchipPlan(grid, t).apply(values.T)
+        assert np.array_equal(out.T, _scipy_transfer(grid, values, t))
 
     def test_end_slope_branches(self):
         # columns whose one-sided end slopes take scipy's three branches:
@@ -274,8 +269,8 @@ class TestPchipTransfer:
         slopes = PchipInterpolator(grid.nodes, values, axis=0).derivative()(1.0)
         assert slopes.tolist() == pytest.approx([1.0, 0.0, 3.0])
         t = np.linspace(1.0, 2.0, 301)
-        out = interpolate([GridFunction(grid, v) for v in values.T], t)
-        assert np.array_equal(out, _scipy_transfer(grid, values, t))
+        out = PchipPlan(grid, t).apply(values.T)
+        assert np.array_equal(out.T, _scipy_transfer(grid, values, t))
 
 
 class TestCsv:

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from mixedfp.engine import iterate_step
 from mixedfp.funcspace import GridFunction, integrate, make_quadrature, sup_metric, uniform_grid
 from mixedfp.hammerstein import (
     DomainFloorError,
     HammersteinProblem,
-    _h_index_pairs,
     apply_A,
     build_log_example,
     check_assumption_d,
@@ -18,6 +18,7 @@ from mixedfp.hammerstein import (
     closed_H_formulas,
     initial_bracket,
     kernel_bound,
+    product_operator,
 )
 from mixedfp.order import cyclic_shift_upsilon
 
@@ -29,6 +30,26 @@ def example22():
 
 def linear(problem, slope):
     return GridFunction(problem.grid, slope * problem.grid.nodes)
+
+
+def printed_h_pairs(r, two_m):
+    """(nonlinearity index, component index) pairs of the r-th comparison
+    integral H_r as the paper prints them, 1-based: the identity for r = 1,
+    else a two-sum scheme."""
+    if r == 1:
+        return [(i, i) for i in range(1, two_m + 1)]
+    pairs = [(i, i + r - 1) for i in range(1, two_m - r + 2)]
+    pairs += [(two_m - ell, r - 1 - ell) for ell in range(0, r - 1)]
+    return pairs
+
+
+def mfold(problem, m):
+    """The m-fold problem: the nonlinearities repeated m times, the kernel
+    divided by m, so the kernel bound is unchanged."""
+    return dataclasses.replace(
+        problem, m=m, kernel=lambda t, s: problem.kernel(t, s) / m,
+        nonlinearities=problem.nonlinearities * m, etas=(1.0,) * (2 * m),
+    )
 
 
 class TestBuildExample:
@@ -177,6 +198,12 @@ class TestApplyA:
         with pytest.raises(ValueError, match="grid mismatch"):
             check_assumption_e(example22, (linear(example22, 2.0), other))
 
+    def test_one_component_off_the_problem_grid(self, example22):
+        # each component is checked, not only the first
+        other = uniform_grid(2.0, 32).sample(lambda t: 2.0 * t)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            apply_A(example22, (linear(example22, 2.0), other))
+
 
 class TestAssumptionD:
     def test_example_passes(self, example22):
@@ -226,29 +253,31 @@ class TestAssumptionE:
         assert any(r == 1 for r, _ in report.failures)
 
     def test_matches_problem_rebuilt_per_r(self, example22):
-        # reference: H_r as apply_A of a problem rebuilt with the permuted
-        # nonlinearities
-        p = dataclasses.replace(
-            example22, m=2, kernel=lambda t, s: example22.kernel(t, s) / 2,
-            nonlinearities=example22.nonlinearities * 2, etas=(1.0,) * 4,
-        )
-        lower, upper = initial_bracket(p, 2.0)
-        y0 = (lower, upper, linear(p, 1.5), linear(p, 2.5))
-        report = check_assumption_e(p, y0)
-        for r, h in enumerate(report.h_functions, start=1):
-            pairs = _h_index_pairs(r, p.k)
-            shuffled = dataclasses.replace(
-                p, nonlinearities=tuple(p.nonlinearities[fi - 1] for fi, _ in pairs))
-            expected = apply_A(shuffled, tuple(y0[yi - 1] for _, yi in pairs))
-            assert np.array_equal(h.values, expected.values)
+        # references: the first Jacobi sweep from y0, and H_r as apply_A of
+        # a problem rebuilt with the nonlinearities of the printed pairs,
+        # sorted by nonlinearity index so both sum f_1..f_k in order
+        for m in (1, 2, 3, 4):
+            p = mfold(example22, m)
+            lower, upper = initial_bracket(p, 2.0)
+            y0 = (lower, upper) + tuple(linear(p, 0.5 + i) for i in range(1, p.k - 1))
+            report = check_assumption_e(p, y0)
+            sweep = iterate_step(product_operator(p), cyclic_shift_upsilon(m), y0)
+            for r, h in enumerate(report.h_functions, start=1):
+                assert np.array_equal(h.values, sweep[r - 1].values)
+                pairs = sorted(printed_h_pairs(r, p.k))
+                rebuilt = dataclasses.replace(
+                    p, nonlinearities=tuple(p.nonlinearities[fi - 1] for fi, _ in pairs))
+                expected = apply_A(rebuilt, tuple(y0[yi - 1] for _, yi in pairs))
+                assert np.array_equal(h.values, expected.values)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_index_scheme_matches_cyclic_rotation(self, m):
-        # the printed two-sum scheme is exactly the cyclic rotation of
-        # component indices against the nonlinearity list
+        # the printed two-sum scheme stays in 1..2m and is exactly the
+        # cyclic rotation of component indices against the nonlinearity list
         ups = cyclic_shift_upsilon(m)
         for r in range(1, 2 * m + 1):
-            printed = sorted(_h_index_pairs(r, 2 * m))
+            printed = sorted(printed_h_pairs(r, 2 * m))
+            assert all(1 <= i <= 2 * m and 1 <= j <= 2 * m for i, j in printed)
             rotated = sorted((i, ups.sigma(r, i)) for i in range(1, 2 * m + 1))
             assert printed == rotated
 
