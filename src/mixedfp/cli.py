@@ -4,7 +4,7 @@ checks, the solver, or the sampled property suite.
 Exit codes: 0 success, 1 check/property failure, 2 config error,
 3 non-convergence, 4 operator error (the operator could not be evaluated
 during a solve, e.g. a component below the domain floor under --force;
-report.json names the component and node).  A check whose assumption E
+report.json names the failing argument and node).  A check whose assumption E
 cannot be evaluated fails with an ``assumption_e_error`` in its report.
 
 One order slack, ORDER_SLACK, compares grid functions in every check and in

@@ -35,12 +35,15 @@ Leq = Callable[[object, object], bool]
 
 
 class OperatorEvaluationError(RuntimeError):
-    """Operator evaluation failed; carries the 1-based component index."""
+    """Operator evaluation failed; carries a 1-based component index: the
+    sweep row on the per-row path, the failing argument (the cause's
+    ``component``, None when it names none) on a whole-sweep evaluation."""
 
-    def __init__(self, component: int, cause: BaseException):
+    def __init__(self, component: Optional[int], cause: BaseException):
         self.component = component
         self.cause = cause
-        super().__init__(f"operator failed at component {component}: {cause}")
+        where = "" if component is None else f" at component {component}"
+        super().__init__(f"operator failed{where}: {cause}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,21 @@ class ProductOperator:
 
     Must be deterministic and side-effect free; the sweep may evaluate
     components in any order.
+
+    ``sweep``, when set, evaluates a whole Jacobi sweep at once:
+    ``sweep(upsilon, x)`` returns the k values ``apply(*upsilon.permute(i,
+    x))`` for i = 1..k, and an exception it raises may name the failing
+    argument, a 1-based index into ``x``, in a ``component`` attribute.
+    ``iterate_step`` uses it instead of k ``apply`` calls.  The Hammerstein
+    sweep (``hammerstein.product_operator``) costs k transferred rows, k
+    nonlinearity calls of length k*nq and one stacked matvec of k*n*nq
+    multiply-adds, where k ``apply`` calls cost k^2 rows, k^2 calls of
+    length nq and k matvecs.
     """
 
     k: int
     apply: Callable[..., object]
+    sweep: Optional[Callable[[UpsilonTuple, Sequence], Sequence]] = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -111,10 +125,16 @@ class NonConvergenceError(RuntimeError):
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
-    """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i."""
+    """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i, by
+    ``F.sweep`` when the operator has one, else by k ``F.apply`` calls."""
     k = upsilon.partition.k
     if len(x) != k or F.k != k:
         raise ValueError("dimension mismatch between operator, tuple and point")
+    if F.sweep is not None:
+        try:
+            return tuple(F.sweep(upsilon, x))
+        except Exception as exc:  # attach the failing argument, if named
+            raise OperatorEvaluationError(getattr(exc, "component", None), exc) from exc
     out = []
     for i in range(1, k + 1):
         try:

@@ -72,7 +72,7 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.grid.n} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
 
     def __call__(self, t):
@@ -87,13 +87,13 @@ def _check_same_grid(a: Grid, b: Grid) -> None:
 def sup_metric(u: GridFunction, v: GridFunction) -> float:
     """max_j |u_j - v_j| over the common grid."""
     _check_same_grid(u.grid, v.grid)
-    return float(np.max(np.abs(u.values - v.values)))
+    return float(np.abs(u.values - v.values).max())
 
 
 def pointwise_leq(u: GridFunction, v: GridFunction, tol: float = 0.0) -> bool:
     """u <= v nodewise, with nonnegative slack tol (default exact)."""
     _check_same_grid(u.grid, v.grid)
-    return bool(np.all(u.values <= v.values + tol))
+    return bool((u.values <= v.values + tol).all())
 
 
 class PchipPlan:

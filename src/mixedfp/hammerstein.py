@@ -26,7 +26,7 @@ from .funcspace import (
     make_quadrature,
     uniform_grid,
 )
-from .order import cyclic_shift_upsilon
+from .order import UpsilonTuple, cyclic_shift_upsilon
 
 __all__ = [
     "HammersteinProblem",
@@ -91,7 +91,8 @@ class HammersteinProblem:
 
     Kernel, nonlinearities and forcing are array-valued (see ``Kernel``):
     ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq),
-    ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``),
+    ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``,
+    k*nq in a sweep, which lays the k argument rows end to end),
     and ``forcing(t)`` with t of shape (n,).  A scalar return broadcasts.
     Construction calls each piece once on the node arrays and raises
     ValueError, naming the piece, when its output cannot broadcast to that
@@ -146,6 +147,11 @@ class HammersteinProblem:
         return PchipPlan(self.grid, self.quadrature.nodes)
 
     @cached_property
+    def _identity_rows(self) -> np.ndarray:
+        # the argument table of apply_A: one row, x itself
+        return np.arange(self.k)[None, :]
+
+    @cached_property
     def _forcing_values(self) -> np.ndarray:
         nodes = self.grid.nodes
         return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
@@ -161,16 +167,21 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: flo
         raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
-def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
-    """Evaluate the product operator at a 2m-tuple of grid functions:
-    int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation nodes.
+def _integrals(
+    problem: HammersteinProblem, rows: np.ndarray, x: Sequence[GridFunction]
+) -> np.ndarray:
+    """The operator at R argument tuples drawn from one k-tuple ``x``, as
+    an (R, n) array: row r is int_1^T G(t, s) sum_j f_j(s, x[rows[r, j]](s))
+    ds + p(t) at the collocation nodes, ``rows`` an (R, k) table of 0-based
+    indices into ``x``.
 
-    Every component must lie on the problem's grid.  All of them are
-    transferred to the quadrature nodes by the problem's cached PCHIP plan
-    in one apply; each f_i is then called once on the whole node array.
-    Cost per call: O(k*n) for the PCHIP derivatives plus O(k*nq) to evaluate
-    them at the quadrature nodes (the interval search is planned once per
-    problem), k nonlinearity calls on nq nodes and one n x nq matvec.
+    The k components are checked against the floor once, transferred to the
+    quadrature nodes by the problem's cached PCHIP plan in one apply, and
+    each f_j is called once, on the R argument rows laid end to end (1-D
+    arrays of length R*nq, so the array contract holds and a scalar return
+    broadcasts).  The R integrands go through one stacked matvec, which sums
+    each row as ``W @ total`` does.  A DomainFloorError names the argument,
+    an index into ``x``, not the row.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
@@ -183,18 +194,57 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     vals = problem._transfer.apply(values)
     # interpolation cannot overshoot monotone data, but guard anyway
     _check_floor(vals, s_nodes, floor, 1e-9)
-    total = np.zeros_like(s_nodes)
+    n_rows, nq = rows.shape[0], s_nodes.size
+    s = s_nodes if n_rows == 1 else np.tile(s_nodes, n_rows)
+    total = np.zeros(n_rows * nq)
+    # one gather; row j holds argument j of every row end to end
+    args = vals.take(rows.T, axis=0).reshape(problem.k, n_rows * nq)
     with np.errstate(all="ignore"):
-        for fi, v in zip(problem.nonlinearities, vals):
-            total += fi(s_nodes, v)
-    if not np.all(np.isfinite(total)):
+        for fj, arg in zip(problem.nonlinearities, args):
+            total += fj(s, arg)
+    if not np.isfinite(total).all():
         raise ArithmeticError("non-finite integrand encountered")
-    out = problem._weighted_kernel @ total + problem._forcing_values
-    return GridFunction(problem.grid, out)
+    out = np.matmul(problem._weighted_kernel, total.reshape(n_rows, nq, 1))[:, :, 0]
+    out += problem._forcing_values
+    return out
+
+
+def _sweep(
+    problem: HammersteinProblem, upsilon: UpsilonTuple, x: Sequence[GridFunction]
+) -> Tuple[GridFunction, ...]:
+    """One Jacobi sweep in one kernel call: row i holds the sigma_i
+    permutation of ``x``."""
+    rows = np.array(upsilon.sigmas) - 1
+    return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))
+
+
+def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
+    """Evaluate the product operator at a 2m-tuple of grid functions:
+    int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation nodes.
+
+    Every component must lie on the problem's grid.  This is the one-row
+    case of the sweep kernel.  Cost per call: O(k*n) for the PCHIP
+    derivatives plus O(k*nq) to evaluate them at the quadrature nodes (the
+    interval search is planned once per problem), k nonlinearity calls on
+    nq nodes and one n x nq matvec.
+    """
+    return GridFunction(problem.grid, _integrals(problem, problem._identity_rows, x)[0])
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
-    return ProductOperator(problem.k, lambda *x: apply_A(problem, x))
+    """The problem's operator, with a whole-sweep evaluation.
+
+    ``sweep`` computes the k outputs of a Jacobi sweep in one kernel call.
+    Cost per sweep: k transferred rows (O(k*n) derivatives, O(k*nq)
+    evaluation), k nonlinearity calls of length k*nq and one stacked matvec
+    of k*n*nq multiply-adds, where k ``apply`` calls cost k^2 rows, k^2
+    calls of length nq and k matvecs.
+    """
+    return ProductOperator(
+        problem.k,
+        lambda *x: apply_A(problem, x),
+        lambda upsilon, x: _sweep(problem, upsilon, x),
+    )
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
@@ -268,15 +318,12 @@ def check_assumption_e(
     ``tol`` (u <= v + tol, as ``funcspace.pointwise_leq``).
 
     H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
-    are the first Jacobi sweep from y0 and this is the starting-point
-    condition of ``engine.check_initial_condition`` read node by node.
+    are the first Jacobi sweep from y0, evaluated as one sweep kernel call,
+    and this is the starting-point condition of
+    ``engine.check_initial_condition`` read node by node.
     """
-    if len(y0) != problem.k:
-        raise ValueError(f"expected {problem.k} components")
     upsilon = cyclic_shift_upsilon(problem.m)
-    h_functions = tuple(
-        apply_A(problem, upsilon.permute(r, y0)) for r in range(1, problem.k + 1)
-    )
+    h_functions = _sweep(problem, upsilon, y0)
     failures: List[tuple] = []
     for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
         lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)

@@ -262,7 +262,11 @@ class TestCustomDomainFloor:
         assert code == EXIT_OPERATOR_ERROR
         report = json.loads((out / "report.json").read_text())
         assert report["operator_error"]["node"] == 1.0
-        assert "assumption_e_error" in report["check"]
+        # the failing argument, as the message and the check name it, not
+        # the sweep row
+        assert report["operator_error"]["component"] == 2
+        assert "at component 2: component 2 value" in report["operator_error"]["message"]
+        assert report["check"]["assumption_e_error"]["component"] == 2
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("floor, expected", [(2.0, EXIT_CHECK_FAILED), (10.0, EXIT_OK)])

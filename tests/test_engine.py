@@ -47,6 +47,37 @@ class TestIterateStep:
         with pytest.raises(ValueError):
             iterate_step(MIDPOINT, ID_SWAP, (0.0, 1.0, 2.0))
 
+    def test_sweep_replaces_the_per_row_calls(self):
+        def no_apply(a, b):
+            raise AssertionError("apply called although the operator has a sweep")
+
+        def sweep(upsilon, x):
+            return [MIDPOINT.apply(*upsilon.permute(i, x)) for i in (1, 2)]
+
+        op = ProductOperator(2, no_apply, sweep)
+        assert iterate_step(op, ID_SWAP, (0.0, 1.0)) == (0.5, 0.5)
+
+    def test_sweep_failure_carries_the_named_argument(self):
+        class ArgumentError(ValueError):
+            component = 2
+
+        def sweep(upsilon, x):
+            raise ArgumentError("argument 2 is out of range")
+
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(ProductOperator(2, MIDPOINT.apply, sweep), ID_SWAP, (0.0, 1.0))
+        assert exc.value.component == 2
+        assert str(exc.value) == "operator failed at component 2: argument 2 is out of range"
+
+    def test_sweep_failure_without_an_argument(self):
+        def sweep(upsilon, x):
+            raise ArithmeticError("boom")
+
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(ProductOperator(2, MIDPOINT.apply, sweep), ID_SWAP, (0.0, 1.0))
+        assert exc.value.component is None
+        assert str(exc.value) == "operator failed: boom"
+
 
 class TestResidual:
     def test_fixed_point(self):

@@ -5,8 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from mixedfp.engine import iterate_step
-from mixedfp.funcspace import GridFunction, integrate, make_quadrature, sup_metric, uniform_grid
+from mixedfp import cli
+from mixedfp.engine import IterationConfig, OperatorEvaluationError, iterate_step, solve
+from mixedfp.funcspace import (
+    GridFunction,
+    PchipPlan,
+    integrate,
+    make_quadrature,
+    pointwise_leq,
+    sup_metric,
+    uniform_grid,
+)
 from mixedfp.hammerstein import (
     DomainFloorError,
     HammersteinProblem,
@@ -20,7 +29,7 @@ from mixedfp.hammerstein import (
     kernel_bound,
     product_operator,
 )
-from mixedfp.order import cyclic_shift_upsilon
+from mixedfp.order import Partition, cyclic_shift_upsilon, validate_upsilon
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +214,112 @@ class TestApplyA:
             apply_A(example22, (linear(example22, 2.0), other))
 
 
+def rough_ordered_tuple(problem, rng):
+    """Rough (nodewise random) components above the floor: the odd ones
+    from one random function, the even ones a random gap above it."""
+    n, floor = problem.grid.n, problem.domain_floor
+    lower = floor + rng.uniform(0.0, 6.0, n)
+    return tuple(
+        GridFunction(problem.grid, lower if i % 2 == 0 else lower + rng.uniform(0.0, 3.0, n))
+        for i in range(problem.k)
+    )
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("quadrature", ["gauss-legendre", "simpson"])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_sweep_equals_per_row_apply_A(self, example22, m, quadrature):
+        # simpson nodes include grid nodes, so exact node hits are covered
+        p = mfold(dataclasses.replace(
+            example22, quadrature=make_quadrature(quadrature, 2.0, 32, 8)), m)
+        ups = cyclic_shift_upsilon(m)
+        F = product_operator(p)
+        assert F.sweep is not None
+        rng = np.random.default_rng(100 + m)
+        for _ in range(3):
+            x = rough_ordered_tuple(p, rng)
+            sweep = iterate_step(F, ups, x)
+            assert len(sweep) == p.k
+            for i, y in enumerate(sweep, start=1):
+                assert np.array_equal(y.values, apply_A(p, ups.permute(i, x)).values)
+
+    def test_sweep_follows_the_given_upsilon(self, example22):
+        # the cyclic shift's table is symmetric; this one is neither
+        # symmetric nor bijective, so rows and arguments cannot be confused
+        p = mfold(example22, 2)
+        ups = validate_upsilon(
+            [(3, 2, 1, 4), (2, 3, 4, 1), (3, 4, 3, 4), (4, 1, 2, 3)], Partition.odd_even(4))
+        x = rough_ordered_tuple(p, np.random.default_rng(9))
+        sweep = iterate_step(product_operator(p), ups, x)
+        for i, y in enumerate(sweep, start=1):
+            assert np.array_equal(y.values, apply_A(p, ups.permute(i, x)).values)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_one_transfer_and_k_nonlinearity_calls_per_sweep(self, example22, monkeypatch, m):
+        lengths = []
+
+        def counted(f):
+            def g(s, x):
+                lengths.append((s.size, x.size))
+                return f(s, x)
+            return g
+
+        base = mfold(example22, m)
+        p = dataclasses.replace(base, nonlinearities=tuple(map(counted, base.nonlinearities)))
+        applies = []
+        apply = PchipPlan.apply
+        monkeypatch.setattr(
+            PchipPlan, "apply", lambda plan, y: applies.append(y.shape) or apply(plan, y))
+        lengths.clear()  # construction probes each piece once
+        x = rough_ordered_tuple(p, np.random.default_rng(3))
+        iterate_step(product_operator(p), cyclic_shift_upsilon(m), x)
+        nq = p.quadrature.nodes.size
+        assert applies == [(p.k, p.grid.n)]
+        assert lengths == [(p.k * nq, p.k * nq)] * p.k
+
+    def test_floor_error_names_the_argument_not_the_row(self, example22):
+        p = mfold(example22, 2)
+        x = list(rough_ordered_tuple(p, np.random.default_rng(5)))
+        values = x[2].values.copy()
+        values[4] = 0.5
+        x[2] = GridFunction(p.grid, values)
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(product_operator(p), cyclic_shift_upsilon(2), x)
+        assert exc.value.component == 3
+        assert isinstance(exc.value.cause, DomainFloorError)
+        assert exc.value.cause.node == p.grid.nodes[4]
+
+    def test_solve_with_scalar_nonlinearities_gives_the_forcing(self):
+        # the registry's "zero" returns a float, which must broadcast over
+        # the k argument rows of the sweep
+        cfg = cli.load_config(None, {"alpha": 2.0, "T": 2.0})
+        cfg.update(problem="custom", kernel="constant", nonlinearities=["zero", "zero"],
+                   forcing="linear")
+        p = cli.build_problem(cfg)
+        forcing = 2.0 * p.grid.nodes
+
+        def no_apply(*x):
+            raise AssertionError("per-row apply called although the sweep is set")
+
+        F = dataclasses.replace(product_operator(p), apply=no_apply)
+        x0 = (GridFunction(p.grid, forcing - 0.5), GridFunction(p.grid, forcing + 0.5))
+        report = solve(F, cyclic_shift_upsilon(1), x0, IterationConfig(),
+                       dist=sup_metric, leq=pointwise_leq)
+        assert report.converged and report.iterations == 2
+        for component in report.fixed_point:
+            assert np.array_equal(component.values, forcing)
+
+    def test_non_finite_integrand_names_no_argument(self):
+        p = _small_problem(domain_floor=0.0)
+        x = (linear(p, 1.0), GridFunction(p.grid, np.zeros(p.grid.n)))
+        with pytest.raises(ArithmeticError, match="non-finite integrand"):
+            apply_A(p, x)
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(product_operator(p), cyclic_shift_upsilon(1), x)
+        assert exc.value.component is None
+        assert str(exc.value) == "operator failed: non-finite integrand encountered"
+
+
 class TestAssumptionD:
     def test_example_passes(self, example22):
         pairs = [(1.0, 1.0), (1.0, 1.5), (2.0, 5.0), (1.25, 10.0)]
@@ -253,17 +368,18 @@ class TestAssumptionE:
         assert any(r == 1 for r, _ in report.failures)
 
     def test_matches_problem_rebuilt_per_r(self, example22):
-        # references: the first Jacobi sweep from y0, and H_r as apply_A of
-        # a problem rebuilt with the nonlinearities of the printed pairs,
+        # references: the first Jacobi sweep from y0 evaluated row by row
+        # (apply_A at each permuted tuple), and H_r as apply_A of a problem
+        # rebuilt with the nonlinearities of the printed pairs,
         # sorted by nonlinearity index so both sum f_1..f_k in order
         for m in (1, 2, 3, 4):
             p = mfold(example22, m)
             lower, upper = initial_bracket(p, 2.0)
             y0 = (lower, upper) + tuple(linear(p, 0.5 + i) for i in range(1, p.k - 1))
             report = check_assumption_e(p, y0)
-            sweep = iterate_step(product_operator(p), cyclic_shift_upsilon(m), y0)
+            ups = cyclic_shift_upsilon(m)
             for r, h in enumerate(report.h_functions, start=1):
-                assert np.array_equal(h.values, sweep[r - 1].values)
+                assert np.array_equal(h.values, apply_A(p, ups.permute(r, y0)).values)
                 pairs = sorted(printed_h_pairs(r, p.k))
                 rebuilt = dataclasses.replace(
                     p, nonlinearities=tuple(p.nonlinearities[fi - 1] for fi, _ in pairs))
