@@ -5,7 +5,6 @@ equations."""
 from .contraction import (
     ContractionTriple,
     builtin_log_triple,
-    check_triple_on_grid,
     gain_bound_sequence,
     verify_contraction_sampled,
 )
@@ -14,10 +13,8 @@ from .engine import (
     IterationReport,
     NonConvergenceError,
     ProductOperator,
-    check_initial_condition,
     check_mixed_monotone_sampled,
     iterate_step,
-    residual,
     solve,
 )
 from .funcspace import (
@@ -37,8 +34,6 @@ from .hammerstein import (
     build_log_example,
     check_assumption_d,
     check_assumption_e,
-    check_exp_inequality,
-    closed_H_formulas,
     initial_bracket,
     kernel_bound,
     product_operator,
@@ -47,7 +42,6 @@ from .order import (
     Partition,
     UpsilonTuple,
     cyclic_shift_upsilon,
-    is_regular_witness,
     max_metric,
     product_leq,
     upsilon_violations,

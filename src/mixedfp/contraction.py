@@ -16,17 +16,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "DeclaredProperties",
     "ContractionTriple",
-    "TripleGridReport",
     "ContractionSampleReport",
     "UnsupportedDiagnosticError",
     "builtin_log_triple",
-    "default_check_grid",
-    "check_triple_on_grid",
     "verify_contraction_sampled",
     "gain_bound_sequence",
 ]
@@ -74,35 +69,6 @@ def builtin_log_triple() -> ContractionTriple:
         phi=lambda x: 0.0,
         declared=DeclaredProperties(True, True, True, True),
     )
-
-
-def default_check_grid() -> np.ndarray:
-    """Logarithmic sample grid 1e-8 .. 1e4, 121 points."""
-    return np.logspace(-8.0, 4.0, 121)
-
-
-@dataclass(frozen=True)
-class TripleGridReport:
-    violations: Tuple[Tuple[float, float], ...]  # (x, gap) with gap <= 0
-    min_gap: float
-    zero_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.zero_ok and not self.violations
-
-
-def check_triple_on_grid(triple: ContractionTriple, xs) -> TripleGridReport:
-    """Evaluate the positivity condition on a finite positive grid."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty sample grid")
-    if np.any(xs <= 0.0):
-        raise ValueError("sample grid must be strictly positive")
-    gaps = [triple.gap(float(x)) for x in xs]
-    violations = tuple((float(x), g) for x, g in zip(xs, gaps) if g <= 0.0)
-    zero_ok = triple.psi(0.0) == 0.0 and triple.theta(0.0) == 0.0 and triple.phi(0.0) == 0.0
-    return TripleGridReport(violations, min(gaps), zero_ok)
 
 
 @dataclass(frozen=True)

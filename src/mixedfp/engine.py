@@ -21,8 +21,6 @@ __all__ = [
     "NonConvergenceError",
     "OperatorEvaluationError",
     "iterate_step",
-    "residual",
-    "check_initial_condition",
     "check_mixed_monotone_sampled",
     "solve",
     "trace_csv",
@@ -57,11 +55,7 @@ class ProductOperator:
     ``sweep(upsilon, x)`` returns the k values ``apply(*upsilon.permute(i,
     x))`` for i = 1..k, and an exception it raises may name the failing
     argument, a 1-based index into ``x``, in a ``component`` attribute.
-    ``iterate_step`` uses it instead of k ``apply`` calls.  The Hammerstein
-    sweep (``hammerstein.product_operator``) costs k transferred rows, k
-    nonlinearity calls of length k*nq and one stacked matvec of k*n*nq
-    multiply-adds, where k ``apply`` calls cost k^2 rows, k^2 calls of
-    length nq and k matvecs.
+    ``iterate_step`` uses it instead of k ``apply`` calls.
     """
 
     k: int
@@ -78,7 +72,6 @@ class IterationConfig:
     tol_step: float = 1e-10
     tol_residual: float = 1e-8
     max_iters: int = 100000
-    check_contraction_each_step: bool = False
 
     def __post_init__(self):
         if self.tol_step <= 0 or self.tol_residual <= 0:
@@ -96,7 +89,6 @@ class IterationReport:
     collapsed: bool
     converged: bool
     fixed_point: tuple
-    contraction_violations: Tuple[int, ...] = ()
 
     @property
     def step_history(self) -> Tuple[float, ...]:
@@ -142,28 +134,6 @@ def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tupl
         except Exception as exc:  # attach the failing component index
             raise OperatorEvaluationError(i, exc) from exc
     return tuple(out)
-
-
-def residual(
-    F: ProductOperator, upsilon: UpsilonTuple, x: Sequence, dist: Distance
-) -> List[float]:
-    """Defect of the fixed-tuple equations: d(x_i, F(sigma_i-permuted x))."""
-    y = iterate_step(F, upsilon, x)
-    return [dist(xi, yi) for xi, yi in zip(x, y)]
-
-
-def check_initial_condition(
-    F: ProductOperator,
-    upsilon: UpsilonTuple,
-    x0: Sequence,
-    leq: Leq,
-) -> Tuple[bool, List[bool]]:
-    """Starting-point condition: x0_i below its image for i in A, above for
-    i in B (the partition-twisted reading of the per-component order).
-    ``solve`` applies it to its first sweep."""
-    y = iterate_step(F, upsilon, x0)
-    per_component = list(twisted_leq(x0, y, upsilon.partition, leq))
-    return all(per_component), per_component
 
 
 def check_mixed_monotone_sampled(
@@ -215,10 +185,11 @@ def solve(
     """Iterate Jacobi sweeps until both the step displacement and the
     fixed-tuple residual fall below tolerance.
 
-    The first sweep doubles as the starting-point condition of
-    ``check_initial_condition``: unless ``skip_initial_check``, a failing
-    start raises ValueError before any history is recorded.  The same
-    comparison of every later sweep sets ``monotone_ok``.
+    The first sweep doubles as the starting-point condition: x0_i below
+    its image for i in A, above for i in B (``order.twisted_leq``).  Unless
+    ``skip_initial_check``, a failing start raises ValueError before any
+    history is recorded.  The same comparison of every later sweep sets
+    ``monotone_ok``.
 
     The returned fixed_point is the last iterate whose residual was measured,
     so the report's final residual is the defect of the returned point.
@@ -237,7 +208,6 @@ def solve(
     x = tuple(x0)
     residuals: List[Tuple[float, ...]] = []
     spreads: List[float] = []
-    contraction_violations: List[int] = []
     monotone_ok = True
 
     def report(iterations: int, converged: bool, collapsed: bool = False) -> IterationReport:
@@ -249,7 +219,6 @@ def solve(
             collapsed=collapsed,
             converged=converged,
             fixed_point=x,
-            contraction_violations=tuple(contraction_violations),
         )
 
     for it in range(config.max_iters):
@@ -275,11 +244,6 @@ def solve(
             if monotone_ok:
                 log.warning("monotone bracketing violated at sweep %d", it + 1)
             monotone_ok = False
-
-        if config.check_contraction_each_step and triple is not None and it >= 1:
-            prev = max(residuals[-2])
-            if triple.psi(d) > triple.theta(prev) - triple.phi(prev) + 1e-10:
-                contraction_violations.append(it)
 
         if d <= config.tol_step and d <= config.tol_residual:
             return report(it + 1, converged=True,

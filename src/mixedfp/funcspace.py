@@ -19,7 +19,6 @@ __all__ = [
     "sup_metric",
     "pointwise_leq",
     "interpolate",
-    "save_csv",
     "load_csv",
 ]
 
@@ -74,9 +73,6 @@ class GridFunction:
             )
         if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
-
-    def __call__(self, t):
-        return interpolate(self, t)
 
 
 def _check_same_grid(a: Grid, b: Grid) -> None:
@@ -257,13 +253,8 @@ def integrate(rule: QuadratureRule, fvals) -> float:
     return float(np.dot(rule.weights, fvals))
 
 
-def save_csv(gf: GridFunction, path) -> None:
-    """Write `t,value` rows at 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(format_csv(gf))
-
-
 def format_csv(gf: GridFunction) -> str:
+    """`t,value` rows at 17 significant digits."""
     buf = io.StringIO()
     buf.write("t,value\n")
     for t, v in zip(gf.grid.nodes, gf.values):

@@ -38,8 +38,6 @@ __all__ = [
     "kernel_bound",
     "check_assumption_d",
     "check_assumption_e",
-    "closed_H_formulas",
-    "check_exp_inequality",
     "build_log_example",
     "initial_bracket",
 ]
@@ -319,8 +317,8 @@ def check_assumption_e(
 
     H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
     are the first Jacobi sweep from y0, evaluated as one sweep kernel call,
-    and this is the starting-point condition of
-    ``engine.check_initial_condition`` read node by node.
+    and this is ``engine.solve``'s starting-point condition on its first
+    sweep, read node by node.
     """
     upsilon = cyclic_shift_upsilon(problem.m)
     h_functions = _sweep(problem, upsilon, y0)
@@ -329,35 +327,6 @@ def check_assumption_e(
         lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)
         failures.extend((r, int(j)) for j in np.nonzero(lo.values > hi.values + tol)[0])
     return AssumptionEReport(h_functions, tuple(failures))
-
-
-def closed_H_formulas(alpha: float, T: float, t) -> Tuple[float, float]:
-    """Closed forms of the two comparison integrals for the log-kernel
-    example started from (alpha*t/2, 3*alpha*t/2); T cancels.
-
-    H1(t) = alpha*t + ln((2+alpha)/(3(1+alpha))) / (2t)
-    H2(t) = alpha*t + ln((2+3alpha)/(1+alpha)) / (2t)
-    """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not T > 1.0:
-        raise ValueError(f"T must exceed 1, got {T}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 1.0) or np.any(t > T):
-        raise ValueError("t outside [1, T]")
-    h1 = alpha * t + math.log((2 + alpha) / (3 * (1 + alpha))) / (2 * t)
-    h2 = alpha * t + math.log((2 + 3 * alpha) / (1 + alpha)) / (2 * t)
-    if t.ndim == 0:
-        return float(h1), float(h2)
-    return h1, h2
-
-
-def check_exp_inequality(alpha: float) -> bool:
-    """True iff exp(alpha) > (2 + 3*alpha)/(1 + alpha); holds for alpha >= 1
-    and underwrites the admissibility of the 3*alpha*t/2 upper start."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return math.exp(alpha) - (2 + 3 * alpha) / (1 + alpha) > 0
 
 
 def build_log_example(

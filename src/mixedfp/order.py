@@ -19,7 +19,6 @@ __all__ = [
     "upsilon_violations",
     "validate_upsilon",
     "cyclic_shift_upsilon",
-    "is_regular_witness",
 ]
 
 Distance = Callable[[object, object], float]
@@ -172,18 +171,3 @@ def cyclic_shift_upsilon(m: int) -> UpsilonTuple:
     )
     return validate_upsilon(sigmas, partition)
 
-
-def is_regular_witness(sequence, limit, direction: str, leq: Leq) -> bool:
-    """Check, on finite data, that a monotone convergent sequence is
-    order-bounded by its limit: every term <= limit (nondecreasing) or
-    >= limit (nonincreasing).
-
-    ``leq`` should already absorb any tolerance policy of the base space.
-    """
-    if len(sequence) == 0:
-        raise ValueError("empty sequence")
-    if direction == "nondecreasing":
-        return all(leq(x, limit) for x in sequence)
-    if direction == "nonincreasing":
-        return all(leq(limit, x) for x in sequence)
-    raise ValueError(f"unknown direction {direction!r}")

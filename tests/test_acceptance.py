@@ -15,7 +15,6 @@ from mixedfp import (
     apply_A,
     build_log_example,
     check_assumption_e,
-    closed_H_formulas,
     cyclic_shift_upsilon,
     initial_bracket,
     integrate,
@@ -32,6 +31,7 @@ from mixedfp.contraction import ContractionTriple, DeclaredProperties, builtin_l
 from mixedfp.engine import majorant_for
 from mixedfp.funcspace import load_csv
 from mixedfp.oracle import check_theorem_hypotheses, random_instance
+from worked_example import closed_H_formulas
 
 
 def report(criterion, ok, detail=""):

@@ -212,6 +212,17 @@ def test_solve_does_not_import_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_start_tuple_built_once(tmp_path, caplog, command):
+    # at alpha < 2 the lower start is clamped to the floor, which logs once
+    # per start tuple built
+    argv = [command, "--alpha", "1.5", "--T", "2", "--out", str(tmp_path / "out")]
+    with caplog.at_level("WARNING", logger="mixedfp.hammerstein"):
+        assert main(argv) == EXIT_OK
+    clamps = [r for r in caplog.records if "clamping to the floor" in r.getMessage()]
+    assert len(clamps) == 1
+
+
 class TestReproducibility:
     def test_solve_bit_identical(self, tmp_path):
         outs = []

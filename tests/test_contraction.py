@@ -8,8 +8,6 @@ from mixedfp.contraction import (
     DeclaredProperties,
     UnsupportedDiagnosticError,
     builtin_log_triple,
-    check_triple_on_grid,
-    default_check_grid,
     gain_bound_sequence,
     verify_contraction_sampled,
 )
@@ -29,39 +27,16 @@ class TestBuiltinTriple:
             1.0 - math.log(2.0), abs=1e-15
         )
 
+    def test_gap_positive_across_scales(self):
+        t = builtin_log_triple()
+        assert all(t.gap(10.0**e) > 0.0 for e in range(-8, 5))
+
     def test_theta_hits_one(self):
         assert builtin_log_triple().theta(math.e - 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_declared_truthfully(self):
         d = builtin_log_triple().declared
         assert d.psi_altering and d.theta_usc and d.phi_lsc and d.zero_at_zero
-
-
-class TestCheckTripleOnGrid:
-    def test_builtin_passes_spot_grid(self):
-        report = check_triple_on_grid(
-            builtin_log_triple(), [1e-6, 1e-3, 1.0, 10.0, 1e3]
-        )
-        assert report.passed
-        assert report.min_gap > 0.0
-
-    def test_builtin_passes_default_grid(self):
-        assert check_triple_on_grid(builtin_log_triple(), default_check_grid()).passed
-
-    def test_default_grid_shape(self):
-        g = default_check_grid()
-        assert g.size == 121
-        assert g[0] == pytest.approx(1e-8) and g[-1] == pytest.approx(1e4)
-
-    def test_failing_triple(self):
-        bad = ContractionTriple(lambda x: x, lambda x: 2 * x, lambda x: 0.0)
-        report = check_triple_on_grid(bad, [1.0])
-        assert not report.passed
-        assert report.violations == ((1.0, -1.0),)
-
-    def test_zero_sample_is_structural(self):
-        with pytest.raises(ValueError):
-            check_triple_on_grid(builtin_log_triple(), [0.0, 1.0])
 
 
 class TestGainBound:

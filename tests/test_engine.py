@@ -8,11 +8,9 @@ from mixedfp.engine import (
     NonConvergenceError,
     OperatorEvaluationError,
     ProductOperator,
-    check_initial_condition,
     check_mixed_monotone_sampled,
     iterate_step,
     majorant_for,
-    residual,
     solve,
     trace_csv,
 )
@@ -79,29 +77,6 @@ class TestIterateStep:
         assert str(exc.value) == "operator failed: boom"
 
 
-class TestResidual:
-    def test_fixed_point(self):
-        assert residual(MIDPOINT, ID_SWAP, (0.5, 0.5), absdist) == [0.0, 0.0]
-
-    def test_midpoint_from_ends(self):
-        assert residual(MIDPOINT, ID_SWAP, (0.0, 1.0), absdist) == [0.5, 0.5]
-
-
-class TestInitialCondition:
-    def test_fixed_point_passes(self):
-        ok, per = check_initial_condition(MIDPOINT, ID_SWAP, (0.5, 0.5), realleq)
-        assert ok and per == [True, True]
-
-    def test_bracket_passes(self):
-        # component 1 below its image, component 2 above
-        ok, _ = check_initial_condition(MIDPOINT, ID_SWAP, (0.0, 1.0), realleq)
-        assert ok
-
-    def test_inverted_bracket_fails(self):
-        ok, per = check_initial_condition(MIDPOINT, ID_SWAP, (1.0, 0.0), realleq)
-        assert not ok and per == [False, False]
-
-
 class TestMixedMonotoneSampled:
     def test_constant_passes(self):
         op = ProductOperator(2, lambda a, b: 7.0)
@@ -139,6 +114,7 @@ class TestSolve:
             dist=absdist, leq=realleq,
         )
         assert report.fixed_point == (0.5, 0.5)
+        assert report.residual_history[0] == (0.5, 0.5)
         assert report.converged and report.collapsed and report.monotone_ok
         assert report.final_residual == 0.0
 
@@ -221,16 +197,6 @@ class TestDiagnostics:
         )
         bound = majorant_for(report, builtin_log_triple())
         assert all(s <= b + 1e-12 for s, b in zip(report.step_history, bound))
-
-    def test_step_recurrence_check(self):
-        triple = builtin_log_triple()
-        report = solve(
-            MIDPOINT, ID_SWAP, (0.0, 1.0),
-            IterationConfig(tol_step=1e-14, tol_residual=1e-14, max_iters=100,
-                            check_contraction_each_step=True),
-            triple, dist=absdist, leq=realleq,
-        )
-        assert report.contraction_violations == ()
 
     def test_trace_csv_shape(self):
         report = solve(

@@ -23,13 +23,12 @@ from mixedfp.hammerstein import (
     build_log_example,
     check_assumption_d,
     check_assumption_e,
-    check_exp_inequality,
-    closed_H_formulas,
     initial_bracket,
     kernel_bound,
     product_operator,
 )
 from mixedfp.order import Partition, cyclic_shift_upsilon, validate_upsilon
+from worked_example import check_exp_inequality, closed_H_formulas
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ from mixedfp.order import (
     UpsilonMembershipError,
     UpsilonTuple,
     cyclic_shift_upsilon,
-    is_regular_witness,
     max_metric,
     product_leq,
     upsilon_violations,
@@ -147,24 +146,6 @@ class TestCyclicShift:
     def test_rejects_m0(self):
         with pytest.raises(ValueError):
             cyclic_shift_upsilon(0)
-
-
-class TestRegularWitness:
-    def test_constant(self):
-        assert is_regular_witness([2.0, 2.0, 2.0], 2.0, "nondecreasing", realleq)
-
-    def test_below_limit(self):
-        seq = [1.0 - 1.0 / n for n in range(1, 50)]
-        assert is_regular_witness(seq, 1.0, "nondecreasing", realleq)
-
-    def test_above_limit_fails(self):
-        seq = [1.0 + 1.0 / n for n in range(1, 50)]
-        assert not is_regular_witness(seq, 1.0, "nondecreasing", realleq)
-        assert is_regular_witness(seq, 1.0, "nonincreasing", realleq)
-
-    def test_empty_sequence(self):
-        with pytest.raises(ValueError):
-            is_regular_witness([], 1.0, "nondecreasing", realleq)
 
 
 def test_componentwise_cauchy_gives_max_metric_cauchy():

@@ -1,0 +1,37 @@
+"""The paper's worked-example formulas, kept as references for the tests:
+the closed forms of the first Jacobi sweep of the log-kernel example and
+the exponential inequality behind its upper start."""
+
+import math
+from typing import Tuple
+
+import numpy as np
+
+
+def closed_H_formulas(alpha: float, T: float, t) -> Tuple[float, float]:
+    """Closed forms of the two comparison integrals for the log-kernel
+    example started from (alpha*t/2, 3*alpha*t/2); T cancels.
+
+    H1(t) = alpha*t + ln((2+alpha)/(3(1+alpha))) / (2t)
+    H2(t) = alpha*t + ln((2+3alpha)/(1+alpha)) / (2t)
+    """
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not T > 1.0:
+        raise ValueError(f"T must exceed 1, got {T}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 1.0) or np.any(t > T):
+        raise ValueError("t outside [1, T]")
+    h1 = alpha * t + math.log((2 + alpha) / (3 * (1 + alpha))) / (2 * t)
+    h2 = alpha * t + math.log((2 + 3 * alpha) / (1 + alpha)) / (2 * t)
+    if t.ndim == 0:
+        return float(h1), float(h2)
+    return h1, h2
+
+
+def check_exp_inequality(alpha: float) -> bool:
+    """True iff exp(alpha) > (2 + 3*alpha)/(1 + alpha); holds for alpha >= 1
+    and underwrites the admissibility of the 3*alpha*t/2 upper start."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return math.exp(alpha) - (2 + 3 * alpha) / (1 + alpha) > 0
