@@ -1,11 +1,14 @@
 """Command-line front end: load a JSON problem config, run the assumption
 checks, the solver, or the sampled property suite.
 
-Exit codes: 0 success, 1 check/property failure, 2 config error,
-3 non-convergence, 4 operator error (the operator could not be evaluated
-during a solve, e.g. a component below the domain floor under --force;
-report.json names the failing argument and node).  A check whose assumption E
-cannot be evaluated fails with an ``assumption_e_error`` in its report.
+Exit codes: 0 success, 1 check/property failure, 2 config error (including
+a kernel above KERNEL_BYTES_GUARD), 3 non-convergence, 4 operator error (the
+operator could not be evaluated during a solve, e.g. a component below the
+domain floor under --force, where report.json names the failing argument
+and node, or during verify's sampled checks, e.g. a non-finite integrand at
+a sample drawn from the domain floor, where stderr carries an ``operator
+error:`` line).  A check whose assumption E cannot be evaluated fails with
+an ``assumption_e_error`` in its report.
 
 One order slack, ORDER_SLACK, compares grid functions in every check and in
 solve, so assumption E and solve's start check are one predicate on one
@@ -45,6 +48,11 @@ EXIT_OPERATOR_ERROR = 4
 
 ORDER_SLACK = 1e-12
 _leq = functools.partial(pointwise_leq, tol=ORDER_SLACK)
+
+# The largest array a problem allocates is its weighted kernel, one float64
+# per (grid node, quadrature node).  build_problem refuses a config whose
+# kernel would exceed this many bytes (256 MiB) before building anything.
+KERNEL_BYTES_GUARD = 2 ** 28
 
 DEFAULTS = {
     "problem": "paper-example",
@@ -117,6 +125,14 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
             raise ConfigError(f"grid kind {grid_kind!r} is not supported, only 'uniform'")
         panels = int(cfg["quadrature"]["panels"])
         points = int(cfg["quadrature"]["points"])
+        # (n + 1) grid nodes by panels * points Gauss-Legendre nodes; at
+        # least the grid itself when the quadrature is empty (rejected later)
+        kernel_bytes = (n + 1) * max(panels * points, 1) * 8
+        if kernel_bytes > KERNEL_BYTES_GUARD:
+            raise ConfigError(
+                f"grid.n = {n} with {panels} x {points} quadrature nodes needs a "
+                f"{kernel_bytes} byte kernel, above the guard of {KERNEL_BYTES_GUARD} bytes"
+            )
         kind = cfg["problem"]
         if kind == "paper-example":
             problem = hs.build_log_example(alpha, T, n, panels, points)
@@ -328,19 +344,24 @@ def cmd_verify(args) -> int:
     triple = builtin_log_triple()
 
     pairs = _random_ordered_pairs(problem, rng, 200)
-    report = verify_contraction_sampled(
-        lambda x: hs.apply_A(problem, x),
-        pairs,
-        triple,
-        dist=sup_metric,
-        dist_k=lambda x, z: max_metric(x, z, sup_metric),
-        ordered=lambda x, z: product_leq(x, z, partition, _leq),
-        tol_slack=1e-8,
-    )
-    mono_violations = check_mixed_monotone_sampled(
-        hs.product_operator(problem), partition,
-        _monotone_samples(problem, rng, 50), _leq,
-    )
+    F = hs.product_operator(problem)
+    try:
+        report = verify_contraction_sampled(
+            F,
+            pairs,
+            triple,
+            dist=sup_metric,
+            dist_k=lambda x, z: max_metric(x, z, sup_metric),
+            ordered=lambda x, z: product_leq(x, z, partition, _leq),
+            tol_slack=1e-8,
+        )
+        mono_violations = check_mixed_monotone_sampled(
+            F, partition, _monotone_samples(problem, rng, 50), _leq,
+        )
+    except OperatorEvaluationError as exc:
+        print(f"operator error: {exc}", file=sys.stderr)
+        return EXIT_OPERATOR_ERROR
+
     summary = {
         "contraction_min_slack": report.min_slack,
         "contraction_rejected_pairs": list(report.rejected_pairs),

@@ -87,7 +87,7 @@ class ContractionSampleReport:
 
 
 def verify_contraction_sampled(
-    apply_f: Callable[[Sequence], object],
+    F,
     pairs: Sequence[Tuple[Sequence, Sequence]],
     triple: ContractionTriple,
     dist: Callable[[object, object], float],
@@ -97,18 +97,37 @@ def verify_contraction_sampled(
 ) -> ContractionSampleReport:
     """Check the contraction inequality on sampled ordered pairs.
 
-    Pairs failing the order precondition are rejected before any operator
-    evaluation and reported separately.
+    ``F`` is an ``engine.ProductOperator`` or a callable taking one
+    argument tuple, ``F(x)``.  Pairs failing the order precondition are
+    rejected before any operator evaluation and reported separately.  The
+    accepted pairs are then evaluated in one batch (``engine._images``)
+    whose elements are their tuples laid end to end, x then z; an
+    evaluation failure raises ``engine.OperatorEvaluationError``, whose
+    ``component`` is the failing image (1-based, x then z of each accepted
+    pair in turn) for a per-tuple callable and the failing element of that
+    layout, 1-based, for a batched operator.
     """
-    slacks: List[float] = []
+    from .engine import ProductOperator, _images  # engine imports this module
+
+    accepted: List[Tuple[Sequence, Sequence]] = []
+    dks: List[float] = []
     rejected: List[int] = []
     for idx, (x, z) in enumerate(pairs):
         if not ordered(x, z):
             rejected.append(idx)
             continue
-        dk = dist_k(x, z)
-        lhs = triple.psi(dist(apply_f(x), apply_f(z)))
-        slacks.append(triple.theta(dk) - triple.phi(dk) - lhs)
+        accepted.append((x, z))
+        dks.append(dist_k(x, z))
+    slacks: List[float] = []
+    if accepted:
+        k = len(accepted[0][0])
+        op = F if isinstance(F, ProductOperator) else ProductOperator(k, lambda *x: F(x))
+        elements = [c for x, z in accepted for c in (*x, *z)]
+        rows = [tuple(range(r * k + 1, r * k + k + 1)) for r in range(2 * len(accepted))]
+        images = _images(op, rows, elements)
+        for i, dk in enumerate(dks):
+            lhs = triple.psi(dist(images[2 * i], images[2 * i + 1]))
+            slacks.append(triple.theta(dk) - triple.phi(dk) - lhs)
     return ContractionSampleReport(tuple(slacks), tuple(rejected), tol_slack)
 
 

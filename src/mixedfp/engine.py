@@ -33,9 +33,11 @@ Leq = Callable[[object, object], bool]
 
 
 class OperatorEvaluationError(RuntimeError):
-    """Operator evaluation failed; carries a 1-based component index: the
-    sweep row on the per-row path, the failing argument (the cause's
-    ``component``, None when it names none) on a whole-sweep evaluation."""
+    """Operator evaluation failed; carries a 1-based ``component``: the
+    failing row of the argument table on the per-row path, the failing
+    argument (the cause's ``component``, None when it names none) on a
+    batched evaluation.  ``iterate_step`` and the sampled checks say what
+    these index for them."""
 
     def __init__(self, component: Optional[int], cause: BaseException):
         self.component = component
@@ -48,19 +50,21 @@ class OperatorEvaluationError(RuntimeError):
 class ProductOperator:
     """A mapping from k base elements to one base element.
 
-    Must be deterministic and side-effect free; the sweep may evaluate
-    components in any order.
+    Must be deterministic and side-effect free; the engine may evaluate
+    argument tuples in any order, and many of them in one batch.
 
-    ``sweep``, when set, evaluates a whole Jacobi sweep at once:
-    ``sweep(upsilon, x)`` returns the k values ``apply(*upsilon.permute(i,
-    x))`` for i = 1..k, and an exception it raises may name the failing
-    argument, a 1-based index into ``x``, in a ``component`` attribute.
-    ``iterate_step`` uses it instead of k ``apply`` calls.
+    ``batch``, when set, evaluates many argument tuples in one call:
+    ``batch(rows, x)`` takes a 1-based (R, k) index table ``rows`` and a
+    sequence ``x`` of any number of base elements, and returns the R values
+    ``apply(x[r_1 - 1], ..., x[r_k - 1])``, one per row (r_1..r_k).  An
+    exception it raises may name the failing argument, a 1-based index into
+    ``x``, in a ``component`` attribute.  A Jacobi sweep is the batch
+    ``rows = upsilon.sigmas``; the sampled checks batch all their tuples.
     """
 
     k: int
     apply: Callable[..., object]
-    sweep: Optional[Callable[[UpsilonTuple, Sequence], Sequence]] = None
+    batch: Optional[Callable[[Sequence[Sequence[int]], Sequence], Sequence]] = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -116,24 +120,38 @@ class NonConvergenceError(RuntimeError):
         )
 
 
-def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
-    """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i, by
-    ``F.sweep`` when the operator has one, else by k ``F.apply`` calls."""
-    k = upsilon.partition.k
-    if len(x) != k or F.k != k:
-        raise ValueError("dimension mismatch between operator, tuple and point")
-    if F.sweep is not None:
+def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence) -> Sequence:
+    """F at the argument tuples (x[r_1 - 1], ..., x[r_k - 1]), one per row
+    of the 1-based index table ``rows``: one ``F.batch`` call when the
+    operator has one, else one ``F.apply`` call per row.
+
+    A failure raises OperatorEvaluationError whose component is the failing
+    row (1-based) on the per-row path and, on the batched path, the failing
+    argument the cause names, a 1-based index into ``x``.
+    """
+    if F.batch is not None:
         try:
-            return tuple(F.sweep(upsilon, x))
+            return F.batch(rows, x)
         except Exception as exc:  # attach the failing argument, if named
             raise OperatorEvaluationError(getattr(exc, "component", None), exc) from exc
     out = []
-    for i in range(1, k + 1):
+    for r, row in enumerate(rows, start=1):
         try:
-            out.append(F.apply(*upsilon.permute(i, x)))
-        except Exception as exc:  # attach the failing component index
-            raise OperatorEvaluationError(i, exc) from exc
-    return tuple(out)
+            out.append(F.apply(*(x[j - 1] for j in row)))
+        except Exception as exc:  # attach the failing row
+            raise OperatorEvaluationError(r, exc) from exc
+    return out
+
+
+def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
+    """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i, as one
+    batch of the k rows sigma_i.  An OperatorEvaluationError names the
+    sweep row on the per-row path and the failing component of ``x`` on the
+    batched one."""
+    k = upsilon.partition.k
+    if len(x) != k or F.k != k:
+        raise ValueError("dimension mismatch between operator, tuple and point")
+    return tuple(_images(F, upsilon.sigmas, x))
 
 
 def check_mixed_monotone_sampled(
@@ -148,20 +166,33 @@ def check_mixed_monotone_sampled(
     coordinate, and an ordered pair low <= high to substitute there.  F must
     be nondecreasing in coordinates of A and nonincreasing in coordinates of
     B.  Returns the violating samples as (sample_index, j).
+
+    All 2 * len(samples) images are evaluated in one batch (``_images``),
+    after every sample has been validated.  The batch's elements are the
+    samples laid end to end, each as its base point with ``low`` in
+    coordinate j, then ``high``: k + 1 elements per sample.  An evaluation
+    failure raises OperatorEvaluationError; its ``component`` is the failing
+    image, 1-based in the order (sample 1 low, sample 1 high, sample 2
+    low, ...), on the per-row path, and the failing element of that layout,
+    1-based, on the batched path.
     """
-    violations = []
+    k = partition.k
+    elements, rows = [], []
     for idx, sample in enumerate(samples):
         if len(sample) != 4:
             raise ValueError(f"sample {idx} is not (point, coord, low, high)")
         point, j, low, high = sample
-        if len(point) != partition.k or not (1 <= j <= partition.k):
+        if len(point) != k or not (1 <= j <= k):
             raise ValueError(f"sample {idx} has bad dimensions")
-        lo_point = list(point)
-        hi_point = list(point)
-        lo_point[j - 1] = low
-        hi_point[j - 1] = high
-        f_lo = F.apply(*lo_point)
-        f_hi = F.apply(*hi_point)
+        lo_row = list(range(len(elements) + 1, len(elements) + k + 1))
+        hi_row = list(lo_row)
+        hi_row[j - 1] = len(elements) + k + 1
+        elements += [*point[:j - 1], low, *point[j:], high]
+        rows += [lo_row, hi_row]
+    images = _images(F, rows, elements) if rows else []
+    violations = []
+    for idx, (_, j, _, _) in enumerate(samples):
+        f_lo, f_hi = images[2 * idx], images[2 * idx + 1]
         if j in partition.a:
             ok = leq(f_lo, f_hi)
         else:

@@ -26,7 +26,7 @@ from .funcspace import (
     make_quadrature,
     uniform_grid,
 )
-from .order import UpsilonTuple, cyclic_shift_upsilon
+from .order import cyclic_shift_upsilon
 
 __all__ = [
     "HammersteinProblem",
@@ -90,7 +90,8 @@ class HammersteinProblem:
     Kernel, nonlinearities and forcing are array-valued (see ``Kernel``):
     ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq),
     ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``,
-    k*nq in a sweep, which lays the k argument rows end to end),
+    b*nq in a batch kernel call of b rows, which lays the b argument rows
+    end to end),
     and ``forcing(t)`` with t of shape (n,).  A scalar return broadcasts.
     Construction calls each piece once on the node arrays and raises
     ValueError, naming the piece, when its output cannot broadcast to that
@@ -145,9 +146,14 @@ class HammersteinProblem:
         return PchipPlan(self.grid, self.quadrature.nodes)
 
     @cached_property
+    def _block_rows(self) -> int:
+        # rows per kernel call of _integrals: at least one sweep
+        return max(self.k, _BLOCK_ELEMENTS // (self.k * self.quadrature.nodes.size))
+
+    @cached_property
     def _identity_rows(self) -> np.ndarray:
-        # the argument table of apply_A: one row, x itself
-        return np.arange(self.k)[None, :]
+        # the 1-based argument table of apply_A: one row, x itself
+        return np.arange(1, self.k + 1)[None, :]
 
     @cached_property
     def _forcing_values(self) -> np.ndarray:
@@ -155,43 +161,73 @@ class HammersteinProblem:
         return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
 
 
-def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: float):
-    """Raise DomainFloorError at the first component (row of ``values``),
-    then the first node, lying below ``floor - slack``."""
+def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: float,
+                 ids: Sequence[int]):
+    """Raise DomainFloorError at the first row of ``values``, then the first
+    node, lying below ``floor - slack``; row i is component ``ids[i] + 1``."""
     bad = values < floor - slack
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
-        raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
+        raise DomainFloorError(int(ids[i]) + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
-def _integrals(
-    problem: HammersteinProblem, rows: np.ndarray, x: Sequence[GridFunction]
-) -> np.ndarray:
-    """The operator at R argument tuples drawn from one k-tuple ``x``, as
-    an (R, n) array: row r is int_1^T G(t, s) sum_j f_j(s, x[rows[r, j]](s))
-    ds + p(t) at the collocation nodes, ``rows`` an (R, k) table of 0-based
-    indices into ``x``.
+# Rows per kernel call are capped so that one block's gathered arguments
+# (rows * k * nq values, 64 KiB of float64) and the PCHIP temporaries of its
+# components, about ten times that, stay small next to the process; a block
+# holds at least k rows, so a sweep is never split.
+_BLOCK_ELEMENTS = 1 << 13
 
-    The k components are checked against the floor once, transferred to the
-    quadrature nodes by the problem's cached PCHIP plan in one apply, and
-    each f_j is called once, on the R argument rows laid end to end (1-D
-    arrays of length R*nq, so the array contract holds and a scalar return
-    broadcasts).  The R integrands go through one stacked matvec, which sums
-    each row as ``W @ total`` does.  A DomainFloorError names the argument,
-    an index into ``x``, not the row.
+
+def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> np.ndarray:
+    """The operator at R argument tuples drawn from ``x``, as an (R, n)
+    array: row r is int_1^T G(t, s) sum_j f_j(s, x[rows[r, j] - 1](s)) ds +
+    p(t) at the collocation nodes, ``rows`` a 1-based (R, k) index table and
+    ``x`` any number of components on the problem's grid.
+
+    The rows run in blocks of B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows
+    (``problem._block_rows``), one kernel call each, so a sweep (k rows) is
+    one call and S check tuples cost ceil(S / B) calls.  A batch that fits
+    one block transfers every component of ``x``; a longer one transfers,
+    per block, only the components its rows use.  A DomainFloorError names
+    the argument, a 1-based index into ``x``, not the row.
     """
-    if len(x) != problem.k:
-        raise ValueError(f"expected {problem.k} components, got {len(x)}")
+    table = np.asarray(rows) - 1
+    block = problem._block_rows
+    if table.shape[0] <= block:
+        return _block_integrals(problem, table, x, range(len(x)))
+    out = np.empty((table.shape[0], problem.grid.n))
+    for start in range(0, table.shape[0], block):
+        part = table[start:start + block]
+        used, local = np.unique(part, return_inverse=True)
+        out[start:start + block] = _block_integrals(
+            problem, local.reshape(part.shape), [x[i] for i in used], used)
+    return out
+
+
+def _block_integrals(
+    problem: HammersteinProblem, rows: np.ndarray, x: Sequence[GridFunction],
+    ids: Sequence[int],
+) -> np.ndarray:
+    """One kernel call of ``_integrals``: ``rows`` a 0-based (b, k) table
+    into ``x``, whose component i is argument ``ids[i]`` of the batch.
+
+    The components are checked against the floor once, transferred to the
+    quadrature nodes by the problem's cached PCHIP plan in one apply, and
+    each f_j is called once, on the b argument rows laid end to end (1-D
+    arrays of length b*nq, so the array contract holds and a scalar return
+    broadcasts).  The b integrands go through one stacked matvec, which sums
+    each row as ``W @ total`` does.
+    """
     for xi in x:
         _check_same_grid(problem.grid, xi.grid)
     s_nodes = problem.quadrature.nodes
     floor = problem.domain_floor
     values = np.stack([xi.values for xi in x])
-    _check_floor(values, problem.grid.nodes, floor, 1e-12)
+    _check_floor(values, problem.grid.nodes, floor, 1e-12, ids)
     vals = problem._transfer.apply(values)
     # interpolation cannot overshoot monotone data, but guard anyway
-    _check_floor(vals, s_nodes, floor, 1e-9)
+    _check_floor(vals, s_nodes, floor, 1e-9, ids)
     n_rows, nq = rows.shape[0], s_nodes.size
     s = s_nodes if n_rows == 1 else np.tile(s_nodes, n_rows)
     total = np.zeros(n_rows * nq)
@@ -207,12 +243,9 @@ def _integrals(
     return out
 
 
-def _sweep(
-    problem: HammersteinProblem, upsilon: UpsilonTuple, x: Sequence[GridFunction]
-) -> Tuple[GridFunction, ...]:
-    """One Jacobi sweep in one kernel call: row i holds the sigma_i
-    permutation of ``x``."""
-    rows = np.array(upsilon.sigmas) - 1
+def _batch(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> Tuple[GridFunction, ...]:
+    """The images at the argument tuples of the 1-based table ``rows``, as
+    grid functions (``_integrals``)."""
     return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))
 
 
@@ -221,27 +254,32 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation nodes.
 
     Every component must lie on the problem's grid.  This is the one-row
-    case of the sweep kernel.  Cost per call: O(k*n) for the PCHIP
+    case of the batch kernel.  Cost per call: O(k*n) for the PCHIP
     derivatives plus O(k*nq) to evaluate them at the quadrature nodes (the
     interval search is planned once per problem), k nonlinearity calls on
     nq nodes and one n x nq matvec.
     """
+    if len(x) != problem.k:
+        raise ValueError(f"expected {problem.k} components, got {len(x)}")
     return GridFunction(problem.grid, _integrals(problem, problem._identity_rows, x)[0])
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
-    """The problem's operator, with a whole-sweep evaluation.
+    """The problem's operator, with a batched evaluation.
 
-    ``sweep`` computes the k outputs of a Jacobi sweep in one kernel call.
-    Cost per sweep: k transferred rows (O(k*n) derivatives, O(k*nq)
-    evaluation), k nonlinearity calls of length k*nq and one stacked matvec
-    of k*n*nq multiply-adds, where k ``apply`` calls cost k^2 rows, k^2
+    ``batch(rows, x)`` computes the images at R argument tuples in
+    ceil(R / B) kernel calls of at most B = max(k, 8192 // (k*nq)) rows
+    (``_integrals``); a Jacobi sweep, R = k, is one call.  Cost per call of
+    b rows drawn from c components: c transferred rows (O(c*n)
+    derivatives, O(c*nq) evaluation), k nonlinearity calls of length b*nq
+    and one stacked matvec of b*n*nq multiply-adds.  Per sweep that is k
+    rows, k calls and one matvec where k ``apply`` calls cost k^2 rows, k^2
     calls of length nq and k matvecs.
     """
     return ProductOperator(
         problem.k,
         lambda *x: apply_A(problem, x),
-        lambda upsilon, x: _sweep(problem, upsilon, x),
+        lambda rows, x: _batch(problem, rows, x),
     )
 
 
@@ -316,12 +354,14 @@ def check_assumption_e(
     ``tol`` (u <= v + tol, as ``funcspace.pointwise_leq``).
 
     H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
-    are the first Jacobi sweep from y0, evaluated as one sweep kernel call,
+    are the first Jacobi sweep from y0, evaluated as one batch kernel call,
     and this is ``engine.solve``'s starting-point condition on its first
     sweep, read node by node.
     """
+    if len(y0) != problem.k:
+        raise ValueError(f"expected {problem.k} components, got {len(y0)}")
     upsilon = cyclic_shift_upsilon(problem.m)
-    h_functions = _sweep(problem, upsilon, y0)
+    h_functions = _batch(problem, upsilon.sigmas, y0)
     failures: List[tuple] = []
     for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
         lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)

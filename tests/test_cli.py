@@ -10,19 +10,24 @@ import pytest
 
 import mixedfp
 from mixedfp import apply_A, sup_metric
+from mixedfp import cli
 from mixedfp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_OPERATOR_ERROR,
+    ConfigError,
     _random_ordered_pairs,
     build_problem,
     load_config,
     main,
 )
-from mixedfp.engine import IterationConfig
+from mixedfp.engine import IterationConfig, ProductOperator
 from mixedfp.funcspace import load_csv
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(mixedfp.__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, **overrides):
@@ -147,6 +152,77 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("operator error:") and "Traceback" not in err
 
+    def test_verify_unevaluable_operator_exits_4(self, tmp_path):
+        # a floor of 0 lets the first pair's lower tuple reach x = 0, where
+        # neg-log-product is infinite
+        cfg = write_config(
+            tmp_path, problem="custom", m=1, kernel="log-product",
+            nonlinearities=["log-shift", "neg-log-product"],
+            forcing="linear-minus-log", domain_floor=0.0,
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "mixedfp.cli", "verify", "--config", cfg, "--seed", "5"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_OPERATOR_ERROR
+        assert result.stdout == ""
+        assert result.stderr.startswith("operator error:")
+        assert "non-finite integrand" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_verify_makes_one_batch_call_per_check(self, monkeypatch, capsys):
+        batches = []
+        product_operator = cli.hs.product_operator
+
+        def recorded(problem):
+            F = product_operator(problem)
+
+            def batch(rows, x):
+                batches.append(len(rows))
+                return F.batch(rows, x)
+
+            def no_apply(*x):
+                raise AssertionError("per-tuple apply called")
+
+            return ProductOperator(F.k, no_apply, batch)
+
+        monkeypatch.setattr(cli.hs, "product_operator", recorded)
+        assert main(["verify", "--seed", "5"]) == EXIT_OK
+        # 200 contraction pairs (x and z each), then 50 monotonicity samples
+        assert batches == [400, 100]
+
+    def test_kernel_guard_counts_the_config_integers(self, monkeypatch):
+        # the default config has 201 grid nodes and 32 x 8 quadrature nodes
+        kernel_bytes = 201 * 256 * 8
+        cfg = load_config(None, {})
+        monkeypatch.setattr(cli, "KERNEL_BYTES_GUARD", kernel_bytes)
+        build_problem(cfg)
+        monkeypatch.setattr(cli, "KERNEL_BYTES_GUARD", kernel_bytes - 1)
+        with pytest.raises(ConfigError, match=f"{kernel_bytes} byte kernel"):
+            build_problem(cfg)
+
+    @pytest.mark.parametrize("grid, quadrature", [
+        ({"n": 10 ** 6}, {"panels": 1024, "points": 8}),
+        ({"n": 10 ** 12}, {"panels": 0, "points": 8}),
+    ], ids=["kernel", "grid"])
+    @pytest.mark.parametrize("problem", ["paper-example", "custom"])
+    def test_kernel_guard_exits_2_before_allocating(
+            self, tmp_path, monkeypatch, capsys, grid, quadrature, problem):
+        def no_build(*args, **kwargs):
+            raise AssertionError("problem data built despite the guard")
+
+        for name in ("uniform_grid", "make_quadrature", "build_log_example"):
+            monkeypatch.setattr(cli.hs, name, no_build)
+        cfg = write_config(
+            tmp_path, problem=problem, grid=grid, quadrature=quadrature,
+            kernel="log-product", nonlinearities=["log-shift", "neg-log-product"],
+            forcing="linear-minus-log",
+        )
+        assert main(["check", "--config", cfg]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "above the guard" in err
+
     def test_uniform_grid_kind_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid={"kind": "uniform"})
         assert main(["check", "--config", cfg]) == EXIT_OK
@@ -243,6 +319,25 @@ class TestReproducibility:
             solution, apply_A(problem, (solution,) * problem.k)
         )
         assert abs(recomputed - report["solution_residual"]) < 1e-12
+
+
+class TestRegressionSnapshot:
+    """Outputs recorded before the sampled checks were batched; any later
+    change to batching or blocks must leave them byte-identical."""
+
+    def test_verify_stdout(self, capsys):
+        assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "verify_a2_T2_seed5.json").read_text()
+
+    def test_check_stdout(self, capsys):
+        assert main(["check", "--alpha", "5", "--T", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "check_a5_T10.json").read_text()
+
+    def test_solve_files(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--alpha", "2", "--T", "2", "--out", str(out)]) == EXIT_OK
+        for name in ("solution.csv", "trace.csv", "report.json"):
+            assert (out / name).read_bytes() == (DATA / "solve_a2_T2" / name).read_bytes()
 
 
 def floor_config(tmp_path, floor):

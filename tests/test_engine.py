@@ -47,32 +47,32 @@ class TestIterateStep:
 
     def test_sweep_replaces_the_per_row_calls(self):
         def no_apply(a, b):
-            raise AssertionError("apply called although the operator has a sweep")
+            raise AssertionError("apply called although the operator has a batch")
 
-        def sweep(upsilon, x):
-            return [MIDPOINT.apply(*upsilon.permute(i, x)) for i in (1, 2)]
+        def batch(rows, x):
+            return [MIDPOINT.apply(*(x[j - 1] for j in row)) for row in rows]
 
-        op = ProductOperator(2, no_apply, sweep)
+        op = ProductOperator(2, no_apply, batch)
         assert iterate_step(op, ID_SWAP, (0.0, 1.0)) == (0.5, 0.5)
 
     def test_sweep_failure_carries_the_named_argument(self):
         class ArgumentError(ValueError):
             component = 2
 
-        def sweep(upsilon, x):
+        def batch(rows, x):
             raise ArgumentError("argument 2 is out of range")
 
         with pytest.raises(OperatorEvaluationError) as exc:
-            iterate_step(ProductOperator(2, MIDPOINT.apply, sweep), ID_SWAP, (0.0, 1.0))
+            iterate_step(ProductOperator(2, MIDPOINT.apply, batch), ID_SWAP, (0.0, 1.0))
         assert exc.value.component == 2
         assert str(exc.value) == "operator failed at component 2: argument 2 is out of range"
 
     def test_sweep_failure_without_an_argument(self):
-        def sweep(upsilon, x):
+        def batch(rows, x):
             raise ArithmeticError("boom")
 
         with pytest.raises(OperatorEvaluationError) as exc:
-            iterate_step(ProductOperator(2, MIDPOINT.apply, sweep), ID_SWAP, (0.0, 1.0))
+            iterate_step(ProductOperator(2, MIDPOINT.apply, batch), ID_SWAP, (0.0, 1.0))
         assert exc.value.component is None
         assert str(exc.value) == "operator failed: boom"
 
@@ -94,6 +94,35 @@ class TestMixedMonotoneSampled:
     def test_malformed_sample(self):
         with pytest.raises(ValueError):
             check_mixed_monotone_sampled(MIDPOINT, PART2, [((0.0, 0.0), 1, 0.0)], realleq)
+
+    def test_one_batch_call_gives_the_per_row_verdicts(self):
+        difference = ProductOperator(2, lambda a, b: a - b)
+        batches = []
+
+        def batch(rows, x):
+            batches.append((list(map(tuple, rows)), list(x)))
+            return [difference.apply(*(x[j - 1] for j in row)) for row in rows]
+
+        def no_apply(a, b):
+            raise AssertionError("apply called although the operator has a batch")
+
+        samples = [((0.0, 5.0), 1, 0.0, 1.0), ((2.0, 0.0), 2, 0.0, 1.0), ((1.0, 1.0), 2, -1.0, 3.0)]
+        flipped = Partition.of(2, [2])
+        batched = ProductOperator(2, no_apply, batch)
+        assert check_mixed_monotone_sampled(batched, flipped, samples, realleq) == \
+            check_mixed_monotone_sampled(difference, flipped, samples, realleq) == \
+            [(0, 1), (1, 2), (2, 2)]
+        # each sample lays out its point with low in coordinate j, then high
+        [(rows, elements)] = batches
+        assert rows == [(1, 2), (3, 2), (4, 5), (4, 6), (7, 8), (7, 9)]
+        assert elements == [0.0, 5.0, 1.0, 2.0, 0.0, 1.0, 1.0, -1.0, 3.0]
+
+    def test_no_samples_evaluate_nothing(self):
+        def never(*args):
+            raise AssertionError("evaluated without samples")
+
+        assert check_mixed_monotone_sampled(ProductOperator(2, never, never), PART2, [],
+                                            realleq) == []
 
 
 class TestSolve:

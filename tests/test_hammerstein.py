@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from mixedfp import cli
-from mixedfp.engine import IterationConfig, OperatorEvaluationError, iterate_step, solve
+from mixedfp.contraction import builtin_log_triple, verify_contraction_sampled
+from mixedfp.engine import (
+    IterationConfig,
+    OperatorEvaluationError,
+    ProductOperator,
+    check_mixed_monotone_sampled,
+    iterate_step,
+    solve,
+)
 from mixedfp.funcspace import (
     GridFunction,
     PchipPlan,
@@ -27,7 +35,13 @@ from mixedfp.hammerstein import (
     kernel_bound,
     product_operator,
 )
-from mixedfp.order import Partition, cyclic_shift_upsilon, validate_upsilon
+from mixedfp.order import (
+    Partition,
+    cyclic_shift_upsilon,
+    max_metric,
+    product_leq,
+    validate_upsilon,
+)
 from worked_example import check_exp_inequality, closed_H_formulas
 
 
@@ -233,7 +247,7 @@ class TestSweepKernel:
             example22, quadrature=make_quadrature(quadrature, 2.0, 32, 8)), m)
         ups = cyclic_shift_upsilon(m)
         F = product_operator(p)
-        assert F.sweep is not None
+        assert F.batch is not None
         rng = np.random.default_rng(100 + m)
         for _ in range(3):
             x = rough_ordered_tuple(p, rng)
@@ -253,7 +267,7 @@ class TestSweepKernel:
         for i, y in enumerate(sweep, start=1):
             assert np.array_equal(y.values, apply_A(p, ups.permute(i, x)).values)
 
-    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("m", [1, 4, 8])
     def test_one_transfer_and_k_nonlinearity_calls_per_sweep(self, example22, monkeypatch, m):
         lengths = []
 
@@ -317,6 +331,143 @@ class TestSweepKernel:
             iterate_step(product_operator(p), cyclic_shift_upsilon(1), x)
         assert exc.value.component is None
         assert str(exc.value) == "operator failed: non-finite integrand encountered"
+
+
+def rough_pool(problem, rng, count):
+    """``count`` rough components in [floor, floor + 9]."""
+    n, floor = problem.grid.n, problem.domain_floor
+    return [GridFunction(problem.grid, floor + rng.uniform(0.0, 9.0, n)) for _ in range(count)]
+
+
+def recorded_operator(problem):
+    """The problem's batched operator; ``calls`` records each batch's rows
+    and elements, and ``apply`` must not be called."""
+    F = product_operator(problem)
+    calls = []
+
+    def batch(rows, x):
+        calls.append((list(rows), list(x)))
+        return F.batch(rows, x)
+
+    def no_apply(*x):
+        raise AssertionError("per-tuple apply called although the batch is set")
+
+    return ProductOperator(F.k, no_apply, batch), calls
+
+
+def sampled_contraction(problem, F, pairs):
+    ups = cyclic_shift_upsilon(problem.m)
+    return verify_contraction_sampled(
+        F, pairs, builtin_log_triple(), dist=sup_metric,
+        dist_k=lambda x, z: max_metric(x, z, sup_metric),
+        ordered=lambda x, z: product_leq(x, z, ups.partition, pointwise_leq))
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("quadrature", ["gauss-legendre", "simpson"])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_batch_equals_per_tuple_apply_A(self, example22, m, quadrature):
+        p = mfold(dataclasses.replace(
+            example22, quadrature=make_quadrature(quadrature, 2.0, 32, 8)), m)
+        F = product_operator(p)
+        block = p._block_rows
+        rng = np.random.default_rng(200 + m)
+        x = rough_pool(p, rng, 3 * p.k)
+        for n_rows in (1, block - 1, block, block + 1, 400):
+            rows = rng.integers(1, len(x) + 1, size=(n_rows, p.k))
+            images = F.batch(rows, x)
+            assert len(images) == n_rows
+            for row, y in zip(rows, images):
+                assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+
+    def test_blocks_transfer_only_the_components_their_rows_use(self, example22, monkeypatch):
+        # rows on disjoint components, one block and one row over
+        p = example22
+        block, k, nq = p._block_rows, p.k, p.quadrature.nodes.size
+        x = rough_pool(p, np.random.default_rng(4), k * (block + 1))
+        rows = [range(r * k + 1, r * k + k + 1) for r in range(block + 1)]
+        applies = []
+        apply = PchipPlan.apply
+        monkeypatch.setattr(
+            PchipPlan, "apply", lambda plan, y: applies.append(y.shape) or apply(plan, y))
+        images = product_operator(p).batch(rows, x)
+        assert applies == [(block * k, p.grid.n), (k, p.grid.n)]
+        assert block * k * nq <= 1 << 13  # the element budget of one call
+        for row, y in zip(rows, images):
+            assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+
+    def test_floor_error_names_the_component_of_x(self, example22):
+        p = example22
+        block, k = p._block_rows, p.k
+        x = rough_pool(p, np.random.default_rng(6), k * (block + 1))
+        values = x[-1].values.copy()
+        values[4] = 0.5
+        x[-1] = GridFunction(p.grid, values)
+        rows = [range(r * k + 1, r * k + k + 1) for r in range(block + 1)]
+        with pytest.raises(DomainFloorError) as exc:
+            product_operator(p).batch(rows, x)
+        assert exc.value.component == len(x)
+        assert exc.value.node == p.grid.nodes[4]
+
+
+class TestBatchedChecks:
+    def test_monotone_check_is_one_batch_with_the_per_tuple_verdicts(self, example22):
+        p = mfold(example22, 2)
+        samples = cli._monotone_samples(p, np.random.default_rng(1), 12)
+        partition = cyclic_shift_upsilon(2).partition
+        F, calls = recorded_operator(p)
+        batched = check_mixed_monotone_sampled(F, partition, samples, pointwise_leq)
+        assert [len(rows) for rows, _ in calls] == [24]
+        per_tuple = ProductOperator(p.k, product_operator(p).apply)
+        assert batched == check_mixed_monotone_sampled(
+            per_tuple, partition, samples, pointwise_leq)
+
+    def test_monotone_check_failure_has_one_type_on_both_paths(self, example22):
+        p = example22
+        ok = linear(p, 2.0)
+        below = GridFunction(p.grid, np.full(p.grid.n, 0.5))
+        # sample 2 substitutes a low value below the floor in coordinate 1;
+        # its elements are (below, ok, ok): element 4 of the batch
+        samples = [((ok, ok), 2, ok, linear(p, 3.0)), ((ok, ok), 1, below, ok)]
+        partition = cyclic_shift_upsilon(1).partition
+        F = product_operator(p)
+        for op, component in ((ProductOperator(p.k, F.apply), 3), (F, 4)):
+            with pytest.raises(OperatorEvaluationError) as exc:
+                check_mixed_monotone_sampled(op, partition, samples, pointwise_leq)
+            assert exc.value.component == component
+            assert isinstance(exc.value.cause, DomainFloorError)
+
+    def test_contraction_check_is_one_batch_of_the_accepted_pairs(self, example22):
+        pairs = cli._random_ordered_pairs(example22, np.random.default_rng(2), 6)
+        x, z = pairs[3]
+        pairs[3] = (z, x)  # unordered: rejected before any evaluation
+        F, calls = recorded_operator(example22)
+        report = sampled_contraction(example22, F, pairs)
+        assert report.rejected_pairs == (3,)
+        [(rows, elements)] = calls
+        assert len(rows) == 2 * 5
+        assert not any(e is c for e in elements for c in x + z)
+
+    def test_per_tuple_callable_gives_the_batched_report(self, example22):
+        # bench/layers.py passes functools.partial(apply_A, problem)
+        pairs = cli._random_ordered_pairs(example22, np.random.default_rng(3), 40)
+        per_tuple = sampled_contraction(
+            example22, lambda x: apply_A(example22, x), pairs)
+        batched = sampled_contraction(example22, product_operator(example22), pairs)
+        assert per_tuple == batched
+        assert len(batched.slacks) == 40 and batched.passed
+
+    def test_contraction_check_failure_has_one_type_on_both_paths(self):
+        p = _small_problem(domain_floor=0.0)
+        zero = GridFunction(p.grid, np.zeros(p.grid.n))
+        pairs = [((linear(p, 1.0), zero), (linear(p, 2.0), zero))]
+        # the per-tuple path names the failing image (x of pair 1); a
+        # non-finite integrand names no argument
+        for F, component in ((lambda x: apply_A(p, x), 1), (product_operator(p), None)):
+            with pytest.raises(OperatorEvaluationError) as exc:
+                sampled_contraction(p, F, pairs)
+            assert exc.value.component == component
+            assert isinstance(exc.value.cause, ArithmeticError)
 
 
 class TestAssumptionD:
