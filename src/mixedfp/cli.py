@@ -8,7 +8,10 @@ domain floor under --force, where report.json names the failing argument
 and node, or during verify's sampled checks, e.g. a non-finite integrand at
 a sample drawn from the domain floor, where stderr carries an ``operator
 error:`` line).  A check whose assumption E cannot be evaluated fails with
-an ``assumption_e_error`` in its report.
+an ``assumption_e_error`` in its report, and one whose sampled mixed
+monotonicity cannot be evaluated with a ``mixed_monotone_error``
+(``component``, the failing element of the batch, and ``message``); both
+make ``check`` and ``solve`` exit 1, and ``solve --force`` goes on.
 
 One order slack, ORDER_SLACK, compares grid functions in every check and in
 solve, so assumption E and solve's start check are one predicate on one
@@ -198,9 +201,15 @@ def _run_checks(problem, x0) -> dict:
                    "node": getattr(exc, "node", None), "message": str(exc)}
     mono = _monotone_samples(problem, np.random.default_rng(0), 20)
     upsilon = cyclic_shift_upsilon(problem.m)
-    violations = check_mixed_monotone_sampled(
-        hs.product_operator(problem), upsilon.partition, mono, _leq,
-    )
+    mono_error = None
+    try:
+        violations = check_mixed_monotone_sampled(
+            hs.product_operator(problem), upsilon.partition, mono, _leq,
+        )
+    except OperatorEvaluationError as exc:
+        # a sample cannot be evaluated: a failed check, not a crash
+        violations = []
+        mono_error = {"component": exc.component, "message": str(exc)}
     report = {
         "kernel_bound": d_report.kernel_bound,
         "eta_ok": d_report.eta_ok,
@@ -208,10 +217,12 @@ def _run_checks(problem, x0) -> dict:
         "assumption_e_failures": [list(f) for f in e_failures],
         "mixed_monotone_violations": [list(v) for v in violations],
         "passed": (d_report.passed and e_error is None and not e_failures
-                   and not violations),
+                   and mono_error is None and not violations),
     }
     if e_error is not None:
         report["assumption_e_error"] = e_error
+    if mono_error is not None:
+        report["mixed_monotone_error"] = mono_error
     return report
 
 

@@ -151,31 +151,27 @@ class HammersteinProblem:
         return max(self.k, _BLOCK_ELEMENTS // (self.k * self.quadrature.nodes.size))
 
     @cached_property
-    def _identity_rows(self) -> np.ndarray:
-        # the 1-based argument table of apply_A: one row, x itself
-        return np.arange(1, self.k + 1)[None, :]
-
-    @cached_property
     def _forcing_values(self) -> np.ndarray:
         nodes = self.grid.nodes
         return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
 
 
 def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: float,
-                 ids: Sequence[int]):
+                 first: int = 0):
     """Raise DomainFloorError at the first row of ``values``, then the first
-    node, lying below ``floor - slack``; row i is component ``ids[i] + 1``."""
+    node, lying below ``floor - slack``; row i is component first + i + 1."""
     bad = values < floor - slack
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
-        raise DomainFloorError(int(ids[i]) + 1, float(nodes[j]), float(values[i, j]), floor)
+        raise DomainFloorError(first + i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
-# Rows per kernel call are capped so that one block's gathered arguments
-# (rows * k * nq values, 64 KiB of float64) and the PCHIP temporaries of its
-# components, about ten times that, stay small next to the process; a block
-# holds at least k rows, so a sweep is never split.
+# The one size bound of the batch kernel, in float64 values (64 KiB): a PCHIP
+# apply, whose temporaries are about ten arrays of its size, transfers at most
+# _BLOCK_ELEMENTS // nq components, and a row block's gathered arguments
+# (rows * k * nq values) stay within it, except that a block holds at least k
+# rows, so a sweep is never split.
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -183,62 +179,52 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     """The operator at R argument tuples drawn from ``x``, as an (R, n)
     array: row r is int_1^T G(t, s) sum_j f_j(s, x[rows[r, j] - 1](s)) ds +
     p(t) at the collocation nodes, ``rows`` a 1-based (R, k) index table and
-    ``x`` any number of components on the problem's grid.
+    ``x`` any number c of components on the problem's grid.
 
-    The rows run in blocks of B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows
+    Each component is checked against the floor and transferred once, to
+    one (c, nq) array, by the problem's cached PCHIP plan in applies of at
+    most _BLOCK_ELEMENTS // nq components, each apply's components stacked
+    and checked just before it (so no (c, n) stack is held); a floor check
+    on the transferred values follows.  A DomainFloorError names the
+    argument, a 1-based index into ``x``, not the row.  The rows then run
+    in blocks of B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows
     (``problem._block_rows``), one kernel call each, so a sweep (k rows) is
-    one call and S check tuples cost ceil(S / B) calls.  A batch that fits
-    one block transfers every component of ``x``; a longer one transfers,
-    per block, only the components its rows use.  A DomainFloorError names
-    the argument, a 1-based index into ``x``, not the row.
+    one call and S check tuples cost ceil(S / B) calls.  A call of b rows
+    gathers its arguments from the transferred array and calls each f_j
+    once, on the b argument rows laid end to end (1-D arrays of length
+    b*nq, so the array contract holds and a scalar return broadcasts); its
+    b integrands go through one stacked matvec, which sums each row as
+    ``W @ total`` does.
     """
     table = np.asarray(rows) - 1
-    block = problem._block_rows
-    if table.shape[0] <= block:
-        return _block_integrals(problem, table, x, range(len(x)))
-    out = np.empty((table.shape[0], problem.grid.n))
-    for start in range(0, table.shape[0], block):
-        part = table[start:start + block]
-        used, local = np.unique(part, return_inverse=True)
-        out[start:start + block] = _block_integrals(
-            problem, local.reshape(part.shape), [x[i] for i in used], used)
-    return out
-
-
-def _block_integrals(
-    problem: HammersteinProblem, rows: np.ndarray, x: Sequence[GridFunction],
-    ids: Sequence[int],
-) -> np.ndarray:
-    """One kernel call of ``_integrals``: ``rows`` a 0-based (b, k) table
-    into ``x``, whose component i is argument ``ids[i]`` of the batch.
-
-    The components are checked against the floor once, transferred to the
-    quadrature nodes by the problem's cached PCHIP plan in one apply, and
-    each f_j is called once, on the b argument rows laid end to end (1-D
-    arrays of length b*nq, so the array contract holds and a scalar return
-    broadcasts).  The b integrands go through one stacked matvec, which sums
-    each row as ``W @ total`` does.
-    """
     for xi in x:
         _check_same_grid(problem.grid, xi.grid)
     s_nodes = problem.quadrature.nodes
-    floor = problem.domain_floor
-    values = np.stack([xi.values for xi in x])
-    _check_floor(values, problem.grid.nodes, floor, 1e-12, ids)
-    vals = problem._transfer.apply(values)
+    floor, nq = problem.domain_floor, s_nodes.size
+    vals = np.empty((len(x), nq))
+    chunk = max(1, _BLOCK_ELEMENTS // nq)
+    for start in range(0, len(x), chunk):
+        values = np.stack([xi.values for xi in x[start:start + chunk]])
+        _check_floor(values, problem.grid.nodes, floor, 1e-12, start)
+        vals[start:start + chunk] = problem._transfer.apply(values)
     # interpolation cannot overshoot monotone data, but guard anyway
-    _check_floor(vals, s_nodes, floor, 1e-9, ids)
-    n_rows, nq = rows.shape[0], s_nodes.size
-    s = s_nodes if n_rows == 1 else np.tile(s_nodes, n_rows)
-    total = np.zeros(n_rows * nq)
-    # one gather; row j holds argument j of every row end to end
-    args = vals.take(rows.T, axis=0).reshape(problem.k, n_rows * nq)
-    with np.errstate(all="ignore"):
-        for fj, arg in zip(problem.nonlinearities, args):
-            total += fj(s, arg)
-    if not np.isfinite(total).all():
-        raise ArithmeticError("non-finite integrand encountered")
-    out = np.matmul(problem._weighted_kernel, total.reshape(n_rows, nq, 1))[:, :, 0]
+    _check_floor(vals, s_nodes, floor, 1e-9)
+    block = problem._block_rows
+    out = np.empty((table.shape[0], problem.grid.n))
+    s = np.tile(s_nodes, min(block, table.shape[0]))
+    for start in range(0, table.shape[0], block):
+        part = table[start:start + block]
+        n_rows = part.shape[0]
+        s_rows, total = s[:n_rows * nq], np.zeros(n_rows * nq)
+        # one gather; row j holds argument j of every row end to end
+        args = vals.take(part.T, axis=0).reshape(problem.k, n_rows * nq)
+        with np.errstate(all="ignore"):
+            for fj, arg in zip(problem.nonlinearities, args):
+                total += fj(s_rows, arg)
+        if not np.isfinite(total).all():
+            raise ArithmeticError("non-finite integrand encountered")
+        np.matmul(problem._weighted_kernel, total.reshape(n_rows, nq, 1),
+                  out=out[start:start + n_rows, :, None])
     out += problem._forcing_values
     return out
 
@@ -261,20 +247,20 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
-    return GridFunction(problem.grid, _integrals(problem, problem._identity_rows, x)[0])
+    return GridFunction(problem.grid, _integrals(problem, [range(1, problem.k + 1)], x)[0])
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
     """The problem's operator, with a batched evaluation.
 
-    ``batch(rows, x)`` computes the images at R argument tuples in
-    ceil(R / B) kernel calls of at most B = max(k, 8192 // (k*nq)) rows
-    (``_integrals``); a Jacobi sweep, R = k, is one call.  Cost per call of
-    b rows drawn from c components: c transferred rows (O(c*n)
-    derivatives, O(c*nq) evaluation), k nonlinearity calls of length b*nq
-    and one stacked matvec of b*n*nq multiply-adds.  Per sweep that is k
-    rows, k calls and one matvec where k ``apply`` calls cost k^2 rows, k^2
-    calls of length nq and k matvecs.
+    ``batch(rows, x)`` computes the images at R argument tuples drawn from
+    c components (``_integrals``): the c components are transferred once
+    (O(c*n) derivatives, O(c*nq) evaluation), then the rows run in
+    ceil(R / B) kernel calls of at most B = max(k, 8192 // (k*nq)) rows, a
+    call of b rows costing k nonlinearity calls of length b*nq and one
+    stacked matvec of b*n*nq multiply-adds.  A Jacobi sweep, R = c = k, is
+    k transferred rows, k calls and one matvec where k ``apply`` calls cost
+    k^2 rows, k^2 calls of length nq and k matvecs.
     """
     return ProductOperator(
         problem.k,
@@ -309,7 +295,9 @@ def check_assumption_d(
     """Sampled check of the alternating log-increment bands and the eta cap.
 
     value_pairs are ordered (x, y) with y >= x >= domain_floor; every
-    nonlinearity is tested at every (s, x, y) combination.
+    nonlinearity is tested at every (s, x, y) combination.  A non-finite
+    increment (a nonlinearity undefined there) is a violation with excess
+    inf.
     """
     violations: List[tuple] = []
     for x, y in value_pairs:
@@ -320,13 +308,16 @@ def check_assumption_d(
             if not 1.0 <= s <= problem.T:
                 raise ValueError(f"s sample {s} outside [1, T]")
             for i, fi in enumerate(problem.nonlinearities, start=1):
-                diff = fi(s, y) - fi(s, x)
+                with np.errstate(all="ignore"):
+                    diff = fi(s, y) - fi(s, x)
                 eta = problem.etas[i - 1]
                 if i % 2 == 1:
                     lo, hi = 0.0, eta * band
                 else:
                     lo, hi = -eta * band, 0.0
-                if diff < lo - tol or diff > hi + tol:
+                if not math.isfinite(diff):
+                    violations.append((i, s, x, y, math.inf))
+                elif diff < lo - tol or diff > hi + tol:
                     excess = max(lo - diff, diff - hi)
                     violations.append((i, s, x, y, excess))
     bound = kernel_bound(problem)

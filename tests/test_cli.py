@@ -384,3 +384,22 @@ class TestCustomDomainFloor:
         for x, z in _random_ordered_pairs(problem, np.random.default_rng(0), 20):
             for f in x + z:
                 assert floor <= f.values.min() and f.values.max() <= floor + 9.0
+
+    def test_unevaluable_monotone_samples_fail_the_check(self, tmp_path, capsys):
+        # below x = 0 the log nonlinearities are NaN: assumption D flags the
+        # increments and the monotonicity samples drawn near the floor cannot
+        # be evaluated
+        cfg = str(DATA / "negative_floor.json")
+        assert main(["check", "--config", cfg]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert not report["passed"]
+        assert report["assumption_d_violations"]
+        error = report["mixed_monotone_error"]
+        assert error["message"] == "operator failed: non-finite integrand encountered"
+        assert "Traceback" not in captured.err
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == EXIT_CHECK_FAILED
+        assert "mixed_monotone_error" in json.loads(capsys.readouterr().out)
+        assert main(["solve", "--config", cfg, "--out", out, "--force"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err

@@ -25,6 +25,7 @@ from mixedfp.funcspace import (
     uniform_grid,
 )
 from mixedfp.hammerstein import (
+    _BLOCK_ELEMENTS,
     DomainFloorError,
     HammersteinProblem,
     apply_A,
@@ -372,29 +373,46 @@ class TestBatchKernel:
         F = product_operator(p)
         block = p._block_rows
         rng = np.random.default_rng(200 + m)
-        x = rough_pool(p, rng, 3 * p.k)
-        for n_rows in (1, block - 1, block, block + 1, 400):
-            rows = rng.integers(1, len(x) + 1, size=(n_rows, p.k))
-            images = F.batch(rows, x)
-            assert len(images) == n_rows
-            for row, y in zip(rows, images):
-                assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+        # the larger pool spans three transfer applies
+        for pool in (3 * p.k, 2 * (_BLOCK_ELEMENTS // p.quadrature.nodes.size) + 3):
+            x = rough_pool(p, rng, pool)
+            for n_rows in (1, block - 1, block, block + 1, 400):
+                rows = rng.integers(1, len(x) + 1, size=(n_rows, p.k))
+                images = F.batch(rows, x)
+                assert len(images) == n_rows
+                for row, y in zip(rows, images):
+                    assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
 
-    def test_blocks_transfer_only_the_components_their_rows_use(self, example22, monkeypatch):
-        # rows on disjoint components, one block and one row over
-        p = example22
+    def test_each_component_is_transferred_once_and_rows_run_in_blocks(
+            self, example22, monkeypatch):
+        # more components than one apply takes, and rows over a block
+        base = mfold(example22, 2)
+        lengths = []
+
+        def counted(f):
+            def g(s, x):
+                lengths.append(x.size)
+                return f(s, x)
+            return g
+
+        p = dataclasses.replace(base, nonlinearities=tuple(map(counted, base.nonlinearities)))
         block, k, nq = p._block_rows, p.k, p.quadrature.nodes.size
-        x = rough_pool(p, np.random.default_rng(4), k * (block + 1))
-        rows = [range(r * k + 1, r * k + k + 1) for r in range(block + 1)]
-        applies = []
+        per_apply = _BLOCK_ELEMENTS // nq
+        x = rough_pool(p, np.random.default_rng(4), 2 * per_apply + 3)
+        n_rows = 3 * block + 1
+        rows = np.random.default_rng(5).integers(1, len(x) + 1, size=(n_rows, k))
+        applied = []
         apply = PchipPlan.apply
         monkeypatch.setattr(
-            PchipPlan, "apply", lambda plan, y: applies.append(y.shape) or apply(plan, y))
+            PchipPlan, "apply", lambda plan, y: applied.append(y.copy()) or apply(plan, y))
+        lengths.clear()  # construction probes each piece once
         images = product_operator(p).batch(rows, x)
-        assert applies == [(block * k, p.grid.n), (k, p.grid.n)]
-        assert block * k * nq <= 1 << 13  # the element budget of one call
-        for row, y in zip(rows, images):
-            assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+        assert len(images) == n_rows
+        # every component once, in order, in applies within the element budget
+        assert np.array_equal(np.concatenate(applied), np.stack([xi.values for xi in x]))
+        assert all(y.shape[0] * nq <= _BLOCK_ELEMENTS for y in applied)
+        # ceil(R / B) = 4 kernel calls, each calling every f_j once
+        assert lengths == [block * nq] * (3 * k) + [nq] * k
 
     def test_floor_error_names_the_component_of_x(self, example22):
         p = example22
@@ -493,6 +511,14 @@ class TestAssumptionD:
         report = check_assumption_d(p, [(0.0, 1.0)], [1.5])
         # f(s, x) = 2x jumps by 2 > log 2 over the unit pair
         assert any(v[0] == 1 for v in report.violations)
+
+    def test_non_finite_increment_is_a_violation(self):
+        # ln(s + x) and -ln(x) are undefined at x = -5: NaN increments fail
+        p = _small_problem(domain_floor=-5.0)
+        report = check_assumption_d(p, [(-5.0, -5.0), (-5.0, -4.5), (1.0, 2.0)], [1.0])
+        assert not report.passed
+        assert [v[0] for v in report.violations] == [1, 2, 1, 2]
+        assert all(v[4] == math.inf for v in report.violations)
 
     def test_unordered_pair_is_structural(self, example22):
         with pytest.raises(ValueError):
