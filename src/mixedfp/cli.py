@@ -4,14 +4,11 @@ checks, the solver, or the sampled property suite.
 Exit codes: 0 success, 1 check/property failure, 2 config error (including
 a kernel above KERNEL_BYTES_GUARD), 3 non-convergence, 4 operator error (the
 operator could not be evaluated during a solve, e.g. a component below the
-domain floor under --force, where report.json names the failing argument
-and node, or during verify's sampled checks, e.g. a non-finite integrand at
-a sample drawn from the domain floor, where stderr carries an ``operator
-error:`` line).  A check whose assumption E cannot be evaluated fails with
-an ``assumption_e_error`` in its report, and one whose sampled mixed
-monotonicity cannot be evaluated with a ``mixed_monotone_error``
-(``component``, the failing element of the batch, and ``message``); both
-make ``check`` and ``solve`` exit 1, and ``solve --force`` goes on.
+domain floor under --force, or during verify's sampled checks).  Every
+operator failure is written as one record, ``{component, node, message}``
+(``_operator_error``): ``operator_error`` in solve's report.json and in
+verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
+check report, which fails the check (exit 1; ``solve --force`` goes on).
 
 One order slack, ORDER_SLACK, compares grid functions in every check and in
 solve, so assumption E and solve's start check are one predicate on one
@@ -23,6 +20,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -191,29 +189,27 @@ def _run_checks(problem, x0) -> dict:
              (floor + 0.25, floor + 9.0)]
     s_samples = list(np.linspace(1.0, problem.T, 9))
     d_report = hs.check_assumption_d(problem, pairs, s_samples)
-    e_error = None
+    e_error = mono_error = None
     try:
         e_failures = hs.check_assumption_e(problem, x0, ORDER_SLACK).failures
-    except (hs.DomainFloorError, ArithmeticError) as exc:
+    except OperatorEvaluationError as exc:
         # the start tuple cannot be evaluated: a failed check, not a crash
-        e_failures = ()
-        e_error = {"component": getattr(exc, "component", None),
-                   "node": getattr(exc, "node", None), "message": str(exc)}
+        e_failures, e_error = (), _operator_error(exc)
     mono = _monotone_samples(problem, np.random.default_rng(0), 20)
     upsilon = cyclic_shift_upsilon(problem.m)
-    mono_error = None
     try:
         violations = check_mixed_monotone_sampled(
             hs.product_operator(problem), upsilon.partition, mono, _leq,
         )
     except OperatorEvaluationError as exc:
-        # a sample cannot be evaluated: a failed check, not a crash
-        violations = []
-        mono_error = {"component": exc.component, "message": str(exc)}
+        violations, mono_error = [], _operator_error(exc)
     report = {
         "kernel_bound": d_report.kernel_bound,
         "eta_ok": d_report.eta_ok,
-        "assumption_d_violations": [list(v) for v in d_report.violations],
+        # a non-finite excess (inf) is written as null, so the report is strict JSON
+        "assumption_d_violations": [
+            [*v[:-1], v[-1] if math.isfinite(v[-1]) else None] for v in d_report.violations
+        ],
         "assumption_e_failures": [list(f) for f in e_failures],
         "mixed_monotone_violations": [list(v) for v in violations],
         "passed": (d_report.passed and e_error is None and not e_failures
@@ -224,6 +220,11 @@ def _run_checks(problem, x0) -> dict:
     if mono_error is not None:
         report["mixed_monotone_error"] = mono_error
     return report
+
+
+def _operator_error(exc: OperatorEvaluationError) -> dict:
+    """The one record of an operator failure (``OperatorEvaluationError``)."""
+    return {"component": exc.component, "node": exc.node, "message": str(exc)}
 
 
 def _monotone_samples(problem, rng, count):
@@ -313,14 +314,8 @@ def cmd_solve(args) -> int:
         status = EXIT_NO_CONVERGENCE
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
-        node = exc.cause.node if isinstance(exc.cause, hs.DomainFloorError) else None
-        payload = {
-            "config": cfg,
-            "converged": False,
-            "operator_error": {"component": exc.component, "node": node,
-                               "message": str(exc)},
-            "check": check_report,
-        }
+        payload = {"config": cfg, "converged": False,
+                   "operator_error": _operator_error(exc), "check": check_report}
         (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
         return EXIT_OPERATOR_ERROR
 
@@ -371,6 +366,7 @@ def cmd_verify(args) -> int:
         )
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
+        print(json.dumps({"operator_error": _operator_error(exc)}, indent=2))
         return EXIT_OPERATOR_ERROR
 
     summary = {

@@ -101,11 +101,8 @@ def verify_contraction_sampled(
     argument tuple, ``F(x)``.  Pairs failing the order precondition are
     rejected before any operator evaluation and reported separately.  The
     accepted pairs are then evaluated in one batch (``engine._images``)
-    whose elements are their tuples laid end to end, x then z; an
-    evaluation failure raises ``engine.OperatorEvaluationError``, whose
-    ``component`` is the failing image (1-based, x then z of each accepted
-    pair in turn) for a per-tuple callable and the failing element of that
-    layout, 1-based, for a batched operator.
+    whose elements are their tuples laid end to end, x then z, which an
+    ``engine.OperatorEvaluationError``'s ``component`` indexes.
     """
     from .engine import ProductOperator, _images  # engine imports this module
 

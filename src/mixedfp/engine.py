@@ -33,16 +33,25 @@ Leq = Callable[[object, object], bool]
 
 
 class OperatorEvaluationError(RuntimeError):
-    """Operator evaluation failed; carries a 1-based ``component``: the
-    failing row of the argument table on the per-row path, the failing
-    argument (the cause's ``component``, None when it names none) on a
-    batched evaluation.  ``iterate_step`` and the sampled checks say what
-    these index for them."""
+    """Operator evaluation failed; ``cause`` is the exception raised.
 
-    def __init__(self, component: Optional[int], cause: BaseException):
-        self.component = component
+    One meaning on both evaluation paths: ``component`` is the failing
+    element of the batch's elements ``x`` (1-based, see ``ProductOperator``)
+    and ``node`` the failing node, both read from the cause's attributes of
+    those names and None when it names none (a non-finite integrand names
+    neither).  On the per-tuple path the cause names a position in the
+    failing row, mapped to ``x`` through that row.  With one failing element
+    both paths name it; with several they may name different ones.  For a
+    sweep ``x`` is the iterate; the sampled checks say how they lay out
+    theirs.
+    """
+
+    def __init__(self, cause: BaseException, row: Optional[Sequence[int]] = None):
+        c = getattr(cause, "component", None)
+        self.component = c if c is None or row is None else int(row[c - 1])
+        self.node = getattr(cause, "node", None)
         self.cause = cause
-        where = "" if component is None else f" at component {component}"
+        where = "" if self.component is None else f" at component {self.component}"
         super().__init__(f"operator failed{where}: {cause}")
 
 
@@ -57,8 +66,10 @@ class ProductOperator:
     ``batch(rows, x)`` takes a 1-based (R, k) index table ``rows`` and a
     sequence ``x`` of any number of base elements, and returns the R values
     ``apply(x[r_1 - 1], ..., x[r_k - 1])``, one per row (r_1..r_k).  An
-    exception it raises may name the failing argument, a 1-based index into
-    ``x``, in a ``component`` attribute.  A Jacobi sweep is the batch
+    exception may name the failing argument in a ``component`` attribute, a
+    1-based index into ``x`` when ``batch`` raises it and a position among
+    the arguments when ``apply`` does, and the failing node in ``node``
+    (``OperatorEvaluationError``).  A Jacobi sweep is the batch
     ``rows = upsilon.sigmas``; the sampled checks batch all their tuples.
     """
 
@@ -123,31 +134,26 @@ class NonConvergenceError(RuntimeError):
 def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence) -> Sequence:
     """F at the argument tuples (x[r_1 - 1], ..., x[r_k - 1]), one per row
     of the 1-based index table ``rows``: one ``F.batch`` call when the
-    operator has one, else one ``F.apply`` call per row.
-
-    A failure raises OperatorEvaluationError whose component is the failing
-    row (1-based) on the per-row path and, on the batched path, the failing
-    argument the cause names, a 1-based index into ``x``.
-    """
+    operator has one, else one ``F.apply`` call per row.  A failure raises
+    OperatorEvaluationError."""
     if F.batch is not None:
         try:
             return F.batch(rows, x)
-        except Exception as exc:  # attach the failing argument, if named
-            raise OperatorEvaluationError(getattr(exc, "component", None), exc) from exc
+        except Exception as exc:
+            raise OperatorEvaluationError(exc) from exc
     out = []
-    for r, row in enumerate(rows, start=1):
+    for row in rows:
         try:
             out.append(F.apply(*(x[j - 1] for j in row)))
-        except Exception as exc:  # attach the failing row
-            raise OperatorEvaluationError(r, exc) from exc
+        except Exception as exc:
+            raise OperatorEvaluationError(exc, row) from exc
     return out
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
     """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i, as one
-    batch of the k rows sigma_i.  An OperatorEvaluationError names the
-    sweep row on the per-row path and the failing component of ``x`` on the
-    batched one."""
+    batch of the k rows sigma_i over the elements ``x``
+    (``OperatorEvaluationError``)."""
     k = upsilon.partition.k
     if len(x) != k or F.k != k:
         raise ValueError("dimension mismatch between operator, tuple and point")
@@ -170,11 +176,8 @@ def check_mixed_monotone_sampled(
     All 2 * len(samples) images are evaluated in one batch (``_images``),
     after every sample has been validated.  The batch's elements are the
     samples laid end to end, each as its base point with ``low`` in
-    coordinate j, then ``high``: k + 1 elements per sample.  An evaluation
-    failure raises OperatorEvaluationError; its ``component`` is the failing
-    image, 1-based in the order (sample 1 low, sample 1 high, sample 2
-    low, ...), on the per-row path, and the failing element of that layout,
-    1-based, on the batched path.
+    coordinate j, then ``high``: k + 1 elements per sample, which an
+    OperatorEvaluationError's ``component`` indexes.
     """
     k = partition.k
     elements, rows = [], []

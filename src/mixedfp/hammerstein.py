@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import ProductOperator
+from .engine import ProductOperator, iterate_step
 from .funcspace import (
     Grid,
     GridFunction,
@@ -229,12 +229,6 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     return out
 
 
-def _batch(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> Tuple[GridFunction, ...]:
-    """The images at the argument tuples of the 1-based table ``rows``, as
-    grid functions (``_integrals``)."""
-    return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))
-
-
 def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
     """Evaluate the product operator at a 2m-tuple of grid functions:
     int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation nodes.
@@ -262,11 +256,10 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     k transferred rows, k calls and one matvec where k ``apply`` calls cost
     k^2 rows, k^2 calls of length nq and k matvecs.
     """
-    return ProductOperator(
-        problem.k,
-        lambda *x: apply_A(problem, x),
-        lambda rows, x: _batch(problem, rows, x),
-    )
+    def batch(rows, x):
+        return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))
+
+    return ProductOperator(problem.k, lambda *x: apply_A(problem, x), batch)
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
@@ -345,14 +338,13 @@ def check_assumption_e(
     ``tol`` (u <= v + tol, as ``funcspace.pointwise_leq``).
 
     H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
-    are the first Jacobi sweep from y0, evaluated as one batch kernel call,
-    and this is ``engine.solve``'s starting-point condition on its first
-    sweep, read node by node.
+    are the first Jacobi sweep from y0 (``engine.iterate_step``), and this is
+    ``engine.solve``'s starting-point condition on its first sweep, read
+    node by node; an evaluation failure raises the same
+    OperatorEvaluationError as that sweep.
     """
-    if len(y0) != problem.k:
-        raise ValueError(f"expected {problem.k} components, got {len(y0)}")
     upsilon = cyclic_shift_upsilon(problem.m)
-    h_functions = _batch(problem, upsilon.sigmas, y0)
+    h_functions = iterate_step(product_operator(problem), upsilon, y0)
     failures: List[tuple] = []
     for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
         lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)

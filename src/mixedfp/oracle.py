@@ -299,17 +299,10 @@ def random_instance(k: int, n: int, rng: np.random.Generator):
 def _monotone_table(space: FiniteSpace, rng: np.random.Generator, increasing: bool):
     """A self-map respecting the order (x <= y implies g(x) <= g(y) for the
     increasing flavor, reversed otherwise), built by random trial."""
-    n = space.n
+    n, L = space.n, space.leq
     for _ in range(64):
         g = rng.integers(0, n, size=n)
-        ok = True
-        for x in range(n):
-            for y in range(n):
-                if space.le(x, y):
-                    if increasing and not space.le(int(g[x]), int(g[y])):
-                        ok = False
-                    if not increasing and not space.le(int(g[y]), int(g[x])):
-                        ok = False
-        if ok:
+        image = L[np.ix_(g, g)]  # image[x, y] iff g(x) <= g(y)
+        if (~L | (image if increasing else image.T)).all():
             return [int(v) for v in g]
     return [0] * n  # constant fallback always monotone

@@ -30,6 +30,11 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(mixedfp.__file__).resolve().parents[1]
 
 
+def reject_constant(name):
+    """A ``parse_constant`` hook: strict JSON has no Infinity or NaN."""
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def write_config(tmp_path, **overrides):
     cfg = dict(overrides)
     path = tmp_path / "config.json"
@@ -166,7 +171,9 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == EXIT_OPERATOR_ERROR
-        assert result.stdout == ""
+        assert json.loads(result.stdout, parse_constant=reject_constant) == {"operator_error": {
+            "component": None, "node": None,
+            "message": "operator failed: non-finite integrand encountered"}}
         assert result.stderr.startswith("operator error:")
         assert "non-finite integrand" in result.stderr
         assert "Traceback" not in result.stderr
@@ -403,3 +410,18 @@ class TestCustomDomainFloor:
         assert "mixed_monotone_error" in json.loads(capsys.readouterr().out)
         assert main(["solve", "--config", cfg, "--out", out, "--force"]) == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_reports_are_strict_json(self, tmp_path, capsys):
+        # NaN increments below x = 0 have an infinite assumption-D excess,
+        # written as null in check's stdout and in solve --force's report
+        cfg = str(DATA / "negative_floor.json")
+        assert main(["check", "--config", cfg]) == EXIT_CHECK_FAILED
+        checked = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--force"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+        assert report["check"] == checked
+        excesses = [v[-1] for v in checked["assumption_d_violations"]]
+        assert None in excesses
+        assert all(e is None or math.isfinite(e) for e in excesses)
+        assert set(checked["mixed_monotone_error"]) == {"component", "node", "message"}

@@ -32,6 +32,7 @@ class TestIterateStep:
         assert iterate_step(MIDPOINT, ID_SWAP, (0.5, 0.5)) == (0.5, 0.5)
 
     def test_failure_carries_component(self):
+        # a cause that names no argument gives neither component nor node
         def bad(a, b):
             if b == 1.0:
                 raise RuntimeError("boom")
@@ -39,7 +40,23 @@ class TestIterateStep:
 
         with pytest.raises(OperatorEvaluationError) as exc:
             iterate_step(ProductOperator(2, bad), ID_SWAP, (0.0, 1.0))
-        assert exc.value.component == 1
+        assert exc.value.component is None and exc.value.node is None
+        assert str(exc.value) == "operator failed: boom"
+
+    def test_per_row_failure_maps_the_named_position_through_the_row(self):
+        class ArgumentError(ValueError):
+            component, node = 1, 0.25  # the first argument of the row
+
+        def bad(a, b):
+            if a == 1.0:
+                raise ArgumentError("first argument is out of range")
+            return a
+
+        # row (1, 2) passes; row (2, 1) fails in its first argument, x_2
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(ProductOperator(2, bad), ID_SWAP, (0.0, 1.0))
+        assert (exc.value.component, exc.value.node) == (2, 0.25)
+        assert str(exc.value) == "operator failed at component 2: first argument is out of range"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

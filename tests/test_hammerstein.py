@@ -218,8 +218,11 @@ class TestApplyA:
         other = uniform_grid(2.0, 100).sample(lambda t: 2.0 * t)
         with pytest.raises(ValueError, match="grid mismatch"):
             apply_A(example22, (other, other))
-        with pytest.raises(ValueError, match="grid mismatch"):
+        # assumption E fails as the first sweep of a solve does
+        with pytest.raises(OperatorEvaluationError, match="grid mismatch") as exc:
             check_assumption_e(example22, (linear(example22, 2.0), other))
+        assert isinstance(exc.value.cause, ValueError)
+        assert (exc.value.component, exc.value.node) == (None, None)
 
     def test_one_component_off_the_problem_grid(self, example22):
         # each component is checked, not only the first
@@ -445,14 +448,14 @@ class TestBatchedChecks:
         ok = linear(p, 2.0)
         below = GridFunction(p.grid, np.full(p.grid.n, 0.5))
         # sample 2 substitutes a low value below the floor in coordinate 1;
-        # its elements are (below, ok, ok): element 4 of the batch
+        # its elements are (below, ok, ok): element 4 of the batch on both paths
         samples = [((ok, ok), 2, ok, linear(p, 3.0)), ((ok, ok), 1, below, ok)]
         partition = cyclic_shift_upsilon(1).partition
         F = product_operator(p)
-        for op, component in ((ProductOperator(p.k, F.apply), 3), (F, 4)):
+        for op in (ProductOperator(p.k, F.apply), F):
             with pytest.raises(OperatorEvaluationError) as exc:
                 check_mixed_monotone_sampled(op, partition, samples, pointwise_leq)
-            assert exc.value.component == component
+            assert (exc.value.component, exc.value.node) == (4, p.grid.nodes[0])
             assert isinstance(exc.value.cause, DomainFloorError)
 
     def test_contraction_check_is_one_batch_of_the_accepted_pairs(self, example22):
@@ -479,13 +482,59 @@ class TestBatchedChecks:
         p = _small_problem(domain_floor=0.0)
         zero = GridFunction(p.grid, np.zeros(p.grid.n))
         pairs = [((linear(p, 1.0), zero), (linear(p, 2.0), zero))]
-        # the per-tuple path names the failing image (x of pair 1); a
-        # non-finite integrand names no argument
-        for F, component in ((lambda x: apply_A(p, x), 1), (product_operator(p), None)):
+        # a non-finite integrand names no argument on either path
+        for F in (lambda x: apply_A(p, x), product_operator(p)):
             with pytest.raises(OperatorEvaluationError) as exc:
                 sampled_contraction(p, F, pairs)
-            assert exc.value.component == component
+            assert (exc.value.component, exc.value.node) == (None, None)
             assert isinstance(exc.value.cause, ArithmeticError)
+
+
+class TestOperatorFailureContract:
+    """One failing element gives one (component, node) on the per-tuple and
+    the batched path of every evaluation user: the element's 1-based index
+    in the user's batch and the failing node, or neither when the cause
+    names none."""
+
+    @staticmethod
+    def evaluate(user, p, op, bad):
+        """Run ``user`` with ``bad`` in coordinate 2 of one of its tuples."""
+        ok = [GridFunction(p.grid, p.grid.nodes + i) for i in range(p.k)]
+        ups = cyclic_shift_upsilon(p.m)
+        with_bad = list(ok)
+        with_bad[1] = bad
+        if user == "iterate_step":
+            iterate_step(op, ups, with_bad)
+        elif user == "check_mixed_monotone_sampled":
+            high = linear(p, 9.0)
+            samples = [(tuple(ok), 2, ok[1], high), (tuple(with_bad), 1, ok[0], high)]
+            check_mixed_monotone_sampled(op, ups.partition, samples, pointwise_leq)
+        else:
+            sampled_contraction(p, op, [(tuple(ok), tuple(ok)), (tuple(ok), tuple(with_bad))])
+
+    @pytest.mark.parametrize("fault", ["floor", "non-finite"])
+    @pytest.mark.parametrize("user, index", [
+        ("iterate_step", 2),
+        # k = 4: sample 1 takes elements 1..5, sample 2's point 6..9
+        ("check_mixed_monotone_sampled", 7),
+        # k = 4: pair 1 takes elements 1..8, pair 2's x 9..12 and its z 13..16
+        ("verify_contraction_sampled", 14),
+    ])
+    def test_one_failure_one_record_on_both_paths(self, user, index, fault):
+        p = mfold(_small_problem(domain_floor=0.0), 2)
+        if fault == "floor":
+            values = np.ones(p.grid.n)
+            values[4] = -0.5
+            cause, expected = DomainFloorError, (index, p.grid.nodes[4])
+        else:  # zero is on the floor, where -log(x) is infinite
+            values = np.zeros(p.grid.n)
+            cause, expected = ArithmeticError, (None, None)
+        F = product_operator(p)
+        for op in (ProductOperator(p.k, F.apply), F):
+            with pytest.raises(OperatorEvaluationError) as exc:
+                self.evaluate(user, p, op, GridFunction(p.grid, values))
+            assert (exc.value.component, exc.value.node) == expected
+            assert type(exc.value.cause) is cause
 
 
 class TestAssumptionD:

@@ -13,6 +13,8 @@ from mixedfp.engine import IterationConfig, ProductOperator, solve
 from mixedfp.oracle import (
     SIZE_GUARD,
     FiniteSpace,
+    _monotone_table,
+    _random_order,
     check_theorem_hypotheses,
     enumerate_fixed_points,
     random_instance,
@@ -272,3 +274,35 @@ class TestRandomizedEquivalence:
             )
             assert sol.fixed_point == report.fixed_points[0]
         assert passed == 120
+
+
+def looped_monotone_table(space, rng, increasing):
+    """Reference for ``oracle._monotone_table``: the same random trials,
+    each candidate checked pair by pair."""
+    n = space.n
+    for _ in range(64):
+        g = rng.integers(0, n, size=n)
+        if all(space.le(int(g[x]), int(g[y])) if increasing else space.le(int(g[y]), int(g[x]))
+               for x in range(n) for y in range(n) if space.le(x, y)):
+            return [int(v) for v in g]
+    return [0] * n
+
+
+class TestMonotoneTable:
+    @pytest.mark.parametrize("increasing", [True, False])
+    def test_matches_the_looped_reference(self, increasing):
+        rng = np.random.default_rng(7)
+        accepted = 0
+        for n in (1, 2, 3, 4, 6):
+            idx = np.arange(n)
+            for _ in range(30):
+                space = FiniteSpace(tuple(map(str, idx)), np.abs(idx[:, None] - idx[None, :]),
+                                    _random_order(n, rng))
+                seed = int(rng.integers(2 ** 32))
+                fast, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+                table = _monotone_table(space, fast, increasing)
+                assert table == looped_monotone_table(space, looped, increasing)
+                # the same number of draws, so the instance stream is unchanged
+                assert fast.integers(2 ** 32) == looped.integers(2 ** 32)
+                accepted += len(set(table)) > 1  # not the constant fallback
+        assert accepted >= 20
