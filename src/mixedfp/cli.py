@@ -10,14 +10,13 @@ operator failure is written as one record, ``{component, node, message}``
 verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
 check report, which fails the check (exit 1; ``solve --force`` goes on).
 
-One order slack, ORDER_SLACK, compares grid functions in every check and in
-solve, so assumption E and solve's start check are one predicate on one
-first sweep.
+One order slack, ``funcspace.ORDER_SLACK``, compares grid functions in
+every check and in solve, so assumption E and solve's start check are one
+predicate on one first sweep.
 """
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import math
@@ -46,9 +45,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_OPERATOR_ERROR = 4
-
-ORDER_SLACK = 1e-12
-_leq = functools.partial(pointwise_leq, tol=ORDER_SLACK)
 
 # The largest array a problem allocates is its weighted kernel, one float64
 # per (grid node, quadrature node).  build_problem refuses a config whose
@@ -160,7 +156,7 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
         raise ConfigError(f"unknown problem kind {kind!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
@@ -177,7 +173,7 @@ def _iteration_config(cfg) -> IterationConfig:
             tol_residual=float(tols["residual"]),
             max_iters=int(cfg["max_iters"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
@@ -191,7 +187,7 @@ def _run_checks(problem, x0) -> dict:
     d_report = hs.check_assumption_d(problem, pairs, s_samples)
     e_error = mono_error = None
     try:
-        e_failures = hs.check_assumption_e(problem, x0, ORDER_SLACK).failures
+        e_failures = hs.check_assumption_e(problem, x0).failures
     except OperatorEvaluationError as exc:
         # the start tuple cannot be evaluated: a failed check, not a crash
         e_failures, e_error = (), _operator_error(exc)
@@ -199,7 +195,7 @@ def _run_checks(problem, x0) -> dict:
     upsilon = cyclic_shift_upsilon(problem.m)
     try:
         violations = check_mixed_monotone_sampled(
-            hs.product_operator(problem), upsilon.partition, mono, _leq,
+            hs.product_operator(problem), upsilon.partition, mono, pointwise_leq,
         )
     except OperatorEvaluationError as exc:
         violations, mono_error = [], _operator_error(exc)
@@ -249,32 +245,25 @@ def _random_ordered_pairs(problem, rng, count):
 
     Half the pairs use constant functions with scalar gaps (these reach the
     extreme separations where a broken nonlinearity actually leaves the
-    contraction band); the first pair spans the full range.
+    contraction band); the first pair spans the full range.  A later pair
+    scales one ``rng.random`` array, row i the values then the gaps of
+    component i, as ``rng.uniform`` would.
     """
-    t = problem.grid.nodes
-    ones = np.ones_like(t)
-    lo = problem.domain_floor
-    hi = lo + 9.0
+    k, ones = problem.k, np.ones_like(problem.grid.nodes)
+    lo, hi = problem.domain_floor, problem.domain_floor + 9.0
+    in_a = (np.arange(k) % 2 == 0)[:, None]  # A block: x_i <= z_i, B block: x_i >= z_i
     pairs = []
     for idx in range(count):
-        x, z = [], []
-        for i in range(1, problem.k + 1):
-            if idx == 0:
-                a, gap = lo * ones, (hi - lo) * ones
-            elif idx % 2 == 0:
-                base = rng.uniform(lo, hi)
-                a = base * ones
-                gap = rng.uniform(0.0, hi - base) * ones
-            else:
-                a = rng.uniform(lo, hi - 1.0, size=t.size)
-                gap = rng.uniform(0.0, hi - np.max(a), size=t.size)
-            if i % 2 == 1:  # A block: x_i <= z_i
-                x.append(GridFunction(problem.grid, a))
-                z.append(GridFunction(problem.grid, a + gap))
-            else:           # B block: x_i >= z_i
-                x.append(GridFunction(problem.grid, a + gap))
-                z.append(GridFunction(problem.grid, a))
-        pairs.append((tuple(x), tuple(z)))
+        if idx == 0:
+            a, gap = np.full((k, 1), lo), np.full((k, 1), hi - lo)
+        else:
+            functions = idx % 2 == 1
+            u = rng.random((k, 2, ones.size if functions else 1))
+            a = lo + ((hi - 1.0 if functions else hi) - lo) * u[:, 0]
+            gap = (hi - a.max(axis=1, keepdims=True)) * u[:, 1]
+        a, b = a * ones, (a + gap) * ones
+        x, z = np.where(in_a, a, b), np.where(in_a, b, a)
+        pairs.append(tuple(tuple(GridFunction(problem.grid, v) for v in w) for w in (x, z)))
     return pairs
 
 
@@ -291,7 +280,10 @@ def cmd_solve(args) -> int:
     problem = build_problem(cfg)
     config = _iteration_config(cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at --out or above it
+        raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
 
     x0 = _start_tuple(problem, float(cfg["alpha"]))
     check_report = _run_checks(problem, x0)
@@ -306,7 +298,7 @@ def cmd_solve(args) -> int:
     try:
         report = solve(
             hs.product_operator(problem), upsilon, x0, config, triple,
-            dist=sup_metric, leq=_leq, skip_initial_check=args.force,
+            dist=sup_metric, leq=pointwise_leq, skip_initial_check=args.force,
         )
         status = EXIT_OK
     except NonConvergenceError as exc:
@@ -342,6 +334,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
     problem = build_problem(cfg)
     rng = np.random.default_rng(args.seed)
@@ -358,11 +352,11 @@ def cmd_verify(args) -> int:
             triple,
             dist=sup_metric,
             dist_k=lambda x, z: max_metric(x, z, sup_metric),
-            ordered=lambda x, z: product_leq(x, z, partition, _leq),
+            ordered=lambda x, z: product_leq(x, z, partition, pointwise_leq),
             tol_slack=1e-8,
         )
         mono_violations = check_mixed_monotone_sampled(
-            F, partition, _monotone_samples(problem, rng, 50), _leq,
+            F, partition, _monotone_samples(problem, rng, 50), pointwise_leq,
         )
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)

@@ -98,7 +98,7 @@ class IterationConfig:
 @dataclass(frozen=True)
 class IterationReport:
     iterations: int
-    residual_history: Tuple[Tuple[float, ...], ...]
+    step_history: Tuple[float, ...]  # per sweep: its largest residual, NaN if any is
     spread_history: Tuple[float, ...]
     monotone_ok: bool
     collapsed: bool
@@ -106,13 +106,8 @@ class IterationReport:
     fixed_point: tuple
 
     @property
-    def step_history(self) -> Tuple[float, ...]:
-        """The step d_k of each sweep: the largest of its residuals."""
-        return tuple(max(res) for res in self.residual_history)
-
-    @property
     def final_residual(self) -> float:
-        return max(self.residual_history[-1])
+        return self.step_history[-1]
 
     @property
     def final_spread(self) -> float:
@@ -240,14 +235,14 @@ def solve(
         triple.warn_if_undeclared()
 
     x = tuple(x0)
-    residuals: List[Tuple[float, ...]] = []
+    steps: List[float] = []
     spreads: List[float] = []
     monotone_ok = True
 
     def report(iterations: int, converged: bool, collapsed: bool = False) -> IterationReport:
         return IterationReport(
             iterations=iterations,
-            residual_history=tuple(residuals),
+            step_history=tuple(steps),
             spread_history=tuple(spreads),
             monotone_ok=monotone_ok,
             collapsed=collapsed,
@@ -263,14 +258,14 @@ def solve(
                 f"starting point fails the initial-order condition; "
                 f"per-component: {ordered}"
             )
-        res = tuple(dist(xi, yi) for xi, yi in zip(x, y))
-        d = max(res)
-        residuals.append(res)
+        res = [dist(xi, yi) for xi, yi in zip(x, y)]
+        d = math.nan if any(map(math.isnan, res)) else max(res)
+        steps.append(d)
         spreads.append(_spread(x, dist))
 
         # no later sweep can recover from a NaN or infinite step, and
         # `d <= tol` is never true for NaN
-        if not all(math.isfinite(r) for r in res):
+        if not math.isfinite(d):
             log.warning("non-finite step at sweep %d; stopping", it + 1)
             raise NonConvergenceError(report(it + 1, converged=False))
 
@@ -303,8 +298,6 @@ def majorant_for(report: IterationReport, triple: ContractionTriple) -> List[flo
 def trace_csv(report: IterationReport) -> str:
     """Per-iteration trace: `iter,step_dk,max_residual,collapsed_spread`."""
     lines = ["iter,step_dk,max_residual,collapsed_spread"]
-    for i, (s, res, sp) in enumerate(
-        zip(report.step_history, report.residual_history, report.spread_history)
-    ):
-        lines.append(f"{i},{s:.17g},{max(res):.17g},{sp:.17g}")
+    for i, (s, sp) in enumerate(zip(report.step_history, report.spread_history)):
+        lines.append(f"{i},{s:.17g},{s:.17g},{sp:.17g}")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ __all__ = [
     "make_quadrature",
     "integrate",
     "sup_metric",
+    "ORDER_SLACK",
     "pointwise_leq",
     "interpolate",
     "load_csv",
@@ -86,8 +87,12 @@ def sup_metric(u: GridFunction, v: GridFunction) -> float:
     return float(np.abs(u.values - v.values).max())
 
 
-def pointwise_leq(u: GridFunction, v: GridFunction, tol: float = 0.0) -> bool:
-    """u <= v nodewise, with nonnegative slack tol (default exact)."""
+# The package's one order slack: u <= v means u_j <= v_j + ORDER_SLACK at every node.
+ORDER_SLACK = 1e-12
+
+
+def pointwise_leq(u: GridFunction, v: GridFunction, tol: float = ORDER_SLACK) -> bool:
+    """u <= v nodewise, up to the nonnegative slack tol."""
     _check_same_grid(u.grid, v.grid)
     return bool((u.values <= v.values + tol).all())
 

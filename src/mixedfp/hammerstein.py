@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import ProductOperator, iterate_step
 from .funcspace import (
+    ORDER_SLACK,
     Grid,
     GridFunction,
     PchipPlan,
@@ -156,11 +157,10 @@ class HammersteinProblem:
         return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
 
 
-def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, slack: float,
-                 first: int = 0):
+def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int = 0):
     """Raise DomainFloorError at the first row of ``values``, then the first
-    node, lying below ``floor - slack``; row i is component first + i + 1."""
-    bad = values < floor - slack
+    node, lying below ``floor - ORDER_SLACK``; row i is component first + i + 1."""
+    bad = values < floor - ORDER_SLACK
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
@@ -184,12 +184,13 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     Each component is checked against the floor and transferred once, to
     one (c, nq) array, by the problem's cached PCHIP plan in applies of at
     most _BLOCK_ELEMENTS // nq components, each apply's components stacked
-    and checked just before it (so no (c, n) stack is held); a floor check
-    on the transferred values follows.  A DomainFloorError names the
-    argument, a 1-based index into ``x``, not the row.  The rows then run
-    in blocks of B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows
-    (``problem._block_rows``), one kernel call each, so a sweep (k rows) is
-    one call and S check tuples cost ceil(S / B) calls.  A call of b rows
+    and checked just before it (so no (c, n) stack is held; PCHIP stays
+    within each interval's node values, so the transferred values need no
+    check).  A DomainFloorError names the argument, a 1-based index into
+    ``x``, not the row.  The rows then run in blocks of
+    B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows (``problem._block_rows``),
+    one kernel call each, so a sweep (k rows) is one call and S check
+    tuples cost ceil(S / B) calls.  A call of b rows
     gathers its arguments from the transferred array and calls each f_j
     once, on the b argument rows laid end to end (1-D arrays of length
     b*nq, so the array contract holds and a scalar return broadcasts); its
@@ -205,10 +206,8 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     chunk = max(1, _BLOCK_ELEMENTS // nq)
     for start in range(0, len(x), chunk):
         values = np.stack([xi.values for xi in x[start:start + chunk]])
-        _check_floor(values, problem.grid.nodes, floor, 1e-12, start)
+        _check_floor(values, problem.grid.nodes, floor, start)
         vals[start:start + chunk] = problem._transfer.apply(values)
-    # interpolation cannot overshoot monotone data, but guard anyway
-    _check_floor(vals, s_nodes, floor, 1e-9)
     block = problem._block_rows
     out = np.empty((table.shape[0], problem.grid.n))
     s = np.tile(s_nodes, min(block, table.shape[0]))
@@ -283,36 +282,44 @@ def check_assumption_d(
     problem: HammersteinProblem,
     value_pairs: Sequence[Tuple[float, float]],
     s_samples: Sequence[float],
-    tol: float = 1e-12,
 ) -> AssumptionDReport:
     """Sampled check of the alternating log-increment bands and the eta cap.
 
     value_pairs are ordered (x, y) with y >= x >= domain_floor; every
-    nonlinearity is tested at every (s, x, y) combination.  A non-finite
+    nonlinearity is tested at every (s, x, y) combination, up to
+    ORDER_SLACK, and the violations are listed by pair, then s, then
+    nonlinearity.  Each nonlinearity is called once, on the arrays of every
+    (s, y) and then every (s, x) combination laid end to end.  A non-finite
     increment (a nonlinearity undefined there) is a violation with excess
     inf.
     """
-    violations: List[tuple] = []
     for x, y in value_pairs:
         if y < x or x < problem.domain_floor:
             raise ValueError(f"bad value pair ({x}, {y})")
-        band = math.log1p(y - x)
-        for s in s_samples:
-            if not 1.0 <= s <= problem.T:
-                raise ValueError(f"s sample {s} outside [1, T]")
-            for i, fi in enumerate(problem.nonlinearities, start=1):
-                with np.errstate(all="ignore"):
-                    diff = fi(s, y) - fi(s, x)
-                eta = problem.etas[i - 1]
-                if i % 2 == 1:
-                    lo, hi = 0.0, eta * band
-                else:
-                    lo, hi = -eta * band, 0.0
-                if not math.isfinite(diff):
-                    violations.append((i, s, x, y, math.inf))
-                elif diff < lo - tol or diff > hi + tol:
-                    excess = max(lo - diff, diff - hi)
-                    violations.append((i, s, x, y, excess))
+    for s in s_samples:
+        if not 1.0 <= s <= problem.T:
+            raise ValueError(f"s sample {s} outside [1, T]")
+    pairs, n_s = np.array(value_pairs, dtype=float).reshape(-1, 2), len(s_samples)
+    ss = np.tile(np.asarray(s_samples, dtype=float), len(pairs))
+    xs, ys = pairs.repeat(n_s, axis=0).T
+    # eta_i * log(1 + y - x), shape (k, pairs * n_s), with math.log1p (numpy's
+    # may differ by an ulp)
+    bands = np.repeat([math.log1p(y - x) for x, y in pairs], n_s)
+    caps = np.asarray(problem.etas)[:, None] * bands
+    odd = (np.arange(problem.k) % 2 == 0)[:, None]  # f_1, f_3, ...: nondecreasing
+    lo, hi = np.where(odd, 0.0, -caps), np.where(odd, caps, 0.0)
+    diffs = np.empty_like(caps)
+    with np.errstate(all="ignore"):
+        for i, fi in enumerate(problem.nonlinearities):
+            fy, fx = _node_array_output(f"nonlinearity {i + 1}", fi, (2 * ss.size,),
+                                        np.tile(ss, 2), np.concatenate([ys, xs])).reshape(2, -1)
+            diffs[i] = fy - fx
+        finite = np.isfinite(diffs)
+        bad = ~finite | (diffs < lo - ORDER_SLACK) | (diffs > hi + ORDER_SLACK)
+        excess = np.where(finite, np.maximum(lo - diffs, diffs - hi), np.inf)
+    # the transpose's nonzero runs over pair, then s, then nonlinearity
+    violations = [(int(i) + 1, float(ss[q]), float(xs[q]), float(ys[q]), float(excess[i, q]))
+                  for q, i in zip(*np.nonzero(bad.T))]
     bound = kernel_bound(problem)
     eta_ok = max(problem.etas) <= 1.0 / bound + 1e-8 if bound > 0 else True
     return AssumptionDReport(bound, eta_ok, tuple(violations))
@@ -331,11 +338,10 @@ class AssumptionEReport:
 def check_assumption_e(
     problem: HammersteinProblem,
     y0: Sequence[GridFunction],
-    tol: float = 1e-10,
 ) -> AssumptionEReport:
     """Starting-bracket condition: odd components sit below their comparison
-    integrals H_r, even components above, nodewise, up to the order slack
-    ``tol`` (u <= v + tol, as ``funcspace.pointwise_leq``).
+    integrals H_r, even components above, nodewise, up to ORDER_SLACK
+    (u <= v + ORDER_SLACK, as ``funcspace.pointwise_leq``).
 
     H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
     are the first Jacobi sweep from y0 (``engine.iterate_step``), and this is
@@ -348,7 +354,7 @@ def check_assumption_e(
     failures: List[tuple] = []
     for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
         lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)
-        failures.extend((r, int(j)) for j in np.nonzero(lo.values > hi.values + tol)[0])
+        failures.extend((r, int(j)) for j in np.nonzero(lo.values > hi.values + ORDER_SLACK)[0])
     return AssumptionEReport(h_functions, tuple(failures))
 
 

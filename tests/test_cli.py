@@ -144,6 +144,39 @@ class TestExitCodes:
         assert err.startswith("config error:") and message in err
         assert not out.exists()  # rejected before any output is written
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --seed must be nonnegative, got -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", [
+        '"max_iters": 1e400', '"grid": {"n": 1e400}', '"quadrature": {"panels": 1e400}',
+        '"quadrature": {"points": 1e400}',
+        '"m": 1e400, "problem": "custom", "kernel": "constant", '
+        '"nonlinearities": ["zero", "zero"], "forcing": "linear"',
+    ], ids=["max_iters", "grid.n", "quadrature.panels", "quadrature.points", "m"])
+    def test_infinite_integer_field_exits_2(self, tmp_path, capsys, field):
+        # JSON reads 1e400 as infinity, which int() cannot convert
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{" + field + "}")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "infinity" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
+    def test_out_on_a_file_exits_2_before_the_checks(self, tmp_path, capsys, below):
+        existing = tmp_path / "report.txt"
+        existing.write_text("kept")
+        out = existing / "run" if below else existing
+        assert main(["solve", "--out", str(out)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot create --out")
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and existing.read_text() == "kept"
+
     def test_forced_solve_below_floor_reports_operator_error(self, tmp_path, capsys):
         # at alpha = 1.01 the first sweep takes component 1 below the floor
         out = tmp_path / "out"

@@ -160,7 +160,7 @@ class TestSolve:
             dist=absdist, leq=realleq,
         )
         assert report.fixed_point == (0.5, 0.5)
-        assert report.residual_history[0] == (0.5, 0.5)
+        assert report.step_history[0] == 0.5
         assert report.converged and report.collapsed and report.monotone_ok
         assert report.final_residual == 0.0
 
@@ -199,6 +199,15 @@ class TestSolve:
         assert len(report.step_history) == 1 and math.isnan(report.step_history[0])
         assert report.fixed_point == (0.0, 1.0)
         assert not report.converged
+
+    def test_a_nan_residual_is_the_step(self):
+        # the step is NaN when any residual is, wherever it lies among them
+        op = ProductOperator(2, lambda a, b: float("nan") if a == 1.0 else a)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve(op, ID_SWAP, (0.0, 1.0), IterationConfig(), builtin_log_triple(),
+                  dist=absdist, leq=realleq, skip_initial_check=True)
+        assert len(exc.value.report.step_history) == 1
+        assert math.isnan(exc.value.report.final_residual)
 
     def test_deterministic(self):
         runs = [

@@ -253,6 +253,39 @@ class TestPchipTransfer:
         out = PchipPlan(grid, t).apply(values.T)
         assert np.array_equal(out.T, _scipy_transfer(grid, values, t))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "loaded"]),
+        st.sampled_from(["gauss-legendre", "simpson", "random"]),
+        st.integers(1, 8),
+    )
+    def test_stays_between_the_node_values_of_each_interval(self, seed, grid_kind, rule, k):
+        # the invariant that makes a floor check of transferred values
+        # redundant: every value lies between its interval's two node
+        # values, up to rounding
+        rng = np.random.default_rng(seed)
+        T = float(rng.uniform(1.5, 12.0))
+        n_intervals = int(rng.integers(8, 200))
+        if grid_kind == "uniform":
+            grid = uniform_grid(T, n_intervals)
+        else:
+            inner = np.unique(rng.uniform(1.0, T, n_intervals - 1))
+            grid = Grid(T, np.concatenate([[1.0], inner, [T]]), kind="loaded")
+        if rule == "random":
+            t = rng.uniform(1.0, T, int(rng.integers(1, 400)))
+        else:
+            t = make_quadrature(rule, T, int(rng.integers(1, 40)), 2 * int(rng.integers(1, 9))).nodes
+        kinds = rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)
+        y = np.stack([_column(rng, kind, grid.n) for kind in kinds])
+        out = PchipPlan(grid, t).apply(y)
+        x = grid.nodes
+        idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        lo = np.minimum(y[:, idx], y[:, idx + 1])
+        hi = np.maximum(y[:, idx], y[:, idx + 1])
+        slack = 16 * np.finfo(float).eps * np.abs(y).max(axis=1, keepdims=True)
+        assert (out >= lo - slack).all() and (out <= hi + slack).all()
+
     def test_end_slope_branches(self):
         # columns whose one-sided end slopes take scipy's three branches:
         # the three-point estimate, zero (wrong sign) and 3 * m0 (overshoot)

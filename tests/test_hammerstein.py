@@ -537,7 +537,63 @@ class TestOperatorFailureContract:
             assert type(exc.value.cause) is cause
 
 
+def looped_assumption_d(problem, value_pairs, s_samples, slack=1e-12):
+    """The violations of assumption D found one point at a time, in the
+    order pair, s, nonlinearity: the reference for the array check."""
+    violations = []
+    for x, y in value_pairs:
+        band = math.log1p(y - x)
+        for s in s_samples:
+            for i, fi in enumerate(problem.nonlinearities, start=1):
+                with np.errstate(all="ignore"):
+                    diff = fi(s, y) - fi(s, x)
+                eta = problem.etas[i - 1]
+                lo, hi = (0.0, eta * band) if i % 2 == 1 else (-eta * band, 0.0)
+                if not math.isfinite(diff):
+                    violations.append((i, s, x, y, math.inf))
+                elif diff < lo - slack or diff > hi + slack:
+                    violations.append((i, s, x, y, max(lo - diff, diff - hi)))
+    return violations
+
+
 class TestAssumptionD:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", ["example", "m=2", "negative floor", "steep"])
+    def test_matches_the_looped_reference(self, example22, case, seed):
+        problem = {
+            "example": example22,
+            "m=2": mfold(example22, 2),
+            "negative floor": _small_problem(domain_floor=-5.0),
+            "steep": _small_problem(nonlinearities=(lambda s, x: 2.0 * x,
+                                                    lambda s, x: -np.sqrt(x))),
+        }[case]
+        rng = np.random.default_rng(seed)
+        lows = problem.domain_floor + rng.uniform(0.0, 6.0, 12)
+        highs = lows + rng.uniform(0.0, 4.0, 12) * rng.integers(0, 2, 12)
+        pairs = [(float(x), float(y)) for x, y in zip(lows, highs)]
+        pairs.append((problem.domain_floor, problem.domain_floor))
+        s_samples = [float(s) for s in rng.uniform(1.0, problem.T, 5)] + [1.0, problem.T]
+        report = check_assumption_d(problem, pairs, s_samples)
+        expected = looped_assumption_d(problem, pairs, s_samples)
+        assert list(report.violations) == expected
+        if case in ("negative floor", "steep"):
+            assert expected
+        for v in report.violations:
+            assert all(type(c) in (int, float) for c in v)
+
+    def test_array_only_nonlinearity(self):
+        # x.clip exists on arrays and numpy scalars, not on Python floats,
+        # so only a check that honours the array contract can evaluate it
+        fs = (lambda s, x: np.log(s + x.clip(1.0)), lambda s, x: -np.log(x.clip(1.0)))
+        p = _small_problem(nonlinearities=fs)
+        pairs, s_samples = [(1.0, 1.0), (1.0, 2.5), (2.0, 7.0)], [1.0, 1.5, 2.0]
+        with pytest.raises(AttributeError):
+            looped_assumption_d(p, pairs, s_samples)
+        report = check_assumption_d(p, pairs, s_samples)
+        assert report.violations == ()
+        scalars = [(np.float64(x), np.float64(y)) for x, y in pairs]
+        assert looped_assumption_d(p, scalars, [np.float64(s) for s in s_samples]) == []
+
     def test_example_passes(self, example22):
         pairs = [(1.0, 1.0), (1.0, 1.5), (2.0, 5.0), (1.25, 10.0)]
         report = check_assumption_d(example22, pairs, [1.0, 1.5, 2.0])
@@ -581,10 +637,22 @@ class TestAssumptionE:
 
     def test_exact_solution_self_consistent(self, example22):
         x = linear(example22, 2.0)
-        report = check_assumption_e(example22, (x, x), tol=1e-9)
-        assert report.passed
+        report = check_assumption_e(example22, (x, x))
         for h in report.h_functions:
             assert sup_metric(h, x) < 1e-9
+
+    def test_library_default_gives_the_cli_verdict(self):
+        # with zero nonlinearities H_r is the forcing 2t exactly, so the
+        # lower start 2t + 5e-11 sits above H_1 by a margin in (1e-12, 1e-10]
+        zero = lambda s, x: 0.0  # noqa: E731
+        p = _small_problem(nonlinearities=(zero, zero), forcing=lambda t: 2.0 * t)
+        h = 2.0 * p.grid.nodes
+        y0 = (GridFunction(p.grid, h + 5e-11), GridFunction(p.grid, h + 1.0))
+        margin = y0[0].values - h
+        assert 1e-12 < margin.min() and margin.max() <= 1e-10
+        report = check_assumption_e(p, y0)
+        assert report.failures == tuple((1, j) for j in range(p.grid.n))
+        assert cli._run_checks(p, y0)["assumption_e_failures"] == [list(f) for f in report.failures]
 
     def test_too_high_lower_start_fails(self, example22):
         y1 = linear(example22, 4.0)   # 2*alpha*t sits above H1
