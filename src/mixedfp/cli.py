@@ -1,10 +1,17 @@
 """Command-line front end: load a JSON problem config, run the assumption
 checks, the solver, or the sampled property suite.
 
-Exit codes: 0 success, 1 check/property failure, 2 config error (including
-a kernel above KERNEL_BYTES_GUARD), 3 non-convergence, 4 operator error (the
-operator could not be evaluated during a solve, e.g. a component below the
-domain floor under --force, or during verify's sampled checks).  Every
+Each subcommand takes ``--config``, ``--alpha`` and ``--T``; ``solve`` also
+takes ``--out`` and ``--force``, ``verify`` also ``--seed``.  A flag that a
+subcommand does not read is a usage error (exit 2).
+
+Exit codes: 0 success, 1 check/property failure (solve also writes its
+report.json), 2 config or usage error (including a kernel above
+KERNEL_BYTES_GUARD, an integer field that is not integral, a key that
+nothing reads, and any value the constructors of the problem, the iteration
+settings or the start bracket refuse), 3 non-convergence, 4 operator error
+(the operator could not be evaluated during a solve, e.g. a component below
+the domain floor under --force, or during verify's sampled checks).  Every
 operator failure is written as one record, ``{component, node, message}``
 (``_operator_error``): ``operator_error`` in solve's report.json and in
 verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
@@ -89,6 +96,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value, name) -> int:
+    """An integer config field, read as given: a bool, a string or a
+    non-integral number is refused, not truncated."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (OverflowError, TypeError, ValueError) as exc:  # int() of inf, NaN, None, ...
+        raise ValueError(f"{name} must be an integer, got {value!r} ({exc})") from exc
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _unread_keys(cfg) -> list:
+    """The config keys that nothing reads, as dotted names; the keys of a
+    custom problem's pieces are read only when "problem" is "custom"."""
+    custom = ("kernel", "nonlinearities", "forcing", "domain_floor")
+    read = {*DEFAULTS, *(custom if cfg["problem"] == "custom" else ())}
+    return [key for key in cfg if key not in read] + [
+        f"{key}.{sub}" for key, section in DEFAULTS.items() if isinstance(section, dict)
+        for sub in cfg[key] if sub not in section and f"{key}.{sub}" != "grid.kind"
+    ]
+
+
 def load_config(path, overrides) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path is not None:
@@ -116,12 +145,12 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
         alpha, T = float(cfg["alpha"]), float(cfg["T"])
         if not (np.isfinite(alpha) and np.isfinite(T)):
             raise ConfigError(f"alpha and T must be finite, got {alpha} and {T}")
-        n = int(cfg["grid"]["n"])
+        n = _integer(cfg["grid"]["n"], "grid.n")
         grid_kind = cfg["grid"].get("kind", "uniform")
         if grid_kind != "uniform":
             raise ConfigError(f"grid kind {grid_kind!r} is not supported, only 'uniform'")
-        panels = int(cfg["quadrature"]["panels"])
-        points = int(cfg["quadrature"]["points"])
+        panels = _integer(cfg["quadrature"]["panels"], "quadrature.panels")
+        points = _integer(cfg["quadrature"]["points"], "quadrature.points")
         # (n + 1) grid nodes by panels * points Gauss-Legendre nodes; at
         # least the grid itself when the quadrature is empty (rejected later)
         kernel_bytes = (n + 1) * max(panels * points, 1) * 8
@@ -130,15 +159,19 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
                 f"grid.n = {n} with {panels} x {points} quadrature nodes needs a "
                 f"{kernel_bytes} byte kernel, above the guard of {KERNEL_BYTES_GUARD} bytes"
             )
-        kind = cfg["problem"]
+        unread = _unread_keys(cfg)
+        if unread:
+            raise ConfigError(f"config keys that nothing reads: {', '.join(unread)}")
+        kind, m = cfg["problem"], _integer(cfg["m"], "m")
         if kind == "paper-example":
+            if m != 1:
+                raise ConfigError(f"the paper example has m = 1, got m = {m}")
             problem = hs.build_log_example(alpha, T, n, panels, points)
             etas = tuple(float(e) for e in cfg["eta"])
             if etas != problem.etas:
                 problem = dataclasses.replace(problem, etas=etas)
             return problem
         if kind == "custom":
-            m = int(cfg["m"])
             fs = tuple(
                 NONLINEARITIES[name](alpha, T) for name in cfg["nonlinearities"]
             )
@@ -161,7 +194,11 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
 
 
 def _start_tuple(problem, alpha):
-    lower, upper = hs.initial_bracket(problem, alpha)
+    try:
+        lower, upper = hs.initial_bracket(problem, alpha)
+    except ValueError as exc:  # alpha*t/2 or 3*alpha*t/2 is not finite
+        raise ConfigError(
+            f"no start bracket at alpha = {alpha} and T = {problem.T}: {exc}") from exc
     return tuple(lower if i % 2 == 0 else upper for i in range(problem.k))
 
 
@@ -171,7 +208,7 @@ def _iteration_config(cfg) -> IterationConfig:
         return IterationConfig(
             tol_step=float(tols["step"]),
             tol_residual=float(tols["residual"]),
-            max_iters=int(cfg["max_iters"]),
+            max_iters=_integer(cfg["max_iters"], "max_iters"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
@@ -279,17 +316,19 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
     problem = build_problem(cfg)
     config = _iteration_config(cfg)
+    x0 = _start_tuple(problem, float(cfg["alpha"]))
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at --out or above it
         raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
 
-    x0 = _start_tuple(problem, float(cfg["alpha"]))
     check_report = _run_checks(problem, x0)
     if not check_report["passed"]:
         if not args.force:
             print(json.dumps(check_report, indent=2))
+            payload = {"config": cfg, "converged": False, "check": check_report}
+            (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
             return EXIT_CHECK_FAILED
         log.warning("assumption checks failed; continuing under --force")
 
@@ -382,16 +421,17 @@ def main(argv=None) -> int:
         "multidimensional monotone fixed-point iteration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, fn in (("check", cmd_check), ("solve", cmd_solve), ("verify", cmd_verify)):
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON problem config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--force", action="store_true",
-                       help="run the solver even if checks fail")
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--T", type=float, default=None)
         p.set_defaults(handler=fn)
+    parsers["solve"].add_argument("--out", default="out", help="output directory")
+    parsers["solve"].add_argument("--force", action="store_true",
+                                  help="run the solver even if checks fail")
+    parsers["verify"].add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

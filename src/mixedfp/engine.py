@@ -89,8 +89,8 @@ class IterationConfig:
     max_iters: int = 100000
 
     def __post_init__(self):
-        if self.tol_step <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_step < math.inf and 0.0 < self.tol_residual < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

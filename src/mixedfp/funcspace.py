@@ -26,11 +26,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing nodes spanning [1, T], N >= 8 intervals."""
+    """At least 9 strictly increasing nodes in [1, T], T > 1; they need not
+    reach 1 or T, but a ``HammersteinProblem``'s grid must."""
 
     T: float
     nodes: np.ndarray
-    kind: str = "uniform"
 
     def __post_init__(self):
         if not self.T > 1.0:
@@ -39,14 +39,10 @@ class Grid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.size < 9:
             raise ValueError("grid needs at least 8 intervals")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not (np.diff(nodes) > 0.0).all():
             raise ValueError("grid nodes must be strictly increasing")
-        if self.kind == "uniform":
-            if nodes[0] != 1.0 or nodes[-1] != self.T:
-                raise ValueError("uniform grid must have endpoints 1 and T")
-        else:
-            if nodes[0] < 1.0 or nodes[-1] > self.T:
-                raise ValueError("grid nodes must lie in [1, T]")
+        if not (nodes[0] >= 1.0 and nodes[-1] <= self.T):
+            raise ValueError("grid nodes must lie in [1, T]")
 
     @property
     def n(self) -> int:
@@ -57,7 +53,7 @@ class Grid:
 
 
 def uniform_grid(T: float, n_intervals: int = 200) -> Grid:
-    return Grid(T, np.linspace(1.0, T, n_intervals + 1), "uniform")
+    return Grid(T, np.linspace(1.0, T, n_intervals + 1))
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ def interpolate(u: GridFunction, t):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights on [1, T]; weights must reproduce the constant 1."""
+    """Nodes in [1, T] and positive weights that sum to T - 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -206,8 +202,10 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape:
             raise ValueError("nodes/weights length mismatch")
-        if np.any(weights <= 0.0):
+        if not (weights > 0.0).all():
             raise ValueError("weights must be positive")
+        if not ((nodes >= 1.0) & (nodes <= self.T)).all():
+            raise ValueError(f"quadrature nodes must lie in [1, T], T = {self.T}")
         length = self.T - 1.0
         if abs(float(np.sum(weights)) - length) > 1e-12 * max(1.0, length):
             raise ValueError("weights do not sum to T - 1")
@@ -232,9 +230,10 @@ def make_quadrature(
         if not 2 <= points <= 16:
             raise ValueError("gauss-legendre points per panel must be in 2..16")
         xi, wi = leggauss(points)
-        for a, b in zip(edges[:-1], edges[1:]):
-            all_nodes.append((b - a) / 2.0 * xi + (a + b) / 2.0)
-            all_weights.append((b - a) / 2.0 * wi)
+        with np.errstate(over="ignore"):  # QuadratureRule refuses an infinite node
+            for a, b in zip(edges[:-1], edges[1:]):
+                all_nodes.append((b - a) / 2.0 * xi + (a + b) / 2.0)
+                all_weights.append((b - a) / 2.0 * wi)
     elif kind == "simpson":
         if points < 2 or points % 2 != 0:
             raise ValueError("simpson subinterval count must be even and >= 2")
@@ -273,4 +272,4 @@ def load_csv(path) -> GridFunction:
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("expected two columns t,value")
     t, v = data[:, 0], data[:, 1]
-    return GridFunction(Grid(float(t[-1]), t, kind="loaded"), v)
+    return GridFunction(Grid(float(t[-1]), t), v)

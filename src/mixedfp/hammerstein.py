@@ -96,7 +96,9 @@ class HammersteinProblem:
     and ``forcing(t)`` with t of shape (n,).  A scalar return broadcasts.
     Construction calls each piece once on the node arrays and raises
     ValueError, naming the piece, when its output cannot broadcast to that
-    shape.
+    shape.  It also raises ValueError unless the grid's nodes run from 1 to
+    T and the quadrature is a rule on [1, T], and for a non-finite
+    domain_floor or eta.
     """
 
     T: float
@@ -110,14 +112,16 @@ class HammersteinProblem:
     quadrature: QuadratureRule
 
     def __post_init__(self):
-        if not self.T > 1.0:
-            raise ValueError(f"T must exceed 1, got {self.T}")
+        if not (self.grid.nodes[0] == 1.0 and self.grid.nodes[-1] == self.T == self.quadrature.T):
+            raise ValueError(f"grid and quadrature must span [1, T], T = {self.T}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if len(self.nonlinearities) != 2 * self.m:
             raise ValueError(f"expected {2 * self.m} nonlinearities")
-        if len(self.etas) != 2 * self.m or any(e <= 0 for e in self.etas):
-            raise ValueError("need 2m positive eta constants")
+        if len(self.etas) != 2 * self.m or not all(0.0 < e < math.inf for e in self.etas):
+            raise ValueError("need 2m positive finite eta constants")
+        if not math.isfinite(self.domain_floor):
+            raise ValueError(f"domain_floor must be finite, got {self.domain_floor}")
         # assemble and check the kernel and evaluate the forcing now (both
         # cached), then probe each nonlinearity once
         self._weighted_kernel
@@ -401,12 +405,12 @@ def initial_bracket(problem: HammersteinProblem, alpha: float) -> Tuple[GridFunc
     starting-order condition should then be re-checked numerically.
     """
     t = problem.grid.nodes
-    lower = alpha * t / 2.0
+    with np.errstate(over="ignore"):  # GridFunction refuses an infinite start
+        lower, upper = alpha * t / 2.0, 3.0 * alpha * t / 2.0
     if lower[0] < problem.domain_floor:
         log.warning(
             "lower start alpha*t/2 dips below the floor %.6g near t=1; "
             "clamping to the floor", problem.domain_floor,
         )
         lower = np.maximum(lower, problem.domain_floor)
-    upper = 3.0 * alpha * t / 2.0
     return GridFunction(problem.grid, lower), GridFunction(problem.grid, upper)

@@ -74,25 +74,19 @@ class UpsilonTuple:
     """k index maps sigma_i: {1,...,k} -> {1,...,k}, stored 1-based.
 
     Maps for i in A must preserve the blocks (A->A, B->B); maps for i in B
-    must swap them (A->B, B->A).  Construct through ``validate_upsilon`` to
-    get membership checking; the constructor checks only totality/range.
+    must swap them (A->B, B->A).  Every instance is a member of Upsilon: the
+    constructor raises ValueError for maps that are not total on
+    {1,...,k} or leave it, and UpsilonMembershipError for maps that break
+    the block rules (``upsilon_violations``).
     """
 
     partition: Partition
     sigmas: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = self.partition.k
-        if len(self.sigmas) != k:
-            raise ValueError(f"expected {k} maps, got {len(self.sigmas)}")
-        for i, sigma in enumerate(self.sigmas, start=1):
-            if len(sigma) != k:
-                raise ValueError(f"sigma_{i} is not total on {{1,...,{k}}}")
-            for j, v in enumerate(sigma, start=1):
-                if not (1 <= v <= k):
-                    raise ValueError(
-                        f"sigma_{i}({j}) = {v} is outside {{1,...,{k}}}"
-                    )
+        violations = upsilon_violations(self.sigmas, self.partition)
+        if violations:
+            raise UpsilonMembershipError(violations)
 
     def sigma(self, i: int, j: int) -> int:
         """Value sigma_i(j), both arguments 1-based."""
@@ -132,11 +126,18 @@ def product_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> boo
 def upsilon_violations(sigmas, partition: Partition):
     """All (i, j) at which the block-membership rules fail.
 
-    Raises ValueError for structurally bad input (the checks of
-    ``UpsilonTuple``: non-total maps, values out of range); that is distinct
-    from a membership rejection.
+    Raises ValueError for structurally bad input (non-total maps, values out
+    of range); that is distinct from a membership rejection.
     """
-    UpsilonTuple(partition, tuple(tuple(s) for s in sigmas))
+    k = partition.k
+    if len(sigmas) != k:
+        raise ValueError(f"expected {k} maps, got {len(sigmas)}")
+    for i, sigma in enumerate(sigmas, start=1):
+        if len(sigma) != k:
+            raise ValueError(f"sigma_{i} is not total on {{1,...,{k}}}")
+        for j, v in enumerate(sigma, start=1):
+            if not (1 <= v <= k):
+                raise ValueError(f"sigma_{i}({j}) = {v} is outside {{1,...,{k}}}")
     a = partition.a
     # maps in A preserve the blocks, maps in B swap them
     return [
@@ -148,10 +149,8 @@ def upsilon_violations(sigmas, partition: Partition):
 
 
 def validate_upsilon(sigmas, partition: Partition) -> UpsilonTuple:
-    """Accept a candidate sigma tuple or raise UpsilonMembershipError."""
-    violations = upsilon_violations(sigmas, partition)
-    if violations:
-        raise UpsilonMembershipError(violations)
+    """Accept a candidate sigma tuple (any sequence of sequences) as an
+    ``UpsilonTuple``, or raise its constructor's errors."""
     return UpsilonTuple(partition, tuple(tuple(s) for s in sigmas))
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,106 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "above the guard" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--out", "x"], ["check", "--seed", "1"], ["check", "--force"],
+        ["solve", "--seed", "1"], ["verify", "--out", "x"], ["verify", "--force"],
+    ], ids=lambda argv: "_".join(argv[:2]))
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, field", [
+        ({"tolerances": {"step": math.nan}}, "tolerances"),
+        ({"tolerances": {"residual": math.inf}}, "tolerances"),
+        ({"eta": [math.nan, 1.0]}, "eta"),
+        ({"problem": "custom", "kernel": "constant", "forcing": "linear",
+          "nonlinearities": ["log-shift", "neg-log-product"], "domain_floor": math.nan},
+         "domain_floor"),
+    ], ids=["nan_step", "inf_residual", "nan_eta", "nan_floor"])
+    def test_non_finite_value_exits_2_without_a_sweep(
+            self, tmp_path, monkeypatch, capsys, config, field):
+        def no_operator(problem):
+            raise AssertionError("operator built despite the config error")
+
+        monkeypatch.setattr(cli.hs, "product_operator", no_operator)
+        cfg = write_config(tmp_path, **config)  # json writes NaN and Infinity
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"grid": {"n": 50.9}}, "grid.n"),
+        ({"grid": {"n": True}}, "grid.n"),
+        ({"grid": {"n": "50"}}, "grid.n"),
+        ({"grid": {"n": math.nan}}, "grid.n"),
+        ({"quadrature": {"panels": 32.5}}, "quadrature.panels"),
+        ({"quadrature": {"points": True}}, "quadrature.points"),
+        ({"m": 1.5}, "m"),
+        ({"max_iters": 10.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+    ], ids=["n_fraction", "n_bool", "n_string", "n_nan", "panels", "points", "m",
+            "max_iters", "max_iters_bool"])
+    def test_non_integral_integer_field_exits_2(self, tmp_path, capsys, config, field):
+        cfg = write_config(tmp_path, **config)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad config: {field} must be an integer, got ")
+        assert not out.exists()
+
+    def test_integral_float_is_read_as_its_integer(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, grid={"n": 50.0}), {})
+        assert build_problem(cfg).grid.n == 51
+
+    @pytest.mark.parametrize("config, key", [
+        ({"grid": {"N": 500}}, "grid.N"),
+        ({"tolerance": {"step": 1e-3}}, "tolerance"),
+        ({"quadrature": {"kind": "simpson"}}, "quadrature.kind"),
+        ({"kernel": "constant"}, "kernel"),
+        ({"nonlinearities": ["zero", "zero"]}, "nonlinearities"),
+        ({"forcing": "linear"}, "forcing"),
+        ({"domain_floor": 0.0}, "domain_floor"),
+    ], ids=["grid.N", "tolerance", "quadrature.kind", "kernel", "nonlinearities",
+            "forcing", "domain_floor"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_unread_key_exits_2(self, tmp_path, capsys, config, key, command):
+        cfg = write_config(tmp_path, **config)
+        argv = [command, "--config", cfg]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: config keys that nothing reads: {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_paper_example_refuses_m_other_than_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m=2)
+        assert main(["check", "--config", cfg]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: the paper example has m = 1, got m = 2\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"alpha": 1e308}, "no start bracket at alpha = 1e+308 and T = 2.0"),
+        ({"T": 8e307}, "no start bracket at alpha = 2.0 and T = 8e+307"),
+        # the Gauss nodes (a + b) / 2 of the last panel overflow first
+        ({"T": 1e308}, "quadrature nodes must lie in [1, T], T = 1e+308"),
+    ], ids=["alpha", "T_bracket", "T_quadrature"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_overflowing_start_bracket_exits_2(self, tmp_path, capsys, config, message, command):
+        cfg = write_config(tmp_path, **config)
+        argv = [command, "--config", cfg]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert main(argv) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error:") and message in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_uniform_grid_kind_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid={"kind": "uniform"})
         assert main(["check", "--config", cfg]) == EXIT_OK
@@ -332,7 +433,9 @@ def test_solve_does_not_import_scipy(tmp_path):
 def test_start_tuple_built_once(tmp_path, caplog, command):
     # at alpha < 2 the lower start is clamped to the floor, which logs once
     # per start tuple built
-    argv = [command, "--alpha", "1.5", "--T", "2", "--out", str(tmp_path / "out")]
+    argv = [command, "--alpha", "1.5", "--T", "2"]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
     with caplog.at_level("WARNING", logger="mixedfp.hammerstein"):
         assert main(argv) == EXIT_OK
     clamps = [r for r in caplog.records if "clamping to the floor" in r.getMessage()]
@@ -443,6 +546,15 @@ class TestCustomDomainFloor:
         assert "mixed_monotone_error" in json.loads(capsys.readouterr().out)
         assert main(["solve", "--config", cfg, "--out", out, "--force"]) == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_failed_checks_write_the_solve_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = str(DATA / "negative_floor.json")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        checked = json.loads(capsys.readouterr().out)
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+        assert report == {"config": load_config(cfg, {}), "converged": False, "check": checked}
+        assert sorted(path.name for path in out.iterdir()) == ["report.json"]
 
     def test_reports_are_strict_json(self, tmp_path, capsys):
         # NaN increments below x = 0 have an infinite assumption-D excess,

@@ -272,3 +272,9 @@ class TestConfigValidation:
             IterationConfig(tol_residual=-1.0)
         with pytest.raises(ValueError):
             IterationConfig(max_iters=0)
+
+    @pytest.mark.parametrize("field", ["tol_step", "tol_residual"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tolerances(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            IterationConfig(**{field: value})

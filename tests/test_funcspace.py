@@ -45,6 +45,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             uniform_grid(1.0, 10)
 
+    def test_nodes_inside_the_interval_accepted(self):
+        # a grid need not touch 1 or T; a HammersteinProblem's grid must
+        grid = Grid(3.0, np.linspace(1.5, 2.5, 9))
+        assert grid.n == 9 and grid.T == 3.0
+
+    @pytest.mark.parametrize("nodes", [
+        np.linspace(0.5, 2.0, 9),
+        np.linspace(1.0, 2.5, 9),
+        [1.0, math.nan, *np.linspace(1.2, 2.0, 8)],
+    ], ids=["below_1", "above_T", "nan"])
+    def test_nodes_outside_the_interval_rejected(self, nodes):
+        with pytest.raises(ValueError):
+            Grid(2.0, nodes)
+
 
 class TestSupMetric:
     def test_identity(self, grid12):
@@ -155,6 +169,10 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureRule(np.array([1.5]), np.array([0.5]), 2.0)
 
+    def test_nodes_outside_the_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"quadrature nodes must lie in \[1, T\]"):
+            QuadratureRule(np.array([0.5, 1.5]), np.array([0.5, 0.5]), 2.0)
+
 
 class TestInterpolate:
     def test_exact_at_nodes(self, grid12):
@@ -245,7 +263,7 @@ class TestPchipTransfer:
             grid = uniform_grid(T, n_intervals)
         else:
             inner = np.unique(rng.uniform(1.0, T, n_intervals - 1))
-            grid = Grid(T, np.concatenate([[1.0], inner, [T]]), kind="loaded")
+            grid = Grid(T, np.concatenate([[1.0], inner, [T]]))
         points = 2 * int(rng.integers(1, 9))
         t = make_quadrature(quad_kind, T, int(rng.integers(1, 40)), points).nodes
         kinds = rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)
@@ -271,7 +289,7 @@ class TestPchipTransfer:
             grid = uniform_grid(T, n_intervals)
         else:
             inner = np.unique(rng.uniform(1.0, T, n_intervals - 1))
-            grid = Grid(T, np.concatenate([[1.0], inner, [T]]), kind="loaded")
+            grid = Grid(T, np.concatenate([[1.0], inner, [T]]))
         if rule == "random":
             t = rng.uniform(1.0, T, int(rng.integers(1, 400)))
         else:

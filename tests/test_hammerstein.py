@@ -16,6 +16,7 @@ from mixedfp.engine import (
     solve,
 )
 from mixedfp.funcspace import (
+    Grid,
     GridFunction,
     PchipPlan,
     integrate,
@@ -109,6 +110,27 @@ def _small_problem(**pieces):
     )
     data.update(pieces)
     return HammersteinProblem(**data)
+
+
+class TestProblemChecks:
+    @pytest.mark.parametrize("field, make", [
+        ("T", lambda: 5.0),
+        ("quadrature", lambda: make_quadrature("gauss-legendre", 3.0, 4, 4)),
+        ("grid", lambda: Grid(2.0, np.linspace(1.0, 1.9, 17))),
+        ("grid", lambda: Grid(2.0, np.linspace(1.1, 2.0, 17))),
+    ], ids=["T", "quadrature", "grid_short_of_T", "grid_short_of_1"])
+    def test_grid_and_quadrature_must_span_1_to_T(self, field, make):
+        # the grid and quadrature of _small_problem are on [1, 2]
+        with pytest.raises(ValueError, match=r"must span \[1, T\]"):
+            _small_problem(**{field: make()})
+
+    @pytest.mark.parametrize("pieces", [
+        {"domain_floor": math.nan}, {"domain_floor": -math.inf},
+        {"etas": (math.nan, 1.0)}, {"etas": (1.0, math.inf)},
+    ], ids=["floor_nan", "floor_inf", "eta_nan", "eta_inf"])
+    def test_non_finite_floor_or_eta_rejected(self, pieces):
+        with pytest.raises(ValueError, match="finite"):
+            _small_problem(**pieces)
 
 
 class TestArrayContract:

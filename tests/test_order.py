@@ -117,6 +117,12 @@ class TestValidateUpsilon:
         with pytest.raises(ValueError):
             UpsilonTuple(self.partition, ((1, 2),))
 
+    def test_constructor_rejects_a_non_member(self):
+        # sigma_1 = (2, 1) sends both blocks across, but 1 is in A
+        with pytest.raises(UpsilonMembershipError) as exc:
+            UpsilonTuple(Partition.odd_even(2), ((2, 1), (1, 2)))
+        assert exc.value.violations == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
 
 class TestCyclicShift:
     def test_m1(self):
