@@ -282,31 +282,36 @@ def _random_ordered_pairs(problem, rng, count):
 
     Half the pairs use constant functions with scalar gaps (these reach the
     extreme separations where a broken nonlinearity actually leaves the
-    contraction band); the first pair spans the full range.  A later pair
-    scales one ``rng.random`` array, row i the values then the gaps of
-    component i, as ``rng.uniform`` would.
+    contraction band); the first pair spans the full range.  Every later
+    pair draws, in order, one (k, 2, width) block of a single
+    ``rng.random`` array, row i the values then the gaps of component i,
+    scaled as ``rng.uniform`` would: width n for the function pairs (odd
+    index), 1 for the constant ones (even index).
     """
-    k, ones = problem.k, np.ones_like(problem.grid.nodes)
+    k, n = problem.k, problem.grid.n
     lo, hi = problem.domain_floor, problem.domain_floor + 9.0
-    in_a = (np.arange(k) % 2 == 0)[:, None]  # A block: x_i <= z_i, B block: x_i >= z_i
-    pairs = []
-    for idx in range(count):
-        if idx == 0:
-            a, gap = np.full((k, 1), lo), np.full((k, 1), hi - lo)
-        else:
-            functions = idx % 2 == 1
-            u = rng.random((k, 2, ones.size if functions else 1))
-            a = lo + ((hi - 1.0 if functions else hi) - lo) * u[:, 0]
-            gap = (hi - a.max(axis=1, keepdims=True)) * u[:, 1]
-        a, b = a * ones, (a + gap) * ones
-        x, z = np.where(in_a, a, b), np.where(in_a, b, a)
-        pairs.append(tuple(tuple(GridFunction(problem.grid, v) for v in w) for w in (x, z)))
-    return pairs
+    widths = [n if idx % 2 == 1 else 1 for idx in range(1, count)]
+    u = np.split(rng.random(2 * k * sum(widths)), 2 * k * np.cumsum(widths)[:-1])
+    a, b = np.empty((count, k, n)), np.empty((count, k, n))
+    a[0], b[0] = lo, hi
+    for first, top in ((1, hi - 1.0), (2, hi)):  # function pairs, then constant ones
+        if first >= count:
+            break
+        draws = np.stack(u[first - 1::2]).reshape(-1, k, 2, widths[first - 1])
+        values = lo + (top - lo) * draws[:, :, 0]
+        gap = (hi - values.max(axis=2, keepdims=True)) * draws[:, :, 1]
+        a[first::2], b[first::2] = values, values + gap
+    # x_i <= z_i on the A block (odd i), x_i >= z_i on the B block (even i),
+    # so x is a and z is b on A, the other way round on B
+    a[:, 1::2], b[:, 1::2] = b[:, 1::2], a[:, 1::2].copy()
+    return [tuple(tuple(GridFunction(problem.grid, v) for v in w) for w in pair)
+            for pair in zip(a, b)]
 
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
     problem = build_problem(cfg)
+    _iteration_config(cfg)  # refuse what solve refuses
     report = _run_checks(problem, _start_tuple(problem, float(cfg["alpha"])))
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

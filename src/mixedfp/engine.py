@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .contraction import ContractionTriple, gain_bound_sequence
-from .order import Partition, UpsilonTuple, twisted_leq
+from .order import Partition, UpsilonTuple
 
 __all__ = [
     "ProductOperator",
@@ -36,19 +36,21 @@ class OperatorEvaluationError(RuntimeError):
     """Operator evaluation failed; ``cause`` is the exception raised.
 
     One meaning on both evaluation paths: ``component`` is the failing
-    element of the batch's elements ``x`` (1-based, see ``ProductOperator``)
+    element of the batch's elements ``x`` (1-based, see ``ProductOperator``),
+    at its first occurrence in ``x`` when the element occurs more than once,
     and ``node`` the failing node, both read from the cause's attributes of
     those names and None when it names none (a non-finite integrand names
-    neither).  On the per-tuple path the cause names a position in the
-    failing row, mapped to ``x`` through that row.  With one failing element
-    both paths name it; with several they may name different ones.  For a
-    sweep ``x`` is the iterate; the sampled checks say how they lay out
-    theirs.
+    neither).  The cause's index is mapped to ``x`` through ``to_x``, the
+    1-based positions in ``x`` of what it indexes: the distinct elements
+    handed to ``batch``, or the arguments of the failing row of ``apply``.
+    With one failing element both paths name it; with several they may name
+    different ones.  For a sweep ``x`` is the iterate; the sampled checks
+    say how they lay out theirs.
     """
 
-    def __init__(self, cause: BaseException, row: Optional[Sequence[int]] = None):
+    def __init__(self, cause: BaseException, to_x: Optional[Sequence[int]] = None):
         c = getattr(cause, "component", None)
-        self.component = c if c is None or row is None else int(row[c - 1])
+        self.component = c if c is None or to_x is None else int(to_x[c - 1])
         self.node = getattr(cause, "node", None)
         self.cause = cause
         where = "" if self.component is None else f" at component {self.component}"
@@ -60,7 +62,10 @@ class ProductOperator:
     """A mapping from k base elements to one base element.
 
     Must be deterministic and side-effect free; the engine may evaluate
-    argument tuples in any order, and many of them in one batch.
+    argument tuples in any order, and many of them in one batch.  It may
+    evaluate a repeated tuple once, and repeated rows may share one image:
+    elements are told apart by identity, so a tuple of the same objects is
+    one tuple (``_images``).
 
     ``batch``, when set, evaluates many argument tuples in one call:
     ``batch(rows, x)`` takes a 1-based (R, k) index table ``rows`` and a
@@ -71,6 +76,9 @@ class ProductOperator:
     the arguments when ``apply`` does, and the failing node in ``node``
     (``OperatorEvaluationError``).  A Jacobi sweep is the batch
     ``rows = upsilon.sigmas``; the sampled checks batch all their tuples.
+    From a start whose A components are one object and whose B components
+    another, as the cyclic shift keeps them, a sweep is 2 distinct rows over
+    2 distinct elements whatever k is.
     """
 
     k: int
@@ -129,20 +137,45 @@ class NonConvergenceError(RuntimeError):
 def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence) -> Sequence:
     """F at the argument tuples (x[r_1 - 1], ..., x[r_k - 1]), one per row
     of the 1-based index table ``rows``: one ``F.batch`` call when the
-    operator has one, else one ``F.apply`` call per row.  A failure raises
-    OperatorEvaluationError."""
+    operator has one, else one ``F.apply`` call per row.
+
+    Each distinct tuple is evaluated once.  Elements of ``x`` are told
+    apart by identity; a repeated one is replaced by its first occurrence,
+    so the evaluation sees each distinct element once and each distinct row
+    over them once, and every repeat of a row gets the same image object, so
+    that repeats carry into the next sweep.  When every element and every
+    row is distinct, ``x``, the rows and the images pass through unchanged.
+    A failure raises OperatorEvaluationError naming the first occurrence.
+    """
+    keep = None  # the 1-based first occurrences, when an element repeats
+    if len(set(map(id, x))) < len(x):
+        first, keep = {}, []  # id -> 1-based index among the distinct elements
+        for i, e in enumerate(x, start=1):
+            if id(e) not in first:
+                first[id(e)] = len(keep) + 1
+                keep.append(i)
+        index = [first[id(e)] for e in x]
+        rows = [tuple(index[j - 1] for j in row) for row in rows]
+        x = [x[i - 1] for i in keep]
+    slots = dict.fromkeys(map(tuple, rows))
+    distinct = rows if len(slots) == len(rows) else list(slots)
     if F.batch is not None:
         try:
-            return F.batch(rows, x)
+            out = F.batch(distinct, x)
         except Exception as exc:
-            raise OperatorEvaluationError(exc) from exc
-    out = []
-    for row in rows:
-        try:
-            out.append(F.apply(*(x[j - 1] for j in row)))
-        except Exception as exc:
-            raise OperatorEvaluationError(exc, row) from exc
-    return out
+            raise OperatorEvaluationError(exc, keep) from exc
+    else:
+        out = []
+        for row in distinct:
+            try:
+                out.append(F.apply(*(x[j - 1] for j in row)))
+            except Exception as exc:
+                to_x = row if keep is None else [keep[j - 1] for j in row]
+                raise OperatorEvaluationError(exc, to_x) from exc
+    if distinct is rows:
+        return out
+    slot = {row: i for i, row in enumerate(distinct)}
+    return [out[slot[tuple(row)]] for row in rows]
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
@@ -152,7 +185,10 @@ def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tupl
     k = upsilon.partition.k
     if len(x) != k or F.k != k:
         raise ValueError("dimension mismatch between operator, tuple and point")
-    return tuple(_images(F, upsilon.sigmas, x))
+    y = tuple(_images(F, upsilon.sigmas, x))
+    if len(y) != k:
+        raise ValueError(f"dimension mismatch: {len(y)} images for {k} rows")
+    return y
 
 
 def check_mixed_monotone_sampled(
@@ -252,13 +288,12 @@ def solve(
 
     for it in range(config.max_iters):
         y = iterate_step(F, upsilon, x)
-        ordered = list(twisted_leq(x, y, partition, leq))
+        ordered, res = _compare(x, y, partition, dist, leq)
         if it == 0 and not skip_initial_check and not all(ordered):
             raise ValueError(
                 f"starting point fails the initial-order condition; "
                 f"per-component: {ordered}"
             )
-        res = [dist(xi, yi) for xi, yi in zip(x, y)]
         d = math.nan if any(map(math.isnan, res)) else max(res)
         steps.append(d)
         spreads.append(_spread(x, dist))
@@ -282,10 +317,30 @@ def solve(
     raise NonConvergenceError(report(config.max_iters, converged=False))
 
 
+def _compare(x: Sequence, y: Sequence, partition: Partition, dist: Distance,
+             leq: Leq) -> Tuple[List[bool], List[float]]:
+    """Per component i: x_i <= y_i in the partition-twisted order
+    (``order.twisted_leq``: leq(x_i, y_i) on A, leq(y_i, x_i) on B) and
+    dist(x_i, y_i), each computed once per distinct (x_i, y_i) pair of
+    objects and block."""
+    a = partition.a
+    seen, ordered, res = {}, [], []
+    for i, (xi, yi) in enumerate(zip(x, y), start=1):
+        key = id(xi), id(yi), i in a  # x and y keep every object alive
+        verdict = seen.get(key)
+        if verdict is None:
+            verdict = seen[key] = (leq(xi, yi) if i in a else leq(yi, xi), dist(xi, yi))
+        ordered.append(verdict[0])
+        res.append(verdict[1])
+    return ordered, res
+
+
 def _spread(x: Sequence, dist: Distance) -> float:
-    k = len(x)
+    """Largest distance between two components, once per pair of distinct
+    objects (a repeated object is at distance 0 from itself)."""
+    x = list(dict(zip(map(id, x), x)).values())
     return max(
-        (dist(x[i], x[j]) for i in range(k) for j in range(i + 1, k)),
+        (dist(x[i], x[j]) for i in range(len(x)) for j in range(i + 1, len(x))),
         default=0.0,
     )
 

@@ -240,7 +240,10 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     case of the batch kernel.  Cost per call: O(k*n) for the PCHIP
     derivatives plus O(k*nq) to evaluate them at the quadrature nodes (the
     interval search is planned once per problem), k nonlinearity calls on
-    nq nodes and one n x nq matvec.
+    nq nodes and one n x nq matvec.  Each of the k arguments is transferred,
+    a repeated one at each position; a sweep goes through the engine and
+    ``product_operator``'s batch instead, which transfers each distinct
+    component once.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
@@ -255,9 +258,14 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     (O(c*n) derivatives, O(c*nq) evaluation), then the rows run in
     ceil(R / B) kernel calls of at most B = max(k, 8192 // (k*nq)) rows, a
     call of b rows costing k nonlinearity calls of length b*nq and one
-    stacked matvec of b*n*nq multiply-adds.  A Jacobi sweep, R = c = k, is
-    k transferred rows, k calls and one matvec where k ``apply`` calls cost
-    k^2 rows, k^2 calls of length nq and k matvecs.
+    stacked matvec of b*n*nq multiply-adds.  The engine hands the batch
+    each distinct component once and each distinct row once
+    (``engine._images``).  A Jacobi sweep over k distinct components,
+    R = c = k, is k transferred rows, k calls of length k*nq and one matvec
+    of k*n*nq, where k ``apply`` calls cost k^2 rows, k^2 calls of length nq
+    and k matvecs.  From the bracket start, whose A components are one
+    object and whose B components another, every sweep is R = c = 2 at any
+    k: 2 transferred rows, k calls of length 2*nq and one matvec of 2*n*nq.
     """
     def batch(rows, x):
         return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))

@@ -145,6 +145,22 @@ class TestExitCodes:
         assert err.startswith("config error:") and message in err
         assert not out.exists()  # rejected before any output is written
 
+    @pytest.mark.parametrize("config", [
+        {"tolerances": {"step": math.nan}},
+        {"max_iters": 0},
+    ], ids=["nan_step", "max_iters_0"])
+    def test_check_refuses_what_solve_refuses(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, **config)  # json writes NaN
+        lines = []
+        for argv in (["check", "--config", cfg],
+                     ["solve", "--config", cfg, "--out", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_CONFIG_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines.append(captured.err)
+        assert lines[0] == lines[1] and lines[0].startswith("config error: bad config: ")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_exits_2(self, capsys):
         assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
@@ -462,6 +478,44 @@ class TestReproducibility:
             solution, apply_A(problem, (solution,) * problem.k)
         )
         assert abs(recomputed - report["solution_residual"]) < 1e-12
+
+
+def looped_ordered_pairs(problem, rng, count):
+    """The pair sampler drawn pair by pair, one ``rng.random`` call each:
+    the reference for the stacked ``_random_ordered_pairs``."""
+    k, ones = problem.k, np.ones_like(problem.grid.nodes)
+    lo, hi = problem.domain_floor, problem.domain_floor + 9.0
+    in_a = (np.arange(k) % 2 == 0)[:, None]
+    pairs = []
+    for idx in range(count):
+        if idx == 0:
+            a, gap = np.full((k, 1), lo), np.full((k, 1), hi - lo)
+        else:
+            functions = idx % 2 == 1
+            u = rng.random((k, 2, ones.size if functions else 1))
+            a = lo + ((hi - 1.0 if functions else hi) - lo) * u[:, 0]
+            gap = (hi - a.max(axis=1, keepdims=True)) * u[:, 1]
+        a, b = a * ones, (a + gap) * ones
+        pairs.append((np.where(in_a, a, b), np.where(in_a, b, a)))
+    return pairs
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 200])
+def test_stacked_pairs_equal_the_pair_by_pair_draws(tmp_path, m, count):
+    cfg = write_config(tmp_path, problem="custom", m=m, kernel="constant", forcing="linear",
+                       nonlinearities=["log-shift", "neg-log-product"] * m, eta=[1.0] * (2 * m),
+                       grid={"n": 16})
+    problem = build_problem(load_config(cfg, {}))
+    stacked, looped = np.random.default_rng(7), np.random.default_rng(7)
+    pairs = _random_ordered_pairs(problem, stacked, count)
+    expected = looped_ordered_pairs(problem, looped, count)
+    assert len(pairs) == count
+    for (x, z), (ex, ez) in zip(pairs, expected):
+        assert np.array_equal(np.stack([f.values for f in x]), ex)
+        assert np.array_equal(np.stack([f.values for f in z]), ez)
+    # the stream continues where the pair-by-pair draws leave it
+    assert stacked.random() == looped.random()
 
 
 class TestRegressionSnapshot:

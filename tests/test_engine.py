@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mixedfp.contraction import builtin_log_triple
 from mixedfp.engine import (
@@ -8,13 +11,16 @@ from mixedfp.engine import (
     NonConvergenceError,
     OperatorEvaluationError,
     ProductOperator,
+    _images,
     check_mixed_monotone_sampled,
     iterate_step,
     majorant_for,
     solve,
     trace_csv,
 )
-from mixedfp.order import Partition, validate_upsilon
+from mixedfp.funcspace import GridFunction, pointwise_leq, sup_metric
+from mixedfp.hammerstein import build_log_example, initial_bracket, product_operator
+from mixedfp.order import Partition, cyclic_shift_upsilon, validate_upsilon
 
 absdist = lambda a, b: abs(a - b)  # noqa: E731
 realleq = lambda a, b: a <= b  # noqa: E731
@@ -84,6 +90,11 @@ class TestIterateStep:
         assert exc.value.component == 2
         assert str(exc.value) == "operator failed at component 2: argument 2 is out of range"
 
+    def test_a_batch_with_too_few_images_is_refused(self):
+        op = ProductOperator(2, MIDPOINT.apply, lambda rows, x: [0.5])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(op, ID_SWAP, (0.0, 1.0), IterationConfig(), dist=absdist, leq=realleq)
+
     def test_sweep_failure_without_an_argument(self):
         def batch(rows, x):
             raise ArithmeticError("boom")
@@ -123,16 +134,21 @@ class TestMixedMonotoneSampled:
         def no_apply(a, b):
             raise AssertionError("apply called although the operator has a batch")
 
-        samples = [((0.0, 5.0), 1, 0.0, 1.0), ((2.0, 0.0), 2, 0.0, 1.0), ((1.0, 1.0), 2, -1.0, 3.0)]
+        lo, hi = 0.0, 1.0  # one object each, shared by the samples
+        samples = [((lo, 5.0), 1, lo, hi), ((2.0, lo), 2, lo, hi), ((hi, hi), 2, -1.0, 3.0)]
         flipped = Partition.of(2, [2])
         batched = ProductOperator(2, no_apply, batch)
         assert check_mixed_monotone_sampled(batched, flipped, samples, realleq) == \
             check_mixed_monotone_sampled(difference, flipped, samples, realleq) == \
             [(0, 1), (1, 2), (2, 2)]
-        # each sample lays out its point with low in coordinate j, then high
+        # each sample lays out its point with low in coordinate j, then high:
+        # elements [lo, 5, hi, 2, lo, hi, hi, -1, 3], rows (1, 2), (3, 2),
+        # (4, 5), (4, 6), (7, 8), (7, 9); the batch gets each distinct
+        # element once, in order of first occurrence, and the rows over them
         [(rows, elements)] = batches
-        assert rows == [(1, 2), (3, 2), (4, 5), (4, 6), (7, 8), (7, 9)]
-        assert elements == [0.0, 5.0, 1.0, 2.0, 0.0, 1.0, 1.0, -1.0, 3.0]
+        assert rows == [(1, 2), (3, 2), (4, 1), (4, 3), (3, 5), (3, 6)]
+        assert elements == [lo, 5.0, hi, 2.0, -1.0, 3.0]
+        assert len(set(map(id, elements))) == len(elements)
 
     def test_no_samples_evaluate_nothing(self):
         def never(*args):
@@ -278,3 +294,139 @@ class TestConfigValidation:
     def test_non_finite_tolerances(self, field, value):
         with pytest.raises(ValueError, match="positive and finite"):
             IterationConfig(**{field: value})
+
+
+class Box:
+    """An element told apart from equal-valued ones by identity only."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def weighted(*args):
+    # order-sensitive, so a row evaluated over the wrong elements shows
+    return sum(j * math.sin(a.value + j) for j, a in enumerate(args, start=1))
+
+
+def alternating(k, lower, upper):
+    """The start the CLI builds: ``lower`` on A (odd), ``upper`` on B (even)."""
+    return tuple(lower if i % 2 == 0 else upper for i in range(k))
+
+
+def mfold_example(m):
+    # the m-fold log example on a small grid: kernel / m, pair repeated m times
+    base = build_log_example(2.0, 2.0, 40, 8, 4)
+    return dataclasses.replace(
+        base, m=m, kernel=lambda t, s: base.kernel(t, s) / m,
+        nonlinearities=base.nonlinearities * m, etas=(1.0,) * (2 * m))
+
+
+class ArgumentError(ValueError):
+    def __init__(self, component):
+        self.component = component
+        super().__init__(f"argument {component} is out of range")
+
+
+class TestDistinctTuples:
+    def test_a_k16_sweep_is_two_rows_over_two_elements(self):
+        batches = []
+
+        def batch(rows, x):
+            batches.append((list(rows), list(x)))
+            return [Box(weighted(*(x[j - 1] for j in row))) for row in rows]
+
+        lower, upper = Box(0.25), Box(3.5)
+        ups = cyclic_shift_upsilon(8)
+        y = iterate_step(ProductOperator(16, weighted, batch), ups, alternating(16, lower, upper))
+        [(rows, elements)] = batches
+        assert elements == [lower, upper]
+        assert rows == [(1, 2) * 8, (2, 1) * 8]
+        assert len(set(map(id, y))) == 2
+        assert all(yi is y[0] for yi in y[0::2]) and all(yi is y[1] for yi in y[1::2])
+        # and the shared images are the per-row values
+        for i, yi in enumerate(y, start=1):
+            assert yi.value == weighted(*ups.permute(i, alternating(16, lower, upper)))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_solve_from_an_aliased_start_equals_a_fresh_start(self, m):
+        problem = mfold_example(m)
+        lower, upper = initial_bracket(problem, 2.0)
+        aliased = alternating(problem.k, lower, upper)
+        fresh = tuple(GridFunction(problem.grid, np.copy(xi.values)) for xi in aliased)
+        config = IterationConfig(tol_step=1e-9, tol_residual=1e-9, max_iters=100)
+        runs = [solve(product_operator(problem), cyclic_shift_upsilon(m), x0, config,
+                      dist=sup_metric, leq=pointwise_leq) for x0 in (aliased, fresh)]
+        assert runs[0].step_history == runs[1].step_history
+        assert runs[0].spread_history == runs[1].spread_history
+        assert runs[0].iterations == runs[1].iterations
+        for a, b in zip(runs[0].fixed_point, runs[1].fixed_point):
+            assert np.array_equal(a.values, b.values)
+        assert len(set(map(id, runs[0].fixed_point))) == 2
+        assert len(set(map(id, runs[1].fixed_point))) == problem.k
+
+    def test_solve_compares_each_distinct_pair_once(self):
+        calls = {"dist": 0, "leq": 0}
+
+        def dist(a, b):
+            calls["dist"] += 1
+            return abs(a.value - b.value)
+
+        def leq(a, b):
+            calls["leq"] += 1
+            return a.value <= b.value
+
+        def mean(*args):
+            return Box(sum(a.value for a in args) / len(args))
+
+        report = solve(ProductOperator(16, mean), cyclic_shift_upsilon(8),
+                       alternating(16, Box(0.0), Box(1.0)), IterationConfig(),
+                       dist=dist, leq=leq)
+        # per sweep: two residuals and one spread; two order comparisons
+        assert calls == {"dist": 3 * report.iterations, "leq": 2 * report.iterations}
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_failure_names_the_first_occurrence(self, batched):
+        a, b = Box(0.0), Box(1.0)
+
+        def apply(*args):
+            # names the last position holding b
+            if any(v is b for v in args):
+                raise ArgumentError(max(p for p, v in enumerate(args, start=1) if v is b))
+            return a
+
+        def batch(rows, x):
+            # names the last index of b in its elements
+            raise ArgumentError(max(i for i, v in enumerate(x, start=1) if v is b))
+
+        F = ProductOperator(4, apply, batch if batched else None)
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(F, cyclic_shift_upsilon(2), (a, b, a, b))
+        assert exc.value.component == 2
+        assert str(exc.value).startswith("operator failed at component 2: ")
+
+    @given(
+        values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_images_equal_per_row_apply(self, values, data):
+        pool = [Box(v) for v in values]
+        k = data.draw(st.integers(2, 4))
+        pattern = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+        x = [pool[i] for i in pattern]
+        rows = data.draw(st.lists(
+            st.lists(st.integers(1, len(x)), min_size=k, max_size=k), max_size=10))
+        expected = [weighted(*(x[j - 1] for j in row)) for row in rows]
+        seen = []
+
+        def batch(rows, x):
+            seen.append((len(rows), len(x)))
+            return [weighted(*(x[j - 1] for j in row)) for row in rows]
+
+        keys = [tuple(id(x[j - 1]) for j in row) for row in rows]
+        for F in (ProductOperator(k, weighted), ProductOperator(k, weighted, batch)):
+            images = _images(F, rows, x)
+            assert list(images) == expected
+            # rows over the same objects share one image
+            shared = {}
+            assert all(shared.setdefault(key, y) is y for key, y in zip(keys, images))
+        assert seen == [(len(set(keys)), len(set(map(id, x))))]
