@@ -3,7 +3,9 @@ checks, the solver, or the sampled property suite.
 
 Each subcommand takes ``--config``, ``--alpha`` and ``--T``; ``solve`` also
 takes ``--out`` and ``--force``, ``verify`` also ``--seed``.  A flag that a
-subcommand does not read is a usage error (exit 2).
+subcommand does not read is a usage error (exit 2).  Every subcommand reads
+its config through one check (``_prepare``), so all three refuse the same
+configs with the same error line.
 
 Exit codes: 0 success, 1 check/property failure (solve also writes its
 report.json), 2 config or usage error (including a kernel above
@@ -39,6 +41,7 @@ from .engine import (
     NonConvergenceError,
     OperatorEvaluationError,
     check_mixed_monotone_sampled,
+    iterate_step,
     solve,
     trace_csv,
 )
@@ -53,9 +56,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_OPERATOR_ERROR = 4
 
-# The largest array a problem allocates is its weighted kernel, one float64
-# per (grid node, quadrature node).  build_problem refuses a config whose
-# kernel would exceed this many bytes (256 MiB) before building anything.
+# A problem's largest array is its weighted kernel, one float64 per (grid
+# node, quadrature node), though verify's samples can be larger.  build_problem
+# refuses a kernel above this many bytes (256 MiB) before building anything.
 KERNEL_BYTES_GUARD = 2 ** 28
 
 DEFAULTS = {
@@ -114,7 +117,7 @@ def _unread_keys(cfg) -> list:
     read = {*DEFAULTS, *(custom if cfg["problem"] == "custom" else ())}
     return [key for key in cfg if key not in read] + [
         f"{key}.{sub}" for key, section in DEFAULTS.items() if isinstance(section, dict)
-        for sub in cfg[key] if sub not in section and f"{key}.{sub}" != "grid.kind"
+        for sub in cfg[key] if sub not in section
     ]
 
 
@@ -146,9 +149,6 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
         if not (np.isfinite(alpha) and np.isfinite(T)):
             raise ConfigError(f"alpha and T must be finite, got {alpha} and {T}")
         n = _integer(cfg["grid"]["n"], "grid.n")
-        grid_kind = cfg["grid"].get("kind", "uniform")
-        if grid_kind != "uniform":
-            raise ConfigError(f"grid kind {grid_kind!r} is not supported, only 'uniform'")
         panels = _integer(cfg["quadrature"]["panels"], "quadrature.panels")
         points = _integer(cfg["quadrature"]["points"], "quadrature.points")
         # (n + 1) grid nodes by panels * points Gauss-Legendre nodes; at
@@ -202,16 +202,22 @@ def _start_tuple(problem, alpha):
     return tuple(lower if i % 2 == 0 else upper for i in range(problem.k))
 
 
-def _iteration_config(cfg) -> IterationConfig:
+def _prepare(args):
+    """The config check of every subcommand: the config, its problem and its
+    iteration settings, or ConfigError.  It builds no start tuple, so a
+    subcommand that reads none (verify) logs no clamp of one."""
+    cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
+    problem = build_problem(cfg)
     try:
         tols = cfg["tolerances"]
-        return IterationConfig(
+        config = IterationConfig(
             tol_step=float(tols["step"]),
             tol_residual=float(tols["residual"]),
             max_iters=_integer(cfg["max_iters"], "max_iters"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    return cfg, problem, config
 
 
 def _run_checks(problem, x0) -> dict:
@@ -309,18 +315,14 @@ def _random_ordered_pairs(problem, rng, count):
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
-    problem = build_problem(cfg)
-    _iteration_config(cfg)  # refuse what solve refuses
+    cfg, problem, _ = _prepare(args)
     report = _run_checks(problem, _start_tuple(problem, float(cfg["alpha"])))
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
-    problem = build_problem(cfg)
-    config = _iteration_config(cfg)
+    cfg, problem, config = _prepare(args)
     x0 = _start_tuple(problem, float(cfg["alpha"]))
     out_dir = Path(args.out)
     try:
@@ -337,11 +339,11 @@ def cmd_solve(args) -> int:
             return EXIT_CHECK_FAILED
         log.warning("assumption checks failed; continuing under --force")
 
-    upsilon = cyclic_shift_upsilon(problem.m)
+    F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
     triple = builtin_log_triple()
     try:
         report = solve(
-            hs.product_operator(problem), upsilon, x0, config, triple,
+            F, upsilon, x0, config, triple,
             dist=sup_metric, leq=pointwise_leq, skip_initial_check=args.force,
         )
         status = EXIT_OK
@@ -358,10 +360,10 @@ def cmd_solve(args) -> int:
     (out_dir / "trace.csv").write_text(trace_csv(report))
     solution = report.fixed_point[0]
     (out_dir / "solution.csv").write_text(format_csv(solution))
-    # defect of the collapsed solution alone; reproducible from solution.csv
+    # defect of the collapsed solution alone, reproducible from solution.csv:
+    # one distinct row over one element, so one transfer at any k
     collapsed_residual = sup_metric(
-        solution, hs.apply_A(problem, (solution,) * problem.k)
-    )
+        solution, iterate_step(F, upsilon, (solution,) * problem.k)[0])
     payload = {
         "solution_residual": collapsed_residual,
         "config": cfg,
@@ -380,8 +382,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    cfg = load_config(args.config, {"alpha": args.alpha, "T": args.T})
-    problem = build_problem(cfg)
+    _, problem, _ = _prepare(args)
     rng = np.random.default_rng(args.seed)
     upsilon = cyclic_shift_upsilon(problem.m)
     partition = upsilon.partition

@@ -224,16 +224,8 @@ def check_mixed_monotone_sampled(
         elements += [*point[:j - 1], low, *point[j:], high]
         rows += [lo_row, hi_row]
     images = _images(F, rows, elements) if rows else []
-    violations = []
-    for idx, (_, j, _, _) in enumerate(samples):
-        f_lo, f_hi = images[2 * idx], images[2 * idx + 1]
-        if j in partition.a:
-            ok = leq(f_lo, f_hi)
-        else:
-            ok = leq(f_hi, f_lo)
-        if not ok:
-            violations.append((idx, j))
-    return violations
+    return [(idx, j) for idx, (_, j, _, _) in enumerate(samples)
+            if not leq(*partition.orient(j, images[2 * idx], images[2 * idx + 1]))]
 
 
 def solve(
@@ -251,7 +243,7 @@ def solve(
     fixed-tuple residual fall below tolerance.
 
     The first sweep doubles as the starting-point condition: x0_i below
-    its image for i in A, above for i in B (``order.twisted_leq``).  Unless
+    its image for i in A, above for i in B (``Partition.orient``).  Unless
     ``skip_initial_check``, a failing start raises ValueError before any
     history is recorded.  The same comparison of every later sweep sets
     ``monotone_ok``.
@@ -319,17 +311,15 @@ def solve(
 
 def _compare(x: Sequence, y: Sequence, partition: Partition, dist: Distance,
              leq: Leq) -> Tuple[List[bool], List[float]]:
-    """Per component i: x_i <= y_i in the partition-twisted order
-    (``order.twisted_leq``: leq(x_i, y_i) on A, leq(y_i, x_i) on B) and
-    dist(x_i, y_i), each computed once per distinct (x_i, y_i) pair of
-    objects and block."""
-    a = partition.a
+    """Per component i: x_i <= y_i in the partition-twisted order,
+    leq(*partition.orient(i, x_i, y_i)), and dist(x_i, y_i), each computed
+    once per distinct (x_i, y_i) pair of objects and block."""
     seen, ordered, res = {}, [], []
     for i, (xi, yi) in enumerate(zip(x, y), start=1):
-        key = id(xi), id(yi), i in a  # x and y keep every object alive
+        key = id(xi), id(yi), i in partition.a  # x and y keep every object alive
         verdict = seen.get(key)
         if verdict is None:
-            verdict = seen[key] = (leq(xi, yi) if i in a else leq(yi, xi), dist(xi, yi))
+            verdict = seen[key] = (leq(*partition.orient(i, xi, yi)), dist(xi, yi))
         ordered.append(verdict[0])
         res.append(verdict[1])
     return ordered, res

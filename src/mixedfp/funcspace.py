@@ -230,10 +230,10 @@ def make_quadrature(
         if not 2 <= points <= 16:
             raise ValueError("gauss-legendre points per panel must be in 2..16")
         xi, wi = leggauss(points)
-        with np.errstate(over="ignore"):  # QuadratureRule refuses an infinite node
-            for a, b in zip(edges[:-1], edges[1:]):
-                all_nodes.append((b - a) / 2.0 * xi + (a + b) / 2.0)
-                all_weights.append((b - a) / 2.0 * wi)
+        for a, b in zip(edges[:-1], edges[1:]):
+            # the midpoint as a / 2 + b / 2, since a + b overflows for T above ~9e307
+            all_nodes.append((b - a) / 2.0 * xi + (a / 2.0 + b / 2.0))
+            all_weights.append((b - a) / 2.0 * wi)
     elif kind == "simpson":
         if points < 2 or points % 2 != 0:
             raise ValueError("simpson subinterval count must be even and >= 2")

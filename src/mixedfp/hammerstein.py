@@ -172,10 +172,11 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int
 
 
 # The one size bound of the batch kernel, in float64 values (64 KiB): a PCHIP
-# apply, whose temporaries are about ten arrays of its size, transfers at most
-# _BLOCK_ELEMENTS // nq components, and a row block's gathered arguments
-# (rows * k * nq values) stay within it, except that a block holds at least k
-# rows, so a sweep is never split.
+# apply, whose temporaries are about ten arrays of its (c, n) or (c, nq) size,
+# transfers at most _BLOCK_ELEMENTS // max(n, nq) components, and a row
+# block's gathered arguments (rows * k * nq values) stay within it, except
+# that an apply holds at least one component and a block at least k rows, so
+# a sweep is never split.
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -187,10 +188,10 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
 
     Each component is checked against the floor and transferred once, to
     one (c, nq) array, by the problem's cached PCHIP plan in applies of at
-    most _BLOCK_ELEMENTS // nq components, each apply's components stacked
-    and checked just before it (so no (c, n) stack is held; PCHIP stays
-    within each interval's node values, so the transferred values need no
-    check).  A DomainFloorError names the argument, a 1-based index into
+    most _BLOCK_ELEMENTS // max(n, nq) components, each apply's components
+    stacked and checked just before it (so no (c, n) stack is held; PCHIP
+    stays within each interval's node values, so the transferred values need
+    no check).  A DomainFloorError names the argument, a 1-based index into
     ``x``, not the row.  The rows then run in blocks of
     B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows (``problem._block_rows``),
     one kernel call each, so a sweep (k rows) is one call and S check
@@ -207,7 +208,7 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     s_nodes = problem.quadrature.nodes
     floor, nq = problem.domain_floor, s_nodes.size
     vals = np.empty((len(x), nq))
-    chunk = max(1, _BLOCK_ELEMENTS // nq)
+    chunk = max(1, _BLOCK_ELEMENTS // max(problem.grid.n, nq))
     for start in range(0, len(x), chunk):
         values = np.stack([xi.values for xi in x[start:start + chunk]])
         _check_floor(values, problem.grid.nodes, floor, start)
@@ -365,7 +366,7 @@ def check_assumption_e(
     h_functions = iterate_step(product_operator(problem), upsilon, y0)
     failures: List[tuple] = []
     for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
-        lo, hi = (comp, h) if r in upsilon.partition.a else (h, comp)
+        lo, hi = upsilon.partition.orient(r, comp, h)
         failures.extend((r, int(j)) for j in np.nonzero(lo.values > hi.values + ORDER_SLACK)[0])
     return AssumptionEReport(h_functions, tuple(failures))
 

@@ -7,7 +7,7 @@ B-block).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 __all__ = [
     "Partition",
@@ -15,7 +15,6 @@ __all__ = [
     "UpsilonMembershipError",
     "max_metric",
     "product_leq",
-    "twisted_leq",
     "upsilon_violations",
     "validate_upsilon",
     "cyclic_shift_upsilon",
@@ -55,6 +54,11 @@ class Partition:
     def odd_even(k: int) -> "Partition":
         """A = odd indices, B = even indices."""
         return Partition.of(k, range(1, k + 1, 2))
+
+    def orient(self, i: int, u, v) -> tuple:
+        """The twisted order at 1-based index i: (u, v) for i in A, (v, u)
+        for i in B, so u lies below v there when leq(*orient(i, u, v))."""
+        return (u, v) if i in self.a else (v, u)
 
 
 class UpsilonMembershipError(ValueError):
@@ -105,22 +109,15 @@ def max_metric(x: Sequence, y: Sequence, dist: Distance) -> float:
     return max(dist(xi, yi) for xi, yi in zip(x, y))
 
 
-def twisted_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> Iterator[bool]:
-    """Per-component reading of the partition-twisted order, lazily:
-    leq(x_i, y_i) for i in A, leq(y_i, x_i) for i in B."""
+def product_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> bool:
+    """Partition-twisted product order: x_i <= y_i on A, x_i >= y_i on B
+    (``Partition.orient``)."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     if len(x) != partition.k:
         raise ValueError(f"dimension {len(x)} does not match k={partition.k}")
-    return (
-        leq(xi, yi) if i in partition.a else leq(yi, xi)
-        for i, (xi, yi) in enumerate(zip(x, y), start=1)
-    )
-
-
-def product_leq(x: Sequence, y: Sequence, partition: Partition, leq: Leq) -> bool:
-    """Partition-twisted product order: x_i <= y_i on A, x_i >= y_i on B."""
-    return all(twisted_leq(x, y, partition, leq))
+    return all(leq(*partition.orient(i, xi, yi))
+               for i, (xi, yi) in enumerate(zip(x, y), start=1))
 
 
 def upsilon_violations(sigmas, partition: Partition):

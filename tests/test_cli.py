@@ -25,7 +25,7 @@ from mixedfp.cli import (
     main,
 )
 from mixedfp.engine import IterationConfig, ProductOperator
-from mixedfp.funcspace import load_csv
+from mixedfp.funcspace import PchipPlan, load_csv
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(mixedfp.__file__).resolve().parents[1]
@@ -134,8 +134,7 @@ class TestExitCodes:
         ({"max_iters": 0}, [], "max_iters must be >= 1"),
         ({"tolerances": {"step": -1}}, [], "tolerances must be positive"),
         ({}, ["--alpha", "inf"], "alpha and T must be finite"),
-        ({"grid": {"kind": "loaded"}}, [], "grid kind 'loaded'"),
-    ], ids=["max_iters_0", "negative_step", "alpha_inf", "grid_kind_loaded"])
+    ], ids=["max_iters_0", "negative_step", "alpha_inf"])
     def test_invalid_solve_config_exits_2(self, tmp_path, capsys, config, flags, message):
         cfg = write_config(tmp_path, **config)
         out = tmp_path / "out"
@@ -150,15 +149,17 @@ class TestExitCodes:
         {"max_iters": 0},
     ], ids=["nan_step", "max_iters_0"])
     def test_check_refuses_what_solve_refuses(self, tmp_path, capsys, config):
+        # and verify too: every subcommand reads its config through one check
         cfg = write_config(tmp_path, **config)  # json writes NaN
         lines = []
         for argv in (["check", "--config", cfg],
-                     ["solve", "--config", cfg, "--out", str(tmp_path / "out")]):
+                     ["solve", "--config", cfg, "--out", str(tmp_path / "out")],
+                     ["verify", "--config", cfg]):
             assert main(argv) == EXIT_CONFIG_ERROR
             captured = capsys.readouterr()
-            assert captured.out == ""
+            assert captured.out == "" and captured.err.count("\n") == 1
             lines.append(captured.err)
-        assert lines[0] == lines[1] and lines[0].startswith("config error: bad config: ")
+        assert len(set(lines)) == 1 and lines[0].startswith("config error: bad config: ")
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exits_2(self, capsys):
@@ -343,9 +344,11 @@ class TestExitCodes:
         ({"nonlinearities": ["zero", "zero"]}, "nonlinearities"),
         ({"forcing": "linear"}, "forcing"),
         ({"domain_floor": 0.0}, "domain_floor"),
+        ({"grid": {"kind": "uniform"}}, "grid.kind"),
+        ({"grid": {"kind": "loaded"}}, "grid.kind"),
     ], ids=["grid.N", "tolerance", "quadrature.kind", "kernel", "nonlinearities",
-            "forcing", "domain_floor"])
-    @pytest.mark.parametrize("command", ["check", "solve"])
+            "forcing", "domain_floor", "grid.kind", "grid.kind_loaded"])
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
     def test_unread_key_exits_2(self, tmp_path, capsys, config, key, command):
         cfg = write_config(tmp_path, **config)
         argv = [command, "--config", cfg]
@@ -363,8 +366,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("config, message", [
         ({"alpha": 1e308}, "no start bracket at alpha = 1e+308 and T = 2.0"),
         ({"T": 8e307}, "no start bracket at alpha = 2.0 and T = 8e+307"),
-        # the Gauss nodes (a + b) / 2 of the last panel overflow first
-        ({"T": 1e308}, "quadrature nodes must lie in [1, T], T = 1e+308"),
+        # the quadrature nodes lie in [1, T]; the upper start 3*alpha*t/2 overflows
+        ({"T": 1e308}, "no start bracket at alpha = 2.0 and T = 1e+308"),
     ], ids=["alpha", "T_bracket", "T_quadrature"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_overflowing_start_bracket_exits_2(self, tmp_path, capsys, config, message, command):
@@ -379,10 +382,6 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("config error:") and message in captured.err
         assert not (tmp_path / "out").exists()
-
-    def test_uniform_grid_kind_accepted(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, grid={"kind": "uniform"})
-        assert main(["check", "--config", cfg]) == EXIT_OK
 
     def test_verify_passes(self, capsys):
         assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "42"]) == EXIT_OK
@@ -456,6 +455,23 @@ def test_start_tuple_built_once(tmp_path, caplog, command):
         assert main(argv) == EXIT_OK
     clamps = [r for r in caplog.records if "clamping to the floor" in r.getMessage()]
     assert len(clamps) == 1
+
+
+def test_verify_builds_no_start_tuple(capsys):
+    # check and solve log the clamp of the start at alpha < 2; verify reads none
+    assert main(["verify", "--alpha", "1.5", "--T", "2", "--seed", "5"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_collapsed_residual_transfers_one_row(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, problem="custom", m=2, kernel="constant",
+                       nonlinearities=["zero"] * 4, forcing="linear", eta=[0.25] * 4)
+    applied = []
+    apply = PchipPlan.apply
+    monkeypatch.setattr(
+        PchipPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert applied[-1] == 1  # the k = 4 copies of the solution are one element
 
 
 class TestReproducibility:

@@ -169,6 +169,19 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureRule(np.array([1.5]), np.array([0.5]), 2.0)
 
+    def test_gauss_nodes_do_not_overflow(self):
+        rule = make_quadrature("gauss-legendre", 1e308, 32, 8)
+        assert np.isfinite(rule.nodes).all()
+        assert rule.nodes.min() >= 1.0 and rule.nodes.max() <= 1e308
+
+    @pytest.mark.parametrize("T", [1.5, 2.0, math.e, 10.0, 20.0])
+    def test_gauss_nodes_equal_the_a_plus_b_midpoint_form(self, T):
+        xi = np.polynomial.legendre.leggauss(8)[0]
+        edges = np.linspace(1.0, T, 33)
+        old = np.concatenate([(b - a) / 2.0 * xi + (a + b) / 2.0
+                              for a, b in zip(edges[:-1], edges[1:])])
+        assert np.array_equal(make_quadrature("gauss-legendre", T, 32, 8).nodes, old)
+
     def test_nodes_outside_the_interval_rejected(self):
         with pytest.raises(ValueError, match=r"quadrature nodes must lie in \[1, T\]"):
             QuadratureRule(np.array([0.5, 1.5]), np.array([0.5, 0.5]), 2.0)

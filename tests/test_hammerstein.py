@@ -439,6 +439,18 @@ class TestBatchKernel:
         # ceil(R / B) = 4 kernel calls, each calling every f_j once
         assert lengths == [block * nq] * (3 * k) + [nq] * k
 
+    def test_an_apply_stays_within_the_bound_when_n_exceeds_nq(self, monkeypatch):
+        # n = 2001 grid values against nq = 16 quadrature nodes
+        p = build_log_example(2.0, 2.0, 2000, 2, 8)
+        x = rough_pool(p, np.random.default_rng(7), 10)
+        applied = []
+        apply = PchipPlan.apply
+        monkeypatch.setattr(
+            PchipPlan, "apply", lambda plan, y: applied.append(y.shape) or apply(plan, y))
+        product_operator(p).batch([(1, 2), (3, 4)], x)
+        assert sum(rows for rows, _ in applied) == len(x)
+        assert all(rows * n <= _BLOCK_ELEMENTS for rows, n in applied)
+
     def test_floor_error_names_the_component_of_x(self, example22):
         p = example22
         block, k = p._block_rows, p.k

@@ -40,6 +40,16 @@ class TestPartition:
         p = Partition.of(2, [1, 2])
         assert not p.b
 
+    def test_orient_odd_even(self):
+        p = Partition.odd_even(4)
+        assert [p.orient(i, "u", "v") for i in range(1, 5)] == [
+            ("u", "v"), ("v", "u"), ("u", "v"), ("v", "u")]
+
+    def test_orient_follows_the_blocks_not_the_parity(self):
+        p = Partition.of(4, [2, 3])
+        assert [p.orient(i, "u", "v") for i in range(1, 5)] == [
+            ("v", "u"), ("u", "v"), ("u", "v"), ("v", "u")]
+
 
 class TestMaxMetric:
     def test_identity(self):
