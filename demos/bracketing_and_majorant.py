@@ -14,7 +14,7 @@ from mixedfp import (
     solve,
     sup_metric,
 )
-from mixedfp.engine import majorant_for
+from mixedfp.contraction import majorant_for
 
 problem = build_log_example(2.0, 2.0)
 upsilon = cyclic_shift_upsilon(1)

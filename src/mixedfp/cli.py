@@ -46,6 +46,7 @@ from .engine import (
     trace_csv,
 )
 from .funcspace import GridFunction, format_csv, pointwise_leq, sup_metric
+from .hammerstein import FORCINGS, KERNELS, NONLINEARITIES
 from .order import cyclic_shift_upsilon, max_metric, product_leq
 
 log = logging.getLogger(__name__)
@@ -73,27 +74,6 @@ DEFAULTS = {
                    "residual": IterationConfig.tol_residual},
     "max_iters": IterationConfig.max_iters,
 }
-
-# Extensibility point for "custom" problems: named pieces, each a factory of
-# (alpha, T) so configs stay purely declarative.  The pieces are array-valued
-# (see hammerstein.Kernel): they are called on whole node arrays.
-KERNELS = {
-    "log-product": lambda alpha, T: (lambda t, s: 1.0 / (2.0 * np.log(T) * t * s)),
-    "constant": lambda alpha, T: (lambda t, s: 1.0 / (T - 1.0)),
-}
-NONLINEARITIES = {
-    "log-shift": lambda alpha, T: (lambda s, x: np.log(s + x)),
-    "neg-log-product": lambda alpha, T: (lambda s, x: -(np.log(s) + np.log(x))),
-    "zero": lambda alpha, T: (lambda s, x: 0.0),
-}
-FORCINGS = {
-    "linear-minus-log": lambda alpha, T: (
-        lambda t: alpha * t - np.log((1 + alpha) / (alpha * np.sqrt(T))) / (2.0 * t)
-    ),
-    "linear": lambda alpha, T: (lambda t: alpha * t),
-    "zero": lambda alpha, T: (lambda t: 0.0),
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -172,6 +152,7 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
                 problem = dataclasses.replace(problem, etas=etas)
             return problem
         if kind == "custom":
+            grid = hs.uniform_grid(T, n)  # refuses T <= 1 before a piece computes with T
             fs = tuple(
                 NONLINEARITIES[name](alpha, T) for name in cfg["nonlinearities"]
             )
@@ -183,13 +164,13 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
                 forcing=FORCINGS[cfg["forcing"]](alpha, T),
                 etas=tuple(float(e) for e in cfg["eta"]),
                 domain_floor=float(cfg.get("domain_floor", 1.0)),
-                grid=hs.uniform_grid(T, n),
-                quadrature=hs.make_quadrature("gauss-legendre", T, panels, points),
+                grid=grid,
+                quadrature=hs.make_quadrature(T, panels, points),
             )
         raise ConfigError(f"unknown problem kind {kind!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:  # 1/0 at alpha = 0
         raise ConfigError(f"bad config: {exc}") from exc
 
 

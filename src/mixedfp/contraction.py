@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
+from .engine import IterationReport, ProductOperator, _images
+
 __all__ = [
     "DeclaredProperties",
     "ContractionTriple",
@@ -104,8 +106,6 @@ def verify_contraction_sampled(
     whose elements are their tuples laid end to end, x then z, which an
     ``engine.OperatorEvaluationError``'s ``component`` indexes.
     """
-    from .engine import ProductOperator, _images  # engine imports this module
-
     accepted: List[Tuple[Sequence, Sequence]] = []
     dks: List[float] = []
     rejected: List[int] = []
@@ -153,3 +153,8 @@ def gain_bound_sequence(d0: float, n: int, triple: ContractionTriple) -> List[fl
     for _ in range(n):
         seq.append(max(0.0, triple.theta(seq[-1]) - triple.phi(seq[-1])))
     return seq
+
+
+def majorant_for(report: IterationReport, triple: ContractionTriple) -> List[float]:
+    """Gain-bound sequence seeded by the first recorded displacement."""
+    return gain_bound_sequence(report.step_history[0], len(report.step_history) - 1, triple)

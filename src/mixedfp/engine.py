@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .contraction import ContractionTriple, gain_bound_sequence
 from .order import Partition, UpsilonTuple
 
 __all__ = [
@@ -233,7 +232,7 @@ def solve(
     upsilon: UpsilonTuple,
     x0: Sequence,
     config: IterationConfig,
-    triple: Optional[ContractionTriple] = None,
+    triple=None,
     *,
     dist: Distance,
     leq: Leq,
@@ -246,7 +245,7 @@ def solve(
     its image for i in A, above for i in B (``Partition.orient``).  Unless
     ``skip_initial_check``, a failing start raises ValueError before any
     history is recorded.  The same comparison of every later sweep sets
-    ``monotone_ok``.
+    ``monotone_ok``.  ``triple`` (a ``ContractionTriple``) is only warned about if undeclared.
 
     The returned fixed_point is the last iterate whose residual was measured,
     so the report's final residual is the defect of the returned point.
@@ -333,11 +332,6 @@ def _spread(x: Sequence, dist: Distance) -> float:
         (dist(x[i], x[j]) for i in range(len(x)) for j in range(i + 1, len(x))),
         default=0.0,
     )
-
-
-def majorant_for(report: IterationReport, triple: ContractionTriple) -> List[float]:
-    """Gain-bound sequence seeded by the first recorded displacement."""
-    return gain_bound_sequence(report.step_history[0], len(report.step_history) - 1, triple)
 
 
 def trace_csv(report: IterationReport) -> str:

@@ -1,5 +1,5 @@
 """Discretized continuous functions on [1, T]: grids, sup-metric, pointwise
-order, monotone-safe interpolation, and composite quadrature."""
+order, monotone-safe interpolation, and composite Gauss-Legendre quadrature."""
 
 import io
 from dataclasses import dataclass
@@ -211,42 +211,22 @@ class QuadratureRule:
             raise ValueError("weights do not sum to T - 1")
 
 
-def make_quadrature(
-    kind: str, T: float, panels: int, points: int
-) -> QuadratureRule:
-    """Composite rule on [1, T].
-
-    kind "gauss-legendre": `points` nodes per panel (2..16), exact on
-    polynomials of degree 2*points - 1 per panel.
-    kind "simpson": `points` subintervals per panel, must be even.
-    """
+def make_quadrature(T: float, panels: int, points: int) -> QuadratureRule:
+    """Composite Gauss-Legendre rule on [1, T]: `panels` equal panels of
+    `points` nodes each (2..16), exact on polynomials of degree
+    2*points - 1 per panel."""
     if not T > 1.0:
         raise ValueError(f"T must exceed 1, got {T}")
     if panels < 1:
         raise ValueError("panels must be >= 1")
+    if not 2 <= points <= 16:
+        raise ValueError("gauss-legendre points per panel must be in 2..16")
     edges = np.linspace(1.0, T, panels + 1)
-    all_nodes, all_weights = [], []
-    if kind == "gauss-legendre":
-        if not 2 <= points <= 16:
-            raise ValueError("gauss-legendre points per panel must be in 2..16")
-        xi, wi = leggauss(points)
-        for a, b in zip(edges[:-1], edges[1:]):
-            # the midpoint as a / 2 + b / 2, since a + b overflows for T above ~9e307
-            all_nodes.append((b - a) / 2.0 * xi + (a / 2.0 + b / 2.0))
-            all_weights.append((b - a) / 2.0 * wi)
-    elif kind == "simpson":
-        if points < 2 or points % 2 != 0:
-            raise ValueError("simpson subinterval count must be even and >= 2")
-        w = np.ones(points + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            h = (b - a) / points
-            all_nodes.append(np.linspace(a, b, points + 1))
-            all_weights.append(w * h / 3.0)
-    else:
-        raise ValueError(f"unknown quadrature kind {kind!r}")
-    return QuadratureRule(np.concatenate(all_nodes), np.concatenate(all_weights), T)
+    a, b = edges[:-1, None], edges[1:, None]
+    xi, wi = leggauss(points)
+    # the midpoint as a / 2 + b / 2, since a + b overflows for T above ~9e307
+    nodes = (b - a) / 2.0 * xi + (a / 2.0 + b / 2.0)
+    return QuadratureRule(nodes.ravel(), ((b - a) / 2.0 * wi).ravel(), T)
 
 
 def integrate(rule: QuadratureRule, fvals) -> float:

@@ -97,8 +97,8 @@ class HammersteinProblem:
     Construction calls each piece once on the node arrays and raises
     ValueError, naming the piece, when its output cannot broadcast to that
     shape.  It also raises ValueError unless the grid's nodes run from 1 to
-    T and the quadrature is a rule on [1, T], and for a non-finite
-    domain_floor or eta.
+    T and the quadrature is a rule on [1, T], and for a non-finite forcing
+    value, domain_floor or eta.
     """
 
     T: float
@@ -158,7 +158,10 @@ class HammersteinProblem:
     @cached_property
     def _forcing_values(self) -> np.ndarray:
         nodes = self.grid.nodes
-        return _node_array_output("forcing", self.forcing, nodes.shape, nodes)
+        values = _node_array_output("forcing", self.forcing, nodes.shape, nodes)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("forcing must be finite on the grid")
+        return values
 
 
 def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int = 0):
@@ -371,6 +374,29 @@ def check_assumption_e(
     return AssumptionEReport(h_functions, tuple(failures))
 
 
+def _linear_minus_log_forcing(alpha: float, T: float) -> Forcing:
+    c = math.log((1 + alpha) / (alpha * math.sqrt(T)))
+    return lambda t: alpha * t - c / (2.0 * t)
+
+
+# Named pieces of problem data, each a factory of (alpha, T), read by the CLI's
+# "custom" configs and by build_log_example, so the paper's pieces live here only.
+KERNELS = {
+    "log-product": lambda alpha, T: (lambda t, s: 1.0 / (2.0 * math.log(T) * t * s)),
+    "constant": lambda alpha, T: (lambda t, s: 1.0 / (T - 1.0)),
+}
+NONLINEARITIES = {
+    "log-shift": lambda alpha, T: (lambda s, x: np.log(s + x)),
+    "neg-log-product": lambda alpha, T: (lambda s, x: -(np.log(s) + np.log(x))),
+    "zero": lambda alpha, T: (lambda s, x: 0.0),
+}
+FORCINGS = {
+    "linear-minus-log": _linear_minus_log_forcing,
+    "linear": lambda alpha, T: (lambda t: alpha * t),
+    "zero": lambda alpha, T: (lambda t: 0.0),
+}
+
+
 def build_log_example(
     alpha: float,
     T: float,
@@ -388,21 +414,17 @@ def build_log_example(
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if not T > 1.0:
         raise ValueError(f"T must exceed 1, got {T}")
-    two_lnT = 2.0 * math.log(T)
-    c = math.log((1 + alpha) / (alpha * math.sqrt(T)))
     return HammersteinProblem(
         T=T,
         m=1,
-        kernel=lambda t, s: 1.0 / (two_lnT * t * s),
-        nonlinearities=(
-            lambda s, x: np.log(s + x),
-            lambda s, x: -(np.log(s) + np.log(x)),
-        ),
-        forcing=lambda t: alpha * t - c / (2.0 * t),
+        kernel=KERNELS["log-product"](alpha, T),
+        nonlinearities=tuple(NONLINEARITIES[name](alpha, T)
+                             for name in ("log-shift", "neg-log-product")),
+        forcing=FORCINGS["linear-minus-log"](alpha, T),
         etas=(1.0, 1.0),
         domain_floor=1.0,
         grid=uniform_grid(T, n_intervals),
-        quadrature=make_quadrature("gauss-legendre", T, quad_panels, quad_points),
+        quadrature=make_quadrature(T, quad_panels, quad_points),
     )
 
 

@@ -27,8 +27,12 @@ from mixedfp import (
     upsilon_violations,
 )
 from mixedfp.cli import EXIT_OK, main
-from mixedfp.contraction import ContractionTriple, DeclaredProperties, builtin_log_triple
-from mixedfp.engine import majorant_for
+from mixedfp.contraction import (
+    ContractionTriple,
+    DeclaredProperties,
+    builtin_log_triple,
+    majorant_for,
+)
 from mixedfp.funcspace import load_csv
 from mixedfp.oracle import check_theorem_hypotheses, random_instance
 from worked_example import closed_H_formulas
@@ -206,6 +210,6 @@ def test_criterion_8_upsilon_machinery():
 def test_criterion_9_quadrature_floor():
     worst = 0.0
     for T in (2.0, math.e, 10.0):
-        rule = make_quadrature("gauss-legendre", T, 32, 8)
+        rule = make_quadrature(T, 32, 8)
         worst = max(worst, abs(integrate(rule, 1.0 / rule.nodes) - math.log(T)))
     report(9, worst <= 1e-10, f"max |integral - ln T| = {worst:.2e}")

@@ -12,6 +12,7 @@ import pytest
 import mixedfp
 from mixedfp import apply_A, sup_metric
 from mixedfp import cli
+from mixedfp import hammerstein as hs
 from mixedfp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -67,6 +68,11 @@ class TestConfig:
         path = write_config(tmp_path, alpha=3.0)
         cfg = load_config(path, {"alpha": 5.0, "T": None})
         assert cfg["alpha"] == 5.0
+
+    def test_registries_are_the_problem_modules(self):
+        assert cli.KERNELS is hs.KERNELS
+        assert cli.NONLINEARITIES is hs.NONLINEARITIES
+        assert cli.FORCINGS is hs.FORCINGS
 
     def test_custom_problem(self):
         cfg = load_config(None, {})
@@ -312,6 +318,23 @@ class TestExitCodes:
         assert err.startswith("config error:") and field in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha, T, message", [
+        (0.0, 2.0, "float division by zero"),
+        (-0.5, 2.0, "math domain error"),
+        (-1.0, 2.0, "math domain error"),
+        (2.0, -1.0, "T must exceed 1"),
+    ], ids=["alpha_0", "alpha_-0.5", "alpha_-1", "T_-1"])
+    def test_custom_forcing_constant_out_of_domain_exits_2(self, tmp_path, capsys, alpha, T,
+                                                            message):
+        # linear-minus-log computes ln((1+alpha)/(alpha*sqrt(T))) when it is built
+        cfg = write_config(
+            tmp_path, problem="custom", kernel="log-product", alpha=alpha, T=T,
+            nonlinearities=["log-shift", "neg-log-product"], forcing="linear-minus-log")
+        assert main(["check", "--config", cfg]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error:") and message in captured.err
+
     @pytest.mark.parametrize("config, field", [
         ({"grid": {"n": 50.9}}, "grid.n"),
         ({"grid": {"n": True}}, "grid.n"),
@@ -363,14 +386,20 @@ class TestExitCodes:
         assert main(["check", "--config", cfg]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == "config error: the paper example has m = 1, got m = 2\n"
 
-    @pytest.mark.parametrize("config, message", [
-        ({"alpha": 1e308}, "no start bracket at alpha = 1e+308 and T = 2.0"),
-        ({"T": 8e307}, "no start bracket at alpha = 2.0 and T = 8e+307"),
-        # the quadrature nodes lie in [1, T]; the upper start 3*alpha*t/2 overflows
-        ({"T": 1e308}, "no start bracket at alpha = 2.0 and T = 1e+308"),
-    ], ids=["alpha", "T_bracket", "T_quadrature"])
-    @pytest.mark.parametrize("command", ["check", "solve"])
-    def test_overflowing_start_bracket_exits_2(self, tmp_path, capsys, config, message, command):
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param(command, config, message, id=f"{command}-{name}")
+        for name, config, message, commands in [
+            # the forcing alpha*t - c/(2t) overflows, so no problem is built
+            ("alpha", {"alpha": 1e308}, "forcing must be finite on the grid",
+             ("check", "solve", "verify")),
+            ("T_bracket", {"T": 8e307}, "no start bracket at alpha = 2.0 and T = 8e+307",
+             ("check", "solve")),
+            # the quadrature nodes lie in [1, T]; the forcing overflows at t = T
+            ("T_quadrature", {"T": 1e308}, "forcing must be finite on the grid",
+             ("check", "solve", "verify")),
+        ] for command in commands
+    ])
+    def test_overflowing_start_bracket_exits_2(self, tmp_path, capsys, command, config, message):
         cfg = write_config(tmp_path, **config)
         argv = [command, "--config", cfg]
         if command == "solve":
@@ -483,6 +512,19 @@ class TestReproducibility:
             outs.append(out)
         for fname in ("solution.csv", "trace.csv", "report.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("alpha, T", [(2.0, 1.05), (2.0, 2.0), (5.0, 10.0)])
+    def test_custom_paper_pieces_equal_the_paper_example(self, tmp_path, alpha, T):
+        # both read the same registry entries, so the files agree bit for bit
+        custom = write_config(
+            tmp_path, problem="custom", kernel="log-product",
+            nonlinearities=["log-shift", "neg-log-product"], forcing="linear-minus-log")
+        flags = ["--alpha", repr(alpha), "--T", repr(T)]
+        for name, extra in (("paper", []), ("custom", ["--config", custom])):
+            assert main(["solve", *extra, *flags, "--out", str(tmp_path / name)]) == EXIT_OK
+        for fname in ("solution.csv", "trace.csv"):
+            assert ((tmp_path / "paper" / fname).read_bytes()
+                    == (tmp_path / "custom" / fname).read_bytes())
 
     def test_solution_round_trip_residual(self, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixedfp.contraction import builtin_log_triple
+from mixedfp.contraction import builtin_log_triple, majorant_for
 from mixedfp.engine import (
     IterationConfig,
     NonConvergenceError,
@@ -14,7 +14,6 @@ from mixedfp.engine import (
     _images,
     check_mixed_monotone_sampled,
     iterate_step,
-    majorant_for,
     solve,
     trace_csv,
 )

@@ -44,7 +44,7 @@ from mixedfp.order import (
     product_leq,
     validate_upsilon,
 )
-from worked_example import check_exp_inequality, closed_H_formulas
+from worked_example import RULES, check_exp_inequality, closed_H_formulas
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestBuildExample:
                 nonlinearities=(lambda s, x: 0.0, lambda s, x: 0.0),
                 forcing=lambda t: 0.0, etas=(1.0, 1.0), domain_floor=0.0,
                 grid=uniform_grid(2.0, 16),
-                quadrature=make_quadrature("gauss-legendre", 2.0, 4, 4),
+                quadrature=make_quadrature(2.0, 4, 4),
             )
 
 
@@ -106,7 +106,7 @@ def _small_problem(**pieces):
         nonlinearities=(lambda s, x: np.log(s + x), lambda s, x: -np.log(x)),
         forcing=lambda t: t, etas=(1.0, 1.0), domain_floor=1.0,
         grid=uniform_grid(2.0, 16),
-        quadrature=make_quadrature("gauss-legendre", 2.0, 4, 4),
+        quadrature=make_quadrature(2.0, 4, 4),
     )
     data.update(pieces)
     return HammersteinProblem(**data)
@@ -115,7 +115,7 @@ def _small_problem(**pieces):
 class TestProblemChecks:
     @pytest.mark.parametrize("field, make", [
         ("T", lambda: 5.0),
-        ("quadrature", lambda: make_quadrature("gauss-legendre", 3.0, 4, 4)),
+        ("quadrature", lambda: make_quadrature(3.0, 4, 4)),
         ("grid", lambda: Grid(2.0, np.linspace(1.0, 1.9, 17))),
         ("grid", lambda: Grid(2.0, np.linspace(1.1, 2.0, 17))),
     ], ids=["T", "quadrature", "grid_short_of_T", "grid_short_of_1"])
@@ -131,6 +131,10 @@ class TestProblemChecks:
     def test_non_finite_floor_or_eta_rejected(self, pieces):
         with pytest.raises(ValueError, match="finite"):
             _small_problem(**pieces)
+
+    def test_non_finite_forcing_rejected(self):
+        with pytest.raises(ValueError, match="forcing must be finite on the grid"):
+            _small_problem(forcing=lambda t: 1.0 / (t - 1.0))
 
 
 class TestArrayContract:
@@ -179,7 +183,7 @@ class TestKernelBound:
             nonlinearities=(lambda s, x: 0.0, lambda s, x: 0.0),
             forcing=lambda t: 0.0, etas=(1.0, 1.0), domain_floor=0.0,
             grid=uniform_grid(3.0, 16),
-            quadrature=make_quadrature("gauss-legendre", 3.0, 4, 4),
+            quadrature=make_quadrature(3.0, 4, 4),
         )
         assert kernel_bound(p) == pytest.approx(2.0, abs=1e-12)
 
@@ -196,7 +200,7 @@ class TestApplyA:
             nonlinearities=(lambda s, x: 0.0, lambda s, x: 0.0),
             forcing=lambda t: 3.0 * t - 1.0, etas=(1.0, 1.0), domain_floor=0.0,
             grid=uniform_grid(2.0, 16),
-            quadrature=make_quadrature("gauss-legendre", 2.0, 4, 4),
+            quadrature=make_quadrature(2.0, 4, 4),
         )
         x = linear(p, 1.0)
         out = apply_A(p, (x, x))
@@ -270,7 +274,7 @@ class TestSweepKernel:
     def test_sweep_equals_per_row_apply_A(self, example22, m, quadrature):
         # simpson nodes include grid nodes, so exact node hits are covered
         p = mfold(dataclasses.replace(
-            example22, quadrature=make_quadrature(quadrature, 2.0, 32, 8)), m)
+            example22, quadrature=RULES[quadrature](2.0, 32, 8)), m)
         ups = cyclic_shift_upsilon(m)
         F = product_operator(p)
         assert F.batch is not None
@@ -394,7 +398,7 @@ class TestBatchKernel:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_batch_equals_per_tuple_apply_A(self, example22, m, quadrature):
         p = mfold(dataclasses.replace(
-            example22, quadrature=make_quadrature(quadrature, 2.0, 32, 8)), m)
+            example22, quadrature=RULES[quadrature](2.0, 32, 8)), m)
         F = product_operator(p)
         block = p._block_rows
         rng = np.random.default_rng(200 + m)
@@ -645,7 +649,7 @@ class TestAssumptionD:
             nonlinearities=(lambda s, x: 2.0 * x, lambda s, x: -x / 100.0),
             forcing=lambda t: 0.0, etas=(1.0, 1.0), domain_floor=0.0,
             grid=uniform_grid(2.0, 16),
-            quadrature=make_quadrature("gauss-legendre", 2.0, 4, 4),
+            quadrature=make_quadrature(2.0, 4, 4),
         )
         report = check_assumption_d(p, [(0.0, 1.0)], [1.5])
         # f(s, x) = 2x jumps by 2 > log 2 over the unit pair
@@ -749,7 +753,7 @@ class TestClosedForms:
         # evaluate the bracket-image integrals by quadrature, independently
         # of the operator pipeline (the integrands simplify in closed form
         # only after the s-integral; here we integrate them raw)
-        rule = make_quadrature("gauss-legendre", T, 32, 8)
+        rule = make_quadrature(T, 32, 8)
         two_lnT = 2.0 * math.log(T)
         p = lambda t: alpha * t - math.log((1 + alpha) / (alpha * math.sqrt(T))) / (2 * t)  # noqa: E731
         for t in np.linspace(1.0, T, 7):

@@ -1,11 +1,15 @@
 """The paper's worked-example formulas, kept as references for the tests:
 the closed forms of the first Jacobi sweep of the log-kernel example and
-the exponential inequality behind its upper start."""
+the exponential inequality behind its upper start; and the quadrature rules
+the tests run on: the package's Gauss-Legendre rule and a composite Simpson
+rule, whose nodes hit grid nodes."""
 
 import math
 from typing import Tuple
 
 import numpy as np
+
+from mixedfp.funcspace import QuadratureRule, make_quadrature
 
 
 def closed_H_formulas(alpha: float, T: float, t) -> Tuple[float, float]:
@@ -35,3 +39,19 @@ def check_exp_inequality(alpha: float) -> bool:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return math.exp(alpha) - (2 + 3 * alpha) / (1 + alpha) > 0
+
+
+def simpson_rule(T: float, panels: int, points: int) -> QuadratureRule:
+    """Composite Simpson rule on [1, T]: `points` (even) subintervals per
+    panel, nodes at every panel edge and subinterval end, so a grid node
+    at one of them is hit exactly."""
+    w = np.ones(points + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    edges = np.linspace(1.0, T, panels + 1)
+    nodes = [np.linspace(a, b, points + 1) for a, b in zip(edges[:-1], edges[1:])]
+    weights = [w * ((b - a) / points) / 3.0 for a, b in zip(edges[:-1], edges[1:])]
+    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), T)
+
+
+RULES = {"gauss-legendre": make_quadrature, "simpson": simpson_rule}
