@@ -25,7 +25,6 @@ predicate on one first sweep.
 """
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -46,7 +45,7 @@ from .engine import (
     trace_csv,
 )
 from .funcspace import GridFunction, format_csv, pointwise_leq, sup_metric
-from .hammerstein import FORCINGS, KERNELS, NONLINEARITIES
+from .hammerstein import FORCINGS, KERNELS, NONLINEARITIES  # noqa: F401 (re-exported)
 from .order import cyclic_shift_upsilon, max_metric, product_leq
 
 log = logging.getLogger(__name__)
@@ -75,6 +74,10 @@ DEFAULTS = {
     "max_iters": IterationConfig.max_iters,
 }
 
+# read only when "problem" is "custom"; the last, domain_floor, is optional
+CUSTOM_KEYS = ("kernel", "nonlinearities", "forcing", "domain_floor")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -91,10 +94,8 @@ def _integer(value, name) -> int:
 
 
 def _unread_keys(cfg) -> list:
-    """The config keys that nothing reads, as dotted names; the keys of a
-    custom problem's pieces are read only when "problem" is "custom"."""
-    custom = ("kernel", "nonlinearities", "forcing", "domain_floor")
-    read = {*DEFAULTS, *(custom if cfg["problem"] == "custom" else ())}
+    """The config keys that nothing reads, as dotted names."""
+    read = {*DEFAULTS, *(CUSTOM_KEYS if cfg["problem"] == "custom" else ())}
     return [key for key in cfg if key not in read] + [
         f"{key}.{sub}" for key, section in DEFAULTS.items() if isinstance(section, dict)
         for sub in cfg[key] if sub not in section
@@ -146,28 +147,16 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
         if kind == "paper-example":
             if m != 1:
                 raise ConfigError(f"the paper example has m = 1, got m = {m}")
-            problem = hs.build_log_example(alpha, T, n, panels, points)
-            etas = tuple(float(e) for e in cfg["eta"])
-            if etas != problem.etas:
-                problem = dataclasses.replace(problem, etas=etas)
-            return problem
-        if kind == "custom":
-            grid = hs.uniform_grid(T, n)  # refuses T <= 1 before a piece computes with T
-            fs = tuple(
-                NONLINEARITIES[name](alpha, T) for name in cfg["nonlinearities"]
-            )
-            return hs.HammersteinProblem(
-                T=T,
-                m=m,
-                kernel=KERNELS[cfg["kernel"]](alpha, T),
-                nonlinearities=fs,
-                forcing=FORCINGS[cfg["forcing"]](alpha, T),
-                etas=tuple(float(e) for e in cfg["eta"]),
-                domain_floor=float(cfg.get("domain_floor", 1.0)),
-                grid=grid,
-                quadrature=hs.make_quadrature(T, panels, points),
-            )
-        raise ConfigError(f"unknown problem kind {kind!r}")
+            hs.check_paper_alpha(alpha)
+            pieces = {}
+        elif kind == "custom":
+            missing = [key for key in CUSTOM_KEYS[:3] if key not in cfg]
+            if missing:
+                raise ConfigError(f"config keys that a custom problem needs: {', '.join(missing)}")
+            pieces = {key: cfg[key] for key in CUSTOM_KEYS if key in cfg}
+        else:
+            raise ConfigError(f"unknown problem kind {kind!r}")
+        return hs.named_problem(alpha, T, n, panels, points, m=m, etas=cfg["eta"], **pieces)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:  # 1/0 at alpha = 0
@@ -323,14 +312,21 @@ def cmd_solve(args) -> int:
     F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
     triple = builtin_log_triple()
     try:
-        report = solve(
-            F, upsilon, x0, config, triple,
-            dist=sup_metric, leq=pointwise_leq, skip_initial_check=args.force,
-        )
-        status = EXIT_OK
-    except NonConvergenceError as exc:
-        report = exc.report
-        status = EXIT_NO_CONVERGENCE
+        try:
+            report = solve(
+                F, upsilon, x0, config, triple,
+                dist=sup_metric, leq=pointwise_leq, skip_initial_check=args.force,
+            )
+            status = EXIT_OK
+        except NonConvergenceError as exc:
+            report = exc.report
+            status = EXIT_NO_CONVERGENCE
+        # defect of the collapsed solution alone, reproducible from solution.csv:
+        # one distinct row over one element, so one transfer at any k; under
+        # --force the last iterate can lie below the floor
+        solution = report.fixed_point[0]
+        collapsed_residual = sup_metric(
+            solution, iterate_step(F, upsilon, (solution,) * problem.k)[0])
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
         payload = {"config": cfg, "converged": False,
@@ -339,12 +335,7 @@ def cmd_solve(args) -> int:
         return EXIT_OPERATOR_ERROR
 
     (out_dir / "trace.csv").write_text(trace_csv(report))
-    solution = report.fixed_point[0]
     (out_dir / "solution.csv").write_text(format_csv(solution))
-    # defect of the collapsed solution alone, reproducible from solution.csv:
-    # one distinct row over one element, so one transfer at any k
-    collapsed_residual = sup_metric(
-        solution, iterate_step(F, upsilon, (solution,) * problem.k)[0])
     payload = {
         "solution_residual": collapsed_residual,
         "config": cfg,

@@ -3,9 +3,9 @@ with 2m nonlinearities banded by log(1 + .) in alternating directions, the
 induced product operator, and numerical checkers for the standing
 assumptions.
 
-The bundled example uses the logarithmic kernel G(t,s) = 1/(2 ln T * t * s),
-f1(s,x) = ln(s + x), f2(s,x) = -(ln s + ln x); its exact solution is
-x(t) = alpha * t.
+Named pieces of problem data are built by one constructor, ``named_problem``,
+whose defaults are the paper's example: G(t,s) = 1/(2 ln T * t * s),
+f1(s,x) = ln(s + x), f2(s,x) = -(ln s + ln x), exact solution x(t) = alpha * t.
 """
 
 import logging
@@ -40,6 +40,7 @@ __all__ = [
     "check_assumption_d",
     "check_assumption_e",
     "build_log_example",
+    "named_problem",
     "initial_bracket",
 ]
 
@@ -97,8 +98,8 @@ class HammersteinProblem:
     Construction calls each piece once on the node arrays and raises
     ValueError, naming the piece, when its output cannot broadcast to that
     shape.  It also raises ValueError unless the grid's nodes run from 1 to
-    T and the quadrature is a rule on [1, T], and for a non-finite forcing
-    value, domain_floor or eta.
+    T and the quadrature is a rule on [1, T], for a non-finite forcing
+    value, domain_floor or eta, and for a grid spacing above _MAX_SPACING.
     """
 
     T: float
@@ -126,6 +127,10 @@ class HammersteinProblem:
         # cached), then probe each nonlinearity once
         self._weighted_kernel
         self._forcing_values
+        spacing = float(np.diff(self.grid.nodes).max())
+        if not spacing <= _MAX_SPACING:
+            raise ValueError(f"grid spacing {spacing:.6g} is above {_MAX_SPACING:.6g}, "
+                             "where the PCHIP transfer overflows")
         s = self.quadrature.nodes
         x = np.full_like(s, self.domain_floor)
         for i, fi in enumerate(self.nonlinearities, start=1):
@@ -162,6 +167,10 @@ class HammersteinProblem:
         if not np.all(np.isfinite(values)):
             raise ValueError("forcing must be finite on the grid")
         return values
+
+
+# PchipPlan cubes offsets within an interval: a wider spacing overflows
+_MAX_SPACING = float(np.cbrt(np.finfo(float).max))
 
 
 def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int = 0):
@@ -321,11 +330,11 @@ def check_assumption_d(
     # eta_i * log(1 + y - x), shape (k, pairs * n_s), with math.log1p (numpy's
     # may differ by an ulp)
     bands = np.repeat([math.log1p(y - x) for x, y in pairs], n_s)
-    caps = np.asarray(problem.etas)[:, None] * bands
     odd = (np.arange(problem.k) % 2 == 0)[:, None]  # f_1, f_3, ...: nondecreasing
-    lo, hi = np.where(odd, 0.0, -caps), np.where(odd, caps, 0.0)
-    diffs = np.empty_like(caps)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an infinite cap is a valid one
+        caps = np.asarray(problem.etas)[:, None] * bands
+        lo, hi = np.where(odd, 0.0, -caps), np.where(odd, caps, 0.0)
+        diffs = np.empty_like(caps)
         for i, fi in enumerate(problem.nonlinearities):
             fy, fx = _node_array_output(f"nonlinearity {i + 1}", fi, (2 * ss.size,),
                                         np.tile(ss, 2), np.concatenate([ys, xs])).reshape(2, -1)
@@ -375,12 +384,16 @@ def check_assumption_e(
 
 
 def _linear_minus_log_forcing(alpha: float, T: float) -> Forcing:
-    c = math.log((1 + alpha) / (alpha * math.sqrt(T)))
+    ratio = (1 + alpha) / (alpha * math.sqrt(T))
+    if not ratio > 0.0:
+        raise ValueError(f"forcing linear-minus-log takes ln((1+alpha)/(alpha*sqrt(T))), "
+                         f"undefined at alpha = {alpha} and T = {T}")
+    c = math.log(ratio)
     return lambda t: alpha * t - c / (2.0 * t)
 
 
-# Named pieces of problem data, each a factory of (alpha, T), read by the CLI's
-# "custom" configs and by build_log_example, so the paper's pieces live here only.
+# Named pieces of problem data, each a factory of (alpha, T), read only by
+# named_problem, so the paper's pieces live here only.
 KERNELS = {
     "log-product": lambda alpha, T: (lambda t, s: 1.0 / (2.0 * math.log(T) * t * s)),
     "constant": lambda alpha, T: (lambda t, s: 1.0 / (T - 1.0)),
@@ -397,6 +410,35 @@ FORCINGS = {
 }
 
 
+def _lookup(piece: str, registry: dict, name):
+    """The factory registered under ``name``, or ValueError naming the piece."""
+    if not (isinstance(name, str) and name in registry):
+        raise ValueError(f"unknown {piece} {name!r}; known: {', '.join(sorted(registry))}")
+    return registry[name]
+
+
+def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: int = 32,
+                  quad_points: int = 8, *, m: int = 1, kernel: str = "log-product",
+                  nonlinearities: Sequence[str] = ("log-shift", "neg-log-product"),
+                  forcing: str = "linear-minus-log", etas: Sequence[float] = (1.0, 1.0),
+                  domain_floor: float = 1.0) -> HammersteinProblem:
+    """The problem whose pieces are named in the registries, each factory
+    called at (alpha, T), on ``uniform_grid(T, n_intervals)`` and
+    ``make_quadrature(T, quad_panels, quad_points)``; the defaults are the
+    paper's.  The grid is built first, so T <= 1 is refused before a factory
+    computes with T.  A name that is not registered, or ``nonlinearities``
+    that is not a list, raises ValueError naming the piece."""
+    grid = uniform_grid(T, n_intervals)
+    if not isinstance(nonlinearities, (list, tuple)):
+        raise ValueError(f"nonlinearities must be a list of names, got {nonlinearities!r}")
+    fs = tuple(_lookup("nonlinearity", NONLINEARITIES, name)(alpha, T) for name in nonlinearities)
+    return HammersteinProblem(
+        T=T, m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T), nonlinearities=fs,
+        forcing=_lookup("forcing", FORCINGS, forcing)(alpha, T),
+        etas=tuple(float(e) for e in etas), domain_floor=float(domain_floor), grid=grid,
+        quadrature=make_quadrature(T, quad_panels, quad_points))
+
+
 def build_log_example(
     alpha: float,
     T: float,
@@ -410,22 +452,14 @@ def build_log_example(
     forcing p(t) = alpha*t - ln((1+alpha)/(alpha*sqrt(T)))/(2t); both eta
     constants are 1, exactly saturating the kernel-bound cap.
     """
+    check_paper_alpha(alpha)
+    return named_problem(alpha, T, n_intervals, quad_panels, quad_points)
+
+
+def check_paper_alpha(alpha: float) -> None:
+    """The paper example's exact solution alpha * t needs alpha > 1."""
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not T > 1.0:
-        raise ValueError(f"T must exceed 1, got {T}")
-    return HammersteinProblem(
-        T=T,
-        m=1,
-        kernel=KERNELS["log-product"](alpha, T),
-        nonlinearities=tuple(NONLINEARITIES[name](alpha, T)
-                             for name in ("log-shift", "neg-log-product")),
-        forcing=FORCINGS["linear-minus-log"](alpha, T),
-        etas=(1.0, 1.0),
-        domain_floor=1.0,
-        grid=uniform_grid(T, n_intervals),
-        quadrature=make_quadrature(T, quad_panels, quad_points),
-    )
 
 
 def initial_bracket(problem: HammersteinProblem, alpha: float) -> Tuple[GridFunction, GridFunction]:

@@ -1,13 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mixedfp
 from mixedfp import apply_A, sup_metric
@@ -276,7 +281,7 @@ class TestExitCodes:
         def no_build(*args, **kwargs):
             raise AssertionError("problem data built despite the guard")
 
-        for name in ("uniform_grid", "make_quadrature", "build_log_example"):
+        for name in ("uniform_grid", "make_quadrature", "named_problem"):
             monkeypatch.setattr(cli.hs, name, no_build)
         cfg = write_config(
             tmp_path, problem=problem, grid=grid, quadrature=quadrature,
@@ -320,8 +325,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alpha, T, message", [
         (0.0, 2.0, "float division by zero"),
-        (-0.5, 2.0, "math domain error"),
-        (-1.0, 2.0, "math domain error"),
+        (-0.5, 2.0, "linear-minus-log takes ln((1+alpha)/(alpha*sqrt(T))), "
+                    "undefined at alpha = -0.5 and T = 2.0"),
+        (-1.0, 2.0, "linear-minus-log takes ln((1+alpha)/(alpha*sqrt(T))), "
+                    "undefined at alpha = -1.0 and T = 2.0"),
         (2.0, -1.0, "T must exceed 1"),
     ], ids=["alpha_0", "alpha_-0.5", "alpha_-1", "T_-1"])
     def test_custom_forcing_constant_out_of_domain_exits_2(self, tmp_path, capsys, alpha, T,
@@ -334,6 +341,64 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("config error:") and message in captured.err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"kernel": "nope"}, "unknown kernel 'nope'; known: constant, log-product"),
+        ({"forcing": "nope"}, "unknown forcing 'nope'; known: linear, linear-minus-log, zero"),
+        ({"nonlinearities": "log-shift"},
+         "nonlinearities must be a list of names, got 'log-shift'"),
+        ({"nonlinearities": [1, 2]},
+         "unknown nonlinearity 1; known: log-shift, neg-log-product, zero"),
+        ({"nonlinearities": None}, "config keys that a custom problem needs: nonlinearities"),
+        ({"alpha": -0.5}, "forcing linear-minus-log takes ln((1+alpha)/(alpha*sqrt(T))), "
+                          "undefined at alpha = -0.5 and T = 2.0"),
+        ({"T": 1e106}, "grid spacing 5e+103 is above 5.6438e+102, "
+                       "where the PCHIP transfer overflows"),
+    ], ids=["unknown_kernel", "unknown_forcing", "string_nonlinearities", "non_string_name",
+            "missing_key", "forcing_domain", "wide_spacing"])
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_bad_custom_piece_exits_2_naming_it(self, tmp_path, capsys, config, message,
+                                                command):
+        # a custom config naming the paper's pieces, with one of them changed
+        # (None drops the key)
+        pieces = {"problem": "custom", "kernel": "log-product", "forcing": "linear-minus-log",
+                  "nonlinearities": ["log-shift", "neg-log-product"], **config}
+        cfg = write_config(tmp_path, **{k: v for k, v in pieces.items() if v is not None})
+        argv = [command, "--config", cfg]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_CONFIG_ERROR
+        assert seen == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error:") and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_eta_cap_fails_the_check_without_a_warning(self, tmp_path, capsys):
+        # eta * log(1 + y - x) is infinite at the widest pair: a valid cap
+        cfg = write_config(tmp_path, eta=[1e308, 1.0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["check", "--config", cfg]) == EXIT_CHECK_FAILED
+        assert seen == []
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert not report["eta_ok"]
+
+    def test_paper_example_with_its_own_eta_assembles_one_kernel(self, monkeypatch):
+        calls = []
+        log_product = hs.KERNELS["log-product"]
+
+        def counted(alpha, T):
+            kernel = log_product(alpha, T)
+            return lambda t, s: calls.append(t.shape) or kernel(t, s)
+
+        monkeypatch.setitem(hs.KERNELS, "log-product", counted)
+        cfg = load_config(None, {})
+        cfg["eta"] = [0.5, 1.0]
+        assert build_problem(cfg).etas == (0.5, 1.0)
+        assert calls == [(201, 1)]
 
     @pytest.mark.parametrize("config, field", [
         ({"grid": {"n": 50.9}}, "grid.n"),
@@ -392,8 +457,9 @@ class TestExitCodes:
             # the forcing alpha*t - c/(2t) overflows, so no problem is built
             ("alpha", {"alpha": 1e308}, "forcing must be finite on the grid",
              ("check", "solve", "verify")),
-            ("T_bracket", {"T": 8e307}, "no start bracket at alpha = 2.0 and T = 8e+307",
-             ("check", "solve")),
+            # the forcing is finite at t <= 1.05, the upper start is not
+            ("T_bracket", {"alpha": 1.3e308, "T": 1.05},
+             "no start bracket at alpha = 1.3e+308 and T = 1.05", ("check", "solve")),
             # the quadrature nodes lie in [1, T]; the forcing overflows at t = T
             ("T_quadrature", {"T": 1e308}, "forcing must be finite on the grid",
              ("check", "solve", "verify")),
@@ -457,6 +523,73 @@ class TestExitCodes:
         finally:
             del NONLINEARITIES["scalar-log-shift"]
         assert "nonlinearity 1 must accept node arrays" in capsys.readouterr().err
+
+
+# Values outside what the schema expects.
+ODD_VALUES = [0, 1, -1, 1 + 1e-7, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e154,
+              True, False, "x", None, [1.0, 2.0], {"n": 1}]
+# Every config key, and an entry of each list, as a path into the config.
+CONFIG_PATHS = [("problem",), ("T",), ("alpha",), ("m",), ("eta",), ("eta", 0), ("grid",),
+                ("grid", "n"), ("quadrature",), ("quadrature", "panels"),
+                ("quadrature", "points"), ("tolerances",), ("tolerances", "step"),
+                ("tolerances", "residual"), ("max_iters",), ("kernel",), ("nonlinearities",),
+                ("nonlinearities", 0), ("forcing",), ("domain_floor",), ("unknown",)]
+_NAMES = sorted({*hs.KERNELS, *hs.NONLINEARITIES, *hs.FORCINGS})
+
+
+@st.composite
+def configs(draw):
+    """A config that runs, paper example or custom, at most 24 grid intervals,
+    4 x 4 quadrature nodes and 60 sweeps (the run-time cap), with up to three
+    keys or entries then set to an odd value or a registry name."""
+    pick = lambda *values: draw(st.sampled_from(values))
+    m = pick(1, 2)
+    cfg = {"T": pick(2.0, math.e, 10.0, 1.05), "alpha": pick(2.0, 1.5, 5.0, 1.01),
+           "grid": {"n": pick(8, 24)}, "quadrature": {"panels": pick(1, 4), "points": pick(2, 4)},
+           "tolerances": {"step": pick(1e-10, 1e-4)}, "max_iters": pick(1, 60),
+           "eta": [pick(1.0, 0.5)] * 2}
+    if draw(st.booleans()):
+        cfg.update(problem="custom", m=m, kernel=pick(*hs.KERNELS),
+                   nonlinearities=[pick(*hs.NONLINEARITIES) for _ in range(2 * m)],
+                   forcing=pick(*hs.FORCINGS), domain_floor=pick(1.0, 0.0, 2.0),
+                   eta=[pick(1.0, 0.5, 0.25)] * (2 * m))
+    for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), max_size=3, unique=True)):
+        *parents, last = path
+        section = cfg
+        for key in parents:
+            section = section.setdefault(key, {})
+        if isinstance(section, dict) or (isinstance(section, list) and section and last == 0):
+            section[last] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES + _NAMES)))
+    return cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(configs())
+# found by hand or by this property: a PCHIP overflow, an overflowing eta cap,
+# and a forced solve whose last iterate lies below the floor
+@example({"T": 1e106})
+@example({"eta": [1e308, 1.0]})
+@example({"problem": "custom", "kernel": "log-product", "forcing": "linear-minus-log",
+          "nonlinearities": ["neg-log-product", "neg-log-product"], "max_iters": 1})
+def test_no_config_crashes_or_warns(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))  # json writes NaN and Infinity
+        for argv in (["check"], ["solve", "--out", f"{tmp}/a"],
+                     ["solve", "--force", "--out", f"{tmp}/b"], ["verify"]):
+            out = io.StringIO()
+            # "always", not "error": under "error" a numpy warning raised
+            # inside an operator call would read as an operator error
+            with warnings.catch_warnings(record=True) as seen, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main([*argv, "--config", str(path)])
+            assert code in range(5) and [str(w.message) for w in seen] == [], argv
+            if out.getvalue():
+                json.loads(out.getvalue(), parse_constant=reject_constant)
+            report = Path(argv[-1]) / "report.json"
+            if argv[0] == "solve" and report.exists():
+                json.loads(report.read_text(), parse_constant=reject_constant)
 
 
 def test_solve_does_not_import_scipy(tmp_path):
