@@ -1,8 +1,6 @@
 """Watch the monotone bracket close around the solution and compare the
 recorded step sizes against the a-priori d_{n+1} = log(1 + d_n) majorant."""
 
-import numpy as np
-
 from mixedfp import (
     IterationConfig,
     build_log_example,
@@ -10,6 +8,7 @@ from mixedfp import (
     cyclic_shift_upsilon,
     initial_bracket,
     iterate_step,
+    pointwise_leq,
     product_operator,
     solve,
     sup_metric,
@@ -28,9 +27,8 @@ for n in range(8):
           f"width {width:.2e}")
     x = iterate_step(F, upsilon, x)
 
-leq = lambda u, v: bool(np.all(u.values <= v.values + 1e-12))  # noqa: E731
 report = solve(F, upsilon, initial_bracket(problem, 2.0), IterationConfig(),
-               builtin_log_triple(), dist=sup_metric, leq=leq)
+               builtin_log_triple(), dist=sup_metric, leq=pointwise_leq)
 bound = majorant_for(report, builtin_log_triple())
 
 print("\nstep size vs log(1 + .) majorant:")

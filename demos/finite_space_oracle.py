@@ -12,7 +12,7 @@ import numpy as np
 from mixedfp import IterationConfig, ProductOperator, solve
 from mixedfp.contraction import ContractionTriple, DeclaredProperties
 from mixedfp.oracle import FiniteSpace, check_theorem_hypotheses, enumerate_fixed_points
-from mixedfp.order import Partition, validate_upsilon
+from mixedfp.order import Partition, UpsilonTuple
 
 # chain lo < mid < hi with |i - j| distances
 idx = np.arange(3)
@@ -23,7 +23,7 @@ space = FiniteSpace(
 )
 
 partition = Partition.of(2, [1])
-upsilon = validate_upsilon([(1, 2), (2, 1)], partition)
+upsilon = UpsilonTuple(partition, [(1, 2), (2, 1)])
 triple = ContractionTriple(lambda x: x, lambda x: 0.5 * x, lambda x: 0.0,
                            DeclaredProperties(True, True, True, True))
 

@@ -14,6 +14,7 @@ from mixedfp import (
     builtin_log_triple,
     cyclic_shift_upsilon,
     initial_bracket,
+    pointwise_leq,
     product_operator,
     solve,
     sup_metric,
@@ -26,10 +27,9 @@ upsilon = cyclic_shift_upsilon(problem.m)
 x0 = initial_bracket(problem, alpha)
 print(f"start: lower = {alpha}/2 * t, upper = 3*{alpha}/2 * t on [1, {T}]")
 
-leq = lambda u, v: bool(np.all(u.values <= v.values + 1e-12))  # noqa: E731
 report = solve(
     product_operator(problem), upsilon, x0, IterationConfig(),
-    builtin_log_triple(), dist=sup_metric, leq=leq,
+    builtin_log_triple(), dist=sup_metric, leq=pointwise_leq,
 )
 
 solution = report.fixed_point[0]

@@ -45,7 +45,6 @@ from .order import (
     max_metric,
     product_leq,
     upsilon_violations,
-    validate_upsilon,
 )
 
 __version__ = "0.1.0"

@@ -93,6 +93,14 @@ def _integer(value, name) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(value, name) -> float:
+    """A number config field, read as given: a bool or a string is refused,
+    not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _unread_keys(cfg) -> list:
     """The config keys that nothing reads, as dotted names."""
     read = {*DEFAULTS, *(CUSTOM_KEYS if cfg["problem"] == "custom" else ())}
@@ -108,7 +116,7 @@ def load_config(path, overrides) -> dict:
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON, UTF-8 or an over-long integer
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -126,7 +134,7 @@ def load_config(path, overrides) -> dict:
 
 def build_problem(cfg: dict) -> hs.HammersteinProblem:
     try:
-        alpha, T = float(cfg["alpha"]), float(cfg["T"])
+        alpha, T = _number(cfg["alpha"], "alpha"), _number(cfg["T"], "T")
         if not (np.isfinite(alpha) and np.isfinite(T)):
             raise ConfigError(f"alpha and T must be finite, got {alpha} and {T}")
         n = _integer(cfg["grid"]["n"], "grid.n")
@@ -153,10 +161,15 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
             missing = [key for key in CUSTOM_KEYS[:3] if key not in cfg]
             if missing:
                 raise ConfigError(f"config keys that a custom problem needs: {', '.join(missing)}")
-            pieces = {key: cfg[key] for key in CUSTOM_KEYS if key in cfg}
+            pieces = {key: cfg[key] for key in CUSTOM_KEYS[:3]}
+            if "domain_floor" in cfg:
+                pieces["domain_floor"] = _number(cfg["domain_floor"], "domain_floor")
         else:
             raise ConfigError(f"unknown problem kind {kind!r}")
-        return hs.named_problem(alpha, T, n, panels, points, m=m, etas=cfg["eta"], **pieces)
+        if not isinstance(cfg["eta"], list):
+            raise ValueError(f"eta must be a list of numbers, got {cfg['eta']!r}")
+        etas = [_number(e, f"eta[{i}]") for i, e in enumerate(cfg["eta"])]
+        return hs.named_problem(alpha, T, n, panels, points, m=m, etas=etas, **pieces)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:  # 1/0 at alpha = 0
@@ -181,8 +194,8 @@ def _prepare(args):
     try:
         tols = cfg["tolerances"]
         config = IterationConfig(
-            tol_step=float(tols["step"]),
-            tol_residual=float(tols["residual"]),
+            tol_step=_number(tols["step"], "tolerances.step"),
+            tol_residual=_number(tols["residual"], "tolerances.residual"),
             max_iters=_integer(cfg["max_iters"], "max_iters"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -310,11 +323,10 @@ def cmd_solve(args) -> int:
         log.warning("assumption checks failed; continuing under --force")
 
     F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
-    triple = builtin_log_triple()
     try:
         try:
             report = solve(
-                F, upsilon, x0, config, triple,
+                F, upsilon, x0, config,
                 dist=sup_metric, leq=pointwise_leq, skip_initial_check=args.force,
             )
             status = EXIT_OK

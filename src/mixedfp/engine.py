@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .order import Partition, UpsilonTuple
+from .order import Distance, Leq, Partition, UpsilonTuple
 
 __all__ = [
     "ProductOperator",
@@ -26,9 +26,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-Distance = Callable[[object, object], float]
-Leq = Callable[[object, object], bool]
 
 
 class OperatorEvaluationError(RuntimeError):
@@ -104,13 +101,16 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class IterationReport:
-    iterations: int
     step_history: Tuple[float, ...]  # per sweep: its largest residual, NaN if any is
     spread_history: Tuple[float, ...]
     monotone_ok: bool
     collapsed: bool
     converged: bool
     fixed_point: tuple
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_history)
 
     @property
     def final_residual(self) -> float:
@@ -266,9 +266,8 @@ def solve(
     spreads: List[float] = []
     monotone_ok = True
 
-    def report(iterations: int, converged: bool, collapsed: bool = False) -> IterationReport:
+    def report(converged: bool, collapsed: bool = False) -> IterationReport:
         return IterationReport(
-            iterations=iterations,
             step_history=tuple(steps),
             spread_history=tuple(spreads),
             monotone_ok=monotone_ok,
@@ -293,7 +292,7 @@ def solve(
         # `d <= tol` is never true for NaN
         if not math.isfinite(d):
             log.warning("non-finite step at sweep %d; stopping", it + 1)
-            raise NonConvergenceError(report(it + 1, converged=False))
+            raise NonConvergenceError(report(converged=False))
 
         if not all(ordered):
             if monotone_ok:
@@ -301,11 +300,10 @@ def solve(
             monotone_ok = False
 
         if d <= config.tol_step and d <= config.tol_residual:
-            return report(it + 1, converged=True,
-                          collapsed=spreads[-1] <= config.tol_residual)
+            return report(converged=True, collapsed=spreads[-1] <= config.tol_residual)
         x = y
 
-    raise NonConvergenceError(report(config.max_iters, converged=False))
+    raise NonConvergenceError(report(converged=False))
 
 
 def _compare(x: Sequence, y: Sequence, partition: Partition, dist: Distance,

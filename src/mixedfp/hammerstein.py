@@ -156,11 +156,6 @@ class HammersteinProblem:
         return PchipPlan(self.grid, self.quadrature.nodes)
 
     @cached_property
-    def _block_rows(self) -> int:
-        # rows per kernel call of _integrals: at least one sweep
-        return max(self.k, _BLOCK_ELEMENTS // (self.k * self.quadrature.nodes.size))
-
-    @cached_property
     def _forcing_values(self) -> np.ndarray:
         nodes = self.grid.nodes
         values = _node_array_output("forcing", self.forcing, nodes.shape, nodes)
@@ -200,16 +195,17 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
 
     Each component is checked against the floor and transferred once, to
     one (c, nq) array, by the problem's cached PCHIP plan in applies of at
-    most _BLOCK_ELEMENTS // max(n, nq) components, each apply's components
-    stacked and checked just before it (so no (c, n) stack is held; PCHIP
-    stays within each interval's node values, so the transferred values need
-    no check).  A DomainFloorError names the argument, a 1-based index into
-    ``x``, not the row.  The rows then run in blocks of
-    B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows (``problem._block_rows``),
-    one kernel call each, so a sweep (k rows) is one call and S check
-    tuples cost ceil(S / B) calls.  A call of b rows
-    gathers its arguments from the transferred array and calls each f_j
-    once, on the b argument rows laid end to end (1-D arrays of length
+    most max(1, _BLOCK_ELEMENTS // max(n, nq)) components, each apply's
+    components stacked and checked just before it (so no (c, n) stack is
+    held; PCHIP stays within each interval's node values, so the transferred
+    values need no check).  A DomainFloorError names the argument, a 1-based
+    index into ``x``, not the row.  The rows then run in blocks of
+    B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows, one kernel call each, so a
+    sweep (k rows) is one call and S check tuples cost ceil(S / B) calls.
+    Both sizes are computed here; they differ because an apply holds
+    max(n, nq) values per component and a block k * nq per row.  A call of
+    b rows gathers its arguments from the transferred array and calls each
+    f_j once, on the b argument rows laid end to end (1-D arrays of length
     b*nq, so the array contract holds and a scalar return broadcasts); its
     b integrands go through one stacked matvec, which sums each row as
     ``W @ total`` does.
@@ -217,23 +213,23 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     table = np.asarray(rows) - 1
     for xi in x:
         _check_same_grid(problem.grid, xi.grid)
-    s_nodes = problem.quadrature.nodes
+    s_nodes, k, n = problem.quadrature.nodes, problem.k, problem.grid.n
     floor, nq = problem.domain_floor, s_nodes.size
     vals = np.empty((len(x), nq))
-    chunk = max(1, _BLOCK_ELEMENTS // max(problem.grid.n, nq))
+    chunk = max(1, _BLOCK_ELEMENTS // max(n, nq))
     for start in range(0, len(x), chunk):
         values = np.stack([xi.values for xi in x[start:start + chunk]])
         _check_floor(values, problem.grid.nodes, floor, start)
         vals[start:start + chunk] = problem._transfer.apply(values)
-    block = problem._block_rows
-    out = np.empty((table.shape[0], problem.grid.n))
+    block = max(k, _BLOCK_ELEMENTS // (k * nq))
+    out = np.empty((table.shape[0], n))
     s = np.tile(s_nodes, min(block, table.shape[0]))
     for start in range(0, table.shape[0], block):
         part = table[start:start + block]
         n_rows = part.shape[0]
         s_rows, total = s[:n_rows * nq], np.zeros(n_rows * nq)
         # one gather; row j holds argument j of every row end to end
-        args = vals.take(part.T, axis=0).reshape(problem.k, n_rows * nq)
+        args = vals.take(part.T, axis=0).reshape(k, n_rows * nq)
         with np.errstate(all="ignore"):
             for fj, arg in zip(problem.nonlinearities, args):
                 total += fj(s_rows, arg)

@@ -76,14 +76,9 @@ class FiniteSpace:
         return bool(self.leq[a, b])
 
 
-def _guard(space: FiniteSpace, k: int):
-    if space.n ** k > SIZE_GUARD:
-        raise ValueError(f"{space.n}^{k} candidates exceed the size guard")
-
-
-def _pair_guard(space: FiniteSpace, k: int):
-    if (space.n ** k) ** 2 > SIZE_GUARD:
-        raise ValueError(f"({space.n}^{k})^2 pair cells exceed the size guard")
+def _guard(count: int, what: str):
+    if count > SIZE_GUARD:
+        raise ValueError(f"{what} exceed the size guard")
 
 
 def enumerate_fixed_points(
@@ -93,7 +88,7 @@ def enumerate_fixed_points(
 ) -> List[tuple]:
     """All tuples x with F(x permuted by sigma_i) == x_i for every i."""
     k = upsilon.partition.k
-    _guard(space, k)
+    _guard(space.n ** k, f"{space.n}^{k} candidates")
     found = []
     for x in itertools.product(range(space.n), repeat=k):
         if all(
@@ -165,8 +160,8 @@ def check_theorem_hypotheses(
     partition = upsilon.partition
     k = partition.k
     n = space.n
-    _pair_guard(space, k)
     size = n ** k
+    _guard(size ** 2, f"({n}^{k})^2 pair cells")
     fvals = _operator_table(space, F, k)
     digits = np.indices((n,) * k).reshape(k, size).T  # row p: the tuple of index p
     place = n ** np.arange(k - 1, -1, -1)             # place[j - 1] = n^(k-j)
@@ -273,16 +268,16 @@ def random_instance(k: int, n: int, rng: np.random.Generator):
     for i in range(1, k + 1):
         row = []
         for j in range(1, k + 1):
+            # never empty: A holds 1 or more, and B is wanted only when
+            # exactly one of i and j lies in A, so the other lies in B
             want_a = (j in partition.a) == (i in partition.a)
             pool = [
                 v for v in range(1, k + 1)
                 if (v in partition.a) == want_a
             ]
-            row.append(int(rng.choice(pool)) if pool else None)
-        if any(v is None for v in row):
-            return None  # partition cannot host a conforming tuple
-        sigmas.append(tuple(row))
-    upsilon = UpsilonTuple(partition, tuple(sigmas))
+            row.append(int(rng.choice(pool)))
+        sigmas.append(row)
+    upsilon = UpsilonTuple(partition, sigmas)
 
     style = rng.random()
     if style < 0.5:

@@ -16,7 +16,6 @@ __all__ = [
     "max_metric",
     "product_leq",
     "upsilon_violations",
-    "validate_upsilon",
     "cyclic_shift_upsilon",
 ]
 
@@ -75,7 +74,8 @@ class UpsilonMembershipError(ValueError):
 
 @dataclass(frozen=True)
 class UpsilonTuple:
-    """k index maps sigma_i: {1,...,k} -> {1,...,k}, stored 1-based.
+    """k index maps sigma_i: {1,...,k} -> {1,...,k}, stored 1-based as a
+    tuple of tuples, from any sequence of sequences.
 
     Maps for i in A must preserve the blocks (A->A, B->B); maps for i in B
     must swap them (A->B, B->A).  Every instance is a member of Upsilon: the
@@ -88,13 +88,10 @@ class UpsilonTuple:
     sigmas: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "sigmas", tuple(tuple(s) for s in self.sigmas))
         violations = upsilon_violations(self.sigmas, self.partition)
         if violations:
             raise UpsilonMembershipError(violations)
-
-    def sigma(self, i: int, j: int) -> int:
-        """Value sigma_i(j), both arguments 1-based."""
-        return self.sigmas[i - 1][j - 1]
 
     def permute(self, i: int, x: Sequence) -> tuple:
         """The argument tuple (x_{sigma_i(1)}, ..., x_{sigma_i(k)})."""
@@ -145,12 +142,6 @@ def upsilon_violations(sigmas, partition: Partition):
     ]
 
 
-def validate_upsilon(sigmas, partition: Partition) -> UpsilonTuple:
-    """Accept a candidate sigma tuple (any sequence of sequences) as an
-    ``UpsilonTuple``, or raise its constructor's errors."""
-    return UpsilonTuple(partition, tuple(tuple(s) for s in sigmas))
-
-
 def cyclic_shift_upsilon(m: int) -> UpsilonTuple:
     """The 2m cyclic-shift tuple: sigma_i(j) = ((i + j - 2) mod 2m) + 1.
 
@@ -160,10 +151,6 @@ def cyclic_shift_upsilon(m: int) -> UpsilonTuple:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     k = 2 * m
-    partition = Partition.odd_even(k)
-    sigmas = tuple(
-        tuple((i + j - 2) % k + 1 for j in range(1, k + 1))
-        for i in range(1, k + 1)
-    )
-    return validate_upsilon(sigmas, partition)
+    sigmas = [[(i + j - 2) % k + 1 for j in range(1, k + 1)] for i in range(1, k + 1)]
+    return UpsilonTuple(Partition.odd_even(k), sigmas)
 

@@ -156,10 +156,7 @@ def test_criterion_7_oracle_equivalence():
         attempts += 1
         k = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        inst = random_instance(k, n, rng)
-        if inst is None:
-            continue
-        space, ups, F = inst
+        space, ups, F = random_instance(k, n, rng)
         hyp = check_theorem_hypotheses(space, F, ups, triple)
         if not hyp.all_pass:
             continue

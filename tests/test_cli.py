@@ -117,6 +117,19 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[1, 2]", "config error: config root must be a JSON object"),
+        (b'{"alpha": ' + b"1" * 5000 + b"}", "config error: cannot read config "),
+        (b"\xff\xfe{}", "config error: cannot read config "),
+    ], ids=["root_list", "integer_of_5000_digits", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["check", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
+
     def test_solve_converges(self, tmp_path):
         out = tmp_path / "out"
         code = main(["solve", "--alpha", "2", "--T", "2", "--out", str(out)])
@@ -145,7 +158,8 @@ class TestExitCodes:
         ({"max_iters": 0}, [], "max_iters must be >= 1"),
         ({"tolerances": {"step": -1}}, [], "tolerances must be positive"),
         ({}, ["--alpha", "inf"], "alpha and T must be finite"),
-    ], ids=["max_iters_0", "negative_step", "alpha_inf"])
+        ({"problem": "nope"}, [], "unknown problem kind 'nope'"),
+    ], ids=["max_iters_0", "negative_step", "alpha_inf", "unknown_kind"])
     def test_invalid_solve_config_exits_2(self, tmp_path, capsys, config, flags, message):
         cfg = write_config(tmp_path, **config)
         out = tmp_path / "out"
@@ -239,6 +253,16 @@ class TestExitCodes:
         assert result.stderr.startswith("operator error:")
         assert "non-finite integrand" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_verify_unevaluable_operator_exits_4_in_process(self, capsys):
+        # a floor of -5 lets the sampled tuples reach x <= 0, where the
+        # log nonlinearities are not finite
+        assert main(["verify", "--config", str(DATA / "negative_floor.json")]) \
+            == EXIT_OPERATOR_ERROR
+        captured = capsys.readouterr()
+        record = json.loads(captured.out, parse_constant=reject_constant)["operator_error"]
+        assert sorted(record) == ["component", "message", "node"]
+        assert captured.err == f"operator error: {record['message']}\n"
 
     def test_verify_makes_one_batch_call_per_check(self, monkeypatch, capsys):
         batches = []
@@ -419,6 +443,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: bad config: {field} must be an integer, got ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"eta": "11"}, "eta must be a list of numbers, got '11'"),
+        ({"eta": 1}, "eta must be a list of numbers, got 1"),
+        ({"eta": [True, 1]}, "eta[0] must be a number, got True"),
+        ({"eta": [1, "1"]}, "eta[1] must be a number, got '1'"),
+        ({"tolerances": {"step": True}}, "tolerances.step must be a number, got True"),
+        ({"tolerances": {"residual": "1e-8"}}, "tolerances.residual must be a number, got '1e-8'"),
+        ({"alpha": "2"}, "alpha must be a number, got '2'"),
+        ({"T": False}, "T must be a number, got False"),
+        ({"T": None}, "T must be a number, got None"),
+        ({"problem": "custom", "kernel": "constant", "nonlinearities": ["zero", "zero"],
+          "forcing": "linear", "domain_floor": "1"}, "domain_floor must be a number, got '1'"),
+    ], ids=["eta_string", "eta_number", "eta_bool", "eta_string_entry", "step_bool",
+            "residual_string", "alpha_string", "T_bool", "T_null", "floor_string"])
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_misread_number_exits_2_naming_it(self, tmp_path, capsys, config, message, command):
+        # a bool or a string is refused, not read as the number it converts to
+        cfg = write_config(tmp_path, **config)
+        argv = [command, "--config", cfg]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: bad config: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_is_read_as_its_integer(self, tmp_path):
         cfg = load_config(write_config(tmp_path, grid={"n": 50.0}), {})

@@ -11,7 +11,8 @@ from mixedfp.contraction import (
     gain_bound_sequence,
     verify_contraction_sampled,
 )
-from mixedfp.order import Partition, max_metric, product_leq
+from mixedfp.engine import IterationConfig, ProductOperator, solve
+from mixedfp.order import Partition, UpsilonTuple, max_metric, product_leq
 
 absdist = lambda a, b: abs(a - b)  # noqa: E731
 
@@ -37,6 +38,20 @@ class TestBuiltinTriple:
     def test_declared_truthfully(self):
         d = builtin_log_triple().declared
         assert d.psi_altering and d.theta_usc and d.phi_lsc and d.zero_at_zero
+
+    @pytest.mark.parametrize("declared, warned", [
+        (DeclaredProperties(), True),
+        (DeclaredProperties(True, True, True, False), True),
+        (DeclaredProperties(True, True, True, True), False),
+    ], ids=["none", "three", "all"])
+    def test_solve_warns_about_an_undeclared_triple(self, caplog, declared, warned):
+        triple = ContractionTriple(lambda x: x, math.log1p, lambda x: 0.0, declared)
+        op = ProductOperator(2, lambda a, b: 0.5 * (a + b))
+        with caplog.at_level("WARNING"):
+            solve(op, UpsilonTuple(Partition.of(2, [1]), [(1, 2), (2, 1)]), (0.0, 1.0),
+                  IterationConfig(), triple, dist=absdist, leq=lambda a, b: a <= b)
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("unverified analytic declarations" in m for m in messages) == warned
 
 
 class TestGainBound:

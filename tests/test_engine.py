@@ -19,13 +19,13 @@ from mixedfp.engine import (
 )
 from mixedfp.funcspace import GridFunction, pointwise_leq, sup_metric
 from mixedfp.hammerstein import build_log_example, initial_bracket, product_operator
-from mixedfp.order import Partition, cyclic_shift_upsilon, validate_upsilon
+from mixedfp.order import Partition, UpsilonTuple, cyclic_shift_upsilon
 
 absdist = lambda a, b: abs(a - b)  # noqa: E731
 realleq = lambda a, b: a <= b  # noqa: E731
 
 PART2 = Partition.of(2, [1])
-ID_SWAP = validate_upsilon([(1, 2), (2, 1)], PART2)
+ID_SWAP = UpsilonTuple(PART2, [(1, 2), (2, 1)])
 MIDPOINT = ProductOperator(2, lambda a, b: 0.5 * (a + b))
 
 
@@ -122,6 +122,17 @@ class TestMixedMonotoneSampled:
         with pytest.raises(ValueError):
             check_mixed_monotone_sampled(MIDPOINT, PART2, [((0.0, 0.0), 1, 0.0)], realleq)
 
+    @pytest.mark.parametrize("sample", [
+        ((0.0, 0.0, 0.0), 1, 0.0, 1.0), ((0.0, 0.0), 0, 0.0, 1.0), ((0.0, 0.0), 3, 0.0, 1.0),
+    ], ids=["point_too_long", "coordinate_0", "coordinate_above_k"])
+    def test_sample_with_bad_dimensions_is_refused(self, sample):
+        calls = []
+        op = ProductOperator(2, lambda a, b: calls.append((a, b)) or a)
+        good = ((0.0, 0.0), 1, 0.0, 1.0)
+        with pytest.raises(ValueError, match="sample 1 has bad dimensions"):
+            check_mixed_monotone_sampled(op, PART2, [good, sample], realleq)
+        assert calls == []  # every sample is checked before any evaluation
+
     def test_one_batch_call_gives_the_per_row_verdicts(self):
         difference = ProductOperator(2, lambda a, b: a - b)
         batches = []
@@ -179,6 +190,10 @@ class TestSolve:
         assert report.converged and report.collapsed and report.monotone_ok
         assert report.final_residual == 0.0
 
+    def test_start_of_the_wrong_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="starting point dimension mismatch"):
+            solve(MIDPOINT, ID_SWAP, (0.0, 1.0, 2.0), self.config, dist=absdist, leq=realleq)
+
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError, match=r"per-component: \[False, False\]"):
             solve(
@@ -196,7 +211,7 @@ class TestSolve:
     def test_max_iters_exhausted(self):
         shrink = ProductOperator(2, lambda a, b: 0.9 * a + 0.05)
         cfg = IterationConfig(tol_step=1e-12, tol_residual=1e-12, max_iters=3)
-        ups = validate_upsilon([(1, 1), (1, 1)], Partition.of(2, [1, 2]))
+        ups = UpsilonTuple(Partition.of(2, [1, 2]), [(1, 1), (1, 1)])
         with pytest.raises(NonConvergenceError) as exc:
             solve(shrink, ups, (0.0, 0.0), cfg, builtin_log_triple(),
                   dist=absdist, leq=realleq)
@@ -235,7 +250,7 @@ class TestSolve:
     def test_monotone_flag_flips_without_abort(self):
         # oscillating map: iterates are not product-ordered, run still finishes
         op = ProductOperator(2, lambda a, b: 0.5 * b)
-        ups = validate_upsilon([(1, 1), (2, 2)], Partition.of(2, [1, 2]))
+        ups = UpsilonTuple(Partition.of(2, [1, 2]), [(1, 1), (2, 2)])
         cfg = IterationConfig(tol_step=1e-10, tol_residual=1e-10, max_iters=200)
         report = solve(op, ups, (1.0, -1.0), cfg, builtin_log_triple(),
                        dist=absdist, leq=realleq, skip_initial_check=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ class TestGrid:
     def test_nodes_outside_the_interval_rejected(self, nodes):
         with pytest.raises(ValueError):
             Grid(2.0, nodes)
+
+    @pytest.mark.parametrize("shape", [(64,), (66,), (1, 65)])
+    def test_grid_function_of_the_wrong_shape_rejected(self, grid12, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected 65 values, got shape {shape}")):
+            GridFunction(grid12, np.ones(shape))
 
 
 class TestSupMetric:
@@ -154,6 +160,20 @@ class TestQuadrature:
     def test_zero_integrand(self):
         rule = make_quadrature(2.0, 4, 4)
         assert integrate(rule, np.zeros(rule.nodes.size)) == 0.0
+
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ([1.25, 1.75], [1.0], "nodes/weights length mismatch"),
+        ([1.25, 1.75], [1.5, -0.5], "weights must be positive"),
+        ([1.25, 1.75], [1.0, 0.0], "weights must be positive"),
+    ], ids=["length", "negative", "zero"])
+    def test_malformed_rule_rejected(self, nodes, weights, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(np.array(nodes), np.array(weights), 2.0)
+
+    @pytest.mark.parametrize("T", [1.0, 0.5, math.nan])
+    def test_make_quadrature_refuses_T_not_above_1(self, T):
+        with pytest.raises(ValueError, match="T must exceed 1"):
+            make_quadrature(T, 4, 4)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -334,6 +354,14 @@ class TestCsv:
         v = load_csv(path)
         assert np.array_equal(u.values, v.values)
         assert np.array_equal(u.grid.nodes, v.grid.nodes)
+
+    @pytest.mark.parametrize("text", ["t,value\n1,2,3\n2,3,4\n", "t,value\n1.0,2.0\n"],
+                             ids=["three_columns", "one_row"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "u.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected two columns t,value"):
+            load_csv(path)
 
     def test_header(self, grid12):
         u = grid12.sample(lambda t: t)

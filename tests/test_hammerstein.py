@@ -39,10 +39,10 @@ from mixedfp.hammerstein import (
 )
 from mixedfp.order import (
     Partition,
+    UpsilonTuple,
     cyclic_shift_upsilon,
     max_metric,
     product_leq,
-    validate_upsilon,
 )
 from worked_example import RULES, check_exp_inequality, closed_H_formulas
 
@@ -123,6 +123,15 @@ class TestProblemChecks:
         # the grid and quadrature of _small_problem are on [1, 2]
         with pytest.raises(ValueError, match=r"must span \[1, T\]"):
             _small_problem(**{field: make()})
+
+    @pytest.mark.parametrize("pieces, message", [
+        ({"m": 0}, "m must be >= 1, got 0"),
+        ({"nonlinearities": (lambda s, x: np.log(s + x),)}, "expected 2 nonlinearities"),
+        ({"m": 2}, "expected 4 nonlinearities"),
+    ], ids=["m_0", "one_nonlinearity", "m_2_with_two"])
+    def test_wrong_piece_count_rejected(self, pieces, message):
+        with pytest.raises(ValueError, match=message):
+            _small_problem(**pieces)
 
     @pytest.mark.parametrize("pieces", [
         {"domain_floor": math.nan}, {"domain_floor": -math.inf},
@@ -290,8 +299,8 @@ class TestSweepKernel:
         # the cyclic shift's table is symmetric; this one is neither
         # symmetric nor bijective, so rows and arguments cannot be confused
         p = mfold(example22, 2)
-        ups = validate_upsilon(
-            [(3, 2, 1, 4), (2, 3, 4, 1), (3, 4, 3, 4), (4, 1, 2, 3)], Partition.odd_even(4))
+        ups = UpsilonTuple(
+            Partition.odd_even(4), [(3, 2, 1, 4), (2, 3, 4, 1), (3, 4, 3, 4), (4, 1, 2, 3)])
         x = rough_ordered_tuple(p, np.random.default_rng(9))
         sweep = iterate_step(product_operator(p), ups, x)
         for i, y in enumerate(sweep, start=1):
@@ -400,7 +409,7 @@ class TestBatchKernel:
         p = mfold(dataclasses.replace(
             example22, quadrature=RULES[quadrature](2.0, 32, 8)), m)
         F = product_operator(p)
-        block = p._block_rows
+        block = max(p.k, _BLOCK_ELEMENTS // (p.k * p.quadrature.nodes.size))
         rng = np.random.default_rng(200 + m)
         # the larger pool spans three transfer applies
         for pool in (3 * p.k, 2 * (_BLOCK_ELEMENTS // p.quadrature.nodes.size) + 3):
@@ -425,7 +434,8 @@ class TestBatchKernel:
             return g
 
         p = dataclasses.replace(base, nonlinearities=tuple(map(counted, base.nonlinearities)))
-        block, k, nq = p._block_rows, p.k, p.quadrature.nodes.size
+        k, nq = p.k, p.quadrature.nodes.size
+        block = max(k, _BLOCK_ELEMENTS // (k * nq))
         per_apply = _BLOCK_ELEMENTS // nq
         x = rough_pool(p, np.random.default_rng(4), 2 * per_apply + 3)
         n_rows = 3 * block + 1
@@ -457,7 +467,8 @@ class TestBatchKernel:
 
     def test_floor_error_names_the_component_of_x(self, example22):
         p = example22
-        block, k = p._block_rows, p.k
+        k = p.k
+        block = max(k, _BLOCK_ELEMENTS // (k * p.quadrature.nodes.size))
         x = rough_pool(p, np.random.default_rng(6), k * (block + 1))
         values = x[-1].values.copy()
         values[4] = 0.5
@@ -667,6 +678,11 @@ class TestAssumptionD:
         with pytest.raises(ValueError):
             check_assumption_d(example22, [(3.0, 2.0)], [1.0])
 
+    @pytest.mark.parametrize("s", [0.5, 2.5, math.nan])
+    def test_s_sample_outside_1_to_T_is_structural(self, example22, s):
+        with pytest.raises(ValueError, match=r"outside \[1, T\]"):
+            check_assumption_d(example22, [(2.0, 3.0)], [1.0, s])
+
 
 class TestAssumptionE:
     def test_example_bracket_passes(self, example22):
@@ -725,7 +741,7 @@ class TestAssumptionE:
         for r in range(1, 2 * m + 1):
             printed = sorted(printed_h_pairs(r, 2 * m))
             assert all(1 <= i <= 2 * m and 1 <= j <= 2 * m for i, j in printed)
-            rotated = sorted((i, ups.sigma(r, i)) for i in range(1, 2 * m + 1))
+            rotated = sorted((i, ups.sigmas[r - 1][i - 1]) for i in range(1, 2 * m + 1))
             assert printed == rotated
 
 

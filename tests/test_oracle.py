@@ -19,7 +19,7 @@ from mixedfp.oracle import (
     enumerate_fixed_points,
     random_instance,
 )
-from mixedfp.order import Partition, max_metric, product_leq, validate_upsilon
+from mixedfp.order import Partition, UpsilonTuple, max_metric, product_leq
 
 # goes with distances drawn from {1, 2}: factor-1/2 linear contraction
 HALF_TRIPLE = ContractionTriple(
@@ -37,7 +37,7 @@ def chain_space(n):
 
 
 PART2 = Partition.of(2, [1])
-ID_SWAP = validate_upsilon([(1, 2), (2, 1)], PART2)
+ID_SWAP = UpsilonTuple(PART2, [(1, 2), (2, 1)])
 
 
 class TestFiniteSpace:
@@ -116,7 +116,7 @@ class TestEnumeration:
         space = chain_space(4)
         part = Partition.of(12, range(1, 13, 2))
         sigmas = [tuple(((i + j - 2) % 12) + 1 for j in range(1, 13)) for i in range(1, 13)]
-        ups = validate_upsilon(sigmas, part)
+        ups = UpsilonTuple(part, sigmas)
         with pytest.raises(ValueError):
             enumerate_fixed_points(space, lambda *x: 0, ups)
 
@@ -126,7 +126,7 @@ class TestHypothesisChecks:
         # 10^4 candidates pass the n^k guard but need 10^8-cell tables
         space = chain_space(10)
         part = Partition.of(4, [1, 3])
-        ups = validate_upsilon([(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)], part)
+        ups = UpsilonTuple(part, [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)])
 
         def F(*x):
             raise AssertionError("no table may be built")
@@ -224,6 +224,15 @@ def reference_report(space, F, ups, triple):
 
 
 @pytest.mark.parametrize("k, n", list(itertools.product((2, 3, 4), repeat=2)))
+def test_random_instance_always_returns_one(k, n):
+    # A is never empty, so every sigma entry has a block to draw from
+    for seed in range(300):
+        space, ups, F = random_instance(k, n, np.random.default_rng(seed))
+        assert space.n == n and ups.partition.k == k and ups.partition.a
+        assert all(0 <= F(*x) < n for x in itertools.product(range(n), repeat=k))
+
+
+@pytest.mark.parametrize("k, n", list(itertools.product((2, 3, 4), repeat=2)))
 def test_hypotheses_match_the_pairwise_reference(k, n):
     # biased random_instance operators (some pass every hypothesis) and
     # arbitrary table operators (almost all fail), under both triples
@@ -231,10 +240,7 @@ def test_hypotheses_match_the_pairwise_reference(k, n):
     triples = (HALF_TRIPLE, builtin_log_triple())
     checked = 0
     while checked < 10:
-        inst = random_instance(k, n, rng)
-        if inst is None:
-            continue
-        space, ups, F = inst
+        space, ups, F = random_instance(k, n, rng)
         if checked >= 6:
             table = rng.integers(0, n, size=(n,) * k)
             F = lambda *x, table=table: int(table[x])  # noqa: E731
@@ -258,10 +264,7 @@ class TestRandomizedEquivalence:
             attempts += 1
             k = int(rng.integers(2, 5))
             n = int(rng.integers(2, 5))
-            inst = random_instance(k, n, rng)
-            if inst is None:
-                continue
-            space, ups, F = inst
+            space, ups, F = random_instance(k, n, rng)
             report = check_theorem_hypotheses(space, F, ups, HALF_TRIPLE)
             if not report.all_pass:
                 continue

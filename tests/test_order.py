@@ -9,7 +9,6 @@ from mixedfp.order import (
     max_metric,
     product_leq,
     upsilon_violations,
-    validate_upsilon,
 )
 
 absdist = lambda a, b: abs(a - b)  # noqa: E731
@@ -90,6 +89,10 @@ class TestProductLeq:
         with pytest.raises(ValueError):
             product_leq((0.0,), (1.0, 2.0), self.partition, realleq)
 
+    def test_tuples_of_another_k_are_refused(self):
+        with pytest.raises(ValueError, match="dimension 3 does not match k=2"):
+            product_leq((0.0, 1.0, 2.0), (0.0, 1.0, 2.0), self.partition, realleq)
+
     @given(triples3.filter(lambda p: True))
     def test_transitive(self, pts):
         part = Partition.of(3, [1, 3])
@@ -109,18 +112,23 @@ class TestValidateUpsilon:
     partition = Partition.of(2, [1])
 
     def test_id_swap_accepted(self):
-        ups = validate_upsilon([(1, 2), (2, 1)], self.partition)
+        ups = UpsilonTuple(self.partition, [(1, 2), (2, 1)])
         assert ups.permute(2, ("a", "b")) == ("b", "a")
 
     def test_identity_in_b_rejected(self):
         with pytest.raises(UpsilonMembershipError) as exc:
-            validate_upsilon([(1, 2), (1, 2)], self.partition)
+            UpsilonTuple(self.partition, [(1, 2), (1, 2)])
         assert (2, 1) in exc.value.violations
         assert (2, 2) in exc.value.violations
 
     def test_out_of_range_is_structural(self):
         with pytest.raises(ValueError) as exc:
             upsilon_violations([(1, 3), (2, 1)], self.partition)
+        assert not isinstance(exc.value, UpsilonMembershipError)
+
+    def test_a_map_that_is_not_total_is_structural(self):
+        with pytest.raises(ValueError, match=r"sigma_2 is not total on \{1,...,2\}") as exc:
+            UpsilonTuple(self.partition, [(1, 2), (2,)])
         assert not isinstance(exc.value, UpsilonMembershipError)
 
     def test_constructor_rejects_wrong_arity(self):
@@ -153,7 +161,7 @@ class TestCyclicShift:
         # odd rows preserve the parity classes, even rows swap them
         for i in range(1, 2 * m + 1):
             for j in range(1, 2 * m + 1):
-                v = ups.sigma(i, j)
+                v = ups.sigmas[i - 1][j - 1]
                 if i % 2 == 1:
                     assert v % 2 == j % 2
                 else:
