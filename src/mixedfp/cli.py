@@ -46,6 +46,7 @@ from .engine import (
 )
 from .funcspace import GridFunction, format_csv, pointwise_leq, sup_metric
 from .hammerstein import FORCINGS, KERNELS, NONLINEARITIES  # noqa: F401 (re-exported)
+from .hammerstein import _number
 from .order import cyclic_shift_upsilon, max_metric, product_leq
 
 log = logging.getLogger(__name__)
@@ -91,14 +92,6 @@ def _integer(value, name) -> int:
     except (OverflowError, TypeError, ValueError) as exc:  # int() of inf, NaN, None, ...
         raise ValueError(f"{name} must be an integer, got {value!r} ({exc})") from exc
     raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _number(value, name) -> float:
-    """A number config field, read as given: a bool or a string is refused,
-    not converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _unread_keys(cfg) -> list:
@@ -161,15 +154,10 @@ def build_problem(cfg: dict) -> hs.HammersteinProblem:
             missing = [key for key in CUSTOM_KEYS[:3] if key not in cfg]
             if missing:
                 raise ConfigError(f"config keys that a custom problem needs: {', '.join(missing)}")
-            pieces = {key: cfg[key] for key in CUSTOM_KEYS[:3]}
-            if "domain_floor" in cfg:
-                pieces["domain_floor"] = _number(cfg["domain_floor"], "domain_floor")
+            pieces = {key: cfg[key] for key in CUSTOM_KEYS if key in cfg}
         else:
             raise ConfigError(f"unknown problem kind {kind!r}")
-        if not isinstance(cfg["eta"], list):
-            raise ValueError(f"eta must be a list of numbers, got {cfg['eta']!r}")
-        etas = [_number(e, f"eta[{i}]") for i, e in enumerate(cfg["eta"])]
-        return hs.named_problem(alpha, T, n, panels, points, m=m, etas=etas, **pieces)
+        return hs.named_problem(alpha, T, n, panels, points, m=m, etas=cfg["eta"], **pieces)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:  # 1/0 at alpha = 0

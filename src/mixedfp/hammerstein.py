@@ -6,10 +6,14 @@ assumptions.
 Named pieces of problem data are built by one constructor, ``named_problem``,
 whose defaults are the paper's example: G(t,s) = 1/(2 ln T * t * s),
 f1(s,x) = ln(s + x), f2(s,x) = -(ln s + ln x), exact solution x(t) = alpha * t.
+A kernel is a callable G(t, s), kept as the dense n x nq weighted matrix, or
+a rank-one ``SeparableKernel``, kept as its two factors (the degenerate-kernel
+form, Atkinson 1997, ch. 2), as every registry kernel is.
 """
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Sequence, Tuple
@@ -31,6 +35,7 @@ from .order import cyclic_shift_upsilon
 
 __all__ = [
     "HammersteinProblem",
+    "SeparableKernel",
     "DomainFloorError",
     "AssumptionDReport",
     "AssumptionEReport",
@@ -52,6 +57,19 @@ log = logging.getLogger(__name__)
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Forcing = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class SeparableKernel:
+    """The rank-one kernel G(t, s) = a(t) * b(s).  Called, it is that dense
+    kernel; ``HammersteinProblem`` instead calls ``a`` on the grid nodes,
+    shape (n,), and ``b`` on the quadrature nodes, shape (nq,)."""
+
+    a: Forcing
+    b: Forcing
+
+    def __call__(self, t, s):
+        return self.a(t) * self.b(s)
 
 
 class DomainFloorError(ValueError):
@@ -90,7 +108,9 @@ class HammersteinProblem:
     nonincreasing with increments bounded below by -eta*log(1+dx).
 
     Kernel, nonlinearities and forcing are array-valued (see ``Kernel``):
-    ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq),
+    ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq), or,
+    for a ``SeparableKernel``, ``a(t)`` with t of shape (n,) and ``b(s)``
+    with s of shape (nq,),
     ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``,
     b*nq in a batch kernel call of b rows, which lays the b argument rows
     end to end),
@@ -141,14 +161,21 @@ class HammersteinProblem:
         return 2 * self.m
 
     @cached_property
-    def _weighted_kernel(self) -> np.ndarray:
-        # rows: collocation nodes t_j; columns: quadrature nodes s_q
-        tt = self.grid.nodes[:, None]
-        ss = self.quadrature.nodes[None, :]
-        kmat = _node_array_output("kernel", self.kernel, (tt.size, ss.size), tt, ss)
-        if np.any(kmat < 0.0) or not np.all(np.isfinite(kmat)):
+    def _weighted_kernel(self):
+        # W[j, q] = G(t_j, s_q) w_q over collocation nodes t_j and quadrature
+        # nodes s_q; a SeparableKernel is kept as (a(t_j), b(s_q) w_q)
+        t, s, w = self.grid.nodes, self.quadrature.nodes, self.quadrature.weights
+        if isinstance(self.kernel, SeparableKernel):
+            factors = (_node_array_output("kernel", self.kernel.a, t.shape, t),
+                       _node_array_output("kernel", self.kernel.b, s.shape, s))
+        else:
+            factors = (_node_array_output("kernel", self.kernel, (t.size, s.size),
+                                          t[:, None], s[None, :]),)
+        # NaN fails >= 0; an infinite value or product makes the product of maxima inf or NaN
+        if not (all(np.all(f >= 0.0) for f in factors)
+                and math.isfinite(math.prod(float(f.max()) for f in factors))):
             raise ValueError("kernel must be finite and nonnegative on the grid")
-        return kmat * self.quadrature.weights[None, :]
+        return (factors[0], factors[1] * w) if len(factors) == 2 else factors[0] * w
 
     @cached_property
     def _transfer(self) -> PchipPlan:
@@ -187,6 +214,16 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int
 _BLOCK_ELEMENTS = 1 << 13
 
 
+def _apply_kernel(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
+    """sum_q W[j, q] g[r, q] as a (b, n) array for (b, nq) integrands g; each
+    row is summed on its own (for a SeparableKernel, one length-nq dot
+    product scaled by a(t_j)), so its bits do not depend on b."""
+    if isinstance(problem.kernel, SeparableKernel):
+        a, wb = problem._weighted_kernel
+        return np.matmul(g[:, None, :], wb[:, None])[:, 0] * a
+    return np.matmul(problem._weighted_kernel, g[:, :, None])[:, :, 0]
+
+
 def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> np.ndarray:
     """The operator at R argument tuples drawn from ``x``, as an (R, n)
     array: row r is int_1^T G(t, s) sum_j f_j(s, x[rows[r, j] - 1](s)) ds +
@@ -207,8 +244,7 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     b rows gathers its arguments from the transferred array and calls each
     f_j once, on the b argument rows laid end to end (1-D arrays of length
     b*nq, so the array contract holds and a scalar return broadcasts); its
-    b integrands go through one stacked matvec, which sums each row as
-    ``W @ total`` does.
+    b integrands go through ``_apply_kernel``.
     """
     table = np.asarray(rows) - 1
     for xi in x:
@@ -235,8 +271,7 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
                 total += fj(s_rows, arg)
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
-        np.matmul(problem._weighted_kernel, total.reshape(n_rows, nq, 1),
-                  out=out[start:start + n_rows, :, None])
+        out[start:start + n_rows] = _apply_kernel(problem, total.reshape(n_rows, nq))
     out += problem._forcing_values
     return out
 
@@ -249,10 +284,10 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     case of the batch kernel.  Cost per call: O(k*n) for the PCHIP
     derivatives plus O(k*nq) to evaluate them at the quadrature nodes (the
     interval search is planned once per problem), k nonlinearity calls on
-    nq nodes and one n x nq matvec.  Each of the k arguments is transferred,
-    a repeated one at each position; a sweep goes through the engine and
-    ``product_operator``'s batch instead, which transfers each distinct
-    component once.
+    nq nodes and one n x nq matvec (n + nq for a SeparableKernel).  Each of
+    the k arguments is transferred, a repeated one at each position; a sweep
+    goes through the engine and ``product_operator``'s batch instead, which
+    transfers each distinct component once.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
@@ -267,14 +302,15 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     (O(c*n) derivatives, O(c*nq) evaluation), then the rows run in
     ceil(R / B) kernel calls of at most B = max(k, 8192 // (k*nq)) rows, a
     call of b rows costing k nonlinearity calls of length b*nq and one
-    stacked matvec of b*n*nq multiply-adds.  The engine hands the batch
-    each distinct component once and each distinct row once
-    (``engine._images``).  A Jacobi sweep over k distinct components,
-    R = c = k, is k transferred rows, k calls of length k*nq and one matvec
-    of k*n*nq, where k ``apply`` calls cost k^2 rows, k^2 calls of length nq
-    and k matvecs.  From the bracket start, whose A components are one
-    object and whose B components another, every sweep is R = c = 2 at any
-    k: 2 transferred rows, k calls of length 2*nq and one matvec of 2*n*nq.
+    stacked matvec of b*n*nq multiply-adds (b*(n + nq) for a
+    SeparableKernel).  The engine hands the batch each distinct component
+    once and each distinct row once (``engine._images``).  A Jacobi sweep
+    over k distinct components, R = c = k, is k transferred rows, k calls
+    of length k*nq and one matvec of k*n*nq, where k ``apply`` calls cost
+    k^2 rows, k^2 calls of length nq and k matvecs.  From the bracket start,
+    whose A components are one object and whose B components another, every
+    sweep is R = c = 2 at any k: 2 transferred rows, k calls of length 2*nq
+    and one matvec of 2*n*nq (2*(n + nq) for a SeparableKernel).
     """
     def batch(rows, x):
         return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))
@@ -284,8 +320,8 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
 def kernel_bound(problem: HammersteinProblem) -> float:
     """2m * max over collocation nodes t of int_1^T G(t, s) ds."""
-    integrals = problem._weighted_kernel @ np.ones(problem.quadrature.nodes.size)
-    return problem.k * float(np.max(integrals))
+    ones = np.ones((1, problem.quadrature.nodes.size))
+    return problem.k * float(np.max(_apply_kernel(problem, ones)))
 
 
 @dataclass(frozen=True)
@@ -391,8 +427,9 @@ def _linear_minus_log_forcing(alpha: float, T: float) -> Forcing:
 # Named pieces of problem data, each a factory of (alpha, T), read only by
 # named_problem, so the paper's pieces live here only.
 KERNELS = {
-    "log-product": lambda alpha, T: (lambda t, s: 1.0 / (2.0 * math.log(T) * t * s)),
-    "constant": lambda alpha, T: (lambda t, s: 1.0 / (T - 1.0)),
+    "log-product": lambda alpha, T: SeparableKernel(lambda t: 1.0 / (2.0 * math.log(T) * t),
+                                                    lambda s: 1.0 / s),
+    "constant": lambda alpha, T: SeparableKernel(lambda t: 1.0 / (T - 1.0), lambda s: 1.0),
 }
 NONLINEARITIES = {
     "log-shift": lambda alpha, T: (lambda s, x: np.log(s + x)),
@@ -404,6 +441,13 @@ FORCINGS = {
     "linear": lambda alpha, T: (lambda t: alpha * t),
     "zero": lambda alpha, T: (lambda t: 0.0),
 }
+
+
+def _number(value, name) -> float:
+    """A number read as given: a bool or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _lookup(piece: str, registry: dict, name):
@@ -422,8 +466,13 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
     called at (alpha, T), on ``uniform_grid(T, n_intervals)`` and
     ``make_quadrature(T, quad_panels, quad_points)``; the defaults are the
     paper's.  The grid is built first, so T <= 1 is refused before a factory
-    computes with T.  A name that is not registered, or ``nonlinearities``
-    that is not a list, raises ValueError naming the piece."""
+    computes with T.  A name that is not registered, ``nonlinearities`` or
+    ``etas`` that is not a list or tuple, or a bool or string eta or
+    domain_floor, raises ValueError naming the piece."""
+    floor = _number(domain_floor, "domain_floor")
+    if not isinstance(etas, (list, tuple)):
+        raise ValueError(f"eta must be a list of numbers, got {etas!r}")
+    etas = tuple(_number(e, f"eta[{i}]") for i, e in enumerate(etas))
     grid = uniform_grid(T, n_intervals)
     if not isinstance(nonlinearities, (list, tuple)):
         raise ValueError(f"nonlinearities must be a list of names, got {nonlinearities!r}")
@@ -431,7 +480,7 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
     return HammersteinProblem(
         T=T, m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T), nonlinearities=fs,
         forcing=_lookup("forcing", FORCINGS, forcing)(alpha, T),
-        etas=tuple(float(e) for e in etas), domain_floor=float(domain_floor), grid=grid,
+        etas=etas, domain_floor=floor, grid=grid,
         quadrature=make_quadrature(T, quad_panels, quad_points))
 
 

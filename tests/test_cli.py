@@ -416,13 +416,15 @@ class TestExitCodes:
 
         def counted(alpha, T):
             kernel = log_product(alpha, T)
-            return lambda t, s: calls.append(t.shape) or kernel(t, s)
+            return hs.SeparableKernel(lambda t: calls.append(("a", t.shape)) or kernel.a(t),
+                                      lambda s: calls.append(("b", s.shape)) or kernel.b(s))
 
         monkeypatch.setitem(hs.KERNELS, "log-product", counted)
         cfg = load_config(None, {})
         cfg["eta"] = [0.5, 1.0]
         assert build_problem(cfg).etas == (0.5, 1.0)
-        assert calls == [(201, 1)]
+        # each factor once, on its own nodes; no (201, 256) kernel
+        assert calls == [("a", (201,)), ("b", (256,))]
 
     @pytest.mark.parametrize("config, field", [
         ({"grid": {"n": 50.9}}, "grid.n"),
@@ -760,23 +762,55 @@ def test_stacked_pairs_equal_the_pair_by_pair_draws(tmp_path, m, count):
     assert stacked.random() == looped.random()
 
 
+VERIFY_ARGV = ["verify", "--alpha", "2", "--T", "2", "--seed", "5"]
+CHECK_ARGV = ["check", "--alpha", "5", "--T", "10"]
+
+
+def dense_log_product(alpha, T):
+    """The paper's kernel as one callable, which the operator keeps dense."""
+    return lambda t, s: 1.0 / (2.0 * math.log(T) * t * s)
+
+
 class TestRegressionSnapshot:
-    """Outputs recorded before the sampled checks were batched; any later
-    change to batching or blocks must leave them byte-identical."""
+    """Outputs recorded before the sampled checks were batched, through the
+    dense kernel; any later change to batching or blocks must leave them
+    byte-identical, and the unsuffixed tests reproduce them with
+    ``log-product`` given as ``dense_log_product``.  The ``_factored`` files
+    pin the registry's SeparableKernel, which differs at the ulp level."""
 
-    def test_verify_stdout(self, capsys):
-        assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "5"]) == EXIT_OK
-        assert capsys.readouterr().out == (DATA / "verify_a2_T2_seed5.json").read_text()
+    @pytest.fixture
+    def dense(self, monkeypatch):
+        monkeypatch.setitem(hs.KERNELS, "log-product", dense_log_product)
 
-    def test_check_stdout(self, capsys):
-        assert main(["check", "--alpha", "5", "--T", "10"]) == EXIT_OK
-        assert capsys.readouterr().out == (DATA / "check_a5_T10.json").read_text()
+    @staticmethod
+    def stdout_is(capsys, argv, name):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / name).read_text()
 
-    def test_solve_files(self, tmp_path):
+    @staticmethod
+    def solve_files_are(tmp_path, directory):
         out = tmp_path / "out"
         assert main(["solve", "--alpha", "2", "--T", "2", "--out", str(out)]) == EXIT_OK
         for name in ("solution.csv", "trace.csv", "report.json"):
-            assert (out / name).read_bytes() == (DATA / "solve_a2_T2" / name).read_bytes()
+            assert (out / name).read_bytes() == (DATA / directory / name).read_bytes()
+
+    def test_verify_stdout(self, capsys, dense):
+        self.stdout_is(capsys, VERIFY_ARGV, "verify_a2_T2_seed5.json")
+
+    def test_check_stdout(self, capsys, dense):
+        self.stdout_is(capsys, CHECK_ARGV, "check_a5_T10.json")
+
+    def test_solve_files(self, tmp_path, dense):
+        self.solve_files_are(tmp_path, "solve_a2_T2")
+
+    def test_verify_stdout_factored(self, capsys):
+        self.stdout_is(capsys, VERIFY_ARGV, "verify_a2_T2_seed5_factored.json")
+
+    def test_check_stdout_factored(self, capsys):
+        self.stdout_is(capsys, CHECK_ARGV, "check_a5_T10_factored.json")
+
+    def test_solve_files_factored(self, tmp_path):
+        self.solve_files_are(tmp_path, "solve_a2_T2_factored")
 
 
 def floor_config(tmp_path, floor):

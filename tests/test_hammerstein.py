@@ -27,14 +27,17 @@ from mixedfp.funcspace import (
 )
 from mixedfp.hammerstein import (
     _BLOCK_ELEMENTS,
+    KERNELS,
     DomainFloorError,
     HammersteinProblem,
+    SeparableKernel,
     apply_A,
     build_log_example,
     check_assumption_d,
     check_assumption_e,
     initial_bracket,
     kernel_bound,
+    named_problem,
     product_operator,
 )
 from mixedfp.order import (
@@ -478,6 +481,112 @@ class TestBatchKernel:
             product_operator(p).batch(rows, x)
         assert exc.value.component == len(x)
         assert exc.value.node == p.grid.nodes[4]
+
+
+def dense_twin(problem):
+    """The problem with its kernel as a plain callable, on the dense path."""
+    kernel = problem.kernel
+    return dataclasses.replace(problem, kernel=lambda t, s: kernel(t, s))
+
+
+# (alpha, T) -> sweeps from the bracket start, the same at both sizes
+SWEEPS = {(2.0, 2.0): 17, (2.0, math.e): 15, (5.0, 10.0): 9, (1.5, 2.0): 20, (3.0, 20.0): 10}
+FIVE_CASES = list(SWEEPS)
+# the default (n = 200, 32 x 8) and fine-grid (n = 1000, 128 x 8) sizes
+SIZES = [(200, 32, 8), (1000, 128, 8)]
+
+
+class TestSeparableKernel:
+    def test_called_it_is_the_dense_kernel(self):
+        G = KERNELS["log-product"](2.0, 3.0)
+        t, s = np.linspace(1.0, 3.0, 5)[:, None], np.linspace(1.0, 3.0, 7)[None, :]
+        assert np.array_equal(G(t, s), G.a(t) * G.b(s))
+        assert np.allclose(G(t, s), 1.0 / (2.0 * math.log(3.0) * t * s), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_stores_no_n_by_nq_array(self, kernel, size):
+        p = named_problem(2.0, 2.0, *size, kernel=kernel)
+        a, wb = p._weighted_kernel
+        assert a.shape == (p.grid.n,) and wb.shape == p.quadrature.nodes.shape
+        assert dense_twin(p)._weighted_kernel.shape == (p.grid.n, p.quadrature.nodes.size)
+
+    @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("alpha, T", FIVE_CASES)
+    def test_factored_batch_matches_the_dense_one(self, alpha, T, kernel, size):
+        p = named_problem(alpha, T, *size, kernel=kernel)
+        dense = dense_twin(p)
+        assert abs(kernel_bound(p) - kernel_bound(dense)) <= 1e-15 * kernel_bound(dense)
+        k, nq = p.k, p.quadrature.nodes.size
+        block = max(k, _BLOCK_ELEMENTS // (k * nq))
+        rng = np.random.default_rng(11)
+        x = rough_pool(p, rng, 12)
+        rows = rng.integers(1, len(x) + 1, size=(2 * block + 3, k))  # not a multiple of B
+        for y, z in zip(product_operator(p).batch(rows, x), product_operator(dense).batch(rows, x)):
+            assert np.max(np.abs(y.values - z.values)) <= 1e-14 * np.max(np.abs(z.values))
+
+    @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_batch_equals_per_tuple_apply_A(self, kernel, size):
+        # a row's bits do not depend on how many rows share its block
+        p = named_problem(2.0, 2.0, *size, kernel=kernel)
+        k, nq = p.k, p.quadrature.nodes.size
+        block = max(k, _BLOCK_ELEMENTS // (k * nq))
+        rng = np.random.default_rng(12)
+        x = rough_pool(p, rng, 9)
+        for n_rows in (1, block - 1, block + 1, 2 * block + 3):
+            rows = rng.integers(1, len(x) + 1, size=(n_rows, k))
+            for row, y in zip(rows, product_operator(p).batch(rows, x)):
+                assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+
+    @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
+    @pytest.mark.parametrize("alpha, T", FIVE_CASES)
+    def test_sweeps_and_error_are_the_dense_ones(self, alpha, T, size):
+        def solved(problem):
+            report = solve(product_operator(problem), cyclic_shift_upsilon(1),
+                           initial_bracket(problem, alpha), IterationConfig(),
+                           dist=sup_metric, leq=pointwise_leq)
+            nodes = problem.grid.nodes
+            err = max(float(np.max(np.abs(c.values - alpha * nodes))) for c in report.fixed_point)
+            return report.iterations, err
+
+        p = named_problem(alpha, T, *size)
+        (sweeps, err), (dense_sweeps, dense_err) = solved(p), solved(dense_twin(p))
+        assert sweeps == dense_sweeps == SWEEPS[alpha, T]
+        assert err <= dense_err + 1e-14
+
+    @pytest.mark.parametrize("a, b, message", [
+        (lambda t: -1.0 / t, lambda s: 1.0, "finite and nonnegative"),
+        (lambda t: 1.0 / t, lambda s: np.where(s > 1.5, np.nan, 1.0), "finite and nonnegative"),
+        (lambda t: np.inf, lambda s: 1.0, "finite and nonnegative"),
+        (lambda t: 0.0, lambda s: np.inf, "finite and nonnegative"),
+        (lambda t: 1e200, lambda s: 1e200 / s, "finite and nonnegative"),
+        (lambda t: np.ones(3), lambda s: 1.0, "kernel must accept node arrays"),
+        (lambda t: 1.0, lambda s: np.ones((s.size, 2)), "kernel must accept node arrays"),
+    ], ids=["negative", "nan", "infinite", "zero_times_infinite", "product_overflows",
+            "a_wrong_shape", "b_wrong_shape"])
+    def test_bad_factor_refused(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            _small_problem(kernel=SeparableKernel(a, b))
+
+
+class TestNamedProblem:
+    @pytest.mark.parametrize("pieces, message", [
+        ({"etas": "11"}, "eta must be a list of numbers, got '11'"),
+        ({"etas": 1.0}, "eta must be a list of numbers, got 1.0"),
+        ({"etas": np.ones(2)}, "eta must be a list of numbers"),
+        ({"etas": [True, 1]}, r"eta\[0\] must be a number, got True"),
+        ({"etas": (1.0, "1")}, r"eta\[1\] must be a number, got '1'"),
+        ({"domain_floor": "1"}, "domain_floor must be a number, got '1'"),
+    ], ids=["string", "number", "array", "bool_entry", "string_entry", "string_floor"])
+    def test_misread_number_refused_naming_it(self, pieces, message):
+        with pytest.raises(ValueError, match=message):
+            named_problem(2.0, 2.0, **pieces)
+
+    def test_number_entries_of_any_real_type_read(self):
+        p = named_problem(2.0, 2.0, etas=[1, np.float64(0.5)], domain_floor=np.int64(1))
+        assert p.etas == (1.0, 0.5) and p.domain_floor == 1.0
 
 
 class TestBatchedChecks:
