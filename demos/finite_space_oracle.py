@@ -22,7 +22,7 @@ space = FiniteSpace(
     idx[:, None] <= idx[None, :],
 )
 
-partition = Partition.of(2, [1])
+partition = Partition(2, [1])
 upsilon = UpsilonTuple(partition, [(1, 2), (2, 1)])
 triple = ContractionTriple(lambda x: x, lambda x: 0.5 * x, lambda x: 0.0,
                            DeclaredProperties(True, True, True, True))

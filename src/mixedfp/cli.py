@@ -109,7 +109,7 @@ def load_config(path, overrides) -> dict:
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except (OSError, ValueError) as exc:  # JSON, UTF-8 or an over-long integer
+        except (OSError, ValueError, RecursionError) as exc:  # JSON, UTF-8, long int, nesting
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -292,6 +292,13 @@ def cmd_check(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:  # a directory or an unwritable file at that name
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
     cfg, problem, config = _prepare(args)
     x0 = _start_tuple(problem, float(cfg["alpha"]))
@@ -306,7 +313,7 @@ def cmd_solve(args) -> int:
         if not args.force:
             print(json.dumps(check_report, indent=2))
             payload = {"config": cfg, "converged": False, "check": check_report}
-            (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+            _write(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
             return EXIT_CHECK_FAILED
         log.warning("assumption checks failed; continuing under --force")
 
@@ -331,11 +338,11 @@ def cmd_solve(args) -> int:
         print(f"operator error: {exc}", file=sys.stderr)
         payload = {"config": cfg, "converged": False,
                    "operator_error": _operator_error(exc), "check": check_report}
-        (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+        _write(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
         return EXIT_OPERATOR_ERROR
 
-    (out_dir / "trace.csv").write_text(trace_csv(report))
-    (out_dir / "solution.csv").write_text(format_csv(solution))
+    _write(out_dir / "trace.csv", trace_csv(report))
+    _write(out_dir / "solution.csv", format_csv(solution))
     payload = {
         "solution_residual": collapsed_residual,
         "config": cfg,
@@ -347,7 +354,7 @@ def cmd_solve(args) -> int:
         "final_spread": report.final_spread,
         "check": check_report,
     }
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
     return status
 
 

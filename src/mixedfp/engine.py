@@ -88,6 +88,10 @@ class ProductOperator:
 
 @dataclass(frozen=True)
 class IterationConfig:
+    """``solve`` stops after the first sweep whose step is at most
+    ``tol_step``; ``tol_residual`` is the largest final spread that reads
+    ``collapsed``."""
+
     tol_step: float = 1e-10
     tol_residual: float = 1e-8
     max_iters: int = 100000
@@ -238,8 +242,8 @@ def solve(
     leq: Leq,
     skip_initial_check: bool = False,
 ) -> IterationReport:
-    """Iterate Jacobi sweeps until both the step displacement and the
-    fixed-tuple residual fall below tolerance.
+    """Iterate Jacobi sweeps until a sweep's step, its largest residual, is
+    at most ``config.tol_step`` (``IterationConfig``).
 
     The first sweep doubles as the starting-point condition: x0_i below
     its image for i in A, above for i in B (``Partition.orient``).  Unless
@@ -299,7 +303,7 @@ def solve(
                 log.warning("monotone bracketing violated at sweep %d", it + 1)
             monotone_ok = False
 
-        if d <= config.tol_step and d <= config.tol_residual:
+        if d <= config.tol_step:
             return report(converged=True, collapsed=spreads[-1] <= config.tol_residual)
         x = y
 

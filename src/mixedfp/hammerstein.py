@@ -118,11 +118,10 @@ class HammersteinProblem:
     Construction calls each piece once on the node arrays and raises
     ValueError, naming the piece, when its output cannot broadcast to that
     shape.  It also raises ValueError unless the grid's nodes run from 1 to
-    T and the quadrature is a rule on [1, T], for a non-finite forcing
+    its T and the quadrature is a rule on [1, T], for a non-finite forcing
     value, domain_floor or eta, and for a grid spacing above _MAX_SPACING.
     """
 
-    T: float
     m: int
     kernel: Kernel
     nonlinearities: Tuple[Nonlinearity, ...]
@@ -155,6 +154,10 @@ class HammersteinProblem:
         x = np.full_like(s, self.domain_floor)
         for i, fi in enumerate(self.nonlinearities, start=1):
             _node_array_output(f"nonlinearity {i}", fi, s.shape, s, x)
+
+    @property
+    def T(self) -> float:
+        return self.grid.T
 
     @property
     def k(self) -> int:
@@ -478,7 +481,7 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
         raise ValueError(f"nonlinearities must be a list of names, got {nonlinearities!r}")
     fs = tuple(_lookup("nonlinearity", NONLINEARITIES, name)(alpha, T) for name in nonlinearities)
     return HammersteinProblem(
-        T=T, m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T), nonlinearities=fs,
+        m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T), nonlinearities=fs,
         forcing=_lookup("forcing", FORCINGS, forcing)(alpha, T),
         etas=etas, domain_floor=floor, grid=grid,
         quadrature=make_quadrature(T, quad_panels, quad_points))

@@ -262,7 +262,7 @@ def random_instance(k: int, n: int, rng: np.random.Generator):
     a = frozenset(
         i for i in range(1, k + 1) if rng.random() < 0.5
     ) or frozenset({1})
-    partition = Partition.of(k, sorted(a))
+    partition = Partition(k, a)
 
     sigmas = []
     for i in range(1, k + 1):

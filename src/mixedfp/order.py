@@ -27,32 +27,28 @@ Leq = Callable[[object, object], bool]
 class Partition:
     """A two-block partition {A, B} of the index set {1, ..., k}.
 
-    Indices are 1-based.  Either block may be empty, but k >= 2.
+    Indices are 1-based; ``a``, any iterable of them, is kept as a frozenset
+    and B is the rest.  Either block may be empty, but k >= 2.
     """
 
     k: int
     a: frozenset
-    b: frozenset
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        full = frozenset(range(1, self.k + 1))
-        if self.a | self.b != full or self.a & self.b:
-            raise ValueError(
-                f"A={sorted(self.a)} and B={sorted(self.b)} do not partition "
-                f"{{1,...,{self.k}}}"
-            )
+        object.__setattr__(self, "a", frozenset(self.a))
+        if not self.a <= frozenset(range(1, self.k + 1)):
+            raise ValueError(f"A={sorted(self.a)} is not a subset of {{1,...,{self.k}}}")
 
-    @staticmethod
-    def of(k: int, a: Sequence[int]) -> "Partition":
-        a_set = frozenset(a)
-        return Partition(k, a_set, frozenset(range(1, k + 1)) - a_set)
+    @property
+    def b(self) -> frozenset:
+        return frozenset(range(1, self.k + 1)) - self.a
 
     @staticmethod
     def odd_even(k: int) -> "Partition":
         """A = odd indices, B = even indices."""
-        return Partition.of(k, range(1, k + 1, 2))
+        return Partition(k, range(1, k + 1, 2))
 
     def orient(self, i: int, u, v) -> tuple:
         """The twisted order at 1-based index i: (u, v) for i in A, (v, u)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -121,7 +122,11 @@ class TestExitCodes:
         (b"[1, 2]", "config error: config root must be a JSON object"),
         (b'{"alpha": ' + b"1" * 5000 + b"}", "config error: cannot read config "),
         (b"\xff\xfe{}", "config error: cannot read config "),
-    ], ids=["root_list", "integer_of_5000_digits", "not_utf8"])
+        (b"[" * 990 + b"]" * 990, "config error: cannot read config "),
+        (b"[" * 100000 + b"]" * 100000, "config error: cannot read config "),
+        (b'{"eta": ' + b"[" * 2000 + b"]" * 2000 + b"}", "config error: cannot read config "),
+    ], ids=["root_list", "integer_of_5000_digits", "not_utf8", "nested_990", "nested_100000",
+            "nested_eta"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -219,6 +224,20 @@ class TestExitCodes:
         assert captured.err.startswith("config error: cannot create --out")
         assert "Traceback" not in captured.err
         assert captured.out == "" and existing.read_text() == "kept"
+
+    @pytest.mark.parametrize("argv, name", [
+        ([], "report.json"), ([], "solution.csv"), ([], "trace.csv"),
+        (["--config", str(DATA / "negative_floor.json")], "report.json"),
+        (["--alpha", "1.01", "--force"], "report.json"),
+    ], ids=["report", "solution", "trace", "check_failed", "operator_error"])
+    def test_an_unwritable_output_exits_2(self, tmp_path, capsys, argv, name):
+        # a directory where solve writes a file
+        (tmp_path / name).mkdir()
+        assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        # the operator-error path first says so, on its own line
+        assert err.splitlines()[-1].startswith(f"config error: cannot write {tmp_path / name}: ")
+        assert err.count("config error") == 1 and "Traceback" not in err
 
     def test_forced_solve_below_floor_reports_operator_error(self, tmp_path, capsys):
         # at alpha = 1.01 the first sweep takes component 1 below the floor
@@ -643,6 +662,32 @@ def test_no_config_crashes_or_warns(config):
             report = Path(argv[-1]) / "report.json"
             if argv[0] == "solve" and report.exists():
                 json.loads(report.read_text(), parse_constant=reject_constant)
+            if argv[0] == "check" and code in (EXIT_OK, EXIT_CHECK_FAILED):
+                _assert_read_as_written(config, path)
+
+
+def _assert_read_as_written(config, path):
+    """The problem and iteration settings that a config which checks builds
+    hold the values it sets, or else the defaults."""
+    def read(*keys):
+        for source in (config, cli.DEFAULTS):
+            try:
+                for key in keys:
+                    source = source[key]
+                return source
+            except (KeyError, IndexError, TypeError):
+                continue
+
+    args = argparse.Namespace(config=str(path), alpha=None, T=None)
+    _, problem, iteration = cli._prepare(args)
+    assert problem.grid.n == read("grid", "n") + 1
+    panels, points = read("quadrature", "panels"), read("quadrature", "points")
+    assert problem.quadrature.nodes.size == panels * points
+    assert problem.etas == tuple(read("eta"))
+    assert problem.domain_floor == config.get("domain_floor", 1.0)
+    assert (problem.m, problem.T) == (read("m"), read("T"))
+    assert (iteration.tol_step, iteration.tol_residual, iteration.max_iters) == (
+        read("tolerances", "step"), read("tolerances", "residual"), read("max_iters"))
 
 
 def test_solve_does_not_import_scipy(tmp_path):

@@ -48,7 +48,7 @@ class TestBuiltinTriple:
         triple = ContractionTriple(lambda x: x, math.log1p, lambda x: 0.0, declared)
         op = ProductOperator(2, lambda a, b: 0.5 * (a + b))
         with caplog.at_level("WARNING"):
-            solve(op, UpsilonTuple(Partition.of(2, [1]), [(1, 2), (2, 1)]), (0.0, 1.0),
+            solve(op, UpsilonTuple(Partition(2, [1]), [(1, 2), (2, 1)]), (0.0, 1.0),
                   IterationConfig(), triple, dist=absdist, leq=lambda a, b: a <= b)
         messages = [r.getMessage() for r in caplog.records]
         assert any("unverified analytic declarations" in m for m in messages) == warned
@@ -80,7 +80,7 @@ class TestGainBound:
 
 
 class TestVerifyContractionSampled:
-    partition = Partition.of(2, [1])
+    partition = Partition(2, [1])
 
     def ordered(self, x, z):
         return product_leq(x, z, self.partition, lambda a, b: a <= b)

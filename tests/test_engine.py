@@ -24,7 +24,7 @@ from mixedfp.order import Partition, UpsilonTuple, cyclic_shift_upsilon
 absdist = lambda a, b: abs(a - b)  # noqa: E731
 realleq = lambda a, b: a <= b  # noqa: E731
 
-PART2 = Partition.of(2, [1])
+PART2 = Partition(2, [1])
 ID_SWAP = UpsilonTuple(PART2, [(1, 2), (2, 1)])
 MIDPOINT = ProductOperator(2, lambda a, b: 0.5 * (a + b))
 
@@ -114,7 +114,7 @@ class TestMixedMonotoneSampled:
         op = ProductOperator(2, lambda a, b: a - b)
         samples = [((0.0, 0.0), 1, 0.0, 1.0), ((0.0, 0.0), 2, 0.0, 1.0)]
         assert check_mixed_monotone_sampled(op, PART2, samples, realleq) == []
-        flipped = Partition.of(2, [2])
+        flipped = Partition(2, [2])
         violations = check_mixed_monotone_sampled(op, flipped, samples, realleq)
         assert {(0, 1), (1, 2)} == set(violations)
 
@@ -146,7 +146,7 @@ class TestMixedMonotoneSampled:
 
         lo, hi = 0.0, 1.0  # one object each, shared by the samples
         samples = [((lo, 5.0), 1, lo, hi), ((2.0, lo), 2, lo, hi), ((hi, hi), 2, -1.0, 3.0)]
-        flipped = Partition.of(2, [2])
+        flipped = Partition(2, [2])
         batched = ProductOperator(2, no_apply, batch)
         assert check_mixed_monotone_sampled(batched, flipped, samples, realleq) == \
             check_mixed_monotone_sampled(difference, flipped, samples, realleq) == \
@@ -190,6 +190,18 @@ class TestSolve:
         assert report.converged and report.collapsed and report.monotone_ok
         assert report.final_residual == 0.0
 
+    @pytest.mark.parametrize("tol_residual, collapsed", [(1e-12, False), (1e-3, True)])
+    def test_the_step_tolerance_alone_stops_the_solve(self, tol_residual, collapsed):
+        # each component halves its distance to 1, so sweep j steps 2**-j
+        # and the spread of the iterate it starts from is 2**-j as well
+        halve = ProductOperator(2, lambda a, b: 0.5 * (a + 1.0))
+        ups = UpsilonTuple(Partition(2, [1, 2]), [(1, 1), (2, 2)])
+        cfg = IterationConfig(tol_step=1e-6, tol_residual=tol_residual, max_iters=100)
+        report = solve(halve, ups, (0.0, 0.5), cfg, dist=absdist, leq=realleq)
+        assert report.step_history == tuple(2.0 ** -j for j in range(1, 21))
+        assert report.final_spread == 2.0 ** -20
+        assert report.converged and report.collapsed is collapsed
+
     def test_start_of_the_wrong_dimension_is_refused(self):
         with pytest.raises(ValueError, match="starting point dimension mismatch"):
             solve(MIDPOINT, ID_SWAP, (0.0, 1.0, 2.0), self.config, dist=absdist, leq=realleq)
@@ -211,7 +223,7 @@ class TestSolve:
     def test_max_iters_exhausted(self):
         shrink = ProductOperator(2, lambda a, b: 0.9 * a + 0.05)
         cfg = IterationConfig(tol_step=1e-12, tol_residual=1e-12, max_iters=3)
-        ups = UpsilonTuple(Partition.of(2, [1, 2]), [(1, 1), (1, 1)])
+        ups = UpsilonTuple(Partition(2, [1, 2]), [(1, 1), (1, 1)])
         with pytest.raises(NonConvergenceError) as exc:
             solve(shrink, ups, (0.0, 0.0), cfg, builtin_log_triple(),
                   dist=absdist, leq=realleq)
@@ -250,7 +262,7 @@ class TestSolve:
     def test_monotone_flag_flips_without_abort(self):
         # oscillating map: iterates are not product-ordered, run still finishes
         op = ProductOperator(2, lambda a, b: 0.5 * b)
-        ups = UpsilonTuple(Partition.of(2, [1, 2]), [(1, 1), (2, 2)])
+        ups = UpsilonTuple(Partition(2, [1, 2]), [(1, 1), (2, 2)])
         cfg = IterationConfig(tol_step=1e-10, tol_residual=1e-10, max_iters=200)
         report = solve(op, ups, (1.0, -1.0), cfg, builtin_log_triple(),
                        dist=absdist, leq=realleq, skip_initial_check=True)

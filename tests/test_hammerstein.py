@@ -95,7 +95,7 @@ class TestBuildExample:
     def test_negative_kernel_rejected(self):
         with pytest.raises(ValueError):
             HammersteinProblem(
-                T=2.0, m=1, kernel=lambda t, s: -1.0,
+                m=1, kernel=lambda t, s: -1.0,
                 nonlinearities=(lambda s, x: 0.0, lambda s, x: 0.0),
                 forcing=lambda t: 0.0, etas=(1.0, 1.0), domain_floor=0.0,
                 grid=uniform_grid(2.0, 16),
@@ -105,7 +105,7 @@ class TestBuildExample:
 
 def _small_problem(**pieces):
     data = dict(
-        T=2.0, m=1, kernel=lambda t, s: 1.0 / (t * s),
+        m=1, kernel=lambda t, s: 1.0 / (t * s),
         nonlinearities=(lambda s, x: np.log(s + x), lambda s, x: -np.log(x)),
         forcing=lambda t: t, etas=(1.0, 1.0), domain_floor=1.0,
         grid=uniform_grid(2.0, 16),
@@ -117,11 +117,10 @@ def _small_problem(**pieces):
 
 class TestProblemChecks:
     @pytest.mark.parametrize("field, make", [
-        ("T", lambda: 5.0),
         ("quadrature", lambda: make_quadrature(3.0, 4, 4)),
         ("grid", lambda: Grid(2.0, np.linspace(1.0, 1.9, 17))),
         ("grid", lambda: Grid(2.0, np.linspace(1.1, 2.0, 17))),
-    ], ids=["T", "quadrature", "grid_short_of_T", "grid_short_of_1"])
+    ], ids=["quadrature", "grid_short_of_T", "grid_short_of_1"])
     def test_grid_and_quadrature_must_span_1_to_T(self, field, make):
         # the grid and quadrature of _small_problem are on [1, 2]
         with pytest.raises(ValueError, match=r"must span \[1, T\]"):
@@ -191,7 +190,7 @@ class TestKernelBound:
 
     def test_flat_kernel(self):
         p = HammersteinProblem(
-            T=3.0, m=1, kernel=lambda t, s: 1.0 / 2.0,
+            m=1, kernel=lambda t, s: 1.0 / 2.0,
             nonlinearities=(lambda s, x: 0.0, lambda s, x: 0.0),
             forcing=lambda t: 0.0, etas=(1.0, 1.0), domain_floor=0.0,
             grid=uniform_grid(3.0, 16),
@@ -208,7 +207,7 @@ class TestKernelBound:
 class TestApplyA:
     def test_zero_nonlinearities_give_forcing(self):
         p = HammersteinProblem(
-            T=2.0, m=1, kernel=lambda t, s: 1.0,
+            m=1, kernel=lambda t, s: 1.0,
             nonlinearities=(lambda s, x: 0.0, lambda s, x: 0.0),
             forcing=lambda t: 3.0 * t - 1.0, etas=(1.0, 1.0), domain_floor=0.0,
             grid=uniform_grid(2.0, 16),
@@ -765,7 +764,7 @@ class TestAssumptionD:
 
     def test_steep_odd_nonlinearity_fails(self):
         p = HammersteinProblem(
-            T=2.0, m=1, kernel=lambda t, s: 0.1,
+            m=1, kernel=lambda t, s: 0.1,
             nonlinearities=(lambda s, x: 2.0 * x, lambda s, x: -x / 100.0),
             forcing=lambda t: 0.0, etas=(1.0, 1.0), domain_floor=0.0,
             grid=uniform_grid(2.0, 16),

@@ -36,7 +36,7 @@ def chain_space(n):
     return FiniteSpace(tuple(str(i) for i in range(n)), dist, leq)
 
 
-PART2 = Partition.of(2, [1])
+PART2 = Partition(2, [1])
 ID_SWAP = UpsilonTuple(PART2, [(1, 2), (2, 1)])
 
 
@@ -114,7 +114,7 @@ class TestEnumeration:
 
     def test_size_guard(self):
         space = chain_space(4)
-        part = Partition.of(12, range(1, 13, 2))
+        part = Partition(12, range(1, 13, 2))
         sigmas = [tuple(((i + j - 2) % 12) + 1 for j in range(1, 13)) for i in range(1, 13)]
         ups = UpsilonTuple(part, sigmas)
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestHypothesisChecks:
     def test_pair_guard_bounds_the_pair_tables(self):
         # 10^4 candidates pass the n^k guard but need 10^8-cell tables
         space = chain_space(10)
-        part = Partition.of(4, [1, 3])
+        part = Partition(4, [1, 3])
         ups = UpsilonTuple(part, [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)])
 
         def F(*x):

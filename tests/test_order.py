@@ -24,19 +24,21 @@ triples3 = st.tuples(
 
 class TestPartition:
     def test_basic(self):
-        p = Partition.of(4, [1, 3])
-        assert p.b == frozenset({2, 4})
+        p = Partition(4, [1, 3])
+        assert p.a == frozenset({1, 3}) and p.b == frozenset({2, 4})
+        assert p == Partition(4, (3, 1)) == Partition.odd_even(4)
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
-            Partition.of(1, [1])
+            Partition(1, [1])
 
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Partition(3, frozenset({1, 2}), frozenset({2, 3}))
+    @pytest.mark.parametrize("a", [[1, 4], [0, 2]], ids=["above_k", "zero"])
+    def test_rejects_index_outside_k(self, a):
+        with pytest.raises(ValueError, match=r"not a subset of \{1,...,3\}"):
+            Partition(3, a)
 
     def test_empty_block_allowed(self):
-        p = Partition.of(2, [1, 2])
+        p = Partition(2, [1, 2])
         assert not p.b
 
     def test_orient_odd_even(self):
@@ -45,7 +47,7 @@ class TestPartition:
             ("u", "v"), ("v", "u"), ("u", "v"), ("v", "u")]
 
     def test_orient_follows_the_blocks_not_the_parity(self):
-        p = Partition.of(4, [2, 3])
+        p = Partition(4, [2, 3])
         assert [p.orient(i, "u", "v") for i in range(1, 5)] == [
             ("v", "u"), ("u", "v"), ("u", "v"), ("v", "u")]
 
@@ -75,7 +77,7 @@ class TestMaxMetric:
 
 
 class TestProductLeq:
-    partition = Partition.of(2, [1])
+    partition = Partition(2, [1])
 
     def test_reflexive(self):
         x = (0.3, -1.2)
@@ -95,7 +97,7 @@ class TestProductLeq:
 
     @given(triples3.filter(lambda p: True))
     def test_transitive(self, pts):
-        part = Partition.of(3, [1, 3])
+        part = Partition(3, [1, 3])
         x, y, z = pts
         if product_leq(x, y, part, realleq) and product_leq(y, z, part, realleq):
             assert product_leq(x, z, part, realleq)
@@ -109,7 +111,7 @@ class TestProductLeq:
 
 
 class TestValidateUpsilon:
-    partition = Partition.of(2, [1])
+    partition = Partition(2, [1])
 
     def test_id_swap_accepted(self):
         ups = UpsilonTuple(self.partition, [(1, 2), (2, 1)])
