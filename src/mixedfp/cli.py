@@ -21,7 +21,9 @@ check report, which fails the check (exit 1; ``solve --force`` goes on).
 
 One order slack, ``funcspace.ORDER_SLACK``, compares grid functions in
 every check and in solve, so assumption E and solve's start check are one
-predicate on one first sweep.
+predicate on one first sweep.  The sampled checks' samples are drawn as
+stacked arrays and checked block by block (``hammerstein.check_contraction``
+and ``check_mixed_monotone``), never as grid functions.
 """
 
 import argparse
@@ -34,20 +36,19 @@ from pathlib import Path
 import numpy as np
 
 from . import hammerstein as hs
-from .contraction import builtin_log_triple, verify_contraction_sampled
+from .contraction import builtin_log_triple
 from .engine import (
     IterationConfig,
     NonConvergenceError,
     OperatorEvaluationError,
-    check_mixed_monotone_sampled,
     iterate_step,
     solve,
     trace_csv,
 )
-from .funcspace import GridFunction, format_csv, pointwise_leq, sup_metric
+from .funcspace import format_csv, pointwise_leq, sup_metric
 from .hammerstein import FORCINGS, KERNELS, NONLINEARITIES  # noqa: F401 (re-exported)
 from .hammerstein import _number
-from .order import cyclic_shift_upsilon, max_metric, product_leq
+from .order import cyclic_shift_upsilon
 
 log = logging.getLogger(__name__)
 
@@ -206,11 +207,8 @@ def _run_checks(problem, x0) -> dict:
         # the start tuple cannot be evaluated: a failed check, not a crash
         e_failures, e_error = (), _operator_error(exc)
     mono = _monotone_samples(problem, np.random.default_rng(0), 20)
-    upsilon = cyclic_shift_upsilon(problem.m)
     try:
-        violations = check_mixed_monotone_sampled(
-            hs.product_operator(problem), upsilon.partition, mono, pointwise_leq,
-        )
+        violations = hs.check_mixed_monotone(problem, *mono)
     except OperatorEvaluationError as exc:
         violations, mono_error = [], _operator_error(exc)
     report = {
@@ -238,24 +236,22 @@ def _operator_error(exc: OperatorEvaluationError) -> dict:
 
 
 def _monotone_samples(problem, rng, count):
-    """Random single-coordinate ordered perturbations of grid functions."""
-    samples = []
-    t = problem.grid.nodes
-    for _ in range(count):
-        base = tuple(
-            GridFunction(problem.grid, problem.domain_floor + rng.uniform(0.0, 4.0) + 0.0 * t)
-            for _ in range(problem.k)
-        )
-        j = int(rng.integers(1, problem.k + 1))
-        low = base[j - 1]
-        high = GridFunction(problem.grid, low.values + rng.uniform(0.1, 3.0))
-        samples.append((base, j, low, high))
-    return samples
+    """Random single-coordinate ordered perturbations, as (count, k + 1, n)
+    samples and their coordinates: sample i is k constants in [lo, lo + 4],
+    lo the domain floor, then its component ``coords[i]`` raised by 0.1-3."""
+    k, lo = problem.k, problem.domain_floor
+    samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
+    for i in range(count):
+        samples[i, :k] = lo + np.array([rng.uniform(0.0, 4.0) for _ in range(k)])[:, None]
+        coords[i] = rng.integers(1, k + 1)
+        samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
+    return samples, coords
 
 
 def _random_ordered_pairs(problem, rng, count):
     """Seeded ordered pairs of product tuples with values in [lo, lo + 9],
-    lo the domain floor.
+    lo the domain floor, as ``hammerstein.check_contraction`` takes them: a
+    (count, 2, k, n) array, pair p's x, then its z.
 
     Half the pairs use constant functions with scalar gaps (these reach the
     extreme separations where a broken nonlinearity actually leaves the
@@ -263,26 +259,27 @@ def _random_ordered_pairs(problem, rng, count):
     pair draws, in order, one (k, 2, width) block of a single
     ``rng.random`` array, row i the values then the gaps of component i,
     scaled as ``rng.uniform`` would: width n for the function pairs (odd
-    index), 1 for the constant ones (even index).
+    index), 1 for the constant ones (even index).  The widths 2kn and 2k
+    alternate, so the array is read as rows of one period, 2k(n + 1)
+    values: a function pair's draws, then the next constant pair's.
     """
     k, n = problem.k, problem.grid.n
     lo, hi = problem.domain_floor, problem.domain_floor + 9.0
-    widths = [n if idx % 2 == 1 else 1 for idx in range(1, count)]
-    u = np.split(rng.random(2 * k * sum(widths)), 2 * k * np.cumsum(widths)[:-1])
-    a, b = np.empty((count, k, n)), np.empty((count, k, n))
+    functions, constants = count // 2, (count - 1) // 2
+    u = np.empty((functions, 2 * k * (n + 1)))
+    rng.random(out=u.reshape(-1)[:2 * k * (n * functions + constants)])
+    pairs = np.empty((count, 2, k, n))
+    a, b = pairs[:, 0], pairs[:, 1]
     a[0], b[0] = lo, hi
-    for first, top in ((1, hi - 1.0), (2, hi)):  # function pairs, then constant ones
-        if first >= count:
-            break
-        draws = np.stack(u[first - 1::2]).reshape(-1, k, 2, widths[first - 1])
+    for first, top, draws in ((1, hi - 1.0, u[:, :2 * k * n].reshape(-1, k, 2, n)),
+                              (2, hi, u[:constants, 2 * k * n:].reshape(-1, k, 2, 1))):
         values = lo + (top - lo) * draws[:, :, 0]
         gap = (hi - values.max(axis=2, keepdims=True)) * draws[:, :, 1]
         a[first::2], b[first::2] = values, values + gap
     # x_i <= z_i on the A block (odd i), x_i >= z_i on the B block (even i),
     # so x is a and z is b on A, the other way round on B
     a[:, 1::2], b[:, 1::2] = b[:, 1::2], a[:, 1::2].copy()
-    return [tuple(tuple(GridFunction(problem.grid, v) for v in w) for w in pair)
-            for pair in zip(a, b)]
+    return pairs
 
 
 def cmd_check(args) -> int:
@@ -363,25 +360,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     _, problem, _ = _prepare(args)
     rng = np.random.default_rng(args.seed)
-    upsilon = cyclic_shift_upsilon(problem.m)
-    partition = upsilon.partition
-    triple = builtin_log_triple()
-
     pairs = _random_ordered_pairs(problem, rng, 200)
-    F = hs.product_operator(problem)
     try:
-        report = verify_contraction_sampled(
-            F,
-            pairs,
-            triple,
-            dist=sup_metric,
-            dist_k=lambda x, z: max_metric(x, z, sup_metric),
-            ordered=lambda x, z: product_leq(x, z, partition, pointwise_leq),
-            tol_slack=1e-8,
-        )
-        mono_violations = check_mixed_monotone_sampled(
-            F, partition, _monotone_samples(problem, rng, 50), pointwise_leq,
-        )
+        report = hs.check_contraction(problem, pairs, builtin_log_triple(), tol_slack=1e-8)
+        mono_violations = hs.check_mixed_monotone(problem, *_monotone_samples(problem, rng, 50))
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
         print(json.dumps({"operator_error": _operator_error(exc)}, indent=2))

@@ -68,8 +68,13 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.grid.n} values, got shape {values.shape}"
             )
-        if not np.isfinite(values).all():
-            raise ValueError("grid function values must be finite")
+        _check_finite(values)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Grid function values, of one function or a stack, must be finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("grid function values must be finite")
 
 
 def _check_same_grid(a: Grid, b: Grid) -> None:

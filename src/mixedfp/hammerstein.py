@@ -1,7 +1,8 @@
 """Hammerstein integral equations x(t) = int_1^T G(t,s) sum_i f_i(s, x(s)) ds + p(t)
 with 2m nonlinearities banded by log(1 + .) in alternating directions, the
 induced product operator, and numerical checkers for the standing
-assumptions.
+assumptions and, on stacked sample arrays, for contraction and mixed
+monotonicity.
 
 Named pieces of problem data are built by one constructor, ``named_problem``,
 whose defaults are the paper's example: G(t,s) = 1/(2 ln T * t * s),
@@ -20,13 +21,15 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import ProductOperator, iterate_step
+from .contraction import ContractionSampleReport, ContractionTriple
+from .engine import OperatorEvaluationError, ProductOperator, iterate_step
 from .funcspace import (
     ORDER_SLACK,
     Grid,
     GridFunction,
     PchipPlan,
     QuadratureRule,
+    _check_finite,
     _check_same_grid,
     make_quadrature,
     uniform_grid,
@@ -44,6 +47,8 @@ __all__ = [
     "kernel_bound",
     "check_assumption_d",
     "check_assumption_e",
+    "check_contraction",
+    "check_mixed_monotone",
     "build_log_example",
     "named_problem",
     "initial_bracket",
@@ -213,7 +218,7 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int
 # transfers at most _BLOCK_ELEMENTS // max(n, nq) components, and a row
 # block's gathered arguments (rows * k * nq values) stay within it, except
 # that an apply holds at least one component and a block at least k rows, so
-# a sweep is never split.
+# a sweep is never split.  A sampled check's block is one apply's samples.
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -227,19 +232,20 @@ def _apply_kernel(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
     return np.matmul(problem._weighted_kernel, g[:, :, None])[:, :, 0]
 
 
-def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> np.ndarray:
-    """The operator at R argument tuples drawn from ``x``, as an (R, n)
-    array: row r is int_1^T G(t, s) sum_j f_j(s, x[rows[r, j] - 1](s)) ds +
-    p(t) at the collocation nodes, ``rows`` a 1-based (R, k) index table and
-    ``x`` any number c of components on the problem's grid.
+def _integrals(problem: HammersteinProblem, rows, values: np.ndarray) -> np.ndarray:
+    """The operator at R argument tuples drawn from ``values``, as an (R, n)
+    array: row r is int_1^T G(t, s) sum_j f_j(s, u_j(s)) ds + p(t) at the
+    collocation nodes, u_j the component ``values[rows[r, j] - 1]``,
+    ``rows`` a 1-based (R, k) index table and ``values`` a (c, n) array of
+    any number c of components at the problem's grid nodes.
 
     Each component is checked against the floor and transferred once, to
     one (c, nq) array, by the problem's cached PCHIP plan in applies of at
     most max(1, _BLOCK_ELEMENTS // max(n, nq)) components, each apply's
-    components stacked and checked just before it (so no (c, n) stack is
-    held; PCHIP stays within each interval's node values, so the transferred
-    values need no check).  A DomainFloorError names the argument, a 1-based
-    index into ``x``, not the row.  The rows then run in blocks of
+    components checked just before it (PCHIP stays within each interval's
+    node values, so the transferred values need no check).  A
+    DomainFloorError names the argument, a 1-based index into ``values``,
+    not the row.  The rows then run in blocks of
     B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows, one kernel call each, so a
     sweep (k rows) is one call and S check tuples cost ceil(S / B) calls.
     Both sizes are computed here; they differ because an apply holds
@@ -250,16 +256,14 @@ def _integrals(problem: HammersteinProblem, rows, x: Sequence[GridFunction]) -> 
     b integrands go through ``_apply_kernel``.
     """
     table = np.asarray(rows) - 1
-    for xi in x:
-        _check_same_grid(problem.grid, xi.grid)
     s_nodes, k, n = problem.quadrature.nodes, problem.k, problem.grid.n
     floor, nq = problem.domain_floor, s_nodes.size
-    vals = np.empty((len(x), nq))
+    vals = np.empty((len(values), nq))
     chunk = max(1, _BLOCK_ELEMENTS // max(n, nq))
-    for start in range(0, len(x), chunk):
-        values = np.stack([xi.values for xi in x[start:start + chunk]])
-        _check_floor(values, problem.grid.nodes, floor, start)
-        vals[start:start + chunk] = problem._transfer.apply(values)
+    for start in range(0, len(values), chunk):
+        part = values[start:start + chunk]
+        _check_floor(part, problem.grid.nodes, floor, start)
+        vals[start:start + chunk] = problem._transfer.apply(part)
     block = max(k, _BLOCK_ELEMENTS // (k * nq))
     out = np.empty((table.shape[0], n))
     s = np.tile(s_nodes, min(block, table.shape[0]))
@@ -294,7 +298,7 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
-    return GridFunction(problem.grid, _integrals(problem, [range(1, problem.k + 1)], x)[0])
+    return product_operator(problem).batch([range(1, problem.k + 1)], x)[0]
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
@@ -316,7 +320,10 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     and one matvec of 2*n*nq (2*(n + nq) for a SeparableKernel).
     """
     def batch(rows, x):
-        return tuple(GridFunction(problem.grid, out) for out in _integrals(problem, rows, x))
+        for xi in x:
+            _check_same_grid(problem.grid, xi.grid)
+        values = _integrals(problem, rows, np.stack([xi.values for xi in x]))
+        return tuple(GridFunction(problem.grid, out) for out in values)
 
     return ProductOperator(problem.k, lambda *x: apply_A(problem, x), batch)
 
@@ -416,6 +423,88 @@ def check_assumption_e(
         lo, hi = upsilon.partition.orient(r, comp, h)
         failures.extend((r, int(j)) for j in np.nonzero(lo.values > hi.values + ORDER_SLACK)[0])
     return AssumptionEReport(h_functions, tuple(failures))
+
+
+def _samples_per_block(problem: HammersteinProblem, elements: int) -> int:
+    """A sampled check's block: the samples of ``elements`` components each
+    that one PCHIP apply of ``_integrals`` transfers, at least one."""
+    size = max(problem.grid.n, problem.quadrature.nodes.size)
+    return max(1, _BLOCK_ELEMENTS // (elements * size))
+
+
+def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: int):
+    """``_integrals`` on a block that follows ``done`` evaluated components:
+    a failure or a non-finite image raises OperatorEvaluationError, its
+    ``component`` offset by ``done``."""
+    try:
+        out = _integrals(problem, rows, values)
+        _check_finite(out)
+    except Exception as exc:
+        raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
+    return out
+
+
+def check_contraction(problem: HammersteinProblem, pairs: np.ndarray,
+                      triple: ContractionTriple, tol_slack: float) -> ContractionSampleReport:
+    """``contraction.verify_contraction_sampled`` on a (count, 2, k, n) array
+    of pairs, pair p's x then its z, under the sup metric, its maximum over
+    components and the cyclic shift's twisted order.  Each block of
+    ``_samples_per_block(problem, 2k)`` pairs is order-checked, then its
+    accepted pairs make one ``_integrals`` call, rows x then z; the
+    components of the accepted pairs, laid end to end, are what an
+    OperatorEvaluationError's ``component`` indexes, as in the generic check.
+    """
+    count, k, n = len(pairs), problem.k, problem.grid.n
+    if pairs.shape[1:] != (2, k, n):
+        raise ValueError(f"pairs must have shape (count, 2, {k}, {n})")
+    in_a = np.isin(np.arange(1, k + 1), [*cyclic_shift_upsilon(problem.m).partition.a])[:, None]
+    size = _samples_per_block(problem, 2 * k)
+    rows = np.arange(1, 2 * k * size + 1).reshape(-1, k)
+    slacks, rejected, done = [], [], 0
+    for start in range(0, count, size):
+        block = pairs[start:start + size]
+        x, z = block[:, 0], block[:, 1]
+        ordered = np.where(in_a, x <= z + ORDER_SLACK, z <= x + ORDER_SLACK).all(axis=(1, 2))
+        rejected += (start + np.flatnonzero(~ordered)).tolist()
+        accepted = block[ordered]
+        images = _sample_images(problem, rows[:2 * len(accepted)], accepted.reshape(-1, n), done)
+        dks = np.abs(accepted[:, 0] - accepted[:, 1]).max(axis=(1, 2))
+        ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
+        slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
+                   for dk, d in zip(dks.tolist(), ds.tolist())]
+        done += 2 * k * len(accepted)
+    return ContractionSampleReport(tuple(slacks), tuple(rejected), tol_slack)
+
+
+def check_mixed_monotone(problem: HammersteinProblem, samples: np.ndarray,
+                         coords: Sequence[int]) -> List[tuple]:
+    """``engine.check_mixed_monotone_sampled`` on a (count, k + 1, n) array
+    of samples under the cyclic shift's partition: sample i is its point,
+    then ``high``, which replaces the point's component ``coords[i]``
+    (1-based).  Returns the violating samples as (index, coordinate).  Each
+    block of ``_samples_per_block(problem, k + 1)`` samples makes one
+    ``_integrals`` call of two rows a sample; an OperatorEvaluationError's
+    ``component`` indexes the samples' components laid end to end.
+    """
+    count, k, n = len(samples), problem.k, problem.grid.n
+    coords = np.asarray(coords)
+    if samples.shape[1:] != (k + 1, n) or coords.shape != (count,) or \
+            not np.all((1 <= coords) & (coords <= k)):
+        raise ValueError(f"samples must have shape (count, {k + 1}, {n}), coords be in 1..{k}")
+    in_a = np.isin(np.arange(1, k + 1), [*cyclic_shift_upsilon(problem.m).partition.a])
+    size = _samples_per_block(problem, k + 1)
+    violations = []
+    for start in range(0, count, size):
+        block, j = samples[start:start + size], coords[start:start + size]
+        index = np.arange(1, block.size // n + 1).reshape(-1, k + 1)
+        high = index[:, :k].copy()
+        high[np.arange(len(block)), j - 1] = index[:, k]
+        rows = np.stack([index[:, :k], high], axis=1).reshape(-1, k)
+        images = _sample_images(problem, rows, block.reshape(-1, n), start * (k + 1))
+        low, up = images[0::2], images[1::2]
+        ok = np.where(in_a[j - 1, None], low <= up + ORDER_SLACK, up <= low + ORDER_SLACK)
+        violations += [(start + int(i), int(j[i])) for i in np.flatnonzero(~ok.all(axis=1))]
+    return violations
 
 
 def _linear_minus_log_forcing(alpha: float, T: float) -> Forcing:

@@ -31,8 +31,9 @@ from mixedfp.cli import (
     load_config,
     main,
 )
-from mixedfp.engine import IterationConfig, ProductOperator
+from mixedfp.engine import IterationConfig
 from mixedfp.funcspace import PchipPlan, load_csv
+from worked_example import as_grid_functions
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(mixedfp.__file__).resolve().parents[1]
@@ -283,26 +284,42 @@ class TestExitCodes:
         assert sorted(record) == ["component", "message", "node"]
         assert captured.err == f"operator error: {record['message']}\n"
 
-    def test_verify_makes_one_batch_call_per_check(self, monkeypatch, capsys):
-        batches = []
-        product_operator = cli.hs.product_operator
+    def test_verify_makes_one_integrals_call_per_block(self, monkeypatch, capsys):
+        calls = recorded_integrals(monkeypatch)
 
-        def recorded(problem):
-            F = product_operator(problem)
+        def no_apply(*args):
+            raise AssertionError("per-tuple apply called")
 
-            def batch(rows, x):
-                batches.append(len(rows))
-                return F.batch(rows, x)
-
-            def no_apply(*x):
-                raise AssertionError("per-tuple apply called")
-
-            return ProductOperator(F.k, no_apply, batch)
-
-        monkeypatch.setattr(cli.hs, "product_operator", recorded)
+        monkeypatch.setattr(cli.hs, "apply_A", no_apply)
         assert main(["verify", "--seed", "5"]) == EXIT_OK
-        # 200 contraction pairs (x and z each), then 50 monotonicity samples
-        assert batches == [400, 100]
+        # the default config: k = 2, n = 201, nq = 256; a block is as many
+        # samples as one PCHIP apply transfers, 4 components a pair, 3 a sample
+        pairs, samples = (max(1, hs._BLOCK_ELEMENTS // (e * 256)) for e in (4, 3))
+        assert (pairs, samples) == (8, 10)
+        # 200 contraction pairs, none rejected, rows x then z; then 50
+        # monotonicity samples, rows low then high
+        assert calls == ([(2 * pairs, 4 * pairs)] * -(-200 // pairs)
+                         + [(2 * samples, 3 * samples)] * -(-50 // samples))
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"grid": {"n": 8}, "quadrature": {"panels": 2000, "points": 8}},
+        {"problem": "custom", "m": 2, "kernel": "constant", "forcing": "linear",
+         "nonlinearities": ["log-shift", "neg-log-product"] * 2, "eta": [0.25] * 4},
+    ], ids=["default", "wide_quadrature", "k4"])
+    def test_sampled_checks_transfer_one_block_at_a_time(
+            self, tmp_path, monkeypatch, capsys, config):
+        # the transfer array of an _integrals call is (c, nq): a sampled check
+        # hands it one block, as many components as one PCHIP apply takes, or
+        # one sample's 2k when a single sample is larger
+        path = write_config(tmp_path, **config)
+        problem = build_problem(load_config(path, {}))
+        k, size = problem.k, max(problem.grid.n, problem.quadrature.nodes.size)
+        calls = recorded_integrals(monkeypatch)
+        for argv in (["check"], ["verify", "--seed", "5"]):
+            assert main([*argv, "--config", path]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert calls
+        assert max(c for _, c in calls) <= max(hs._BLOCK_ELEMENTS // size, 2 * k)
 
     def test_kernel_guard_counts_the_config_integers(self, monkeypatch):
         # the default config has 201 grid nodes and 32 x 8 quadrature nodes
@@ -769,6 +786,18 @@ class TestReproducibility:
         assert abs(recomputed - report["solution_residual"]) < 1e-12
 
 
+def recorded_integrals(monkeypatch):
+    """Record (rows, components) of every ``hammerstein._integrals`` call."""
+    calls, integrals = [], hs._integrals
+
+    def recorded(problem, rows, values):
+        calls.append((len(rows), len(values)))
+        return integrals(problem, rows, values)
+
+    monkeypatch.setattr(hs, "_integrals", recorded)
+    return calls
+
+
 def looped_ordered_pairs(problem, rng, count):
     """The pair sampler drawn pair by pair, one ``rng.random`` call each:
     the reference for the stacked ``_random_ordered_pairs``."""
@@ -797,7 +826,7 @@ def test_stacked_pairs_equal_the_pair_by_pair_draws(tmp_path, m, count):
                        grid={"n": 16})
     problem = build_problem(load_config(cfg, {}))
     stacked, looped = np.random.default_rng(7), np.random.default_rng(7)
-    pairs = _random_ordered_pairs(problem, stacked, count)
+    pairs = as_grid_functions(problem.grid, _random_ordered_pairs(problem, stacked, count))
     expected = looped_ordered_pairs(problem, looped, count)
     assert len(pairs) == count
     for (x, z), (ex, ez) in zip(pairs, expected):
@@ -899,7 +928,8 @@ class TestCustomDomainFloor:
         assert main(["verify", "--config", cfg, "--seed", "42"]) == expected
         json.loads(capsys.readouterr().out)
         problem = build_problem(load_config(cfg, {}))
-        for x, z in _random_ordered_pairs(problem, np.random.default_rng(0), 20):
+        pairs = _random_ordered_pairs(problem, np.random.default_rng(0), 20)
+        for x, z in as_grid_functions(problem.grid, pairs):
             for f in x + z:
                 assert floor <= f.values.min() and f.values.max() <= floor + 9.0
 

@@ -32,9 +32,12 @@ from mixedfp.hammerstein import (
     HammersteinProblem,
     SeparableKernel,
     apply_A,
+    _samples_per_block,
     build_log_example,
     check_assumption_d,
     check_assumption_e,
+    check_contraction,
+    check_mixed_monotone,
     initial_bracket,
     kernel_bound,
     named_problem,
@@ -47,7 +50,7 @@ from mixedfp.order import (
     max_metric,
     product_leq,
 )
-from worked_example import RULES, check_exp_inequality, closed_H_formulas
+from worked_example import RULES, as_grid_functions, check_exp_inequality, closed_H_formulas
 
 
 @pytest.fixture(scope="module")
@@ -591,7 +594,7 @@ class TestNamedProblem:
 class TestBatchedChecks:
     def test_monotone_check_is_one_batch_with_the_per_tuple_verdicts(self, example22):
         p = mfold(example22, 2)
-        samples = cli._monotone_samples(p, np.random.default_rng(1), 12)
+        samples = as_grid_functions(p.grid, *cli._monotone_samples(p, np.random.default_rng(1), 12))
         partition = cyclic_shift_upsilon(2).partition
         F, calls = recorded_operator(p)
         batched = check_mixed_monotone_sampled(F, partition, samples, pointwise_leq)
@@ -616,7 +619,8 @@ class TestBatchedChecks:
             assert isinstance(exc.value.cause, DomainFloorError)
 
     def test_contraction_check_is_one_batch_of_the_accepted_pairs(self, example22):
-        pairs = cli._random_ordered_pairs(example22, np.random.default_rng(2), 6)
+        pairs = as_grid_functions(
+            example22.grid, cli._random_ordered_pairs(example22, np.random.default_rng(2), 6))
         x, z = pairs[3]
         pairs[3] = (z, x)  # unordered: rejected before any evaluation
         F, calls = recorded_operator(example22)
@@ -628,7 +632,8 @@ class TestBatchedChecks:
 
     def test_per_tuple_callable_gives_the_batched_report(self, example22):
         # bench/layers.py passes functools.partial(apply_A, problem)
-        pairs = cli._random_ordered_pairs(example22, np.random.default_rng(3), 40)
+        pairs = as_grid_functions(
+            example22.grid, cli._random_ordered_pairs(example22, np.random.default_rng(3), 40))
         per_tuple = sampled_contraction(
             example22, lambda x: apply_A(example22, x), pairs)
         batched = sampled_contraction(example22, product_operator(example22), pairs)
@@ -647,27 +652,186 @@ class TestBatchedChecks:
             assert isinstance(exc.value.cause, ArithmeticError)
 
 
+def steep_k4():
+    """A k = 4 problem on which the sampled contraction fails."""
+    return named_problem(2.0, 2.0, m=2, kernel="constant", forcing="linear",
+                         nonlinearities=["log-shift", "neg-log-product"] * 2, etas=[0.25] * 4)
+
+
+def swapped(pairs, indices):
+    """``pairs`` with x and z exchanged at ``indices``: unordered pairs."""
+    pairs = pairs.copy()
+    pairs[indices] = pairs[indices][:, ::-1]
+    return pairs
+
+
+class TestArrayChecks:
+    """The array checks against the generic ones on the same samples, each
+    wrapped into grid functions by ``as_grid_functions``."""
+
+    PROBLEMS = {
+        "example": lambda: build_log_example(2.0, 2.0),  # a factored kernel, m = 1
+        "m=2": lambda: mfold(build_log_example(2.0, 2.0), 2),  # a dense one
+        "steep k=4": steep_k4,
+        # f_1 decreasing, f_2 increasing: mixed monotonicity fails
+        "flipped": lambda: _small_problem(
+            nonlinearities=(lambda s, x: -np.log(x), lambda s, x: np.log(s + x))),
+        # the same by about 1e-9, far above ORDER_SLACK
+        "nearly flipped": lambda: _small_problem(
+            nonlinearities=(lambda s, x: -1e-9 * x, lambda s, x: 1e-9 * x)),
+        # nq = 4800: one sample a block, so a rejected pair is a block with none accepted
+        "one a block": lambda: _small_problem(quadrature=make_quadrature(2.0, 600, 8)),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(PROBLEMS))
+    def test_contraction_equals_the_generic_check(self, case, seed):
+        p = self.PROBLEMS[case]()
+        size = _samples_per_block(p, 2 * p.k)
+        pairs = cli._random_ordered_pairs(p, np.random.default_rng(seed), 2 * size + 3)
+        # rejected pairs in the first block, on both sides of its end, and in the last
+        swaps = sorted({0, size - 1, size, 2 * size + 1})
+        pairs = swapped(pairs, swaps)
+        # pair 1 leaves the order by 1e-9 in B coordinate 2 (rejected); pair
+        # 2 by less than ORDER_SLACK in A coordinate 1 and B coordinate 2
+        x, z = pairs[1:3, 0], pairs[1:3, 1]
+        z[0, 1, 3] = x[0, 1, 3] + 1e-9
+        x[1, 0, 3], z[1, 1, 3] = z[1, 0, 3] + 5e-13, x[1, 1, 3] + 5e-13
+        array = check_contraction(p, pairs, builtin_log_triple(), 1e-12)
+        generic = sampled_contraction(p, product_operator(p), as_grid_functions(p.grid, pairs))
+        assert array == generic
+        assert array.rejected_pairs == tuple(sorted({1, *swaps}))
+        assert len(array.slacks) == len(pairs) - len(array.rejected_pairs)
+        assert all(type(v) is float for v in array.slacks)
+        assert (array.min_slack < 0) == (case == "steep k=4")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(PROBLEMS))
+    def test_mixed_monotone_equals_the_generic_check(self, case, seed):
+        p = self.PROBLEMS[case]()
+        size = _samples_per_block(p, p.k + 1)
+        samples, coords = cli._monotone_samples(p, np.random.default_rng(seed), 2 * size + 3)
+        array = check_mixed_monotone(p, samples, coords)
+        generic = check_mixed_monotone_sampled(
+            product_operator(p), cyclic_shift_upsilon(p.m).partition,
+            as_grid_functions(p.grid, samples, coords), pointwise_leq)
+        assert array == generic
+        assert all(type(i) is int and type(j) is int for i, j in array)
+        assert ("flipped" in case) == bool(array)
+        assert "flipped" not in case or any(i >= size for i, _ in array)
+        # every sample violates when no nonlinearity is monotone the right way
+        assert case != "nearly flipped" or len(array) == len(samples)
+
+    @pytest.mark.parametrize("fault", ["floor", "non-finite"])
+    def test_failure_in_a_later_block_names_the_generic_component(self, fault):
+        p = mfold(_small_problem(domain_floor=0.0), 2)
+        k, n = p.k, p.grid.n
+        if fault == "floor":
+            bad = np.ones(n)
+            bad[4] = -0.5
+            cause, node = DomainFloorError, p.grid.nodes[4]
+        else:  # zero is on the floor, where -log(x) is infinite
+            bad, cause, node = np.zeros(n), ArithmeticError, None
+        # the samples are raised by 1 above the floor of 0, so that the bad
+        # element is the only one that fails; it is coordinate 2 (B) of pair
+        # target's z, which keeps the pair ordered, and two earlier pairs are
+        # rejected, so it is element 2k * (target - 2) + k + 2 of the accepted
+        size = _samples_per_block(p, 2 * k)
+        target = size + 2
+        pairs = swapped(cli._random_ordered_pairs(p, np.random.default_rng(3), 2 * size) + 1.0,
+                        [1, size])
+        pairs[target, 1, 1] = bad
+        size_m = _samples_per_block(p, k + 1)
+        samples, coords = cli._monotone_samples(p, np.random.default_rng(4), 2 * size_m)
+        samples += 1.0
+        samples[size_m + 1, 1] = bad
+        partition = cyclic_shift_upsilon(p.m).partition
+        runs = [
+            (lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
+             lambda: sampled_contraction(p, product_operator(p), as_grid_functions(p.grid, pairs)),
+             2 * k * (target - 2) + k + 2),
+            (lambda: check_mixed_monotone(p, samples, coords),
+             lambda: check_mixed_monotone_sampled(product_operator(p), partition,
+                                                  as_grid_functions(p.grid, samples, coords),
+                                                  pointwise_leq),
+             (k + 1) * (size_m + 1) + 2),
+        ]
+        for array, generic, component in runs:
+            records = []
+            for run in (array, generic):
+                with pytest.raises(OperatorEvaluationError) as exc:
+                    run()
+                assert type(exc.value.cause) is cause
+                records.append((exc.value.component, exc.value.node))
+            assert records[0] == records[1] == (component if fault == "floor" else None, node)
+
+    def test_a_non_finite_image_fails_on_both_paths(self):
+        # the forcing is finite, the forcing plus the integral overflows
+        p = _small_problem(kernel=lambda t, s: 1e306, forcing=lambda t: 1.79e308)
+        pairs = cli._random_ordered_pairs(p, np.random.default_rng(0), 3)
+        samples, coords = cli._monotone_samples(p, np.random.default_rng(0), 3)
+        partition = cyclic_shift_upsilon(p.m).partition
+        for run in (lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
+                    lambda: sampled_contraction(p, product_operator(p),
+                                                as_grid_functions(p.grid, pairs)),
+                    lambda: check_mixed_monotone(p, samples, coords),
+                    lambda: check_mixed_monotone_sampled(
+                        product_operator(p), partition,
+                        as_grid_functions(p.grid, samples, coords), pointwise_leq)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    OperatorEvaluationError, match="grid function values must be finite") as exc:
+                run()
+            assert (exc.value.component, exc.value.node) == (None, None)
+
+    @pytest.mark.parametrize("shape, coords", [
+        ((3, 4, 17), [1, 2, 1]),  # k + 2 rows a sample
+        ((3, 3, 16), [1, 2, 1]),  # off the grid
+        ((3, 3, 17), [1, 2]),     # a coordinate missing
+        ((3, 3, 17), [1, 0, 1]),
+        ((3, 3, 17), [1, 3, 1]),
+    ], ids=["rows", "grid", "count", "zero", "above_k"])
+    def test_malformed_samples_refused(self, shape, coords):
+        p = _small_problem()
+        with pytest.raises(ValueError, match="samples must have shape"):
+            check_mixed_monotone(p, np.full(shape, 2.0), coords)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3, 17), (3, 2, 2, 16), (3, 3, 2, 17)])
+    def test_malformed_pairs_refused(self, shape):
+        with pytest.raises(ValueError, match="pairs must have shape"):
+            check_contraction(_small_problem(), np.full(shape, 2.0), builtin_log_triple(), 1e-12)
+
+
 class TestOperatorFailureContract:
     """One failing element gives one (component, node) on the per-tuple and
-    the batched path of every evaluation user: the element's 1-based index
-    in the user's batch and the failing node, or neither when the cause
-    names none."""
+    the batched path of every evaluation user, and on the array path of the
+    sampled checks: the element's 1-based index in the user's batch and the
+    failing node, or neither when the cause names none."""
 
     @staticmethod
     def evaluate(user, p, op, bad):
-        """Run ``user`` with ``bad`` in coordinate 2 of one of its tuples."""
-        ok = [GridFunction(p.grid, p.grid.nodes + i) for i in range(p.k)]
+        """Run ``user`` with ``bad`` in coordinate 2 of one of its tuples: a
+        sampled check's input is built as its stacked array and run by the
+        array check when ``op`` is None, else wrapped for the generic one."""
+        ok = np.stack([p.grid.nodes + i for i in range(p.k)])
         ups = cyclic_shift_upsilon(p.m)
-        with_bad = list(ok)
+        with_bad = ok.copy()
         with_bad[1] = bad
         if user == "iterate_step":
-            iterate_step(op, ups, with_bad)
+            iterate_step(op, ups, as_grid_functions(p.grid, with_bad))
         elif user == "check_mixed_monotone_sampled":
-            high = linear(p, 9.0)
-            samples = [(tuple(ok), 2, ok[1], high), (tuple(with_bad), 1, ok[0], high)]
-            check_mixed_monotone_sampled(op, ups.partition, samples, pointwise_leq)
+            high = 9.0 * p.grid.nodes
+            samples, coords = np.stack([np.vstack([ok, high]), np.vstack([with_bad, high])]), [2, 1]
+            if op is None:
+                check_mixed_monotone(p, samples, coords)
+            else:
+                check_mixed_monotone_sampled(
+                    op, ups.partition, as_grid_functions(p.grid, samples, coords), pointwise_leq)
         else:
-            sampled_contraction(p, op, [(tuple(ok), tuple(ok)), (tuple(ok), tuple(with_bad))])
+            pairs = np.stack([[ok, ok], [ok, with_bad]])
+            if op is None:
+                check_contraction(p, pairs, builtin_log_triple(), 1e-12)
+            else:
+                sampled_contraction(p, op, as_grid_functions(p.grid, pairs))
 
     @pytest.mark.parametrize("fault", ["floor", "non-finite"])
     @pytest.mark.parametrize("user, index", [
@@ -687,9 +851,10 @@ class TestOperatorFailureContract:
             values = np.zeros(p.grid.n)
             cause, expected = ArithmeticError, (None, None)
         F = product_operator(p)
-        for op in (ProductOperator(p.k, F.apply), F):
+        ops = [ProductOperator(p.k, F.apply), F] + ([None] if user != "iterate_step" else [])
+        for op in ops:
             with pytest.raises(OperatorEvaluationError) as exc:
-                self.evaluate(user, p, op, GridFunction(p.grid, values))
+                self.evaluate(user, p, op, values)
             assert (exc.value.component, exc.value.node) == expected
             assert type(exc.value.cause) is cause
 

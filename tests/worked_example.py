@@ -2,14 +2,15 @@
 the closed forms of the first Jacobi sweep of the log-kernel example and
 the exponential inequality behind its upper start; and the quadrature rules
 the tests run on: the package's Gauss-Legendre rule and a composite Simpson
-rule, whose nodes hit grid nodes."""
+rule, whose nodes hit grid nodes; and the generic sampled checks' form of
+the stacked arrays the CLI's samplers draw."""
 
 import math
 from typing import Tuple
 
 import numpy as np
 
-from mixedfp.funcspace import QuadratureRule, make_quadrature
+from mixedfp.funcspace import GridFunction, QuadratureRule, make_quadrature
 
 
 def closed_H_formulas(alpha: float, T: float, t) -> Tuple[float, float]:
@@ -55,3 +56,17 @@ def simpson_rule(T: float, panels: int, points: int) -> QuadratureRule:
 
 
 RULES = {"gauss-legendre": make_quadrature, "simpson": simpson_rule}
+
+
+def as_grid_functions(grid, array, coords=None):
+    """A stacked sampler array as the generic checks take it, every length-n
+    row a new GridFunction on ``grid``: pairs, (count, 2, k, n), as a list
+    of (x, z) tuples; samples, (count, k + 1, n) with their 1-based
+    ``coords``, as a list of (point, j, low, high) with low = point[j - 1]."""
+    def wrap(a):
+        return GridFunction(grid, a) if a.ndim == 1 else tuple(map(wrap, a))
+
+    items = list(wrap(np.asarray(array)))
+    if coords is None:
+        return items
+    return [(s[:-1], int(j), s[j - 1], s[-1]) for s, j in zip(items, coords)]
