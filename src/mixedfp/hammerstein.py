@@ -203,23 +203,27 @@ class HammersteinProblem:
 _MAX_SPACING = float(np.cbrt(np.finfo(float).max))
 
 
-def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, first: int = 0):
+def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
     """Raise DomainFloorError at the first row of ``values``, then the first
-    node, lying below ``floor - ORDER_SLACK``; row i is component first + i + 1."""
+    node, lying below ``floor - ORDER_SLACK``; row i is component i + 1."""
     bad = values < floor - ORDER_SLACK
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
-        raise DomainFloorError(first + i + 1, float(nodes[j]), float(values[i, j]), floor)
+        raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
 # The one size bound of the batch kernel, in float64 values (64 KiB): a PCHIP
 # apply, whose temporaries are about ten arrays of its (c, n) or (c, nq) size,
-# transfers at most _BLOCK_ELEMENTS // max(n, nq) components, and a row
-# block's gathered arguments (rows * k * nq values) stay within it, except
-# that an apply holds at least one component and a block at least k rows, so
-# a sweep is never split.  A sampled check's block is one apply's samples.
+# transfers at most _BLOCK_ELEMENTS // max(n, nq) components, at least one.
+# A sampled check's block is one apply's samples, so its one kernel call
+# gathers under 2 * _BLOCK_ELEMENTS argument values, or one sample's 2k * nq.
 _BLOCK_ELEMENTS = 1 << 13
+
+
+def _components_per_apply(problem: HammersteinProblem) -> int:
+    """The components one PCHIP apply of ``_integrals`` transfers."""
+    return max(1, _BLOCK_ELEMENTS // max(problem.grid.n, problem.quadrature.nodes.size))
 
 
 def _apply_kernel(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
@@ -239,48 +243,35 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray) -> np.ndar
     ``rows`` a 1-based (R, k) index table and ``values`` a (c, n) array of
     any number c of components at the problem's grid nodes.
 
-    Each component is checked against the floor and transferred once, to
+    Every component is checked against the floor, then transferred once, to
     one (c, nq) array, by the problem's cached PCHIP plan in applies of at
-    most max(1, _BLOCK_ELEMENTS // max(n, nq)) components, each apply's
-    components checked just before it (PCHIP stays within each interval's
-    node values, so the transferred values need no check).  A
+    most ``_components_per_apply`` components (PCHIP stays within each
+    interval's node values, so the transferred values need no check).  A
     DomainFloorError names the argument, a 1-based index into ``values``,
-    not the row.  The rows then run in blocks of
-    B = max(k, _BLOCK_ELEMENTS // (k * nq)) rows, one kernel call each, so a
-    sweep (k rows) is one call and S check tuples cost ceil(S / B) calls.
-    Both sizes are computed here; they differ because an apply holds
-    max(n, nq) values per component and a block k * nq per row.  A call of
-    b rows gathers its arguments from the transferred array and calls each
-    f_j once, on the b argument rows laid end to end (1-D arrays of length
-    b*nq, so the array contract holds and a scalar return broadcasts); its
-    b integrands go through ``_apply_kernel``.
+    not the row.  All R rows then make one kernel call: their arguments are
+    gathered from the transferred array, each f_j is called once on the R
+    argument rows laid end to end (1-D arrays of length R*nq, so the array
+    contract holds and a scalar return broadcasts), and the R integrands go
+    through ``_apply_kernel``.  A caller bounds R: the engine's sweeps have
+    at most k rows and a sampled check hands over one block.
     """
     table = np.asarray(rows) - 1
-    s_nodes, k, n = problem.quadrature.nodes, problem.k, problem.grid.n
-    floor, nq = problem.domain_floor, s_nodes.size
+    s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
+    nq = s_nodes.size
+    _check_floor(values, problem.grid.nodes, problem.domain_floor)
     vals = np.empty((len(values), nq))
-    chunk = max(1, _BLOCK_ELEMENTS // max(n, nq))
+    chunk = _components_per_apply(problem)
     for start in range(0, len(values), chunk):
-        part = values[start:start + chunk]
-        _check_floor(part, problem.grid.nodes, floor, start)
-        vals[start:start + chunk] = problem._transfer.apply(part)
-    block = max(k, _BLOCK_ELEMENTS // (k * nq))
-    out = np.empty((table.shape[0], n))
-    s = np.tile(s_nodes, min(block, table.shape[0]))
-    for start in range(0, table.shape[0], block):
-        part = table[start:start + block]
-        n_rows = part.shape[0]
-        s_rows, total = s[:n_rows * nq], np.zeros(n_rows * nq)
-        # one gather; row j holds argument j of every row end to end
-        args = vals.take(part.T, axis=0).reshape(k, n_rows * nq)
-        with np.errstate(all="ignore"):
-            for fj, arg in zip(problem.nonlinearities, args):
-                total += fj(s_rows, arg)
+        vals[start:start + chunk] = problem._transfer.apply(values[start:start + chunk])
+    # one gather; row j holds argument j of every row end to end
+    args = vals.take(table.T, axis=0).reshape(problem.k, n_rows * nq)
+    s, total = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq)
+    with np.errstate(all="ignore"):
+        for fj, arg in zip(problem.nonlinearities, args):
+            total += fj(s, arg)
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
-        out[start:start + n_rows] = _apply_kernel(problem, total.reshape(n_rows, nq))
-    out += problem._forcing_values
-    return out
+        return _apply_kernel(problem, total.reshape(n_rows, nq)) + problem._forcing_values
 
 
 def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
@@ -306,18 +297,19 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
     ``batch(rows, x)`` computes the images at R argument tuples drawn from
     c components (``_integrals``): the c components are transferred once
-    (O(c*n) derivatives, O(c*nq) evaluation), then the rows run in
-    ceil(R / B) kernel calls of at most B = max(k, 8192 // (k*nq)) rows, a
-    call of b rows costing k nonlinearity calls of length b*nq and one
-    stacked matvec of b*n*nq multiply-adds (b*(n + nq) for a
-    SeparableKernel).  The engine hands the batch each distinct component
-    once and each distinct row once (``engine._images``).  A Jacobi sweep
-    over k distinct components, R = c = k, is k transferred rows, k calls
-    of length k*nq and one matvec of k*n*nq, where k ``apply`` calls cost
-    k^2 rows, k^2 calls of length nq and k matvecs.  From the bracket start,
-    whose A components are one object and whose B components another, every
-    sweep is R = c = 2 at any k: 2 transferred rows, k calls of length 2*nq
-    and one matvec of 2*n*nq (2*(n + nq) for a SeparableKernel).
+    (O(c*n) derivatives, O(c*nq) evaluation), then the R rows make one
+    kernel call, k nonlinearity calls of length R*nq and one stacked matvec
+    of R*n*nq multiply-adds (R*(n + nq) for a SeparableKernel).  That call
+    gathers R*k*nq argument values at once, so a caller with many rows
+    hands them over in blocks, as the sampled checks do.  The engine hands
+    the batch each distinct component once and each distinct row once
+    (``engine._images``).  A Jacobi sweep over k distinct components,
+    R = c = k, is k transferred rows, k calls of length k*nq and one matvec
+    of k*n*nq, where k ``apply`` calls cost k^2 rows, k^2 calls of length nq
+    and k matvecs.  From the bracket start, whose A components are one
+    object and whose B components another, every sweep is R = c = 2 at any
+    k: 2 transferred rows, k calls of length 2*nq and one matvec of 2*n*nq
+    (2*(n + nq) for a SeparableKernel).
     """
     def batch(rows, x):
         for xi in x:
@@ -428,8 +420,7 @@ def check_assumption_e(
 def _samples_per_block(problem: HammersteinProblem, elements: int) -> int:
     """A sampled check's block: the samples of ``elements`` components each
     that one PCHIP apply of ``_integrals`` transfers, at least one."""
-    size = max(problem.grid.n, problem.quadrature.nodes.size)
-    return max(1, _BLOCK_ELEMENTS // (elements * size))
+    return max(1, _components_per_apply(problem) // elements)
 
 
 def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: int):

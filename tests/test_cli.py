@@ -321,6 +321,46 @@ class TestExitCodes:
         assert calls
         assert max(c for _, c in calls) <= max(hs._BLOCK_ELEMENTS // size, 2 * k)
 
+    @pytest.mark.parametrize("config", [
+        {},
+        {"problem": "custom", "m": 2, "kernel": "constant", "forcing": "linear",
+         "nonlinearities": ["log-shift", "neg-log-product"] * 2, "eta": [0.25] * 4},
+    ], ids=["default", "k4"])
+    def test_each_nonlinearity_is_called_once_per_integrals_call(
+            self, tmp_path, monkeypatch, capsys, config):
+        # every _integrals call is one kernel call: each f_j once, in order,
+        # on the R argument rows laid end to end
+        calls, active, integrals = [], [], hs._integrals
+
+        def counting(factory):
+            def make(alpha, T):
+                f = factory(alpha, T)
+
+                def g(s, x):
+                    if active:
+                        active[-1].append((g, x.size))
+                    return f(s, x)
+                return g
+            return make
+
+        def recorded(problem, rows, values):
+            active.append([])
+            try:
+                return integrals(problem, rows, values)
+            finally:
+                calls.append((problem, len(rows), active.pop()))
+
+        monkeypatch.setattr(hs, "NONLINEARITIES",
+                            {name: counting(f) for name, f in hs.NONLINEARITIES.items()})
+        monkeypatch.setattr(hs, "_integrals", recorded)
+        path = write_config(tmp_path, **config)
+        for argv in (["check"], ["verify", "--seed", "5"]):
+            assert main([*argv, "--config", path]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert calls
+        for problem, n_rows, called in calls:
+            size = n_rows * problem.quadrature.nodes.size
+            assert called == [(g, size) for g in problem.nonlinearities]
+
     def test_kernel_guard_counts_the_config_integers(self, monkeypatch):
         # the default config has 201 grid nodes and 32 x 8 quadrature nodes
         kernel_bytes = 201 * 256 * 8

@@ -407,6 +407,13 @@ def sampled_contraction(problem, F, pairs):
         ordered=lambda x, z: product_leq(x, z, ups.partition, pointwise_leq))
 
 
+def rows_at_the_gather_bound(p):
+    """max(k, _BLOCK_ELEMENTS // (k * nq)): the rows whose gathered arguments
+    fill _BLOCK_ELEMENTS values.  Row counts around it check that a row's
+    bits do not depend on how many rows share its kernel call."""
+    return max(p.k, _BLOCK_ELEMENTS // (p.k * p.quadrature.nodes.size))
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("quadrature", ["gauss-legendre", "simpson"])
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -414,7 +421,7 @@ class TestBatchKernel:
         p = mfold(dataclasses.replace(
             example22, quadrature=RULES[quadrature](2.0, 32, 8)), m)
         F = product_operator(p)
-        block = max(p.k, _BLOCK_ELEMENTS // (p.k * p.quadrature.nodes.size))
+        block = rows_at_the_gather_bound(p)
         rng = np.random.default_rng(200 + m)
         # the larger pool spans three transfer applies
         for pool in (3 * p.k, 2 * (_BLOCK_ELEMENTS // p.quadrature.nodes.size) + 3):
@@ -426,9 +433,9 @@ class TestBatchKernel:
                 for row, y in zip(rows, images):
                     assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
 
-    def test_each_component_is_transferred_once_and_rows_run_in_blocks(
+    def test_each_component_is_transferred_once_and_each_f_j_called_once(
             self, example22, monkeypatch):
-        # more components than one apply takes, and rows over a block
+        # more components than one apply takes, and rows past the gather bound
         base = mfold(example22, 2)
         lengths = []
 
@@ -440,10 +447,9 @@ class TestBatchKernel:
 
         p = dataclasses.replace(base, nonlinearities=tuple(map(counted, base.nonlinearities)))
         k, nq = p.k, p.quadrature.nodes.size
-        block = max(k, _BLOCK_ELEMENTS // (k * nq))
         per_apply = _BLOCK_ELEMENTS // nq
         x = rough_pool(p, np.random.default_rng(4), 2 * per_apply + 3)
-        n_rows = 3 * block + 1
+        n_rows = 3 * rows_at_the_gather_bound(p) + 1
         rows = np.random.default_rng(5).integers(1, len(x) + 1, size=(n_rows, k))
         applied = []
         apply = PchipPlan.apply
@@ -455,8 +461,8 @@ class TestBatchKernel:
         # every component once, in order, in applies within the element budget
         assert np.array_equal(np.concatenate(applied), np.stack([xi.values for xi in x]))
         assert all(y.shape[0] * nq <= _BLOCK_ELEMENTS for y in applied)
-        # ceil(R / B) = 4 kernel calls, each calling every f_j once
-        assert lengths == [block * nq] * (3 * k) + [nq] * k
+        # one kernel call, calling every f_j once on the R argument rows
+        assert lengths == [n_rows * nq] * k
 
     def test_an_apply_stays_within_the_bound_when_n_exceeds_nq(self, monkeypatch):
         # n = 2001 grid values against nq = 16 quadrature nodes
@@ -473,7 +479,7 @@ class TestBatchKernel:
     def test_floor_error_names_the_component_of_x(self, example22):
         p = example22
         k = p.k
-        block = max(k, _BLOCK_ELEMENTS // (k * p.quadrature.nodes.size))
+        block = rows_at_the_gather_bound(p)
         x = rough_pool(p, np.random.default_rng(6), k * (block + 1))
         values = x[-1].values.copy()
         values[4] = 0.5
@@ -520,21 +526,21 @@ class TestSeparableKernel:
         p = named_problem(alpha, T, *size, kernel=kernel)
         dense = dense_twin(p)
         assert abs(kernel_bound(p) - kernel_bound(dense)) <= 1e-15 * kernel_bound(dense)
-        k, nq = p.k, p.quadrature.nodes.size
-        block = max(k, _BLOCK_ELEMENTS // (k * nq))
+        k = p.k
+        block = rows_at_the_gather_bound(p)
         rng = np.random.default_rng(11)
         x = rough_pool(p, rng, 12)
-        rows = rng.integers(1, len(x) + 1, size=(2 * block + 3, k))  # not a multiple of B
+        rows = rng.integers(1, len(x) + 1, size=(2 * block + 3, k))
         for y, z in zip(product_operator(p).batch(rows, x), product_operator(dense).batch(rows, x)):
             assert np.max(np.abs(y.values - z.values)) <= 1e-14 * np.max(np.abs(z.values))
 
     @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_batch_equals_per_tuple_apply_A(self, kernel, size):
-        # a row's bits do not depend on how many rows share its block
+        # a row's bits do not depend on how many rows share its kernel call
         p = named_problem(2.0, 2.0, *size, kernel=kernel)
-        k, nq = p.k, p.quadrature.nodes.size
-        block = max(k, _BLOCK_ELEMENTS // (k * nq))
+        k = p.k
+        block = rows_at_the_gather_bound(p)
         rng = np.random.default_rng(12)
         x = rough_pool(p, rng, 9)
         for n_rows in (1, block - 1, block + 1, 2 * block + 3):
@@ -778,8 +784,10 @@ class TestArrayChecks:
                     lambda: check_mixed_monotone_sampled(
                         product_operator(p), partition,
                         as_grid_functions(p.grid, samples, coords), pointwise_leq)):
-            with np.errstate(over="ignore"), pytest.raises(
+            # the overflow is reported as the operator error, with no warning
+            with warnings.catch_warnings(), pytest.raises(
                     OperatorEvaluationError, match="grid function values must be finite") as exc:
+                warnings.simplefilter("error")
                 run()
             assert (exc.value.component, exc.value.node) == (None, None)
 
