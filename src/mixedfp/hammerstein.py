@@ -96,7 +96,7 @@ def _node_array_output(piece: str, fn: Callable, shape: tuple, *args) -> np.ndar
     try:
         with np.errstate(all="ignore"):
             out = np.asarray(fn(*args), dtype=float)
-        return np.broadcast_to(out, shape)
+        return out if out.shape == shape else np.broadcast_to(out, shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"{piece} must accept node arrays and return values that broadcast "
@@ -119,12 +119,14 @@ class HammersteinProblem:
     ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``,
     b*nq in a batch kernel call of b rows, which lays the b argument rows
     end to end),
-    and ``forcing(t)`` with t of shape (n,).  A scalar return broadcasts.
-    Construction calls each piece once on the node arrays and raises
-    ValueError, naming the piece, when its output cannot broadcast to that
-    shape.  It also raises ValueError unless the grid's nodes run from 1 to
-    its T and the quadrature is a rule on [1, T], for a non-finite forcing
-    value, domain_floor or eta, and for a grid spacing above _MAX_SPACING.
+    and ``forcing(t)`` with t of shape (n,) (with a ``SeparableKernel``,
+    ``a`` and ``forcing`` also with t the quadrature nodes, shape (nq,)).
+    A scalar return broadcasts.  Construction calls each piece once on the
+    node arrays and raises ValueError, naming the piece, when its output
+    cannot broadcast to that shape.  It also raises ValueError unless the
+    grid's nodes run from 1 to its T and the quadrature is a rule on [1, T],
+    for a non-finite forcing value, domain_floor or eta, and for a grid
+    spacing above _MAX_SPACING.
     """
 
     m: int
@@ -147,10 +149,11 @@ class HammersteinProblem:
             raise ValueError("need 2m positive finite eta constants")
         if not math.isfinite(self.domain_floor):
             raise ValueError(f"domain_floor must be finite, got {self.domain_floor}")
-        # assemble and check the kernel and evaluate the forcing now (both
+        # assemble and check the kernel and evaluate the forcing now (all
         # cached), then probe each nonlinearity once
         self._weighted_kernel
         self._forcing_values
+        self._at_nodes
         spacing = float(np.diff(self.grid.nodes).max())
         if not spacing <= _MAX_SPACING:
             raise ValueError(f"grid spacing {spacing:.6g} is above {_MAX_SPACING:.6g}, "
@@ -198,6 +201,21 @@ class HammersteinProblem:
             raise ValueError("forcing must be finite on the grid")
         return values
 
+    @cached_property
+    def _at_nodes(self):
+        # (a(s_q), p(s_q)) of a SeparableKernel, so that its images c * a + p
+        # are known at the quadrature nodes s_q; None for a dense kernel
+        if not isinstance(self.kernel, SeparableKernel):
+            return None
+        s = self.quadrature.nodes
+        a, p = (_node_array_output(piece, f, s.shape, s)
+                for piece, f in (("kernel", self.kernel.a), ("forcing", self.forcing)))
+        if not (a.min() >= 0.0 and a.max() < math.inf):  # NaN fails both
+            raise ValueError("kernel must be finite and nonnegative on the grid")
+        if not np.isfinite(p).all():
+            raise ValueError("forcing must be finite on the grid")
+        return a, p
+
 
 # PchipPlan cubes offsets within an interval: a wider spacing overflows
 _MAX_SPACING = float(np.cbrt(np.finfo(float).max))
@@ -226,43 +244,62 @@ def _components_per_apply(problem: HammersteinProblem) -> int:
     return max(1, _BLOCK_ELEMENTS // max(problem.grid.n, problem.quadrature.nodes.size))
 
 
-def _apply_kernel(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
-    """sum_q W[j, q] g[r, q] as a (b, n) array for (b, nq) integrands g; each
-    row is summed on its own (for a SeparableKernel, one length-nq dot
-    product scaled by a(t_j)), so its bits do not depend on b."""
+def _apply_kernel(problem: HammersteinProblem, g: np.ndarray):
+    """sum_q W[j, q] g[r, q] as a (b, n) array for (b, nq) integrands g, with
+    each row summed on its own, so its bits do not depend on b; and for a
+    SeparableKernel the (b, 1) scalars c_r = sum_q b(s_q) w_q g[r, q] of
+    the rows c_r * a(t_j), else None."""
     if isinstance(problem.kernel, SeparableKernel):
         a, wb = problem._weighted_kernel
-        return np.matmul(g[:, None, :], wb[:, None])[:, 0] * a
-    return np.matmul(problem._weighted_kernel, g[:, :, None])[:, :, 0]
+        c = np.matmul(g[:, None, :], wb[:, None])[:, 0]
+        return c * a, c
+    return np.matmul(problem._weighted_kernel, g[:, :, None])[:, :, 0], None
 
 
-def _integrals(problem: HammersteinProblem, rows, values: np.ndarray) -> np.ndarray:
+def _transferred(problem: HammersteinProblem, values: np.ndarray) -> np.ndarray:
+    """(c, n) grid values at the quadrature nodes, by the problem's cached
+    PCHIP plan in applies of at most ``_components_per_apply`` components."""
+    out = np.empty((len(values), problem.quadrature.nodes.size))
+    chunk = _components_per_apply(problem)
+    for start in range(0, len(values), chunk):
+        out[start:start + chunk] = problem._transfer.apply(values[start:start + chunk])
+    return out
+
+
+def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), at_nodes=()):
     """The operator at R argument tuples drawn from ``values``, as an (R, n)
-    array: row r is int_1^T G(t, s) sum_j f_j(s, u_j(s)) ds + p(t) at the
-    collocation nodes, u_j the component ``values[rows[r, j] - 1]``,
+    array, and for a SeparableKernel the (R, nq) array of the same images at
+    the quadrature nodes, else None: row r is int_1^T G(t, s) sum_j
+    f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
     ``rows`` a 1-based (R, k) index table and ``values`` a (c, n) array of
     any number c of components at the problem's grid nodes.
 
-    Every component is checked against the floor, then transferred once, to
-    one (c, nq) array, by the problem's cached PCHIP plan in applies of at
-    most ``_components_per_apply`` components (PCHIP stays within each
-    interval's node values, so the transferred values need no check).  A
-    DomainFloorError names the argument, a 1-based index into ``values``,
-    not the row.  All R rows then make one kernel call: their arguments are
-    gathered from the transferred array, each f_j is called once on the R
-    argument rows laid end to end (1-D arrays of length R*nq, so the array
-    contract holds and a scalar return broadcasts), and the R integrands go
-    through ``_apply_kernel``.  A caller bounds R: the engine's sweeps have
-    at most k rows and a sampled check hands over one block.
+    Every component is checked against the floor.  Those at the 0-based
+    positions ``known`` come with their values at the quadrature nodes,
+    ``at_nodes``, of shape (len(known), nq) or (len(known), 1), which are
+    then checked too; the others are transferred once (``_transferred``;
+    PCHIP stays within each interval's node values, so these need no
+    check).  A DomainFloorError names the argument, a 1-based index into
+    ``values``, not the row.  All R rows then make one kernel call: their
+    arguments are gathered from the (c, nq) array, each f_j is called once
+    on the R argument rows laid end to end (1-D arrays of length R*nq, so
+    the array contract holds and a scalar return broadcasts), and the R
+    integrands go through ``_apply_kernel``; a SeparableKernel row is
+    c_r * a + p at both node sets.  A caller bounds R: the engine's sweeps
+    have at most k rows and a sampled check hands over one block.
     """
     table = np.asarray(rows) - 1
     s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
     nq = s_nodes.size
     _check_floor(values, problem.grid.nodes, problem.domain_floor)
-    vals = np.empty((len(values), nq))
-    chunk = _components_per_apply(problem)
-    for start in range(0, len(values), chunk):
-        vals[start:start + chunk] = problem._transfer.apply(values[start:start + chunk])
+    if len(known):
+        vals = np.empty((len(values), nq))
+        vals[known] = at_nodes
+        todo = np.delete(np.arange(len(values)), known)
+        vals[todo] = _transferred(problem, values[todo])
+        _check_floor(vals, s_nodes, problem.domain_floor)
+    else:
+        vals = _transferred(problem, values)
     # one gather; row j holds argument j of every row end to end
     args = vals.take(table.T, axis=0).reshape(problem.k, n_rows * nq)
     s, total = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq)
@@ -271,7 +308,9 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray) -> np.ndar
             total += fj(s, arg)
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
-        return _apply_kernel(problem, total.reshape(n_rows, nq)) + problem._forcing_values
+        image, c = _apply_kernel(problem, total.reshape(n_rows, nq))
+        nodes = None if c is None else c * problem._at_nodes[0] + problem._at_nodes[1]
+        return image + problem._forcing_values, nodes
 
 
 def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
@@ -283,39 +322,60 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     derivatives plus O(k*nq) to evaluate them at the quadrature nodes (the
     interval search is planned once per problem), k nonlinearity calls on
     nq nodes and one n x nq matvec (n + nq for a SeparableKernel).  Each of
-    the k arguments is transferred, a repeated one at each position; a sweep
-    goes through the engine and ``product_operator``'s batch instead, which
-    transfers each distinct component once.
+    the k arguments is read, a repeated one at each position (``batch``); a
+    sweep goes through the engine and the batch instead, which reads each
+    distinct component once.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
     return product_operator(problem).batch([range(1, problem.k + 1)], x)[0]
 
 
+@dataclass(frozen=True)
+class _Image(GridFunction):
+    """A SeparableKernel image with its values at the nodes of ``quadrature``;
+    both arrays are read-only, so the two cannot drift apart."""
+
+    quadrature: QuadratureRule
+    at_nodes: np.ndarray
+
+
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
     """The problem's operator, with a batched evaluation.
 
     ``batch(rows, x)`` computes the images at R argument tuples drawn from
-    c components (``_integrals``): the c components are transferred once
-    (O(c*n) derivatives, O(c*nq) evaluation), then the R rows make one
-    kernel call, k nonlinearity calls of length R*nq and one stacked matvec
-    of R*n*nq multiply-adds (R*(n + nq) for a SeparableKernel).  That call
-    gathers R*k*nq argument values at once, so a caller with many rows
-    hands them over in blocks, as the sampled checks do.  The engine hands
-    the batch each distinct component once and each distinct row once
-    (``engine._images``).  A Jacobi sweep over k distinct components,
-    R = c = k, is k transferred rows, k calls of length k*nq and one matvec
-    of k*n*nq, where k ``apply`` calls cost k^2 rows, k^2 calls of length nq
-    and k matvecs.  From the bracket start, whose A components are one
-    object and whose B components another, every sweep is R = c = 2 at any
-    k: 2 transferred rows, k calls of length 2*nq and one matvec of 2*n*nq
-    (2*(n + nq) for a SeparableKernel).
+    c components (``_integrals``): each component is read at the quadrature
+    nodes once, then the R rows make one kernel call, k nonlinearity calls
+    of length R*nq and one stacked matvec of R*n*nq multiply-adds (R*(n +
+    nq) for a SeparableKernel).  That call gathers R*k*nq argument values at
+    once, so a caller with many rows hands them over in blocks, as the
+    sampled checks do.  A SeparableKernel's images carry their values at
+    the quadrature nodes, which a component is read from when it carries
+    them for this problem's rule (``is``); any other is transferred (O(n)
+    derivatives, O(nq) evaluation).  The engine hands the batch each
+    distinct component once and each distinct row once (``engine._images``).
+    A Jacobi sweep over k distinct components, R = c = k, is at most k
+    transferred rows, k calls of length k*nq and one matvec of k*n*nq,
+    where k ``apply`` calls cost k^2 rows, k^2 calls and k matvecs.  From
+    the bracket start, whose A components are one object and whose B
+    components another, every sweep is R = c = 2 at any k: 2 transferred
+    rows, k calls of length 2*nq and one matvec of 2*n*nq; with a
+    SeparableKernel, every sweep after the first transfers nothing and
+    costs O(k*nq + n): 2 dot products of length nq and 2*(n + nq) values.
     """
     def batch(rows, x):
         for xi in x:
             _check_same_grid(problem.grid, xi.grid)
-        values = _integrals(problem, rows, np.stack([xi.values for xi in x]))
-        return tuple(GridFunction(problem.grid, out) for out in values)
+        known = [i for i, xi in enumerate(x)
+                 if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
+        images, at_nodes = _integrals(problem, rows, np.stack([xi.values for xi in x]),
+                                      known, [x[i].at_nodes for i in known])
+        if at_nodes is None:
+            return tuple(GridFunction(problem.grid, out) for out in images)
+        _check_finite(at_nodes)
+        images.flags.writeable = at_nodes.flags.writeable = False
+        return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
+                     for out, nodes in zip(images, at_nodes))
 
     return ProductOperator(problem.k, lambda *x: apply_A(problem, x), batch)
 
@@ -323,7 +383,7 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 def kernel_bound(problem: HammersteinProblem) -> float:
     """2m * max over collocation nodes t of int_1^T G(t, s) ds."""
     ones = np.ones((1, problem.quadrature.nodes.size))
-    return problem.k * float(np.max(_apply_kernel(problem, ones)))
+    return problem.k * float(np.max(_apply_kernel(problem, ones)[0]))
 
 
 @dataclass(frozen=True)
@@ -424,11 +484,14 @@ def _samples_per_block(problem: HammersteinProblem, elements: int) -> int:
 
 
 def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: int):
-    """``_integrals`` on a block that follows ``done`` evaluated components:
-    a failure or a non-finite image raises OperatorEvaluationError, its
-    ``component`` offset by ``done``."""
+    """``_integrals``' grid images on a block that follows ``done``
+    evaluated components: a failure or a non-finite image raises
+    OperatorEvaluationError, its ``component`` offset by ``done``.  A
+    nonzero constant component is not transferred: PCHIP gives it back bit
+    for bit, but turns -0.0 to +0.0 off the grid nodes."""
+    known = np.flatnonzero((values == values[:, :1]).all(axis=1) & (values[:, 0] != 0.0))
     try:
-        out = _integrals(problem, rows, values)
+        out = _integrals(problem, rows, values, known, values[known, :1])[0]
         _check_finite(out)
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -31,8 +32,9 @@ from mixedfp.cli import (
     load_config,
     main,
 )
-from mixedfp.engine import IterationConfig
-from mixedfp.funcspace import PchipPlan, load_csv
+from mixedfp.engine import IterationConfig, iterate_step, solve
+from mixedfp.funcspace import PchipPlan, load_csv, pointwise_leq
+from mixedfp.order import cyclic_shift_upsilon
 from worked_example import as_grid_functions
 
 DATA = Path(__file__).parent / "data"
@@ -343,10 +345,10 @@ class TestExitCodes:
                 return g
             return make
 
-        def recorded(problem, rows, values):
+        def recorded(problem, rows, values, *known):
             active.append([])
             try:
-                return integrals(problem, rows, values)
+                return integrals(problem, rows, values, *known)
             finally:
                 calls.append((problem, len(rows), active.pop()))
 
@@ -499,8 +501,9 @@ class TestExitCodes:
         cfg = load_config(None, {})
         cfg["eta"] = [0.5, 1.0]
         assert build_problem(cfg).etas == (0.5, 1.0)
-        # each factor once, on its own nodes; no (201, 256) kernel
-        assert calls == [("a", (201,)), ("b", (256,))]
+        # each factor once on its own nodes, and a once more on the
+        # quadrature nodes, where every image is then known; no (201, 256) kernel
+        assert calls == [("a", (201,)), ("b", (256,)), ("a", (256,))]
 
     @pytest.mark.parametrize("config, field", [
         ({"grid": {"n": 50.9}}, "grid.n"),
@@ -780,15 +783,48 @@ def test_verify_builds_no_start_tuple(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_collapsed_residual_transfers_one_row(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, problem="custom", m=2, kernel="constant",
-                       nonlinearities=["zero"] * 4, forcing="linear", eta=[0.25] * 4)
-    applied = []
-    apply = PchipPlan.apply
+def recorded_applies(monkeypatch):
+    """The rows of every PCHIP apply, with "solved" marking where each
+    ``solve`` returned."""
+    applied, apply, run = [], PchipPlan.apply, cli.solve
     monkeypatch.setattr(
         PchipPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert applied[-1] == 1  # the k = 4 copies of the solution are one element
+    monkeypatch.setattr(
+        cli, "solve", lambda *args, **kwargs: [run(*args, **kwargs), applied.append("solved")][0])
+    return applied
+
+
+K4_ZERO = dict(problem="custom", m=2, kernel="constant", nonlinearities=["zero"] * 4,
+               forcing="linear", eta=[0.25] * 4)
+
+
+@pytest.mark.parametrize("config", [
+    {}, {"grid": {"n": 1000}, "quadrature": {"panels": 128, "points": 8}}, K4_ZERO,
+], ids=["default", "fine_grid", "k4_zero"])
+@pytest.mark.parametrize("alpha, T", [(2.0, 2.0), (2.0, math.e), (5.0, 10.0)])
+def test_registry_solve_transfers_only_its_start(tmp_path, monkeypatch, config, alpha, T):
+    # check E's sweep and solve's first sweep, each over the start's two
+    # distinct components; every later image, the solution whose collapsed
+    # residual the report states among them, carries its quadrature-node values
+    applied = recorded_applies(monkeypatch)
+    cfg = write_config(tmp_path, **config)
+    argv = ["solve", "--config", cfg, "--alpha", repr(alpha), "--T", repr(T)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert applied == [2, 2, "solved"]
+
+
+def test_collapsed_residual_of_a_dense_kernel_transfers_one_row(monkeypatch):
+    cfg = load_config(None, {})
+    cfg.update(K4_ZERO)
+    problem = build_problem(cfg)
+    kernel = problem.kernel
+    dense = dataclasses.replace(problem, kernel=lambda t, s: kernel(t, s))
+    F, ups = hs.product_operator(dense), cyclic_shift_upsilon(dense.m)
+    report = solve(F, ups, cli._start_tuple(dense, 2.0), IterationConfig(),
+                   dist=sup_metric, leq=pointwise_leq)
+    applied = recorded_applies(monkeypatch)
+    iterate_step(F, ups, (report.fixed_point[0],) * dense.k)
+    assert applied == [1]  # the k = 4 copies of the solution are one element
 
 
 class TestReproducibility:
@@ -830,9 +866,9 @@ def recorded_integrals(monkeypatch):
     """Record (rows, components) of every ``hammerstein._integrals`` call."""
     calls, integrals = [], hs._integrals
 
-    def recorded(problem, rows, values):
+    def recorded(problem, rows, values, *known):
         calls.append((len(rows), len(values)))
-        return integrals(problem, rows, values)
+        return integrals(problem, rows, values, *known)
 
     monkeypatch.setattr(hs, "_integrals", recorded)
     return calls

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixedfp import cli
+from mixedfp import hammerstein as hs
 from mixedfp.contraction import builtin_log_triple, verify_contraction_sampled
 from mixedfp.engine import (
     IterationConfig,
@@ -577,6 +578,144 @@ class TestSeparableKernel:
     def test_bad_factor_refused(self, a, b, message):
         with pytest.raises(ValueError, match=message):
             _small_problem(kernel=SeparableKernel(a, b))
+
+
+def recorded_rows(monkeypatch):
+    """The rows of every PCHIP apply."""
+    applied, apply = [], PchipPlan.apply
+    monkeypatch.setattr(
+        PchipPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
+    return applied
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+# the default config, fine-grid, 2000 x 8 quadrature on 8 intervals, 16382
+# intervals, T = 1e100, and a 32 x 3 rule whose panel midpoints hit grid nodes
+SAMPLE_SHAPES = [(2.0, 200, 32, 8), (2.0, 1000, 128, 8), (2.0, 8, 2000, 8),
+                 (2.0, 16382, 32, 8), (1e100, 200, 32, 8), (2.0, 64, 32, 3)]
+
+
+class TestCarriedNodeValues:
+    @pytest.mark.parametrize("pieces, message", [
+        ({"kernel": SeparableKernel(lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes),
+                                                       1.0, -1.0), lambda s: 1.0)},
+         "kernel must be finite and nonnegative on the grid"),
+        ({"kernel": SeparableKernel(lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes),
+                                                       1.0, np.inf), lambda s: 1.0)},
+         "kernel must be finite and nonnegative on the grid"),
+        ({"kernel": SeparableKernel(lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes),
+                                                       1.0, np.nan), lambda s: 1.0)},
+         "kernel must be finite and nonnegative on the grid"),
+        ({"kernel": SeparableKernel(lambda t: 1.0 / t, lambda s: 1.0),
+          "forcing": lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes), t, np.nan)},
+         "forcing must be finite on the grid"),
+    ], ids=["a_negative", "a_infinite", "a_nan", "forcing_nan"])
+    def test_bad_value_at_the_quadrature_nodes_refused(self, pieces, message):
+        with pytest.raises(ValueError, match=message):
+            _small_problem(**pieces)
+
+    def test_a_dense_kernel_reads_no_forcing_at_the_quadrature_nodes(self):
+        p = _small_problem(
+            forcing=lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes), t, np.nan))
+        assert p._at_nodes is None
+
+    @pytest.mark.parametrize("alpha, T", [(2.0, 2.0), (5.0, 10.0), (3.0, 20.0)])
+    def test_scalar_of_the_image_of_alpha_t_is_the_closed_form(self, alpha, T):
+        # int_1^T (1/s) ln((1 + alpha)/(alpha s)) ds = ln T * ln((1 + alpha)/(alpha sqrt T))
+        p = named_problem(alpha, T, 200, 32, 8)
+        s = p.quadrature.nodes
+        x = p._transfer.apply(np.stack([alpha * p.grid.nodes] * 2))
+        g = sum(f(s, xi) for f, xi in zip(p.nonlinearities, x))
+        _, c = hs._apply_kernel(p, g[None])
+        exact = math.log(T) * math.log((1 + alpha) / (alpha * math.sqrt(T)))
+        assert abs(float(c[0, 0]) - exact) * float(p._weighted_kernel[0].max()) <= 5e-16
+
+    def test_images_carry_read_only_node_values(self, example22):
+        x = rough_ordered_tuple(example22, np.random.default_rng(13))
+        y = iterate_step(product_operator(example22), cyclic_shift_upsilon(1), x)
+        a, p = example22._at_nodes
+        for yi in y:
+            assert yi.quadrature is example22.quadrature
+            assert yi.at_nodes.shape == example22.quadrature.nodes.shape
+            with pytest.raises(ValueError, match="read-only"):
+                yi.values[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                yi.at_nodes[0] = 0.0
+            # c * a + p at both node sets, with one scalar c
+            c = (yi.values[0] - example22._forcing_values[0]) / example22._weighted_kernel[0][0]
+            assert np.allclose(yi.at_nodes, c * a + p, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["separable", "dense"])
+    @pytest.mark.parametrize("alpha, T", FIVE_CASES)
+    def test_only_a_dense_kernel_transfers_after_the_first_sweep(
+            self, alpha, T, dense, monkeypatch):
+        p = named_problem(alpha, T)
+        p = dense_twin(p) if dense else p
+        applied = recorded_rows(monkeypatch)
+        report = solve(product_operator(p), cyclic_shift_upsilon(1), initial_bracket(p, alpha),
+                       IterationConfig(), dist=sup_metric, leq=pointwise_leq)
+        # each sweep is over two distinct components
+        assert applied == [2] * (report.iterations if dense else 1)
+
+    def test_an_image_for_another_rule_is_transferred(self, example22, monkeypatch):
+        x = rough_ordered_tuple(example22, np.random.default_rng(14))
+        y = iterate_step(product_operator(example22), cyclic_shift_upsilon(1), x)
+        # an equal rule that is another object, and one of other nodes
+        for rule in (make_quadrature(2.0, 32, 8), make_quadrature(2.0, 16, 8)):
+            other = dataclasses.replace(example22, quadrature=rule)
+            applied = recorded_rows(monkeypatch)
+            image = apply_A(other, y)
+            plain = apply_A(other, [GridFunction(yi.grid, yi.values) for yi in y])
+            assert applied == [2, 2]
+            assert np.array_equal(image.values, plain.values)
+        applied.clear()
+        apply_A(example22, y)
+        assert applied == []
+
+    def test_carried_values_below_the_floor_are_refused(self):
+        # a = 1 at the grid nodes and 0 between them: each image is 2 on the
+        # grid and 0 at the quadrature nodes, below the floor of 1
+        on_grid = uniform_grid(2.0, 16).nodes
+        p = _small_problem(
+            kernel=SeparableKernel(lambda t: np.isin(t, on_grid) * 1.0, lambda s: 1.0),
+            nonlinearities=(lambda s, x: 1.0, lambda s, x: 1.0), forcing=lambda t: 0.0)
+        F, ups = product_operator(p), cyclic_shift_upsilon(1)
+        y = iterate_step(F, ups, (GridFunction(p.grid, np.full(p.grid.n, 2.0)),) * 2)
+        assert np.all(y[0].values == 2.0) and np.all(y[0].at_nodes == 0.0)
+        with pytest.raises(OperatorEvaluationError) as exc:
+            iterate_step(F, ups, y)
+        assert isinstance(exc.value.cause, DomainFloorError)
+        assert exc.value.component == 1 and exc.value.node == p.quadrature.nodes[0]
+
+    @pytest.mark.parametrize("T, n_intervals, panels, points", SAMPLE_SHAPES,
+                             ids=["default", "fine_grid", "wide_quadrature", "n16383",
+                                  "T1e100", "midpoint_hits"])
+    def test_constant_sample_rows_are_the_pchip_transfer_bit_for_bit(
+            self, T, n_intervals, panels, points, monkeypatch):
+        p = named_problem(2.0, T, n_intervals, panels, points,
+                          nonlinearities=("log-shift", "log-shift"), domain_floor=-1.0)
+        n, rng = p.grid.n, np.random.default_rng(15)
+        constants = [-0.0, 0.0, 5e-324, -1.0, 1e300, 1.5, *rng.uniform(-1.0, 1e3, 4)]
+        rough = -1.0 + rng.uniform(0.0, 9.0, (4, n))
+        values = np.concatenate([np.outer(constants, np.ones(n)), rough])[rng.permutation(14)]
+        rows = rng.integers(1, len(values) + 1, size=(7, 2))
+        seen, integrals = [], hs._integrals
+        monkeypatch.setattr(hs, "_integrals", lambda problem, rows, values, *known:
+                            seen.append(known) or integrals(problem, rows, values, *known))
+        images = hs._sample_images(p, rows, values, 0)
+        (known, at_nodes), = seen
+        assert len(known) == 8  # every constant row but the two zeros
+        transferred = PchipPlan(p.grid, p.quadrature.nodes).apply(values)
+        read = transferred.copy()
+        read[known] = at_nodes
+        assert np.array_equal(bits(read), bits(transferred))
+        monkeypatch.undo()
+        assert np.array_equal(bits(images), bits(hs._integrals(p, rows, values)[0]))
+        if points == 3:  # -0.0 is transferred: PCHIP keeps it where a node hits
+            assert np.signbit(transferred[values[:, 0] == 0.0]).any()
 
 
 class TestNamedProblem:
