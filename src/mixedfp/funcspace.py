@@ -1,5 +1,6 @@
 """Discretized continuous functions on [1, T]: grids, sup-metric, pointwise
-order, monotone-safe interpolation, and composite Gauss-Legendre quadrature."""
+order, order-preserving linear interpolation, and composite Gauss-Legendre
+quadrature."""
 
 import io
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "QuadratureRule",
-    "PchipPlan",
+    "LinearPlan",
     "uniform_grid",
     "make_quadrature",
     "integrate",
@@ -98,21 +99,16 @@ def pointwise_leq(u: GridFunction, v: GridFunction, tol: float = ORDER_SLACK) ->
     return bool((u.values <= v.values + tol).all())
 
 
-class PchipPlan:
-    """Monotone-safe piecewise-cubic (PCHIP) transfer from ``grid`` to fixed
-    points ``t`` in [1, T], split into a plan and an apply.
+class LinearPlan:
+    """Piecewise-linear transfer from ``grid`` to fixed points ``t`` in
+    [1, T], split into a plan (the range check, each point's interval i and
+    its offset theta in [0, 1]) and an O(k * t.size) apply.
 
-    The plan holds everything that depends only on the grid and ``t``: the
-    range check, the clipped points, the interval of each point, its local
-    coordinate and powers, the spacings, the Fritsch-Carlson weights and the
-    points that hit a node exactly.  ``apply`` then costs O(k*n) for the
-    derivatives of k functions plus O(k*t.size) to evaluate them.
-
-    The arithmetic is that of scipy's ``PchipInterpolator(x, y, axis=0)(t)``
-    (Fritsch-Butland derivatives with one-sided end slopes, Hermite
-    coefficients, power-basis sum in the order of scipy's evaluation), so
-    the two agree bit for bit before the stored values are written at exact
-    node hits.
+    Each value is (1 - theta) * y_i + theta * y_{i+1}, a combination with
+    nonnegative weights, so in floating point u <= v at the nodes gives
+    Lu <= Lv exactly, and the transfer does not stretch sup distances
+    beyond rounding.  A node hit (theta = 0) or T (theta = 1) gives the
+    stored value.
     """
 
     def __init__(self, grid: Grid, t):
@@ -126,68 +122,22 @@ class PchipPlan:
         # interval i with x_i <= t < x_{i+1}; the last one is closed
         idx = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
         self._idx, self._idx1 = idx, idx + 1
-        s = flat - x[idx]
-        z2 = s * s
-        self._s, self._z2, self._z3 = s, z2, z2 * s
-        h = np.diff(x)
-        self._h, self._h_at = h, h[idx]
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        self._w1, self._w2, self._w12 = w1, w2, w1 + w2
-        # one-sided end slopes from (h0, h1) = (h_0, h_1) at the left end and
-        # (h_{n-2}, h_{n-3}) at the right (a grid has at least 9 nodes)
-        self._ends, self._nexts = np.array([0, -1]), np.array([1, -2])
-        h0, h1 = h[self._ends], h[self._nexts]
-        self._h0, self._e1, self._e2 = h0, 2 * h0 + h1, h0 + h1
-        # stored values win at exact node hits (polynomial evaluation can be
-        # off by an ulp at panel edges)
-        pos = np.minimum(np.searchsorted(x, flat), x.size - 1)
-        exact = x[pos] == flat
-        self._exact, self._exact_pos = np.nonzero(exact)[0], pos[exact]
+        self._theta = (flat - x[idx]) / (x[idx + 1] - x[idx])
+        self._rest = 1.0 - self._theta
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Values at the planned points of the PCHIP interpolant of each row
-        of ``y`` (shape (k, n), finite), shape (k, t.size).
-
-        Rows, not columns: every operation then runs along the grid or the
-        points, which is faster than along k for the k of the solver.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mk = np.diff(y, axis=1) / self._h
-            # the derivative is zero where neighbouring slopes differ in sign
-            # or either is zero (mk is never NaN: y and h are finite, h > 0),
-            # else the weighted harmonic mean of the slopes
-            smk = np.sign(mk)
-            zero = smk[:, 1:] * smk[:, :-1] <= 0
-            whmean = (self._w1 / mk[:, :-1] + self._w2 / mk[:, 1:]) / self._w12
-            d = np.empty_like(y)
-            d[:, 1:-1] = np.where(zero, 0.0, 1.0 / whmean)
-            m0, m1 = mk[:, self._ends], mk[:, self._nexts]
-            e = (self._e1 * m0 - self._h0 * m1) / self._e2
-            sm0 = np.sign(m0)
-            wrong_sign = np.sign(e) != sm0
-            overshoot = (sm0 != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
-            d[:, self._ends] = np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, e))
-        # Hermite coefficients of each point's interval only
-        idx, h = self._idx, self._h_at
-        slope, d0 = np.take(mk, idx, axis=1), np.take(d, idx, axis=1)
-        tt = (d0 + np.take(d, self._idx1, axis=1) - 2 * slope) / h
-        c1 = (slope - d0) / h - tt
-        out = ((np.take(y, idx, axis=1) + d0 * self._s) + c1 * self._z2) + (tt / h) * self._z3
-        if self._exact.size:
-            out[:, self._exact] = y[:, self._exact_pos]
-        return out
+        """Values at the planned points of each row of ``y`` (shape (k, n)),
+        shape (k, t.size)."""
+        return self._rest * y[:, self._idx] + self._theta * y[:, self._idx1]
 
 
 def interpolate(u: GridFunction, t):
-    """Monotone-safe piecewise-cubic value(s) at t in [1, T], shaped like t.
-
-    PCHIP keeps monotone data monotone (no overshoot), so order checks
-    survive transfer to finer grids; it is exact at nodes and reproduces
-    linear data to rounding.  To transfer several functions of one grid to
-    the same points, build one ``PchipPlan`` and ``apply`` it to their
-    stacked values.
+    """Piecewise-linear value(s) at t in [1, T], shaped like t: exact at
+    nodes, order-preserving and reproducing linear data to rounding.  To
+    transfer several functions of one grid to the same points, build one
+    ``LinearPlan`` and ``apply`` it to their stacked values.
     """
-    plan = PchipPlan(u.grid, t)
+    plan = LinearPlan(u.grid, t)
     out = plan.apply(u.values[None, :])
     return float(out[0, 0]) if plan.shape == () else out[0].reshape(plan.shape)
 

@@ -7,9 +7,11 @@ monotonicity.
 Named pieces of problem data are built by one constructor, ``named_problem``,
 whose defaults are the paper's example: G(t,s) = 1/(2 ln T * t * s),
 f1(s,x) = ln(s + x), f2(s,x) = -(ln s + ln x), exact solution x(t) = alpha * t.
-A kernel is a callable G(t, s), kept as the dense n x nq weighted matrix, or
-a rank-one ``SeparableKernel``, kept as its two factors (the degenerate-kernel
-form, Atkinson 1997, ch. 2), as every registry kernel is.
+A kernel is a callable G(t, s), kept as the dense (n + nq) x nq weighted
+matrix, or a rank-one ``SeparableKernel``, kept as its two factors (the
+degenerate-kernel form, Atkinson 1997, ch. 2), as every registry kernel is.
+Either way an image is known at the grid nodes and at the quadrature nodes,
+where the next sweep reads it (the Nystrom method, Atkinson 1997, ch. 4).
 """
 
 import logging
@@ -27,7 +29,7 @@ from .funcspace import (
     ORDER_SLACK,
     Grid,
     GridFunction,
-    PchipPlan,
+    LinearPlan,
     QuadratureRule,
     _check_finite,
     _check_same_grid,
@@ -67,8 +69,9 @@ Forcing = Callable[[np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class SeparableKernel:
     """The rank-one kernel G(t, s) = a(t) * b(s).  Called, it is that dense
-    kernel; ``HammersteinProblem`` instead calls ``a`` on the grid nodes,
-    shape (n,), and ``b`` on the quadrature nodes, shape (nq,)."""
+    kernel; ``HammersteinProblem`` instead calls ``a`` on the grid nodes
+    followed by the quadrature nodes, shape (n + nq,), and ``b`` on the
+    quadrature nodes, shape (nq,)."""
 
     a: Forcing
     b: Forcing
@@ -112,21 +115,21 @@ class HammersteinProblem:
     x with increments bounded above by eta*log(1+dx), even positions are
     nonincreasing with increments bounded below by -eta*log(1+dx).
 
-    Kernel, nonlinearities and forcing are array-valued (see ``Kernel``):
-    ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq), or,
-    for a ``SeparableKernel``, ``a(t)`` with t of shape (n,) and ``b(s)``
-    with s of shape (nq,),
+    Kernel, nonlinearities and forcing are array-valued (see ``Kernel``).
+    With t the grid nodes followed by the quadrature nodes, shape (n + nq,),
+    and s the quadrature nodes, shape (nq,):
+    ``kernel(tt, ss)`` with tt of shape (n, 1) and ss of shape (1, nq), and
+    at the first operator call with tt of shape (nq, 1); or, for a
+    ``SeparableKernel``, ``a(t)`` and ``b(s)``;
     ``f(s, x)`` with 1-D arrays s and x of one length (nq in ``apply_A``,
     b*nq in a batch kernel call of b rows, which lays the b argument rows
-    end to end),
-    and ``forcing(t)`` with t of shape (n,) (with a ``SeparableKernel``,
-    ``a`` and ``forcing`` also with t the quadrature nodes, shape (nq,)).
+    end to end);
+    and ``forcing(t)``.
     A scalar return broadcasts.  Construction calls each piece once on the
     node arrays and raises ValueError, naming the piece, when its output
     cannot broadcast to that shape.  It also raises ValueError unless the
     grid's nodes run from 1 to its T and the quadrature is a rule on [1, T],
-    for a non-finite forcing value, domain_floor or eta, and for a grid
-    spacing above _MAX_SPACING.
+    and for a non-finite forcing value, domain_floor or eta.
     """
 
     m: int
@@ -153,11 +156,6 @@ class HammersteinProblem:
         # cached), then probe each nonlinearity once
         self._weighted_kernel
         self._forcing_values
-        self._at_nodes
-        spacing = float(np.diff(self.grid.nodes).max())
-        if not spacing <= _MAX_SPACING:
-            raise ValueError(f"grid spacing {spacing:.6g} is above {_MAX_SPACING:.6g}, "
-                             "where the PCHIP transfer overflows")
         s = self.quadrature.nodes
         x = np.full_like(s, self.domain_floor)
         for i, fi in enumerate(self.nonlinearities, start=1):
@@ -172,53 +170,54 @@ class HammersteinProblem:
         return 2 * self.m
 
     @cached_property
-    def _weighted_kernel(self):
-        # W[j, q] = G(t_j, s_q) w_q over collocation nodes t_j and quadrature
-        # nodes s_q; a SeparableKernel is kept as (a(t_j), b(s_q) w_q)
-        t, s, w = self.grid.nodes, self.quadrature.nodes, self.quadrature.weights
-        if isinstance(self.kernel, SeparableKernel):
-            factors = (_node_array_output("kernel", self.kernel.a, t.shape, t),
-                       _node_array_output("kernel", self.kernel.b, s.shape, s))
-        else:
-            factors = (_node_array_output("kernel", self.kernel, (t.size, s.size),
-                                          t[:, None], s[None, :]),)
-        # NaN fails >= 0; an infinite value or product makes the product of maxima inf or NaN
-        if not (all(np.all(f >= 0.0) for f in factors)
-                and math.isfinite(math.prod(float(f.max()) for f in factors))):
-            raise ValueError("kernel must be finite and nonnegative on the grid")
-        return (factors[0], factors[1] * w) if len(factors) == 2 else factors[0] * w
+    def _nodes(self) -> np.ndarray:
+        # the grid nodes followed by the quadrature nodes
+        return np.concatenate([self.grid.nodes, self.quadrature.nodes])
 
     @cached_property
-    def _transfer(self) -> PchipPlan:
+    def _weighted_kernel(self):
+        # W[j, q] = G(t_j, s_q) w_q over collocation nodes t_j and quadrature
+        # nodes s_q; a SeparableKernel is kept as (a(t), b(s_q) w_q), t the
+        # grid nodes followed by the quadrature nodes
+        if not isinstance(self.kernel, SeparableKernel):
+            return self._dense_rows(self.grid.nodes)
+        s = self.quadrature.nodes
+        a = _node_array_output("kernel", self.kernel.a, self._nodes.shape, self._nodes)
+        b = _node_array_output("kernel", self.kernel.b, s.shape, s)
+        _check_kernel(a, b)
+        return a, b * self.quadrature.weights
+
+    @cached_property
+    def _node_block(self) -> np.ndarray:
+        # G(s_i, s_q) w_q of a dense kernel at the quadrature nodes s_i;
+        # built at the first operator call
+        return self._dense_rows(self.quadrature.nodes)
+
+    def _dense_rows(self, t: np.ndarray) -> np.ndarray:
+        s = self.quadrature.nodes
+        g = _node_array_output("kernel", self.kernel, (t.size, s.size), t[:, None], s[None, :])
+        _check_kernel(g)
+        return g * self.quadrature.weights
+
+    @cached_property
+    def _transfer(self) -> LinearPlan:
         # grid values -> quadrature nodes; built at the first operator call
-        return PchipPlan(self.grid, self.quadrature.nodes)
+        return LinearPlan(self.grid, self.quadrature.nodes)
 
     @cached_property
     def _forcing_values(self) -> np.ndarray:
-        nodes = self.grid.nodes
-        values = _node_array_output("forcing", self.forcing, nodes.shape, nodes)
+        # p at the grid nodes followed by the quadrature nodes
+        values = _node_array_output("forcing", self.forcing, self._nodes.shape, self._nodes)
         if not np.all(np.isfinite(values)):
             raise ValueError("forcing must be finite on the grid")
         return values
 
-    @cached_property
-    def _at_nodes(self):
-        # (a(s_q), p(s_q)) of a SeparableKernel, so that its images c * a + p
-        # are known at the quadrature nodes s_q; None for a dense kernel
-        if not isinstance(self.kernel, SeparableKernel):
-            return None
-        s = self.quadrature.nodes
-        a, p = (_node_array_output(piece, f, s.shape, s)
-                for piece, f in (("kernel", self.kernel.a), ("forcing", self.forcing)))
-        if not (a.min() >= 0.0 and a.max() < math.inf):  # NaN fails both
-            raise ValueError("kernel must be finite and nonnegative on the grid")
-        if not np.isfinite(p).all():
-            raise ValueError("forcing must be finite on the grid")
-        return a, p
 
-
-# PchipPlan cubes offsets within an interval: a wider spacing overflows
-_MAX_SPACING = float(np.cbrt(np.finfo(float).max))
+def _check_kernel(*factors: np.ndarray) -> None:
+    # NaN fails >= 0; an infinite value or product makes the product of maxima inf or NaN
+    if not (all(np.all(f >= 0.0) for f in factors)
+            and math.isfinite(math.prod(float(f.max()) for f in factors))):
+        raise ValueError("kernel must be finite and nonnegative on the grid")
 
 
 def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
@@ -231,62 +230,46 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
         raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
-# The one size bound of the batch kernel, in float64 values (64 KiB): a PCHIP
-# apply, whose temporaries are about ten arrays of its (c, n) or (c, nq) size,
-# transfers at most _BLOCK_ELEMENTS // max(n, nq) components, at least one.
-# A sampled check's block is one apply's samples, so its one kernel call
-# gathers under 2 * _BLOCK_ELEMENTS argument values, or one sample's 2k * nq.
+# The one size bound of the batch kernel, in float64 values (64 KiB): a
+# sampled check's block is the samples of at most _BLOCK_ELEMENTS // max(n, nq)
+# components, at least one sample, so its one kernel call gathers under
+# 2 * _BLOCK_ELEMENTS argument values, or one sample's 2k * nq.
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def _components_per_apply(problem: HammersteinProblem) -> int:
-    """The components one PCHIP apply of ``_integrals`` transfers."""
-    return max(1, _BLOCK_ELEMENTS // max(problem.grid.n, problem.quadrature.nodes.size))
-
-
-def _apply_kernel(problem: HammersteinProblem, g: np.ndarray):
-    """sum_q W[j, q] g[r, q] as a (b, n) array for (b, nq) integrands g, with
-    each row summed on its own, so its bits do not depend on b; and for a
-    SeparableKernel the (b, 1) scalars c_r = sum_q b(s_q) w_q g[r, q] of
-    the rows c_r * a(t_j), else None."""
+def _apply_kernel(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
+    """sum_q W[j, q] g[r, q] as an (R, n + nq) array for (R, nq) integrands
+    g, at the grid nodes, then at the quadrature nodes, with each row summed
+    on its own, so its bits do not depend on R; a SeparableKernel row is
+    c_r * a with the scalar c_r = sum_q b(s_q) w_q g[r, q]."""
     if isinstance(problem.kernel, SeparableKernel):
         a, wb = problem._weighted_kernel
-        c = np.matmul(g[:, None, :], wb[:, None])[:, 0]
-        return c * a, c
-    return np.matmul(problem._weighted_kernel, g[:, :, None])[:, :, 0], None
-
-
-def _transferred(problem: HammersteinProblem, values: np.ndarray) -> np.ndarray:
-    """(c, n) grid values at the quadrature nodes, by the problem's cached
-    PCHIP plan in applies of at most ``_components_per_apply`` components."""
-    out = np.empty((len(values), problem.quadrature.nodes.size))
-    chunk = _components_per_apply(problem)
-    for start in range(0, len(values), chunk):
-        out[start:start + chunk] = problem._transfer.apply(values[start:start + chunk])
-    return out
+        return np.matmul(g[:, None, :], wb[:, None])[:, 0] * a
+    return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0]
+                           for w in (problem._weighted_kernel, problem._node_block)], axis=1)
 
 
 def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), at_nodes=()):
-    """The operator at R argument tuples drawn from ``values``, as an (R, n)
-    array, and for a SeparableKernel the (R, nq) array of the same images at
-    the quadrature nodes, else None: row r is int_1^T G(t, s) sum_j
+    """The operator at R argument tuples drawn from ``values``, as the (R, n)
+    array of the images at the grid nodes and the (R, nq) array of the same
+    images at the quadrature nodes: row r is int_1^T G(t, s) sum_j
     f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
     ``rows`` a 1-based (R, k) index table and ``values`` a (c, n) array of
     any number c of components at the problem's grid nodes.
 
     Every component is checked against the floor.  Those at the 0-based
-    positions ``known`` come with their values at the quadrature nodes,
-    ``at_nodes``, of shape (len(known), nq) or (len(known), 1), which are
-    then checked too; the others are transferred once (``_transferred``;
-    PCHIP stays within each interval's node values, so these need no
+    positions ``known`` come with their (len(known), nq) values at the
+    quadrature nodes, ``at_nodes``, which are then checked too; the others
+    are transferred there in one apply of the problem's ``LinearPlan``
+    (which stays between each interval's node values, so these need no
     check).  A DomainFloorError names the argument, a 1-based index into
     ``values``, not the row.  All R rows then make one kernel call: their
     arguments are gathered from the (c, nq) array, each f_j is called once
     on the R argument rows laid end to end (1-D arrays of length R*nq, so
     the array contract holds and a scalar return broadcasts), and the R
-    integrands go through ``_apply_kernel``; a SeparableKernel row is
-    c_r * a + p at both node sets.  A caller bounds R: the engine's sweeps
-    have at most k rows and a sampled check hands over one block.
+    integrands go through ``_apply_kernel``.  A caller bounds R: the
+    engine's sweeps have at most k rows and a sampled check hands over one
+    block.
     """
     table = np.asarray(rows) - 1
     s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
@@ -296,10 +279,11 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
         vals = np.empty((len(values), nq))
         vals[known] = at_nodes
         todo = np.delete(np.arange(len(values)), known)
-        vals[todo] = _transferred(problem, values[todo])
+        if todo.size:
+            vals[todo] = problem._transfer.apply(values[todo])
         _check_floor(vals, s_nodes, problem.domain_floor)
     else:
-        vals = _transferred(problem, values)
+        vals = problem._transfer.apply(values)
     # one gather; row j holds argument j of every row end to end
     args = vals.take(table.T, axis=0).reshape(problem.k, n_rows * nq)
     s, total = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq)
@@ -308,9 +292,9 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
             total += fj(s, arg)
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
-        image, c = _apply_kernel(problem, total.reshape(n_rows, nq))
-        nodes = None if c is None else c * problem._at_nodes[0] + problem._at_nodes[1]
-        return image + problem._forcing_values, nodes
+        out = _apply_kernel(problem, total.reshape(n_rows, nq)) + problem._forcing_values
+    n = problem.grid.n
+    return out[:, :n], out[:, n:]
 
 
 def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
@@ -318,12 +302,12 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     int_1^T G(t, s) sum_i f_i(s, x_i(s)) ds + p(t) at the collocation nodes.
 
     Every component must lie on the problem's grid.  This is the one-row
-    case of the batch kernel.  Cost per call: O(k*n) for the PCHIP
-    derivatives plus O(k*nq) to evaluate them at the quadrature nodes (the
-    interval search is planned once per problem), k nonlinearity calls on
-    nq nodes and one n x nq matvec (n + nq for a SeparableKernel).  Each of
-    the k arguments is read, a repeated one at each position (``batch``); a
-    sweep goes through the engine and the batch instead, which reads each
+    case of the batch kernel.  Cost per call: O(k*nq) to transfer the
+    components that carry no quadrature-node values (the interval search is
+    planned once per problem), k nonlinearity calls on nq nodes and one
+    (n + nq) x nq matvec (O(n + nq) for a SeparableKernel).  Each of the k
+    arguments is read, a repeated one at each position (``batch``); a sweep
+    goes through the engine and the batch instead, which reads each
     distinct component once.
     """
     if len(x) != problem.k:
@@ -333,8 +317,8 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
 
 @dataclass(frozen=True)
 class _Image(GridFunction):
-    """A SeparableKernel image with its values at the nodes of ``quadrature``;
-    both arrays are read-only, so the two cannot drift apart."""
+    """An image with its values at the nodes of ``quadrature``; both arrays
+    are read-only, so the two cannot drift apart."""
 
     quadrature: QuadratureRule
     at_nodes: np.ndarray
@@ -346,22 +330,21 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     ``batch(rows, x)`` computes the images at R argument tuples drawn from
     c components (``_integrals``): each component is read at the quadrature
     nodes once, then the R rows make one kernel call, k nonlinearity calls
-    of length R*nq and one stacked matvec of R*n*nq multiply-adds (R*(n +
-    nq) for a SeparableKernel).  That call gathers R*k*nq argument values at
-    once, so a caller with many rows hands them over in blocks, as the
-    sampled checks do.  A SeparableKernel's images carry their values at
-    the quadrature nodes, which a component is read from when it carries
-    them for this problem's rule (``is``); any other is transferred (O(n)
-    derivatives, O(nq) evaluation).  The engine hands the batch each
-    distinct component once and each distinct row once (``engine._images``).
-    A Jacobi sweep over k distinct components, R = c = k, is at most k
-    transferred rows, k calls of length k*nq and one matvec of k*n*nq,
-    where k ``apply`` calls cost k^2 rows, k^2 calls and k matvecs.  From
-    the bracket start, whose A components are one object and whose B
-    components another, every sweep is R = c = 2 at any k: 2 transferred
-    rows, k calls of length 2*nq and one matvec of 2*n*nq; with a
-    SeparableKernel, every sweep after the first transfers nothing and
-    costs O(k*nq + n): 2 dot products of length nq and 2*(n + nq) values.
+    of length R*nq and one stacked matvec of R*(n + nq)*nq multiply-adds
+    (R*(n + nq) for a SeparableKernel).  That call gathers R*k*nq argument
+    values at once, so a caller with many rows hands them over in blocks,
+    as the sampled checks do.  Every image carries its values at the
+    quadrature nodes, which a component is read from when it carries them
+    for this problem's rule (``is``); any other is transferred (O(nq)).  The
+    engine hands the batch each distinct component once and each distinct
+    row once (``engine._images``).  A Jacobi sweep over k distinct
+    components, R = c = k, is k calls of length k*nq and one matvec of
+    k*(n + nq)*nq, where k ``apply`` calls cost k^2 calls and k matvecs.
+    From the bracket start, whose A components are one object and whose B
+    components another, every sweep is R = c = 2 at any k: k calls of length
+    2*nq and one matvec of 2*(n + nq)*nq, or with a SeparableKernel 2 dot
+    products of length nq and 2*(n + nq) values; only the first sweep
+    transfers, the start's 2 components.
     """
     def batch(rows, x):
         for xi in x:
@@ -370,8 +353,6 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
                  if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
         images, at_nodes = _integrals(problem, rows, np.stack([xi.values for xi in x]),
                                       known, [x[i].at_nodes for i in known])
-        if at_nodes is None:
-            return tuple(GridFunction(problem.grid, out) for out in images)
         _check_finite(at_nodes)
         images.flags.writeable = at_nodes.flags.writeable = False
         return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
@@ -381,9 +362,14 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
-    """2m * max over collocation nodes t of int_1^T G(t, s) ds."""
-    ones = np.ones((1, problem.quadrature.nodes.size))
-    return problem.k * float(np.max(_apply_kernel(problem, ones)[0]))
+    """2m * max over collocation nodes t of int_1^T G(t, s) ds; it reads the
+    kernel at the grid nodes only."""
+    ones, w = np.ones((1, problem.quadrature.nodes.size)), problem._weighted_kernel
+    if isinstance(problem.kernel, SeparableKernel):
+        rows = np.matmul(ones[:, None, :], w[1][:, None])[:, 0] * w[0][:problem.grid.n]
+    else:
+        rows = np.matmul(w, ones[:, :, None])
+    return problem.k * float(np.max(rows))
 
 
 @dataclass(frozen=True)
@@ -479,19 +465,17 @@ def check_assumption_e(
 
 def _samples_per_block(problem: HammersteinProblem, elements: int) -> int:
     """A sampled check's block: the samples of ``elements`` components each
-    that one PCHIP apply of ``_integrals`` transfers, at least one."""
-    return max(1, _components_per_apply(problem) // elements)
+    that make at most _BLOCK_ELEMENTS // max(n, nq) components, at least one."""
+    size = max(problem.grid.n, problem.quadrature.nodes.size)
+    return max(1, _BLOCK_ELEMENTS // size // elements)
 
 
 def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: int):
     """``_integrals``' grid images on a block that follows ``done``
     evaluated components: a failure or a non-finite image raises
-    OperatorEvaluationError, its ``component`` offset by ``done``.  A
-    nonzero constant component is not transferred: PCHIP gives it back bit
-    for bit, but turns -0.0 to +0.0 off the grid nodes."""
-    known = np.flatnonzero((values == values[:, :1]).all(axis=1) & (values[:, 0] != 0.0))
+    OperatorEvaluationError, its ``component`` offset by ``done``."""
     try:
-        out = _integrals(problem, rows, values, known, values[known, :1])[0]
+        out = _integrals(problem, rows, values)[0]
         _check_finite(out)
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc

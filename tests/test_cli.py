@@ -33,7 +33,7 @@ from mixedfp.cli import (
     main,
 )
 from mixedfp.engine import IterationConfig, iterate_step, solve
-from mixedfp.funcspace import PchipPlan, load_csv, pointwise_leq
+from mixedfp.funcspace import LinearPlan, load_csv, pointwise_leq
 from mixedfp.order import cyclic_shift_upsilon
 from worked_example import as_grid_functions
 
@@ -295,7 +295,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli.hs, "apply_A", no_apply)
         assert main(["verify", "--seed", "5"]) == EXIT_OK
         # the default config: k = 2, n = 201, nq = 256; a block is as many
-        # samples as one PCHIP apply transfers, 4 components a pair, 3 a sample
+        # samples as make _BLOCK_ELEMENTS // nq components, 4 a pair, 3 a sample
         pairs, samples = (max(1, hs._BLOCK_ELEMENTS // (e * 256)) for e in (4, 3))
         assert (pairs, samples) == (8, 10)
         # 200 contraction pairs, none rejected, rows x then z; then 50
@@ -312,7 +312,7 @@ class TestExitCodes:
     def test_sampled_checks_transfer_one_block_at_a_time(
             self, tmp_path, monkeypatch, capsys, config):
         # the transfer array of an _integrals call is (c, nq): a sampled check
-        # hands it one block, as many components as one PCHIP apply takes, or
+        # hands it one block, _BLOCK_ELEMENTS // max(n, nq) components, or
         # one sample's 2k when a single sample is larger
         path = write_config(tmp_path, **config)
         problem = build_problem(load_config(path, {}))
@@ -454,10 +454,8 @@ class TestExitCodes:
         ({"nonlinearities": None}, "config keys that a custom problem needs: nonlinearities"),
         ({"alpha": -0.5}, "forcing linear-minus-log takes ln((1+alpha)/(alpha*sqrt(T))), "
                           "undefined at alpha = -0.5 and T = 2.0"),
-        ({"T": 1e106}, "grid spacing 5e+103 is above 5.6438e+102, "
-                       "where the PCHIP transfer overflows"),
     ], ids=["unknown_kernel", "unknown_forcing", "string_nonlinearities", "non_string_name",
-            "missing_key", "forcing_domain", "wide_spacing"])
+            "missing_key", "forcing_domain"])
     @pytest.mark.parametrize("command", ["check", "solve", "verify"])
     def test_bad_custom_piece_exits_2_naming_it(self, tmp_path, capsys, config, message,
                                                 command):
@@ -488,6 +486,22 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert not report["eta_ok"]
 
+    @pytest.mark.parametrize("command, code", [
+        ("check", EXIT_CHECK_FAILED), ("verify", EXIT_OK), ("solve", EXIT_CHECK_FAILED)])
+    def test_wide_grid_spacing_is_a_valid_config(self, tmp_path, capsys, command, code):
+        # T = 1e106 spaces the 201 grid nodes 5e103 apart; the linear transfer
+        # takes any finite spacing, and only the start fails assumption E
+        argv = [command, "--config", write_config(tmp_path, T=1e106)]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert seen == []
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        json.loads(captured.out, parse_constant=reject_constant)
+
     def test_paper_example_with_its_own_eta_assembles_one_kernel(self, monkeypatch):
         calls = []
         log_product = hs.KERNELS["log-product"]
@@ -501,9 +515,9 @@ class TestExitCodes:
         cfg = load_config(None, {})
         cfg["eta"] = [0.5, 1.0]
         assert build_problem(cfg).etas == (0.5, 1.0)
-        # each factor once on its own nodes, and a once more on the
-        # quadrature nodes, where every image is then known; no (201, 256) kernel
-        assert calls == [("a", (201,)), ("b", (256,)), ("a", (256,))]
+        # each factor once: a on the 201 grid nodes followed by the 256
+        # quadrature nodes, b on the quadrature nodes; no (201, 256) kernel
+        assert calls == [("a", (457,)), ("b", (256,))]
 
     @pytest.mark.parametrize("config, field", [
         ({"grid": {"n": 50.9}}, "grid.n"),
@@ -697,8 +711,9 @@ def configs(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(configs())
-# found by hand or by this property: a PCHIP overflow, an overflowing eta cap,
-# and a forced solve whose last iterate lies below the floor
+# found by hand or by this property: a grid spacing that overflowed a cubic
+# transfer, an overflowing eta cap, and a forced solve whose last iterate lies
+# below the floor
 @example({"T": 1e106})
 @example({"eta": [1e308, 1.0]})
 @example({"problem": "custom", "kernel": "log-product", "forcing": "linear-minus-log",
@@ -784,11 +799,11 @@ def test_verify_builds_no_start_tuple(capsys):
 
 
 def recorded_applies(monkeypatch):
-    """The rows of every PCHIP apply, with "solved" marking where each
+    """The rows of every transfer apply, with "solved" marking where each
     ``solve`` returned."""
-    applied, apply, run = [], PchipPlan.apply, cli.solve
+    applied, apply, run = [], LinearPlan.apply, cli.solve
     monkeypatch.setattr(
-        PchipPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
+        LinearPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
     monkeypatch.setattr(
         cli, "solve", lambda *args, **kwargs: [run(*args, **kwargs), applied.append("solved")][0])
     return applied
@@ -804,16 +819,20 @@ K4_ZERO = dict(problem="custom", m=2, kernel="constant", nonlinearities=["zero"]
 @pytest.mark.parametrize("alpha, T", [(2.0, 2.0), (2.0, math.e), (5.0, 10.0)])
 def test_registry_solve_transfers_only_its_start(tmp_path, monkeypatch, config, alpha, T):
     # check E's sweep and solve's first sweep, each over the start's two
-    # distinct components; every later image, the solution whose collapsed
-    # residual the report states among them, carries its quadrature-node values
+    # distinct components, and between them the sampled mixed-monotonicity
+    # check, 20 samples of k + 1 components; every later image, the solution
+    # whose collapsed residual the report states among them, carries its
+    # quadrature-node values
     applied = recorded_applies(monkeypatch)
     cfg = write_config(tmp_path, **config)
     argv = ["solve", "--config", cfg, "--alpha", repr(alpha), "--T", repr(T)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert applied == [2, 2, "solved"]
+    k = 2 * config.get("m", 1)
+    assert applied[0] == 2 and applied[-2:] == [2, "solved"]
+    assert sum(applied[1:-2]) == 20 * (k + 1)
 
 
-def test_collapsed_residual_of_a_dense_kernel_transfers_one_row(monkeypatch):
+def test_collapsed_residual_of_a_dense_kernel_transfers_nothing(monkeypatch):
     cfg = load_config(None, {})
     cfg.update(K4_ZERO)
     problem = build_problem(cfg)
@@ -824,7 +843,7 @@ def test_collapsed_residual_of_a_dense_kernel_transfers_one_row(monkeypatch):
                    dist=sup_metric, leq=pointwise_leq)
     applied = recorded_applies(monkeypatch)
     iterate_step(F, ups, (report.fixed_point[0],) * dense.k)
-    assert applied == [1]  # the k = 4 copies of the solution are one element
+    assert applied == []  # the solution carries its quadrature-node values
 
 
 class TestReproducibility:
@@ -922,11 +941,13 @@ def dense_log_product(alpha, T):
 
 
 class TestRegressionSnapshot:
-    """Outputs recorded before the sampled checks were batched, through the
-    dense kernel; any later change to batching or blocks must leave them
-    byte-identical, and the unsuffixed tests reproduce them with
-    ``log-product`` given as ``dense_log_product``.  The ``_factored`` files
-    pin the registry's SeparableKernel, which differs at the ulp level."""
+    """Outputs through the dense kernel, recorded when its images began to
+    carry their quadrature-node values (the ``check`` one before the
+    sampled checks were batched); any later change to batching or blocks
+    must leave them byte-identical, and the unsuffixed tests reproduce them
+    with ``log-product`` given as ``dense_log_product``.  The ``_factored``
+    files pin the registry's SeparableKernel, which differs at the ulp
+    level."""
 
     @pytest.fixture
     def dense(self, monkeypatch):

@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
 
 from mixedfp.funcspace import (
     Grid,
     GridFunction,
-    PchipPlan,
+    LinearPlan,
     QuadratureRule,
     format_csv,
     integrate,
@@ -208,10 +207,6 @@ class TestInterpolate:
         for t in (1.0, 1.111, 1.5, 1.987, 2.0):
             assert interpolate(u, t) == pytest.approx(3 * t - 1, abs=1e-12)
 
-    def test_quadratic_accuracy(self):
-        u = uniform_grid(2.0, 64).sample(lambda t: t * t)
-        assert interpolate(u, 1.37) == pytest.approx(1.37**2, abs=1e-6)
-
     def test_out_of_domain(self, grid12):
         u = grid12.sample(lambda t: t)
         with pytest.raises(ValueError):
@@ -228,15 +223,10 @@ class TestInterpolate:
         # Simpson nodes land exactly on grid nodes, where stored values win
         fns = [grid12.sample(f) for f in (math.sin, math.exp, lambda t: t * t, math.sqrt)]
         s = RULES[kind](2.0, 16, points).nodes
-        stacked = PchipPlan(grid12, s).apply(np.stack([u.values for u in fns]))
+        stacked = LinearPlan(grid12, s).apply(np.stack([u.values for u in fns]))
         assert stacked.shape == (len(fns), s.size)
         for j, u in enumerate(fns):
             assert np.array_equal(stacked[j], interpolate(u, s))
-            # reference: a 1-D PCHIP per function, stored values at exact nodes
-            ref = PchipInterpolator(grid12.nodes, u.values)(s)
-            on_grid = np.isin(s, grid12.nodes)
-            ref[on_grid] = u.values[np.searchsorted(grid12.nodes, s[on_grid])]
-            assert np.array_equal(stacked[j], ref)
         if kind == "simpson":
             on_node = np.searchsorted(grid12.nodes, s)
             assert np.array_equal(grid12.nodes[on_node], s)
@@ -244,22 +234,12 @@ class TestInterpolate:
 
     def test_stacked_scalar_point(self, grid12):
         fns = [grid12.sample(lambda t: t), grid12.sample(lambda t: 2 * t)]
-        stacked = PchipPlan(grid12, 1.5).apply(np.stack([u.values for u in fns]))
+        stacked = LinearPlan(grid12, 1.5).apply(np.stack([u.values for u in fns]))
         assert stacked[:, 0].tolist() == [interpolate(fns[0], 1.5), 3.0]
 
     def test_stacked_out_of_domain(self, grid12):
         with pytest.raises(ValueError):
-            PchipPlan(grid12, np.array([1.5, 2.5]))
-
-
-def _scipy_transfer(grid, values, t):
-    """Reference: scipy's PCHIP of the columns of ``values``, with the stored
-    values written at exact node hits."""
-    ref = PchipInterpolator(grid.nodes, values, axis=0)(t)
-    pos = np.minimum(np.searchsorted(grid.nodes, t), grid.n - 1)
-    exact = grid.nodes[pos] == t
-    ref[exact] = values[pos[exact]]
-    return ref
+            LinearPlan(grid12, np.array([1.5, 2.5]))
 
 
 def _column(rng, kind, n):
@@ -270,29 +250,54 @@ def _column(rng, kind, n):
     return rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n)  # sign changes
 
 
-class TestPchipTransfer:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from(["uniform", "loaded"]),
-        st.sampled_from(["gauss-legendre", "simpson"]),
-        st.integers(1, 16),
-    )
-    def test_equals_scipy_bit_for_bit(self, seed, grid_kind, quad_kind, k):
-        rng = np.random.default_rng(seed)
-        T = float(rng.uniform(1.5, 12.0))
-        n_intervals = int(rng.integers(8, 300))
-        if grid_kind == "uniform":
-            grid = uniform_grid(T, n_intervals)
-        else:
-            inner = np.unique(rng.uniform(1.0, T, n_intervals - 1))
-            grid = Grid(T, np.concatenate([[1.0], inner, [T]]))
-        points = 2 * int(rng.integers(1, 9))
-        t = RULES[quad_kind](T, int(rng.integers(1, 40)), points).nodes
-        kinds = rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)
-        values = np.column_stack([_column(rng, kind, grid.n) for kind in kinds])
-        out = PchipPlan(grid, t).apply(values.T)
-        assert np.array_equal(out.T, _scipy_transfer(grid, values, t))
+# (T, n_intervals, panels, points): the default config and 2000 x 8
+# quadrature nodes on 8 intervals
+TRANSFER_SHAPES = [(2.0, 200, 32, 8), (2.0, 8, 2000, 8)]
+
+
+def _rough_pairs(seed, T, n_intervals, panels, points, k):
+    """A plan from a grid to its quadrature nodes, then its grid nodes and T,
+    and k rough rows u with k rows v >= u: equal, a tiny or a large gap, at
+    random nodes."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(T, n_intervals)
+    t = np.concatenate([make_quadrature(T, panels, points).nodes, grid.nodes, [T]])
+    u = np.stack([_column(rng, kind, grid.n)
+                  for kind in rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)])
+    gap = rng.choice([0.0, 1e-300, 1e-12, 1.0], size=u.shape) * rng.uniform(0.0, 2.0, u.shape)
+    return grid, t, LinearPlan(grid, t), u, u + gap
+
+
+class TestLinearTransfer:
+    @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=["default", "wide_quadrature"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_keeps_order_exactly(self, shape, seed, k):
+        # u <= v at the nodes gives Lu <= Lv at every point, with no slack
+        _, _, plan, u, v = _rough_pairs(seed, *shape, k)
+        assert (u <= v).all()
+        assert (plan.apply(u) <= plan.apply(v)).all()
+
+    @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=["default", "wide_quadrature"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_does_not_stretch_sup_distances(self, shape, seed, k):
+        # |Lu - Lv| <= max |u - v| up to the rounding of two products and a sum
+        _, _, plan, u, v = _rough_pairs(seed, *shape, k)
+        v = v - 2.0 * (v - u) * (np.arange(u.shape[1]) % 3 == 0)  # unordered too
+        d = np.abs(u - v).max(axis=1, keepdims=True)
+        rounding = 4 * np.finfo(float).eps * np.maximum(np.abs(u), np.abs(v)).max(
+            axis=1, keepdims=True)
+        assert (np.abs(plan.apply(u) - plan.apply(v)) <= d + rounding).all()
+
+    @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=["default", "wide_quadrature"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_exact_at_node_hits_and_at_T(self, shape, seed, k):
+        grid, t, plan, u, _ = _rough_pairs(seed, *shape, k)
+        out = plan.apply(u)
+        assert np.array_equal(out[:, -grid.n - 1:-1], u)
+        assert np.array_equal(out[:, -1], u[:, -1])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -319,31 +324,13 @@ class TestPchipTransfer:
             t = RULES[rule](T, int(rng.integers(1, 40)), 2 * int(rng.integers(1, 9))).nodes
         kinds = rng.choice(["monotone", "flat-runs", "sign-changes"], size=k)
         y = np.stack([_column(rng, kind, grid.n) for kind in kinds])
-        out = PchipPlan(grid, t).apply(y)
+        out = LinearPlan(grid, t).apply(y)
         x = grid.nodes
         idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
         lo = np.minimum(y[:, idx], y[:, idx + 1])
         hi = np.maximum(y[:, idx], y[:, idx + 1])
         slack = 16 * np.finfo(float).eps * np.abs(y).max(axis=1, keepdims=True)
         assert (out >= lo - slack).all() and (out <= hi + slack).all()
-
-    def test_end_slope_branches(self):
-        # columns whose one-sided end slopes take scipy's three branches:
-        # the three-point estimate, zero (wrong sign) and 3 * m0 (overshoot)
-        grid = uniform_grid(2.0, 16)
-        h = grid.nodes[1] - grid.nodes[0]
-        base = np.linspace(0.0, 1.0, grid.n)
-        plain = base.copy()
-        wrong_sign = base.copy()
-        wrong_sign[:3] = [0.0, 1.0 * h, 5.0 * h]            # m0 = 1, m1 = 4
-        overshoot = base.copy()
-        overshoot[:3] = [0.0, 1.0 * h, -9.0 * h]            # m0 = 1, m1 = -10
-        values = np.column_stack([plain, wrong_sign, overshoot])
-        slopes = PchipInterpolator(grid.nodes, values, axis=0).derivative()(1.0)
-        assert slopes.tolist() == pytest.approx([1.0, 0.0, 3.0])
-        t = np.linspace(1.0, 2.0, 301)
-        out = PchipPlan(grid, t).apply(values.T)
-        assert np.array_equal(out.T, _scipy_transfer(grid, values, t))
 
 
 class TestCsv:

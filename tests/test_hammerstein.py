@@ -19,7 +19,7 @@ from mixedfp.engine import (
 from mixedfp.funcspace import (
     Grid,
     GridFunction,
-    PchipPlan,
+    LinearPlan,
     integrate,
     make_quadrature,
     pointwise_leq,
@@ -325,9 +325,9 @@ class TestSweepKernel:
         base = mfold(example22, m)
         p = dataclasses.replace(base, nonlinearities=tuple(map(counted, base.nonlinearities)))
         applies = []
-        apply = PchipPlan.apply
+        apply = LinearPlan.apply
         monkeypatch.setattr(
-            PchipPlan, "apply", lambda plan, y: applies.append(y.shape) or apply(plan, y))
+            LinearPlan, "apply", lambda plan, y: applies.append(y.shape) or apply(plan, y))
         lengths.clear()  # construction probes each piece once
         x = rough_ordered_tuple(p, np.random.default_rng(3))
         iterate_step(product_operator(p), cyclic_shift_upsilon(m), x)
@@ -424,7 +424,7 @@ class TestBatchKernel:
         F = product_operator(p)
         block = rows_at_the_gather_bound(p)
         rng = np.random.default_rng(200 + m)
-        # the larger pool spans three transfer applies
+        # the larger pool is more than twice a sampled check's block
         for pool in (3 * p.k, 2 * (_BLOCK_ELEMENTS // p.quadrature.nodes.size) + 3):
             x = rough_pool(p, rng, pool)
             for n_rows in (1, block - 1, block, block + 1, 400):
@@ -436,7 +436,8 @@ class TestBatchKernel:
 
     def test_each_component_is_transferred_once_and_each_f_j_called_once(
             self, example22, monkeypatch):
-        # more components than one apply takes, and rows past the gather bound
+        # more components than a sampled check's block, and rows past the
+        # gather bound
         base = mfold(example22, 2)
         lengths = []
 
@@ -453,29 +454,36 @@ class TestBatchKernel:
         n_rows = 3 * rows_at_the_gather_bound(p) + 1
         rows = np.random.default_rng(5).integers(1, len(x) + 1, size=(n_rows, k))
         applied = []
-        apply = PchipPlan.apply
+        apply = LinearPlan.apply
         monkeypatch.setattr(
-            PchipPlan, "apply", lambda plan, y: applied.append(y.copy()) or apply(plan, y))
+            LinearPlan, "apply", lambda plan, y: applied.append(y.copy()) or apply(plan, y))
         lengths.clear()  # construction probes each piece once
         images = product_operator(p).batch(rows, x)
         assert len(images) == n_rows
-        # every component once, in order, in applies within the element budget
-        assert np.array_equal(np.concatenate(applied), np.stack([xi.values for xi in x]))
-        assert all(y.shape[0] * nq <= _BLOCK_ELEMENTS for y in applied)
+        # every component once, in order, in one apply
+        assert len(applied) == 1
+        assert np.array_equal(applied[0], np.stack([xi.values for xi in x]))
         # one kernel call, calling every f_j once on the R argument rows
         assert lengths == [n_rows * nq] * k
 
-    def test_an_apply_stays_within_the_bound_when_n_exceeds_nq(self, monkeypatch):
-        # n = 2001 grid values against nq = 16 quadrature nodes
+    def test_a_block_stays_within_the_bound_when_n_exceeds_nq(self, monkeypatch):
+        # n = 2001 grid values against nq = 16 quadrature nodes: a block of
+        # the sampled checks is sized by n
         p = build_log_example(2.0, 2.0, 2000, 2, 8)
-        x = rough_pool(p, np.random.default_rng(7), 10)
+        n, k = p.grid.n, p.k
         applied = []
-        apply = PchipPlan.apply
+        apply = LinearPlan.apply
         monkeypatch.setattr(
-            PchipPlan, "apply", lambda plan, y: applied.append(y.shape) or apply(plan, y))
-        product_operator(p).batch([(1, 2), (3, 4)], x)
-        assert sum(rows for rows, _ in applied) == len(x)
-        assert all(rows * n <= _BLOCK_ELEMENTS for rows, n in applied)
+            LinearPlan, "apply", lambda plan, y: applied.append(y.shape) or apply(plan, y))
+        # ordered pairs: x <= z on the A component 1, z <= x on the B component 2
+        rng = np.random.default_rng(7)
+        x = p.domain_floor + rng.uniform(0.0, 3.0, (10, k, n))
+        z = x + rng.uniform(0.0, 1.0, (10, k, n))
+        x[:, 1::2], z[:, 1::2] = z[:, 1::2], x[:, 1::2].copy()
+        pairs = np.stack([x, z], axis=1)
+        check_contraction(p, pairs, builtin_log_triple(), 0.0)
+        assert sum(rows for rows, _ in applied) == 2 * k * len(pairs)
+        assert all(rows * n <= max(_BLOCK_ELEMENTS, 2 * k * n) for rows, _ in applied)
 
     def test_floor_error_names_the_component_of_x(self, example22):
         p = example22
@@ -516,9 +524,17 @@ class TestSeparableKernel:
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_stores_no_n_by_nq_array(self, kernel, size):
         p = named_problem(2.0, 2.0, *size, kernel=kernel)
+        n, nq = p.grid.n, p.quadrature.nodes.size
         a, wb = p._weighted_kernel
-        assert a.shape == (p.grid.n,) and wb.shape == p.quadrature.nodes.shape
-        assert dense_twin(p)._weighted_kernel.shape == (p.grid.n, p.quadrature.nodes.size)
+        assert a.shape == (n + nq,) and wb.shape == (nq,)
+        # a dense kernel's nq x nq block is built at the first operator call,
+        # not by kernel_bound
+        dense = dense_twin(p)
+        assert dense._weighted_kernel.shape == (n, nq)
+        kernel_bound(dense)
+        assert "_node_block" not in vars(dense)
+        apply_A(dense, initial_bracket(dense, 2.0))
+        assert dense._node_block.shape == (nq, nq)
 
     @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -565,6 +581,18 @@ class TestSeparableKernel:
         assert sweeps == dense_sweeps == SWEEPS[alpha, T]
         assert err <= dense_err + 1e-14
 
+    @pytest.mark.parametrize("alpha, T", FIVE_CASES)
+    def test_reaches_the_fixed_point_of_its_dense_twin(self, alpha, T):
+        # one discretization: both kernels' images are known at the
+        # quadrature nodes, so the two iterations agree to rounding
+        p = named_problem(alpha, T)
+        reports = [solve(product_operator(q), cyclic_shift_upsilon(1), initial_bracket(q, alpha),
+                         IterationConfig(), dist=sup_metric, leq=pointwise_leq)
+                   for q in (p, dense_twin(p))]
+        for x, y in zip(*(report.fixed_point for report in reports)):
+            assert np.abs(x.values - y.values).max() <= 1e-14
+            assert np.abs(x.at_nodes - y.at_nodes).max() <= 1e-14
+
     @pytest.mark.parametrize("a, b, message", [
         (lambda t: -1.0 / t, lambda s: 1.0, "finite and nonnegative"),
         (lambda t: 1.0 / t, lambda s: np.where(s > 1.5, np.nan, 1.0), "finite and nonnegative"),
@@ -580,22 +608,49 @@ class TestSeparableKernel:
             _small_problem(kernel=SeparableKernel(a, b))
 
 
+def curved_dense_problem(n_intervals):
+    """A kernel that is not rank one, G(t, s) = 1/(2 ln((1 + T)/2) (t + s))
+    on [1, 2] (kernel bound 1), the paper's nonlinearities, and the forcing
+    whose solution is the curved x(t) = 1 + sin^2(3t) + t, its integral
+    taken with a 64 x 16 rule."""
+    T, c = 2.0, 1.0 / (2.0 * math.log(1.5))
+    reference = make_quadrature(T, 64, 16)
+    fs = (lambda s, x: np.log(s + x), lambda s, x: -(np.log(s) + np.log(x)))
+    g = sum(f(reference.nodes, curved(reference.nodes)) for f in fs)
+
+    def forcing(t):
+        return curved(t) - (c / (t[:, None] + reference.nodes) * reference.weights * g).sum(axis=1)
+
+    return HammersteinProblem(
+        m=1, kernel=lambda t, s: c / (t + s), nonlinearities=fs, forcing=forcing,
+        etas=(1.0, 1.0), domain_floor=1.0, grid=uniform_grid(T, n_intervals),
+        quadrature=make_quadrature(T, 32, 8))
+
+
+def curved(t):
+    return 1.0 + np.sin(3.0 * t) ** 2 + t
+
+
+class TestNystrom:
+    @pytest.mark.parametrize("n_intervals", [50, 200, 800])
+    def test_a_curved_dense_solution_is_as_accurate_on_every_grid(self, n_intervals):
+        # the images are read at the quadrature nodes, not interpolated from
+        # the grid, so the error is the quadrature's and the iteration's
+        p = curved_dense_problem(n_intervals)
+        x = curved(p.grid.nodes)
+        start = (GridFunction(p.grid, np.maximum(x / 2.0, 1.0)), GridFunction(p.grid, 1.5 * x))
+        assert check_assumption_e(p, start).passed
+        report = solve(product_operator(p), cyclic_shift_upsilon(1), start, IterationConfig(),
+                       dist=sup_metric, leq=pointwise_leq)
+        assert max(np.abs(xi.values - x).max() for xi in report.fixed_point) <= 1e-9
+
+
 def recorded_rows(monkeypatch):
-    """The rows of every PCHIP apply."""
-    applied, apply = [], PchipPlan.apply
+    """The rows of every transfer apply."""
+    applied, apply = [], LinearPlan.apply
     monkeypatch.setattr(
-        PchipPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
+        LinearPlan, "apply", lambda plan, y: applied.append(y.shape[0]) or apply(plan, y))
     return applied
-
-
-def bits(values):
-    return np.ascontiguousarray(values, dtype=float).view(np.int64)
-
-
-# the default config, fine-grid, 2000 x 8 quadrature on 8 intervals, 16382
-# intervals, T = 1e100, and a 32 x 3 rule whose panel midpoints hit grid nodes
-SAMPLE_SHAPES = [(2.0, 200, 32, 8), (2.0, 1000, 128, 8), (2.0, 8, 2000, 8),
-                 (2.0, 16382, 32, 8), (1e100, 200, 32, 8), (2.0, 64, 32, 3)]
 
 
 class TestCarriedNodeValues:
@@ -617,26 +672,37 @@ class TestCarriedNodeValues:
         with pytest.raises(ValueError, match=message):
             _small_problem(**pieces)
 
-    def test_a_dense_kernel_reads_no_forcing_at_the_quadrature_nodes(self):
-        p = _small_problem(
-            forcing=lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes), t, np.nan))
-        assert p._at_nodes is None
+    def test_a_dense_kernel_reads_the_forcing_at_the_quadrature_nodes(self):
+        with pytest.raises(ValueError, match="forcing must be finite on the grid"):
+            _small_problem(
+                forcing=lambda t: np.where(np.isin(t, uniform_grid(2.0, 16).nodes), t, np.nan))
+
+    def test_a_dense_kernel_at_the_quadrature_nodes_is_checked_at_the_first_call(self):
+        # negative only where both arguments are quadrature nodes
+        on_grid = uniform_grid(2.0, 16).nodes
+        p = _small_problem(kernel=lambda t, s: np.where(np.isin(t, on_grid), 1.0, -1.0) + 0 * s)
+        with pytest.raises(OperatorEvaluationError, match="finite and nonnegative") as exc:
+            iterate_step(product_operator(p), cyclic_shift_upsilon(1), (linear(p, 2.0),) * 2)
+        assert isinstance(exc.value.cause, ValueError)
 
     @pytest.mark.parametrize("alpha, T", [(2.0, 2.0), (5.0, 10.0), (3.0, 20.0)])
     def test_scalar_of_the_image_of_alpha_t_is_the_closed_form(self, alpha, T):
         # int_1^T (1/s) ln((1 + alpha)/(alpha s)) ds = ln T * ln((1 + alpha)/(alpha sqrt T))
+        # the image is c * a: |c - c*| * max a, up to the rounding of c * a
         p = named_problem(alpha, T, 200, 32, 8)
         s = p.quadrature.nodes
         x = p._transfer.apply(np.stack([alpha * p.grid.nodes] * 2))
         g = sum(f(s, xi) for f, xi in zip(p.nonlinearities, x))
-        _, c = hs._apply_kernel(p, g[None])
+        image, a = hs._apply_kernel(p, g[None])[0], p._weighted_kernel[0]
         exact = math.log(T) * math.log((1 + alpha) / (alpha * math.sqrt(T)))
-        assert abs(float(c[0, 0]) - exact) * float(p._weighted_kernel[0].max()) <= 5e-16
+        assert image.shape == a.shape == (p.grid.n + s.size,)
+        assert np.abs(image - exact * a).max() <= 5e-16
 
     def test_images_carry_read_only_node_values(self, example22):
         x = rough_ordered_tuple(example22, np.random.default_rng(13))
         y = iterate_step(product_operator(example22), cyclic_shift_upsilon(1), x)
-        a, p = example22._at_nodes
+        n = example22.grid.n
+        a, p = example22._weighted_kernel[0][n:], example22._forcing_values[n:]
         for yi in y:
             assert yi.quadrature is example22.quadrature
             assert yi.at_nodes.shape == example22.quadrature.nodes.shape
@@ -650,15 +716,14 @@ class TestCarriedNodeValues:
 
     @pytest.mark.parametrize("dense", [False, True], ids=["separable", "dense"])
     @pytest.mark.parametrize("alpha, T", FIVE_CASES)
-    def test_only_a_dense_kernel_transfers_after_the_first_sweep(
-            self, alpha, T, dense, monkeypatch):
+    def test_no_kernel_transfers_after_the_first_sweep(self, alpha, T, dense, monkeypatch):
         p = named_problem(alpha, T)
         p = dense_twin(p) if dense else p
         applied = recorded_rows(monkeypatch)
         report = solve(product_operator(p), cyclic_shift_upsilon(1), initial_bracket(p, alpha),
                        IterationConfig(), dist=sup_metric, leq=pointwise_leq)
-        # each sweep is over two distinct components
-        assert applied == [2] * (report.iterations if dense else 1)
+        # the first sweep is over the start's two distinct components
+        assert report.iterations > 1 and applied == [2]
 
     def test_an_image_for_another_rule_is_transferred(self, example22, monkeypatch):
         x = rough_ordered_tuple(example22, np.random.default_rng(14))
@@ -689,33 +754,6 @@ class TestCarriedNodeValues:
             iterate_step(F, ups, y)
         assert isinstance(exc.value.cause, DomainFloorError)
         assert exc.value.component == 1 and exc.value.node == p.quadrature.nodes[0]
-
-    @pytest.mark.parametrize("T, n_intervals, panels, points", SAMPLE_SHAPES,
-                             ids=["default", "fine_grid", "wide_quadrature", "n16383",
-                                  "T1e100", "midpoint_hits"])
-    def test_constant_sample_rows_are_the_pchip_transfer_bit_for_bit(
-            self, T, n_intervals, panels, points, monkeypatch):
-        p = named_problem(2.0, T, n_intervals, panels, points,
-                          nonlinearities=("log-shift", "log-shift"), domain_floor=-1.0)
-        n, rng = p.grid.n, np.random.default_rng(15)
-        constants = [-0.0, 0.0, 5e-324, -1.0, 1e300, 1.5, *rng.uniform(-1.0, 1e3, 4)]
-        rough = -1.0 + rng.uniform(0.0, 9.0, (4, n))
-        values = np.concatenate([np.outer(constants, np.ones(n)), rough])[rng.permutation(14)]
-        rows = rng.integers(1, len(values) + 1, size=(7, 2))
-        seen, integrals = [], hs._integrals
-        monkeypatch.setattr(hs, "_integrals", lambda problem, rows, values, *known:
-                            seen.append(known) or integrals(problem, rows, values, *known))
-        images = hs._sample_images(p, rows, values, 0)
-        (known, at_nodes), = seen
-        assert len(known) == 8  # every constant row but the two zeros
-        transferred = PchipPlan(p.grid, p.quadrature.nodes).apply(values)
-        read = transferred.copy()
-        read[known] = at_nodes
-        assert np.array_equal(bits(read), bits(transferred))
-        monkeypatch.undo()
-        assert np.array_equal(bits(images), bits(hs._integrals(p, rows, values)[0]))
-        if points == 3:  # -0.0 is transferred: PCHIP keeps it where a node hits
-            assert np.signbit(transferred[values[:, 0] == 0.0]).any()
 
 
 class TestNamedProblem:
