@@ -27,6 +27,7 @@ and ``check_mixed_monotone``), never as grid functions.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -381,27 +382,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built at the first ``main`` call.  It holds
+    no handler and no state: ``parse_args`` fills a new namespace each call."""
     parser = argparse.ArgumentParser(
         prog="mixedfp",
         description="Solve log-banded Hammerstein integral equations by "
         "multidimensional monotone fixed-point iteration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, fn in (("check", cmd_check), ("solve", cmd_solve), ("verify", cmd_verify)):
-        p = parsers[name] = sub.add_parser(name)
+    parsers = {name: sub.add_parser(name) for name in ("check", "solve", "verify")}
+    for p in parsers.values():
         p.add_argument("--config", default=None, help="JSON problem config")
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--T", type=float, default=None)
-        p.set_defaults(handler=fn)
     parsers["solve"].add_argument("--out", default="out", help="output directory")
     parsers["solve"].add_argument("--force", action="store_true",
                                   help="run the solver even if checks fail")
     parsers["verify"].add_argument("--seed", type=int, default=42)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # the handlers are read at call time, so a patched cmd_* is the one that runs
+    handler = {"check": cmd_check, "solve": cmd_solve, "verify": cmd_verify}[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

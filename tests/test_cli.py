@@ -846,6 +846,44 @@ def test_collapsed_residual_of_a_dense_kernel_transfers_nothing(monkeypatch):
     assert applied == []  # the solution carries its quadrature-node values
 
 
+class TestCachedParser:
+    """One parser serves every ``main`` call of a process, and carries
+    nothing from one call to the next."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        seen = []
+        for name in ("cmd_check", "cmd_solve", "cmd_verify"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or EXIT_OK)
+        return seen
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_force_is_not_carried_over(self, parsed):
+        assert main(["solve", "--force"]) == main(["solve"]) == EXIT_OK
+        assert [args.force for args in parsed] == [True, False]
+
+    def test_seed_is_not_carried_over(self, parsed):
+        main(["verify", "--seed", "7"])
+        main(["verify"])
+        assert [args.seed for args in parsed] == [7, 42]
+
+    def test_a_usage_error_reads_the_same_twice(self, capsys):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--out", "x"])
+            assert exc.value.code == EXIT_CONFIG_ERROR
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and "unrecognized arguments: --out x" in errs[0]
+
+    def test_a_handler_patched_after_the_parser_is_built_runs(self, monkeypatch):
+        cli._parser()
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 17)
+        assert main(["check"]) == 17
+
+
 class TestReproducibility:
     def test_solve_bit_identical(self, tmp_path):
         outs = []

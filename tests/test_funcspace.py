@@ -10,6 +10,7 @@ from mixedfp.funcspace import (
     GridFunction,
     LinearPlan,
     QuadratureRule,
+    _gauss_legendre,
     format_csv,
     integrate,
     interpolate,
@@ -185,11 +186,32 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("T", [1.5, 2.0, math.e, 10.0, 20.0])
     def test_gauss_nodes_equal_the_a_plus_b_midpoint_form(self, T):
-        xi = np.polynomial.legendre.leggauss(8)[0]
+        # every base rule size, each from a fresh leggauss call, bit for bit
         edges = np.linspace(1.0, T, 33)
-        old = np.concatenate([(b - a) / 2.0 * xi + (a + b) / 2.0
-                              for a, b in zip(edges[:-1], edges[1:])])
-        assert np.array_equal(make_quadrature(T, 32, 8).nodes, old)
+        for points in range(2, 17):
+            xi, wi = np.polynomial.legendre.leggauss(points)
+            old = np.concatenate([(b - a) / 2.0 * xi + (a + b) / 2.0
+                                  for a, b in zip(edges[:-1], edges[1:])])
+            weights = np.concatenate([(b - a) / 2.0 * wi
+                                      for a, b in zip(edges[:-1], edges[1:])])
+            rule = make_quadrature(T, 32, points)
+            assert np.array_equal(rule.nodes, old), points
+            assert np.array_equal(rule.weights, weights), points
+
+    @pytest.mark.parametrize("points", [2, 8, 16])
+    def test_cached_base_rule_is_read_only(self, points):
+        make_quadrature(2.0, 4, points)
+        xi, wi = _gauss_legendre(points)
+        assert _gauss_legendre(points)[0] is xi
+        for array in (xi, wi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert np.array_equal(xi, np.polynomial.legendre.leggauss(points)[0])
+
+    def test_integral_float_points_refused_whatever_the_cache_holds(self):
+        make_quadrature(2.0, 4, 8)
+        with pytest.raises(TypeError):
+            make_quadrature(2.0, 4, 8.0)
 
     def test_nodes_outside_the_interval_rejected(self):
         with pytest.raises(ValueError, match=r"quadrature nodes must lie in \[1, T\]"):
@@ -353,3 +375,18 @@ class TestCsv:
     def test_header(self, grid12):
         u = grid12.sample(lambda t: t)
         assert format_csv(u).splitlines()[0] == "t,value"
+
+    @pytest.mark.parametrize("n", [9, 16384])
+    def test_equals_the_per_row_format(self, n):
+        """The one-pass format writes the bytes of the per-row f-string,
+        over magnitudes 1e-308..1e308 of either sign, -0.0 and subnormals."""
+        rng = np.random.default_rng(n)
+        nodes = np.sort(rng.uniform(1.0, 1e300, n))
+        nodes[0] = 1.0
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-308.0, 308.0, n)
+        values[:4] = [-0.0, 0.0, 5e-324, -2.2250738585072e-310]
+        u = GridFunction(Grid(float(nodes[-1]), nodes), values)
+        reference = "t,value\n" + "".join(f"{t:.17g},{v:.17g}\n"
+                                          for t, v in zip(u.grid.nodes, u.values))
+        assert format_csv(u) == reference
+        assert format_csv(u).count("\n") == n + 1
