@@ -243,7 +243,7 @@ def _monotone_samples(problem, rng, count):
     k, lo = problem.k, problem.domain_floor
     samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
     for i in range(count):
-        samples[i, :k] = lo + np.array([rng.uniform(0.0, 4.0) for _ in range(k)])[:, None]
+        samples[i, :k] = lo + rng.uniform(0.0, 4.0, size=k)[:, None]
         coords[i] = rng.integers(1, k + 1)
         samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
     return samples, coords

@@ -157,8 +157,8 @@ def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence) -> S
             if id(e) not in first:
                 first[id(e)] = len(keep) + 1
                 keep.append(i)
-        index = [first[id(e)] for e in x]
-        rows = [tuple(index[j - 1] for j in row) for row in rows]
+        index = [0, *(first[id(e)] for e in x)]  # index[j] is that of x[j - 1]
+        rows = [tuple(map(index.__getitem__, row)) for row in rows]
         x = [x[i - 1] for i in keep]
     slots = dict.fromkeys(map(tuple, rows))
     distinct = rows if len(slots) == len(rows) else list(slots)

@@ -129,7 +129,7 @@ class LinearPlan:
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Values at the planned points of each row of ``y`` (shape (k, n)),
         shape (k, t.size)."""
-        return self._rest * y[:, self._idx] + self._theta * y[:, self._idx1]
+        return self._rest * y.take(self._idx, axis=1) + self._theta * y.take(self._idx1, axis=1)
 
 
 def interpolate(u: GridFunction, t):

@@ -125,7 +125,10 @@ class HammersteinProblem:
     b*nq in a batch kernel call of b rows, which lays the b argument rows
     end to end);
     and ``forcing(t)``.
-    A scalar return broadcasts.  Construction calls each piece once on the
+    A scalar return broadcasts.  A nonlinearity must be deterministic and
+    side-effect free, as ``ProductOperator`` requires of the operator: a
+    kernel call evaluates a repeated pair of callable and argument once
+    (``_integrals``).  Construction calls each piece once on the
     node arrays and raises ValueError, naming the piece, when its output
     cannot broadcast to that shape.  It also raises ValueError unless the
     grid's nodes run from 1 to its T and the quadrature is a rule on [1, T],
@@ -262,34 +265,50 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     quadrature nodes, ``at_nodes``, which are then checked too; the others
     are transferred there in one apply of the problem's ``LinearPlan``
     (which stays between each interval's node values, so these need no
-    check).  A DomainFloorError names the argument, a 1-based index into
-    ``values``, not the row.  All R rows then make one kernel call: their
-    arguments are gathered from the (c, nq) array, each f_j is called once
-    on the R argument rows laid end to end (1-D arrays of length R*nq, so
-    the array contract holds and a scalar return broadcasts), and the R
-    integrands go through ``_apply_kernel``.  A caller bounds R: the
-    engine's sweeps have at most k rows and a sampled check hands over one
-    block.
+    check); when all carry them, they are stacked as they are.  A
+    DomainFloorError names the argument, a 1-based index into ``values``,
+    not the row.  All R rows then make one kernel call.  Argument j of every
+    row, laid end to end, is column j of ``rows`` gathered from the (c, nq)
+    array, a 1-D array of length R*nq, so the array contract holds and a
+    scalar return broadcasts.  Each distinct column is gathered once and
+    each distinct pair (f_j, column j), f_j told apart by identity, is
+    called once, so d distinct pairs cost d calls whatever k is; the k terms
+    are still summed in j order, each kept only until its last position, so
+    the sum's bits are those of k calls.  The R integrands then go through
+    ``_apply_kernel``.  A caller bounds R: the engine's sweeps have at most
+    k rows and a sampled check hands over one block.
     """
     table = np.asarray(rows) - 1
     s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
     nq = s_nodes.size
     _check_floor(values, problem.grid.nodes, problem.domain_floor)
-    if len(known):
-        vals = np.empty((len(values), nq))
-        vals[known] = at_nodes
-        todo = np.delete(np.arange(len(values)), known)
-        if todo.size:
+    if not len(known):
+        vals = problem._transfer.apply(values)
+    else:
+        if len(known) == len(values):
+            vals = np.stack(at_nodes)
+        else:
+            vals = np.empty((len(values), nq))
+            vals[known] = at_nodes
+            todo = np.delete(np.arange(len(values)), known)
             vals[todo] = problem._transfer.apply(values[todo])
         _check_floor(vals, s_nodes, problem.domain_floor)
-    else:
-        vals = problem._transfer.apply(values)
-    # one gather; row j holds argument j of every row end to end
-    args = vals.take(table.T, axis=0).reshape(problem.k, n_rows * nq)
-    s, total = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq)
+    # position j is the pair (f_j, column j): each distinct column is
+    # gathered once, each distinct pair called once, its term kept until its
+    # last position
+    fs, columns, keys = problem.nonlinearities, {}, []
+    for f, column in zip(fs, map(tuple, table.T.tolist()), strict=True):
+        keys.append((id(f), columns.setdefault(column, len(columns))))
+    last = {key: j for j, key in enumerate(keys)}
+    # one gather; row c holds distinct column c of every row end to end
+    args = vals.take(np.array([*columns], dtype=np.intp), axis=0).reshape(len(columns), -1)
+    s, total, terms = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq), {}
     with np.errstate(all="ignore"):
-        for fj, arg in zip(problem.nonlinearities, args):
-            total += fj(s, arg)
+        for j, key in enumerate(keys):
+            term = terms.pop(key) if key in terms else fs[j](s, args[key[1]])
+            if last[key] > j:
+                terms[key] = term
+            total += term
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
         out = _apply_kernel(problem, total.reshape(n_rows, nq)) + problem._forcing_values
@@ -306,8 +325,9 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     components that carry no quadrature-node values (the interval search is
     planned once per problem), k nonlinearity calls on nq nodes and one
     (n + nq) x nq matvec (O(n + nq) for a SeparableKernel).  Each of the k
-    arguments is read, a repeated one at each position (``batch``); a sweep
-    goes through the engine and the batch instead, which reads each
+    arguments is read, a repeated one at each position, so its one row has
+    k distinct columns and its kernel call shares no term (``batch``); a
+    sweep goes through the engine and the batch instead, which reads each
     distinct component once.
     """
     if len(x) != problem.k:
@@ -329,22 +349,25 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
     ``batch(rows, x)`` computes the images at R argument tuples drawn from
     c components (``_integrals``): each component is read at the quadrature
-    nodes once, then the R rows make one kernel call, k nonlinearity calls
-    of length R*nq and one stacked matvec of R*(n + nq)*nq multiply-adds
-    (R*(n + nq) for a SeparableKernel).  That call gathers R*k*nq argument
-    values at once, so a caller with many rows hands them over in blocks,
-    as the sampled checks do.  Every image carries its values at the
-    quadrature nodes, which a component is read from when it carries them
-    for this problem's rule (``is``); any other is transferred (O(nq)).  The
-    engine hands the batch each distinct component once and each distinct
-    row once (``engine._images``).  A Jacobi sweep over k distinct
+    nodes once, then the R rows make one kernel call, d nonlinearity calls
+    of length R*nq, d <= k the distinct pairs (f_j, column j of ``rows``),
+    k additions of R*nq values and one stacked matvec of R*(n + nq)*nq
+    multiply-adds (R*(n + nq) for a SeparableKernel).  That call gathers up
+    to R*k*nq argument values at once, so a caller with many rows hands
+    them over in blocks, as the sampled checks do.  Every image carries its
+    values at the quadrature nodes, which a component is read from when it
+    carries them for this problem's rule (``is``); any other is transferred
+    (O(nq)).  The engine hands the batch each distinct component once and
+    each distinct row once (``engine._images``).  A Jacobi sweep over k distinct
     components, R = c = k, is k calls of length k*nq and one matvec of
     k*(n + nq)*nq, where k ``apply`` calls cost k^2 calls and k matvecs.
     From the bracket start, whose A components are one object and whose B
-    components another, every sweep is R = c = 2 at any k: k calls of length
-    2*nq and one matvec of 2*(n + nq)*nq, or with a SeparableKernel 2 dot
-    products of length nq and 2*(n + nq) values; only the first sweep
-    transfers, the start's 2 components.
+    components another, every sweep is R = c = 2 at any k: d calls of length
+    2*nq (2 when the positions repeat one f1 and one f2, as the m-fold
+    example and ``named_problem`` do), k additions and one matvec of
+    2*(n + nq)*nq, or with a SeparableKernel 2 dot products of length nq
+    and 2*(n + nq) values; only the first sweep transfers, the start's 2
+    components.
     """
     def batch(rows, x):
         for xi in x:
@@ -593,7 +616,8 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
                   forcing: str = "linear-minus-log", etas: Sequence[float] = (1.0, 1.0),
                   domain_floor: float = 1.0) -> HammersteinProblem:
     """The problem whose pieces are named in the registries, each factory
-    called at (alpha, T), on ``uniform_grid(T, n_intervals)`` and
+    called at (alpha, T) once per distinct name (a repeated nonlinearity
+    name is one callable), on ``uniform_grid(T, n_intervals)`` and
     ``make_quadrature(T, quad_panels, quad_points)``; the defaults are the
     paper's.  The grid is built first, so T <= 1 is refused before a factory
     computes with T.  A name that is not registered, ``nonlinearities`` or
@@ -606,9 +630,14 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
     grid = uniform_grid(T, n_intervals)
     if not isinstance(nonlinearities, (list, tuple)):
         raise ValueError(f"nonlinearities must be a list of names, got {nonlinearities!r}")
-    fs = tuple(_lookup("nonlinearity", NONLINEARITIES, name)(alpha, T) for name in nonlinearities)
+    made = {}  # one callable per distinct name, so a kernel call shares their terms
+    for name in nonlinearities:
+        factory = _lookup("nonlinearity", NONLINEARITIES, name)
+        if name not in made:
+            made[name] = factory(alpha, T)
     return HammersteinProblem(
-        m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T), nonlinearities=fs,
+        m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T),
+        nonlinearities=tuple(made[name] for name in nonlinearities),
         forcing=_lookup("forcing", FORCINGS, forcing)(alpha, T),
         etas=etas, domain_floor=floor, grid=grid,
         quadrature=make_quadrature(T, quad_panels, quad_points))

@@ -330,8 +330,10 @@ class TestExitCodes:
     ], ids=["default", "k4"])
     def test_each_nonlinearity_is_called_once_per_integrals_call(
             self, tmp_path, monkeypatch, capsys, config):
-        # every _integrals call is one kernel call: each f_j once, in order,
-        # on the R argument rows laid end to end
+        # every _integrals call is one kernel call: each distinct pair
+        # (f_j, column j of the rows) once, at its first position, on the R
+        # argument rows laid end to end; a repeated name is one callable, so
+        # at k = 4 the sweep from the bracket makes 2 calls
         calls, active, integrals = [], [], hs._integrals
 
         def counting(factory):
@@ -350,7 +352,7 @@ class TestExitCodes:
             try:
                 return integrals(problem, rows, values, *known)
             finally:
-                calls.append((problem, len(rows), active.pop()))
+                calls.append((problem, np.asarray(rows), active.pop()))
 
         monkeypatch.setattr(hs, "NONLINEARITIES",
                             {name: counting(f) for name, f in hs.NONLINEARITIES.items()})
@@ -359,9 +361,12 @@ class TestExitCodes:
         for argv in (["check"], ["verify", "--seed", "5"]):
             assert main([*argv, "--config", path]) in (EXIT_OK, EXIT_CHECK_FAILED)
         assert calls
-        for problem, n_rows, called in calls:
-            size = n_rows * problem.quadrature.nodes.size
-            assert called == [(g, size) for g in problem.nonlinearities]
+        for problem, rows, called in calls:
+            size = len(rows) * problem.quadrature.nodes.size
+            pairs = dict.fromkeys((g, rows[:, j].tobytes())
+                                  for j, g in enumerate(problem.nonlinearities))
+            assert called == [(g, size) for g, _ in pairs]
+        assert min(len(called) for *_, called in calls) == 2
 
     def test_kernel_guard_counts_the_config_integers(self, monkeypatch):
         # the default config has 201 grid nodes and 32 x 8 quadrature nodes
@@ -969,6 +974,34 @@ def test_stacked_pairs_equal_the_pair_by_pair_draws(tmp_path, m, count):
     assert stacked.random() == looped.random()
 
 
+def looped_monotone_samples(problem, rng, count):
+    """The monotonicity sampler drawn one ``rng.uniform`` call per constant:
+    the reference for ``_monotone_samples``, which draws a sample's k at once."""
+    k, lo = problem.k, problem.domain_floor
+    samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
+    for i in range(count):
+        samples[i, :k] = lo + np.array([rng.uniform(0.0, 4.0) for _ in range(k)])[:, None]
+        coords[i] = rng.integers(1, k + 1)
+        samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
+    return samples, coords
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_monotone_samples_equal_the_constant_by_constant_draws(tmp_path, m, seed):
+    cfg = write_config(tmp_path, problem="custom", m=m, kernel="constant", forcing="linear",
+                       nonlinearities=["log-shift", "neg-log-product"] * m, eta=[1.0] * (2 * m),
+                       grid={"n": 16})
+    problem = build_problem(load_config(cfg, {}))
+    stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    samples, coords = cli._monotone_samples(problem, stacked, 20)
+    expected_samples, expected_coords = looped_monotone_samples(problem, looped, 20)
+    assert np.array_equal(samples, expected_samples)
+    assert np.array_equal(coords, expected_coords)
+    # the stream continues where the constant-by-constant draws leave it
+    assert stacked.random() == looped.random()
+
+
 VERIFY_ARGV = ["verify", "--alpha", "2", "--T", "2", "--seed", "5"]
 CHECK_ARGV = ["check", "--alpha", "5", "--T", "10"]
 
@@ -985,7 +1018,9 @@ class TestRegressionSnapshot:
     must leave them byte-identical, and the unsuffixed tests reproduce them
     with ``log-product`` given as ``dense_log_product``.  The ``_factored``
     files pin the registry's SeparableKernel, which differs at the ulp
-    level."""
+    level.  The ``custom_m2_repeated`` files pin a custom m = 2 problem that
+    names each nonlinearity twice, recorded before a kernel call shared the
+    terms of a repeated (nonlinearity, argument) pair."""
 
     @pytest.fixture
     def dense(self, monkeypatch):
@@ -1020,6 +1055,20 @@ class TestRegressionSnapshot:
 
     def test_solve_files_factored(self, tmp_path):
         self.solve_files_are(tmp_path, "solve_a2_T2_factored")
+
+    def test_repeated_names_check_stdout(self, capsys):
+        argv = ["check", "--config", str(DATA / "custom_m2_repeated.json")]
+        assert main(argv) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (DATA / "check_custom_m2_repeated.json").read_text()
+
+    def test_repeated_names_solve_files(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["solve", "--force", "--config", str(DATA / "custom_m2_repeated.json"),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        for name in ("solution.csv", "trace.csv", "report.json"):
+            assert (out / name).read_bytes() == \
+                (DATA / "solve_custom_m2_repeated" / name).read_bytes()
 
 
 def floor_config(tmp_path, floor):

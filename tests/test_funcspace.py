@@ -321,6 +321,18 @@ class TestLinearTransfer:
         assert np.array_equal(out[:, -grid.n - 1:-1], u)
         assert np.array_equal(out[:, -1], u[:, -1])
 
+    @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=["default", "wide_quadrature"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_equals_the_fancy_index_formula(self, shape, seed, k):
+        # the gathers by take are the fancy-index formula's arithmetic, bit
+        # for bit, at the quadrature nodes, the grid nodes (1 among them) and T
+        grid, t, plan, u, _ = _rough_pairs(seed, *shape, k)
+        x = grid.nodes
+        idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        theta = (t - x[idx]) / (x[idx + 1] - x[idx])
+        assert np.array_equal(plan.apply(u), (1.0 - theta) * u[:, idx] + theta * u[:, idx + 1])
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),

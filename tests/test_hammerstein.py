@@ -335,6 +335,52 @@ class TestSweepKernel:
         assert applies == [(p.k, p.grid.n)]
         assert lengths == [(p.k * nq, p.k * nq)] * p.k
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_a_sweep_from_the_bracket_calls_each_shared_nonlinearity_once(self, example22, m):
+        # the m-fold problem repeats one f1 and one f2; from the bracket start
+        # every sweep is 2 rows over 2 elements, whose columns pair f1 with
+        # one and f2 with the other, so whatever k is, f1 and f2 are called
+        # once each on 2 * nq values
+        calls = []
+
+        def counted(name, f):
+            def g(s, x):
+                calls.append((name, s.size, x.size))
+                return f(s, x)
+            return g
+
+        f1, f2 = example22.nonlinearities
+        p = mfold(dataclasses.replace(
+            example22, nonlinearities=(counted("f1", f1), counted("f2", f2))), m)
+        lower, upper = initial_bracket(p, 2.0)
+        x = tuple(lower if i % 2 == 0 else upper for i in range(p.k))
+        F, ups, nq = product_operator(p), cyclic_shift_upsilon(m), p.quadrature.nodes.size
+        for _ in range(3):  # the first sweep transfers; later ones read the nodes
+            calls.clear()
+            x = iterate_step(F, ups, x)
+            assert calls == [("f1", 2 * nq, 2 * nq), ("f2", 2 * nq, 2 * nq)]
+
+    def test_one_callable_at_two_positions_is_called_once_per_distinct_column(self):
+        calls = []
+
+        def g(s, x):
+            calls.append(x.copy())
+            return np.log(s + x)
+
+        p = _small_problem(nonlinearities=(g, g))
+        calls.clear()  # construction probes each piece once
+        u, v = linear(p, 2.0), linear(p, 3.0)
+        F = product_operator(p)
+        # the columns of (u, v) differ: g is called at each of them
+        F.batch([(1, 2)], (u, v))
+        assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+        # the columns of (u, u) are one: g is called once, its term added
+        # twice, as in apply_A, whose one row (1, 2) has two columns
+        calls.clear()
+        image = F.batch([(1, 1)], (u, v))[0]
+        assert len(calls) == 1
+        assert np.array_equal(image.values, apply_A(p, (u, u)).values)
+
     def test_floor_error_names_the_argument_not_the_row(self, example22):
         p = mfold(example22, 2)
         x = list(rough_ordered_tuple(p, np.random.default_rng(5)))
@@ -433,6 +479,28 @@ class TestBatchKernel:
                 assert len(images) == n_rows
                 for row, y in zip(rows, images):
                     assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+
+    @pytest.mark.parametrize("pool", ["rough", "images", "mixed"])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_shared_terms_equal_per_position_calls(self, example22, m, pool):
+        # the m-fold problem shares its callables, and tables drawn from 3
+        # columns repeat columns at every R; apply_A's one row has k distinct
+        # columns, so its kernel call shares no term.  The components carry
+        # node values or not, or some of them do.
+        p = mfold(example22, m)
+        F, rng = product_operator(p), np.random.default_rng(300 + m)
+        rough = rough_pool(p, rng, 3)
+        images = list(F.batch(rng.integers(1, 4, size=(3, p.k)), rough))
+        x = {"rough": rough, "images": images, "mixed": rough[:2] + images[:2]}[pool]
+        for n_rows in (0, 1, rows_at_the_gather_bound(p), 400):
+            columns = rng.integers(1, len(x) + 1, size=(n_rows, 3))
+            rows = columns[:, rng.integers(0, 3, size=p.k)]
+            out = F.batch(rows, x)
+            assert len(out) == n_rows
+            for row, y in zip(rows, out):
+                expected = apply_A(p, [x[j - 1] for j in row])
+                assert np.array_equal(y.values, expected.values)
+                assert np.array_equal(y.at_nodes, expected.at_nodes)
 
     def test_each_component_is_transferred_once_and_each_f_j_called_once(
             self, example22, monkeypatch):
@@ -768,6 +836,12 @@ class TestNamedProblem:
     def test_misread_number_refused_naming_it(self, pieces, message):
         with pytest.raises(ValueError, match=message):
             named_problem(2.0, 2.0, **pieces)
+
+    def test_one_callable_per_distinct_name(self):
+        p = named_problem(2.0, 2.0, m=2, nonlinearities=["log-shift", "neg-log-product"] * 2,
+                          etas=[1.0] * 4)
+        f1, f2, f3, f4 = p.nonlinearities
+        assert f1 is f3 and f2 is f4 and f1 is not f2
 
     def test_number_entries_of_any_real_type_read(self):
         p = named_problem(2.0, 2.0, etas=[1, np.float64(0.5)], domain_floor=np.int64(1))
