@@ -127,12 +127,13 @@ class HammersteinProblem:
     and ``forcing(t)``.
     A scalar return broadcasts.  A nonlinearity must be deterministic and
     side-effect free, as ``ProductOperator`` requires of the operator: a
-    kernel call evaluates a repeated pair of callable and argument once
-    (``_integrals``).  Construction calls each piece once on the
-    node arrays and raises ValueError, naming the piece, when its output
-    cannot broadcast to that shape.  It also raises ValueError unless the
-    grid's nodes run from 1 to its T and the quadrature is a rule on [1, T],
-    and for a non-finite forcing value, domain_floor or eta.
+    kernel call evaluates a repeated pair of callable and argument once and
+    hands it a read-only argument (``_integrals``).  Construction calls
+    each piece once on the node arrays and raises ValueError, naming the
+    piece, when its output cannot broadcast to that shape.  It also raises
+    ValueError unless the grid's nodes run from 1 to its T and the
+    quadrature is a rule on [1, T], and for a non-finite forcing value,
+    domain_floor or eta.
     """
 
     m: int
@@ -273,10 +274,12 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     scalar return broadcasts.  Each distinct column is gathered once and
     each distinct pair (f_j, column j), f_j told apart by identity, is
     called once, so d distinct pairs cost d calls whatever k is; the k terms
-    are still summed in j order, each kept only until its last position, so
-    the sum's bits are those of k calls.  The R integrands then go through
-    ``_apply_kernel``.  A caller bounds R: the engine's sweeps have at most
-    k rows and a sampled check hands over one block.
+    are still summed in j order, so the sum's bits are those of k calls.
+    The gathered arguments are read-only: a nonlinearity that writes into
+    its argument raises ValueError instead of changing another's.  The R
+    integrands then go through ``_apply_kernel``.  A caller bounds R: the
+    engine's sweeps have at most k rows and a sampled check hands over one
+    block.
     """
     table = np.asarray(rows) - 1
     s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
@@ -294,21 +297,20 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
             vals[todo] = problem._transfer.apply(values[todo])
         _check_floor(vals, s_nodes, problem.domain_floor)
     # position j is the pair (f_j, column j): each distinct column is
-    # gathered once, each distinct pair called once, its term kept until its
-    # last position
+    # gathered once and each distinct pair called once
     fs, columns, keys = problem.nonlinearities, {}, []
     for f, column in zip(fs, map(tuple, table.T.tolist()), strict=True):
         keys.append((id(f), columns.setdefault(column, len(columns))))
-    last = {key: j for j, key in enumerate(keys)}
-    # one gather; row c holds distinct column c of every row end to end
+    # one gather; row c holds distinct column c of every row end to end.  A
+    # row may be read by several callables, so none may write into it.
     args = vals.take(np.array([*columns], dtype=np.intp), axis=0).reshape(len(columns), -1)
+    args.flags.writeable = False
     s, total, terms = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq), {}
     with np.errstate(all="ignore"):
         for j, key in enumerate(keys):
-            term = terms.pop(key) if key in terms else fs[j](s, args[key[1]])
-            if last[key] > j:
-                terms[key] = term
-            total += term
+            if key not in terms:
+                terms[key] = fs[j](s, args[key[1]])
+            total += terms[key]
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
         out = _apply_kernel(problem, total.reshape(n_rows, nq)) + problem._forcing_values
@@ -364,7 +366,7 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     From the bracket start, whose A components are one object and whose B
     components another, every sweep is R = c = 2 at any k: d calls of length
     2*nq (2 when the positions repeat one f1 and one f2, as the m-fold
-    example and ``named_problem`` do), k additions and one matvec of
+    example does), k additions and one matvec of
     2*(n + nq)*nq, or with a SeparableKernel 2 dot products of length nq
     and 2*(n + nq) values; only the first sweep transfers, the start's 2
     components.
@@ -616,8 +618,7 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
                   forcing: str = "linear-minus-log", etas: Sequence[float] = (1.0, 1.0),
                   domain_floor: float = 1.0) -> HammersteinProblem:
     """The problem whose pieces are named in the registries, each factory
-    called at (alpha, T) once per distinct name (a repeated nonlinearity
-    name is one callable), on ``uniform_grid(T, n_intervals)`` and
+    called at (alpha, T), on ``uniform_grid(T, n_intervals)`` and
     ``make_quadrature(T, quad_panels, quad_points)``; the defaults are the
     paper's.  The grid is built first, so T <= 1 is refused before a factory
     computes with T.  A name that is not registered, ``nonlinearities`` or
@@ -630,14 +631,9 @@ def named_problem(alpha: float, T: float, n_intervals: int = 200, quad_panels: i
     grid = uniform_grid(T, n_intervals)
     if not isinstance(nonlinearities, (list, tuple)):
         raise ValueError(f"nonlinearities must be a list of names, got {nonlinearities!r}")
-    made = {}  # one callable per distinct name, so a kernel call shares their terms
-    for name in nonlinearities:
-        factory = _lookup("nonlinearity", NONLINEARITIES, name)
-        if name not in made:
-            made[name] = factory(alpha, T)
+    fs = tuple(_lookup("nonlinearity", NONLINEARITIES, name)(alpha, T) for name in nonlinearities)
     return HammersteinProblem(
-        m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T),
-        nonlinearities=tuple(made[name] for name in nonlinearities),
+        m=m, kernel=_lookup("kernel", KERNELS, kernel)(alpha, T), nonlinearities=fs,
         forcing=_lookup("forcing", FORCINGS, forcing)(alpha, T),
         etas=etas, domain_floor=floor, grid=grid,
         quadrature=make_quadrature(T, quad_panels, quad_points))

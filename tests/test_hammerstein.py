@@ -381,6 +381,20 @@ class TestSweepKernel:
         assert len(calls) == 1
         assert np.array_equal(image.values, apply_A(p, (u, u)).values)
 
+    def test_a_nonlinearity_cannot_write_into_a_shared_argument(self):
+        # two callables read one column of (u, u); the first writes into its
+        # argument, which would change the second's term, so it raises
+        def f(s, x):
+            return np.log(x, out=x)
+
+        def g(s, x):
+            return np.log(s + x)
+
+        p = _small_problem(nonlinearities=(f, g))
+        u = linear(p, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            product_operator(p).batch([(1, 1)], (u,))
+
     def test_floor_error_names_the_argument_not_the_row(self, example22):
         p = mfold(example22, 2)
         x = list(rough_ordered_tuple(p, np.random.default_rng(5)))
@@ -836,12 +850,6 @@ class TestNamedProblem:
     def test_misread_number_refused_naming_it(self, pieces, message):
         with pytest.raises(ValueError, match=message):
             named_problem(2.0, 2.0, **pieces)
-
-    def test_one_callable_per_distinct_name(self):
-        p = named_problem(2.0, 2.0, m=2, nonlinearities=["log-shift", "neg-log-product"] * 2,
-                          etas=[1.0] * 4)
-        f1, f2, f3, f4 = p.nonlinearities
-        assert f1 is f3 and f2 is f4 and f1 is not f2
 
     def test_number_entries_of_any_real_type_read(self):
         p = named_problem(2.0, 2.0, etas=[1, np.float64(0.5)], domain_floor=np.int64(1))
