@@ -241,22 +241,31 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def _apply_kernel(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
-    """sum_q W[j, q] g[r, q] as an (R, n + nq) array for (R, nq) integrands
-    g, at the grid nodes, then at the quadrature nodes, with each row summed
-    on its own, so its bits do not depend on R; a SeparableKernel row is
-    c_r * a with the scalar c_r = sum_q b(s_q) w_q g[r, q]."""
+def _apply_kernel(problem: HammersteinProblem, g: np.ndarray, nodes: bool = True) -> np.ndarray:
+    """sum_q W[j, q] g[r, q] for (R, nq) integrands g: the (R, n) rows at the
+    grid nodes, then, when ``nodes``, the (R, nq) rows at the quadrature
+    nodes.  A dense kernel costs R*n*nq multiply-adds, plus R*nq*nq for the
+    node rows; a SeparableKernel row is c_r * a with the scalar
+    c_r = sum_q b(s_q) w_q g[r, q], R dot products of length nq.
+
+    Every kernel product goes through here, and each caller asks for the
+    rows it reads: the operator's images read both, ``kernel_bound`` and
+    the sampled checks the grid rows only, so only an image builds a dense
+    kernel's nq x nq node block.  Each row is summed on its own, so its
+    bits depend on neither R nor ``nodes``."""
     if isinstance(problem.kernel, SeparableKernel):
         a, wb = problem._weighted_kernel
-        return np.matmul(g[:, None, :], wb[:, None])[:, 0] * a
-    return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0]
-                           for w in (problem._weighted_kernel, problem._node_block)], axis=1)
+        return np.matmul(g[:, None, :], wb[:, None])[:, 0] * (a if nodes else a[:problem.grid.n])
+    blocks = (problem._weighted_kernel, problem._node_block) if nodes else (problem._weighted_kernel,)
+    return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0] for w in blocks], axis=1)
 
 
-def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), at_nodes=()):
+def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), at_nodes=(),
+               nodes: bool = True):
     """The operator at R argument tuples drawn from ``values``, as the (R, n)
     array of the images at the grid nodes and the (R, nq) array of the same
-    images at the quadrature nodes: row r is int_1^T G(t, s) sum_j
+    images at the quadrature nodes, (R, 0) unless ``nodes``
+    (``_apply_kernel``): row r is int_1^T G(t, s) sum_j
     f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
     ``rows`` a 1-based (R, k) index table and ``values`` a (c, n) array of
     any number c of components at the problem's grid nodes.
@@ -276,10 +285,9 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     called once, so d distinct pairs cost d calls whatever k is; the k terms
     are still summed in j order, so the sum's bits are those of k calls.
     The gathered arguments are read-only: a nonlinearity that writes into
-    its argument raises ValueError instead of changing another's.  The R
-    integrands then go through ``_apply_kernel``.  A caller bounds R: the
-    engine's sweeps have at most k rows and a sampled check hands over one
-    block.
+    its argument raises ValueError instead of changing another's.  A caller
+    bounds R: the engine's sweeps have at most k rows and a sampled check
+    hands over one block.
     """
     table = np.asarray(rows) - 1
     s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
@@ -313,7 +321,8 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
             total += terms[key]
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
-        out = _apply_kernel(problem, total.reshape(n_rows, nq)) + problem._forcing_values
+        out = _apply_kernel(problem, total.reshape(n_rows, nq), nodes)
+        out += problem._forcing_values[:out.shape[1]]
     n = problem.grid.n
     return out[:, :n], out[:, n:]
 
@@ -350,26 +359,15 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     """The problem's operator, with a batched evaluation.
 
     ``batch(rows, x)`` computes the images at R argument tuples drawn from
-    c components (``_integrals``): each component is read at the quadrature
-    nodes once, then the R rows make one kernel call, d nonlinearity calls
-    of length R*nq, d <= k the distinct pairs (f_j, column j of ``rows``),
-    k additions of R*nq values and one stacked matvec of R*(n + nq)*nq
-    multiply-adds (R*(n + nq) for a SeparableKernel).  That call gathers up
-    to R*k*nq argument values at once, so a caller with many rows hands
-    them over in blocks, as the sampled checks do.  Every image carries its
-    values at the quadrature nodes, which a component is read from when it
-    carries them for this problem's rule (``is``); any other is transferred
-    (O(nq)).  The engine hands the batch each distinct component once and
-    each distinct row once (``engine._images``).  A Jacobi sweep over k distinct
-    components, R = c = k, is k calls of length k*nq and one matvec of
-    k*(n + nq)*nq, where k ``apply`` calls cost k^2 calls and k matvecs.
-    From the bracket start, whose A components are one object and whose B
-    components another, every sweep is R = c = 2 at any k: d calls of length
-    2*nq (2 when the positions repeat one f1 and one f2, as the m-fold
-    example does), k additions and one matvec of
-    2*(n + nq)*nq, or with a SeparableKernel 2 dot products of length nq
-    and 2*(n + nq) values; only the first sweep transfers, the start's 2
-    components.
+    c components in one ``_integrals`` call, which gathers up to R*k*nq
+    argument values at once, so a caller with many rows hands them over in
+    blocks, as the sampled checks do.  Every image carries its values at the
+    quadrature nodes, which a component is read from when it carries them
+    for this problem's rule (``is``); any other is transferred (O(nq)).  The
+    engine hands the batch each distinct component once and each distinct
+    row once (``engine._images``), so from the bracket start, whose A
+    components are one object and whose B components another, every sweep
+    is R = c = 2 at any k and only the first transfers.
     """
     def batch(rows, x):
         for xi in x:
@@ -387,14 +385,10 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
-    """2m * max over collocation nodes t of int_1^T G(t, s) ds; it reads the
-    kernel at the grid nodes only."""
-    ones, w = np.ones((1, problem.quadrature.nodes.size)), problem._weighted_kernel
-    if isinstance(problem.kernel, SeparableKernel):
-        rows = np.matmul(ones[:, None, :], w[1][:, None])[:, 0] * w[0][:problem.grid.n]
-    else:
-        rows = np.matmul(w, ones[:, :, None])
-    return problem.k * float(np.max(rows))
+    """2m * max over collocation nodes t of int_1^T G(t, s) ds, read off
+    ``_apply_kernel``'s grid rows on a row of ones."""
+    ones = np.ones((1, problem.quadrature.nodes.size))
+    return problem.k * float(np.max(_apply_kernel(problem, ones, nodes=False)))
 
 
 @dataclass(frozen=True)
@@ -500,7 +494,7 @@ def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: 
     evaluated components: a failure or a non-finite image raises
     OperatorEvaluationError, its ``component`` offset by ``done``."""
     try:
-        out = _integrals(problem, rows, values)[0]
+        out = _integrals(problem, rows, values, nodes=False)[0]
         _check_finite(out)
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc

@@ -27,7 +27,7 @@ __all__ = [
 # one at a time, and (n^k)^2 for check_theorem_hypotheses, whose pair tables
 # have that many cells: one boolean (the product order) and one integer (the
 # rank of the max metric), plus two float gathers (both sides of the
-# contraction inequality) over them.
+# contraction inequality) and one boolean gather (F's order) over them.
 SIZE_GUARD = 10 ** 6
 
 
@@ -145,17 +145,17 @@ def check_theorem_hypotheses(
 ) -> HypothesisReport:
     """Exhaustive evaluation of the fixed-tuple theorem's hypotheses.
 
-    Checks the contraction inequality over all ordered pairs, existence of a
-    valid starting tuple, mixed monotonicity over all single-coordinate
-    ordered moves, and pairwise upper bounds in the product order.  The
+    Checks the contraction inequality and mixed monotonicity (F(x) <= F(z))
+    over all pairs x <= z of the twisted product order, existence of a valid
+    starting tuple, and pairwise upper bounds in the product order.  The
     fixed-point list is always returned; the theorem's conclusion (at least
     one point, exactly one under the bound condition) is only meaningful
     when every hypothesis passes.
 
     F is called once per tuple and must return an element index in
     0..n-1 (ValueError otherwise); the triple is called at most three times
-    per distinct entry of ``space.dist``.  Everything else is read off
-    tables of those values.
+    per distinct entry of ``space.dist``.  Every hypothesis is read off
+    tables of those values and one mask of the ordered pairs.
     """
     partition = upsilon.partition
     k = partition.k
@@ -188,6 +188,9 @@ def check_theorem_hypotheses(
     lhs = psi[rank][fvals][:, fvals]
     rhs = bound[dk_rank.reshape(size, size)]
     contraction_ok = bool((lhs[ordered] <= rhs[ordered] + 1e-12).all())
+    # x <= z in the twisted order chains single-coordinate moves, so by
+    # transitivity F(x) <= F(z) over those pairs is mixed monotonicity
+    mixed_monotone_ok = bool(space.leq[fvals][:, fvals][ordered].all())
 
     # f_perm[p, i - 1] = F(x permuted by sigma_i), x the tuple of index p
     f_perm = fvals[digits[:, np.array(upsilon.sigmas) - 1] @ place]
@@ -196,16 +199,6 @@ def check_theorem_hypotheses(
     starts = np.flatnonzero(np.where(in_a, below, above).all(axis=1))
     start_point = tuple(digits[starts[0]].tolist()) if starts.size else ()
     fixed_points = tuple(map(tuple, digits[(f_perm == digits).all(axis=1)].tolist()))
-
-    # Moving coordinate j of tuple p from x_j up to v lands on tuple
-    # p + (v - x_j) n^(k-j); axes are (tuple, coordinate, v).
-    x = digits[:, :, None]
-    values = np.arange(n)
-    moves = space.leq[x, values] & (x != values)
-    f_lo = fvals[:, None, None]
-    f_hi = fvals[np.arange(size)[:, None, None] + (values - x) * place[:, None]]
-    ok = np.where(in_a[:, None], space.leq[f_lo, f_hi], space.leq[f_hi, f_lo])
-    mixed_monotone_ok = bool((ok | ~moves).all())
 
     # A common product-order bound exists for every pair iff every base pair
     # has an upper bound (needed on the A block) and a lower bound (B block):

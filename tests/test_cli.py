@@ -345,10 +345,10 @@ class TestExitCodes:
                 return g
             return make
 
-        def recorded(problem, rows, values, *known):
+        def recorded(problem, rows, values, *args, **kwargs):
             active.append([])
             try:
-                return integrals(problem, rows, values, *known)
+                return integrals(problem, rows, values, *args, **kwargs)
             finally:
                 calls.append((problem, len(rows), active.pop()))
 
@@ -623,6 +623,21 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("config error:") and message in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("points", [2, 4], ids=["1x2", "1x4"])
+    def test_quadrature_below_the_grid_minimum(self, tmp_path, capsys, points):
+        # 2 or 4 quadrature nodes, fewer than the 9 nodes a Grid needs: so
+        # iterates held at the quadrature nodes cannot be held in a Grid
+        cfg = write_config(tmp_path, quadrature={"panels": 1, "points": points})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["check"], ["solve", "--out", str(out)], ["verify", "--seed", "5"]):
+                assert main([*argv, "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        if points == 4:
+            t, x = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1).T
+            assert np.abs(x - 2.0 * t).max() <= 1e-5
 
     def test_verify_passes(self, capsys):
         assert main(["verify", "--alpha", "2", "--T", "2", "--seed", "42"]) == EXIT_OK
@@ -923,9 +938,9 @@ def recorded_integrals(monkeypatch):
     """Record (rows, components) of every ``hammerstein._integrals`` call."""
     calls, integrals = [], hs._integrals
 
-    def recorded(problem, rows, values, *known):
+    def recorded(problem, rows, values, *args, **kwargs):
         calls.append((len(rows), len(values)))
-        return integrals(problem, rows, values, *known)
+        return integrals(problem, rows, values, *args, **kwargs)
 
     monkeypatch.setattr(hs, "_integrals", recorded)
     return calls

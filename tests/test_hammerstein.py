@@ -618,6 +618,28 @@ class TestSeparableKernel:
         apply_A(dense, initial_bracket(dense, 2.0))
         assert dense._node_block.shape == (nq, nq)
 
+    def test_dense_sampled_checks_leave_the_node_block_unbuilt(self):
+        # verify's seed-5 draws on the default problem's dense twin: the
+        # sampled checks read the grid rows only, and report what the generic
+        # checks report through full images (the minimum slack as measured
+        # when the array checks still computed the node rows)
+        p = build_log_example(2.0, 2.0)
+        dense, reference = dense_twin(p), dense_twin(p)
+        rng = np.random.default_rng(5)
+        pairs = cli._random_ordered_pairs(dense, rng, 200)
+        samples, coords = cli._monotone_samples(dense, rng, 50)
+        report = check_contraction(dense, pairs, builtin_log_triple(), 1e-8)
+        violations = check_mixed_monotone(dense, samples, coords)
+        assert "_node_block" not in vars(dense)
+        F = product_operator(reference)
+        assert report == dataclasses.replace(
+            sampled_contraction(reference, F, as_grid_functions(p.grid, pairs)), tol_slack=1e-8)
+        assert violations == check_mixed_monotone_sampled(
+            F, cyclic_shift_upsilon(1).partition,
+            as_grid_functions(p.grid, samples, coords), pointwise_leq) == []
+        assert report.min_slack == 0.2218914661679627 and report.rejected_pairs == ()
+        assert "_node_block" in vars(reference)
+
     @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("alpha, T", FIVE_CASES)
