@@ -9,7 +9,7 @@ shift the components additionally collapse to a single base element.
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .order import Distance, Leq, Partition, UpsilonTuple
 
@@ -58,10 +58,10 @@ class ProductOperator:
     """A mapping from k base elements to one base element.
 
     Must be deterministic and side-effect free; the engine may evaluate
-    argument tuples in any order, and many of them in one batch.  It may
-    evaluate a repeated tuple once, and repeated rows may share one image:
+    argument tuples in any order, and many of them in one batch.  It
+    evaluates a repeated tuple once, and repeated rows share one image:
     elements are told apart by identity, so a tuple of the same objects is
-    one tuple (``_images``).
+    one tuple, and a plan lays out which are distinct (``_images``).
 
     ``batch``, when set, evaluates many argument tuples in one call:
     ``batch(rows, x)`` takes a 1-based (R, k) index table ``rows`` and a
@@ -70,11 +70,13 @@ class ProductOperator:
     exception may name the failing argument in a ``component`` attribute, a
     1-based index into ``x`` when ``batch`` raises it and a position among
     the arguments when ``apply`` does, and the failing node in ``node``
-    (``OperatorEvaluationError``).  A Jacobi sweep is the batch
-    ``rows = upsilon.sigmas``; the sampled checks batch all their tuples.
-    From a start whose A components are one object and whose B components
-    another, as the cyclic shift keeps them, a sweep is 2 distinct rows over
-    2 distinct elements whatever k is.
+    (``OperatorEvaluationError``).  A Jacobi sweep is the batch of the
+    distinct rows of ``upsilon.sigmas`` over the iterate's distinct
+    elements, as its plan lays them out; the sampled checks batch all their
+    tuples.  From a start whose A components are one object and whose B
+    components another, as the cyclic shift keeps them, a sweep is 2
+    distinct rows over 2 distinct elements whatever k is, and it hands the
+    batch the same rows tuple every time.
     """
 
     k: int
@@ -137,61 +139,115 @@ class NonConvergenceError(RuntimeError):
         )
 
 
-def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence) -> Sequence:
+# A sweep's plan is kept on its UpsilonTuple for at most this many patterns
+# of repeated elements; a further pattern is planned on each of its sweeps.
+_MAX_PLANS = 16
+
+
+class _Plan(NamedTuple):
+    """The layout of a batch of rows over elements ``x``, which depends only
+    on the rows and on ``x``'s pattern (``_pattern``): ``keep``, the 1-based
+    positions in ``x`` of its distinct elements, None when all are;
+    ``rows``, the distinct rows over those, 1-based among them; ``slots``,
+    the slot in ``rows`` of every given row, None when all are distinct; and
+    for a sweep, ``pairs``, the 1-based position i of each distinct (x_i,
+    y_i, block) (``_compare``)."""
+
+    keep: Optional[Tuple[int, ...]]
+    rows: Tuple[Tuple[int, ...], ...]
+    slots: Optional[Tuple[int, ...]]
+    pairs: Tuple[int, ...] = ()
+
+
+def _pattern(x: Sequence) -> Tuple[int, ...]:
+    """The 1-based position of each element's first occurrence in ``x``,
+    elements told apart by identity."""
+    first = {}
+    return tuple([first.setdefault(id(e), i) for i, e in enumerate(x, start=1)])
+
+
+def _plan(rows: Sequence[Sequence[int]], pattern: Tuple[int, ...],
+          partition: Optional[Partition] = None) -> _Plan:
+    """The plan of ``rows`` over elements of the given pattern; with a
+    ``partition``, the plan of a sweep, rows the sigmas."""
+    keep = tuple(i for i, p in enumerate(pattern, start=1) if p == i)
+    if len(keep) == len(pattern):
+        keep, rows = None, list(map(tuple, rows))
+    else:
+        rank = dict(zip(keep, range(1, len(keep) + 1)))
+        index = [0, *(rank[p] for p in pattern)]  # index[j] is that of element j
+        rows = [tuple(map(index.__getitem__, row)) for row in rows]
+    distinct = tuple(dict.fromkeys(rows))
+    slots = None
+    if len(distinct) < len(rows):
+        slot = {row: i for i, row in enumerate(distinct)}
+        slots = tuple(slot[row] for row in rows)
+    if partition is None:
+        return _Plan(keep, distinct, slots)
+    pairs = {}  # (x_i, y_i, block) -> i at its first occurrence
+    for i, p in enumerate(pattern, start=1):
+        pairs.setdefault((p, i - 1 if slots is None else slots[i - 1], i in partition.a), i)
+    return _Plan(keep, distinct, slots, tuple(pairs.values()))
+
+
+def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
+            plan: Optional[_Plan] = None) -> Sequence:
     """F at the argument tuples (x[r_1 - 1], ..., x[r_k - 1]), one per row
     of the 1-based index table ``rows``: one ``F.batch`` call when the
     operator has one, else one ``F.apply`` call per row.
 
-    Each distinct tuple is evaluated once.  Elements of ``x`` are told
-    apart by identity; a repeated one is replaced by its first occurrence,
-    so the evaluation sees each distinct element once and each distinct row
-    over them once, and every repeat of a row gets the same image object, so
-    that repeats carry into the next sweep.  When every element and every
-    row is distinct, ``x``, the rows and the images pass through unchanged.
-    A failure raises OperatorEvaluationError naming the first occurrence.
+    Both paths read one plan (``_Plan``), ``rows``' plan for ``x``'s
+    pattern.  It hands the evaluation each distinct element of ``x`` once,
+    elements told apart by identity, and each distinct row over them once,
+    and every repeat of a row gets the same image object, so that repeats
+    carry into the next sweep.  A sweep passes the plan cached on its
+    UpsilonTuple (``_sweep``); a one-shot caller, such as a sampled check,
+    passes none and the plan is built here and dropped.  A failure raises
+    OperatorEvaluationError naming the first occurrence.
     """
-    keep = None  # the 1-based first occurrences, when an element repeats
-    if len(set(map(id, x))) < len(x):
-        first, keep = {}, []  # id -> 1-based index among the distinct elements
-        for i, e in enumerate(x, start=1):
-            if id(e) not in first:
-                first[id(e)] = len(keep) + 1
-                keep.append(i)
-        index = [0, *(first[id(e)] for e in x)]  # index[j] is that of x[j - 1]
-        rows = [tuple(map(index.__getitem__, row)) for row in rows]
-        x = [x[i - 1] for i in keep]
-    slots = dict.fromkeys(map(tuple, rows))
-    distinct = rows if len(slots) == len(rows) else list(slots)
+    if plan is None:
+        plan = _plan(rows, _pattern(x))
+    keep, distinct, slots = plan[:3]
+    elements = x if keep is None else [x[i - 1] for i in keep]
     if F.batch is not None:
         try:
-            out = F.batch(distinct, x)
+            out = F.batch(distinct, elements)
         except Exception as exc:
             raise OperatorEvaluationError(exc, keep) from exc
     else:
         out = []
         for row in distinct:
             try:
-                out.append(F.apply(*(x[j - 1] for j in row)))
+                out.append(F.apply(*(elements[j - 1] for j in row)))
             except Exception as exc:
                 to_x = row if keep is None else [keep[j - 1] for j in row]
                 raise OperatorEvaluationError(exc, to_x) from exc
-    if distinct is rows:
-        return out
-    slot = {row: i for i, row in enumerate(distinct)}
-    return [out[slot[tuple(row)]] for row in rows]
+    return out if slots is None else [out[i] for i in slots]
+
+
+def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> Tuple[tuple, _Plan]:
+    """``iterate_step``, with the plan it read: the plan cached on
+    ``upsilon`` under ``x``'s pattern, for at most _MAX_PLANS patterns."""
+    k = upsilon.partition.k
+    if len(x) != k or F.k != k:
+        raise ValueError("dimension mismatch between operator, tuple and point")
+    pattern = _pattern(x)
+    plan = upsilon._plans.get(pattern)
+    if plan is None:
+        plan = _plan(upsilon.sigmas, pattern, upsilon.partition)
+        if len(upsilon._plans) < _MAX_PLANS:
+            upsilon._plans[pattern] = plan
+    y = tuple(_images(F, upsilon.sigmas, x, plan))
+    if len(y) != k:
+        raise ValueError(f"dimension mismatch: {len(y)} images for {k} rows")
+    return y, plan
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
     """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i, as one
-    batch of the k rows sigma_i over the elements ``x``
-    (``OperatorEvaluationError``)."""
-    k = upsilon.partition.k
-    if len(x) != k or F.k != k:
-        raise ValueError("dimension mismatch between operator, tuple and point")
-    y = tuple(_images(F, upsilon.sigmas, x))
-    if len(y) != k:
-        raise ValueError(f"dimension mismatch: {len(y)} images for {k} rows")
-    return y
+    batch of the k rows sigma_i over the elements ``x``, laid out by the
+    plan of ``x``'s pattern (``_images``, ``OperatorEvaluationError``)."""
+    return _sweep(F, upsilon, x)[0]
 
 
 def check_mixed_monotone_sampled(
@@ -281,16 +337,17 @@ def solve(
         )
 
     for it in range(config.max_iters):
-        y = iterate_step(F, upsilon, x)
-        ordered, res = _compare(x, y, partition, dist, leq)
+        y, plan = _sweep(F, upsilon, x)
+        ordered, res = _compare(x, y, plan.pairs, partition, dist, leq)
         if it == 0 and not skip_initial_check and not all(ordered):
+            ordered, _ = _compare(x, y, range(1, partition.k + 1), partition, dist, leq)
             raise ValueError(
                 f"starting point fails the initial-order condition; "
                 f"per-component: {ordered}"
             )
         d = math.nan if any(map(math.isnan, res)) else max(res)
         steps.append(d)
-        spreads.append(_spread(x, dist))
+        spreads.append(_spread(x if plan.keep is None else [x[i - 1] for i in plan.keep], dist))
 
         # no later sweep can recover from a NaN or infinite step, and
         # `d <= tol` is never true for NaN
@@ -310,26 +367,22 @@ def solve(
     raise NonConvergenceError(report(converged=False))
 
 
-def _compare(x: Sequence, y: Sequence, partition: Partition, dist: Distance,
-             leq: Leq) -> Tuple[List[bool], List[float]]:
-    """Per component i: x_i <= y_i in the partition-twisted order,
-    leq(*partition.orient(i, x_i, y_i)), and dist(x_i, y_i), each computed
-    once per distinct (x_i, y_i) pair of objects and block."""
-    seen, ordered, res = {}, [], []
-    for i, (xi, yi) in enumerate(zip(x, y), start=1):
-        key = id(xi), id(yi), i in partition.a  # x and y keep every object alive
-        verdict = seen.get(key)
-        if verdict is None:
-            verdict = seen[key] = (leq(*partition.orient(i, xi, yi)), dist(xi, yi))
-        ordered.append(verdict[0])
-        res.append(verdict[1])
+def _compare(x: Sequence, y: Sequence, pairs: Sequence[int], partition: Partition,
+             dist: Distance, leq: Leq) -> Tuple[List[bool], List[float]]:
+    """At each 1-based position i of ``pairs``: x_i <= y_i in the
+    partition-twisted order, leq(*partition.orient(i, x_i, y_i)), and
+    dist(x_i, y_i).  A sweep's plan lists one position per distinct (x_i,
+    y_i, block) (``_Plan``), so each is compared once."""
+    ordered, res = [], []
+    for i in pairs:
+        xi, yi = x[i - 1], y[i - 1]
+        ordered.append(leq(*partition.orient(i, xi, yi)))
+        res.append(dist(xi, yi))
     return ordered, res
 
 
 def _spread(x: Sequence, dist: Distance) -> float:
-    """Largest distance between two components, once per pair of distinct
-    objects (a repeated object is at distance 0 from itself)."""
-    x = list(dict(zip(map(id, x), x)).values())
+    """Largest distance between two of the distinct elements ``x``."""
     return max(
         (dist(x[i], x[j]) for i in range(len(x)) for j in range(i + 1, len(x))),
         default=0.0,

@@ -7,9 +7,10 @@ monotonicity.
 Named pieces of problem data are built by one constructor, ``named_problem``,
 whose defaults are the paper's example: G(t,s) = 1/(2 ln T * t * s),
 f1(s,x) = ln(s + x), f2(s,x) = -(ln s + ln x), exact solution x(t) = alpha * t.
-A kernel is a callable G(t, s), kept as the dense (n + nq) x nq weighted
-matrix, or a rank-one ``SeparableKernel``, kept as its two factors (the
-degenerate-kernel form, Atkinson 1997, ch. 2), as every registry kernel is.
+A kernel is a callable G(t, s), kept as the dense n x nq weighted grid
+block and an nq x nq node block, or a rank-one ``SeparableKernel``, kept
+as its two factors (the degenerate-kernel form, Atkinson 1997, ch. 2), as
+every registry kernel is.
 Either way an image is known at the grid nodes and at the quadrature nodes,
 where the next sweep reads it (the Nystrom method, Atkinson 1997, ch. 4).
 """
@@ -204,6 +205,11 @@ class HammersteinProblem:
         return g * self.quadrature.weights
 
     @cached_property
+    def _layouts(self) -> dict:
+        # row tuple -> what a kernel call reads off it alone (_layout)
+        return {}
+
+    @cached_property
     def _transfer(self) -> LinearPlan:
         # grid values -> quadrature nodes; built at the first operator call
         return LinearPlan(self.grid, self.quadrature.nodes)
@@ -260,6 +266,38 @@ def _apply_kernel(problem: HammersteinProblem, g: np.ndarray, nodes: bool = True
     return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0] for w in blocks], axis=1)
 
 
+# At most this many row tuples have their layout kept on one problem; a
+# further one is laid out on each call.
+_MAX_LAYOUTS = 16
+
+
+def _layout(problem: HammersteinProblem, rows):
+    """What a kernel call reads off its 1-based (R, k) row table alone: the
+    0-based gather index of the distinct columns, the key (first position of
+    f_j, distinct column of j) of each position j, and the quadrature nodes
+    tiled R times, read-only.  A row tuple, as a sweep's plan hands over,
+    has its layout kept on the problem (``_MAX_LAYOUTS``); a table that
+    cannot be a dict key, such as a sampled check's array, is laid out on
+    each call, so an (0, k) table works."""
+    try:
+        return problem._layouts[rows]
+    except KeyError:
+        keep = len(problem._layouts) < _MAX_LAYOUTS
+    except TypeError:
+        keep = False
+    table = np.asarray(rows) - 1
+    first, columns, keys = {}, {}, []
+    for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()),
+                                        strict=True)):
+        keys.append((first.setdefault(id(f), j), columns.setdefault(column, len(columns))))
+    s = np.tile(problem.quadrature.nodes, table.shape[0])
+    s.flags.writeable = False
+    layout = np.array([*columns], dtype=np.intp), tuple(keys), s
+    if keep:
+        problem._layouts[rows] = layout
+    return layout
+
+
 def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), at_nodes=(),
                nodes: bool = True):
     """The operator at R argument tuples drawn from ``values``, as the (R, n)
@@ -277,20 +315,20 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     (which stays between each interval's node values, so these need no
     check); when all carry them, they are stacked as they are.  A
     DomainFloorError names the argument, a 1-based index into ``values``,
-    not the row.  All R rows then make one kernel call.  Argument j of every
-    row, laid end to end, is column j of ``rows`` gathered from the (c, nq)
-    array, a 1-D array of length R*nq, so the array contract holds and a
-    scalar return broadcasts.  Each distinct column is gathered once and
-    each distinct pair (f_j, column j), f_j told apart by identity, is
-    called once, so d distinct pairs cost d calls whatever k is; the k terms
-    are still summed in j order, so the sum's bits are those of k calls.
-    The gathered arguments are read-only: a nonlinearity that writes into
-    its argument raises ValueError instead of changing another's.  A caller
-    bounds R: the engine's sweeps have at most k rows and a sampled check
-    hands over one block.
+    not the row.  All R rows then make one kernel call, laid out by
+    ``_layout``.  Argument j of every row, laid end to end, is column j of
+    ``rows`` gathered from the (c, nq) array, a 1-D array of length R*nq, so
+    the array contract holds and a scalar return broadcasts.  Each distinct
+    column is gathered once and each distinct pair (f_j, column j), f_j told
+    apart by identity, is called once, so d distinct pairs cost d calls
+    whatever k is; the k terms are still summed in j order, so the sum's
+    bits are those of k calls.  The nodes and the gathered arguments are
+    read-only: a nonlinearity that writes into either raises ValueError
+    instead of changing another's.  A caller bounds R: the engine's sweeps
+    have at most k rows and a sampled check hands over one block.
     """
-    table = np.asarray(rows) - 1
-    s_nodes, n_rows = problem.quadrature.nodes, table.shape[0]
+    index, keys, s = _layout(problem, rows)
+    s_nodes, n_rows = problem.quadrature.nodes, len(rows)
     nq = s_nodes.size
     _check_floor(values, problem.grid.nodes, problem.domain_floor)
     if not len(known):
@@ -304,16 +342,11 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
             todo = np.delete(np.arange(len(values)), known)
             vals[todo] = problem._transfer.apply(values[todo])
         _check_floor(vals, s_nodes, problem.domain_floor)
-    # position j is the pair (f_j, column j): each distinct column is
-    # gathered once and each distinct pair called once
-    fs, columns, keys = problem.nonlinearities, {}, []
-    for f, column in zip(fs, map(tuple, table.T.tolist()), strict=True):
-        keys.append((id(f), columns.setdefault(column, len(columns))))
     # one gather; row c holds distinct column c of every row end to end.  A
     # row may be read by several callables, so none may write into it.
-    args = vals.take(np.array([*columns], dtype=np.intp), axis=0).reshape(len(columns), -1)
+    args = vals.take(index, axis=0).reshape(len(index), -1)
     args.flags.writeable = False
-    s, total, terms = np.tile(s_nodes, n_rows), np.zeros(n_rows * nq), {}
+    fs, total, terms = problem.nonlinearities, np.zeros(n_rows * nq), {}
     with np.errstate(all="ignore"):
         for j, key in enumerate(keys):
             if key not in terms:
@@ -334,16 +367,17 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     Every component must lie on the problem's grid.  This is the one-row
     case of the batch kernel.  Cost per call: O(k*nq) to transfer the
     components that carry no quadrature-node values (the interval search is
-    planned once per problem), k nonlinearity calls on nq nodes and one
-    (n + nq) x nq matvec (O(n + nq) for a SeparableKernel).  Each of the k
-    arguments is read, a repeated one at each position, so its one row has
-    k distinct columns and its kernel call shares no term (``batch``); a
-    sweep goes through the engine and the batch instead, which reads each
-    distinct component once.
+    planned once per problem), k nonlinearity calls on nq nodes and two
+    matmuls of (n + nq)*nq multiply-adds in all (O(n + nq) for a
+    SeparableKernel).  Each of the k arguments is read, a repeated one at
+    each position, so its one row has k distinct columns and its kernel
+    call shares no term (``batch``); the row is one tuple, so the problem
+    keeps its layout (``_layout``).  A sweep goes through the engine and
+    the batch instead, which reads each distinct component once.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
-    return product_operator(problem).batch([range(1, problem.k + 1)], x)[0]
+    return product_operator(problem).batch((range(1, problem.k + 1),), x)[0]
 
 
 @dataclass(frozen=True)
@@ -365,9 +399,10 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     quadrature nodes, which a component is read from when it carries them
     for this problem's rule (``is``); any other is transferred (O(nq)).  The
     engine hands the batch each distinct component once and each distinct
-    row once (``engine._images``), so from the bracket start, whose A
-    components are one object and whose B components another, every sweep
-    is R = c = 2 at any k and only the first transfers.
+    row once, as one tuple of rows per pattern (``engine._images``), so
+    from the bracket start, whose A components are one object and whose B
+    components another, every sweep is R = c = 2 at any k, only the first
+    transfers and every later one reads the layout the problem keeps.
     """
     def batch(rows, x):
         for xi in x:

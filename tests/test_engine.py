@@ -11,7 +11,9 @@ from mixedfp.engine import (
     NonConvergenceError,
     OperatorEvaluationError,
     ProductOperator,
+    _MAX_PLANS,
     _images,
+    _pattern,
     check_mixed_monotone_sampled,
     iterate_step,
     solve,
@@ -456,3 +458,33 @@ class TestDistinctTuples:
             shared = {}
             assert all(shared.setdefault(key, y) is y for key, y in zip(keys, images))
         assert seen == [(len(set(keys)), len(set(map(id, x))))]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_cached_plans_give_the_uncached_images(self, batched):
+        # one UpsilonTuple swept over more patterns of repeated elements than
+        # it keeps plans for: each sweep equals _images planned afresh, value
+        # and sharing, on both evaluation paths, and at most _MAX_PLANS stay
+        def batch(rows, x):
+            return [weighted(*(x[j - 1] for j in row)) for row in rows]
+
+        F = ProductOperator(6, weighted, batch if batched else None)
+        ups = cyclic_shift_upsilon(3)
+        pool = [Box(0.5 * v) for v in range(6)]
+        rng = np.random.default_rng(11)
+        patterns = [rng.integers(0, int(rng.integers(1, 7)), size=6) for _ in range(60)]
+        for pattern in patterns * 2:
+            x = tuple(pool[i] for i in pattern)
+            y = iterate_step(F, ups, x)
+            fresh = _images(F, ups.sigmas, x)
+            assert list(y) == list(fresh)
+            assert _pattern(y) == _pattern(fresh)
+        assert len(ups._plans) == _MAX_PLANS
+
+    def test_a_plan_keeps_the_start_check_verdict_per_component(self):
+        # a start that fails the order condition names every component's
+        # verdict, though each distinct (x_i, y_i, block) is compared once
+        op = ProductOperator(4, lambda *args: Box(args[0].value + 1.0))
+        lower, upper = Box(0.0), Box(1.0)
+        with pytest.raises(ValueError, match=r"per-component: \[True, False, True, False\]"):
+            solve(op, cyclic_shift_upsilon(2), alternating(4, lower, upper), IterationConfig(),
+                  dist=lambda a, b: abs(a.value - b.value), leq=lambda a, b: a.value <= b.value)

@@ -1,11 +1,16 @@
 import dataclasses
+import gc
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixedfp import cli
+from mixedfp import engine
 from mixedfp import hammerstein as hs
 from mixedfp.contraction import builtin_log_triple, verify_contraction_sampled
 from mixedfp.engine import (
@@ -394,6 +399,19 @@ class TestSweepKernel:
         u = linear(p, 2.0)
         with pytest.raises(ValueError, match="read-only"):
             product_operator(p).batch([(1, 1)], (u,))
+
+    def test_a_nonlinearity_cannot_write_into_the_nodes(self):
+        # the tiled nodes are kept between kernel calls, so a nonlinearity
+        # that writes into them would change every later call's nodes
+        armed = []
+
+        def f(s, x):
+            return np.log(np.add(s, x, out=s) if armed else s + x)
+
+        p = _small_problem(nonlinearities=(f, lambda s, x: np.log(s + x)))
+        armed.append(True)  # construction's probe passes
+        with pytest.raises(ValueError, match="read-only"):
+            product_operator(p).batch(((1, 2),), (linear(p, 2.0), linear(p, 3.0)))
 
     def test_floor_error_names_the_argument_not_the_row(self, example22):
         p = mfold(example22, 2)
@@ -1305,6 +1323,96 @@ class TestAssumptionE:
             assert all(1 <= i <= 2 * m and 1 <= j <= 2 * m for i, j in printed)
             rotated = sorted((i, ups.sigmas[r - 1][i - 1]) for i in range(1, 2 * m + 1))
             assert printed == rotated
+
+
+MFOLD_SWEEPS = Path(__file__).parent / "data" / "mfold_sweeps.json"
+
+
+def bracket_start(problem, alpha):
+    lower, upper = initial_bracket(problem, alpha)
+    return tuple(lower if i % 2 == 0 else upper for i in range(problem.k))
+
+
+def solve_bits(problem, alpha, upsilon):
+    """A bracket solve's histories as float.hex and a sha256 of its fixed
+    point's values, component after component."""
+    report = solve(product_operator(problem), upsilon, bracket_start(problem, alpha),
+                   IterationConfig(), dist=sup_metric, leq=pointwise_leq)
+    digest = hashlib.sha256()
+    for component in report.fixed_point:
+        digest.update(np.ascontiguousarray(component.values).tobytes())
+    err = float(np.max(np.abs(report.fixed_point[0].values - alpha * problem.grid.nodes)))
+    return {"step_history": [v.hex() for v in report.step_history],
+            "spread_history": [v.hex() for v in report.spread_history],
+            "fixed_point_sha256": digest.hexdigest()}, err
+
+
+class TestSweepCaches:
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_mfold_sweeps_are_pinned(self, example22, m):
+        # the dense m-fold solves from the bracket at alpha = 2, T = 2, bit
+        # for bit as recorded before sweeps were planned once per pattern
+        bits, _ = solve_bits(mfold(example22, m), 2.0, cyclic_shift_upsilon(m))
+        assert bits == json.loads(MFOLD_SWEEPS.read_text())[str(m)]
+
+    def test_problems_built_and_dropped_in_turn_solve_as_fresh_ones(self):
+        # each problem keeps its kernel-call layouts and each UpsilonTuple its
+        # sweep plans.  Problems at other (alpha, T) and quadratures are
+        # built, solved and dropped one after another, so that their ids are
+        # reused, on one UpsilonTuple per m: each solve gives the bits of the
+        # first solve of its case, near alpha * t
+        cases = [(2.0, 2.0, 1, RULES["gauss-legendre"], 32, 8),
+                 (5.0, 10.0, 1, RULES["gauss-legendre"], 32, 8),  # other nodes, as many
+                 (3.0, math.e, 1, RULES["simpson"], 24, 8),
+                 (1.5, 2.0, 2, RULES["gauss-legendre"], 16, 4),
+                 (2.0, 2.0, 2, RULES["simpson"], 32, 8)]
+        bases = [mfold(dataclasses.replace(build_log_example(alpha, T),
+                                           quadrature=rule(T, panels, points)), m)
+                 for alpha, T, m, rule, panels, points in cases]
+        upsilons = {m: cyclic_shift_upsilon(m) for m in (1, 2)}
+
+        def run(i):
+            problem = dataclasses.replace(bases[i])  # a new instance, no cache
+            bits, err = solve_bits(problem, cases[i][0], upsilons[problem.m])
+            assert err <= 1e-6, cases[i]
+            del problem
+            gc.collect()
+            return bits
+
+        first = [run(i) for i in range(len(cases))]
+        for order in ([4, 3, 2, 1, 0], [1, 0, 2, 1, 0, 2, 4, 3, 4], [0, 2, 1, 3, 0, 4, 2]) * 3:
+            assert [run(i) for i in order] == [first[i] for i in order]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_one_upsilon_over_three_patterns_gives_the_uncached_images(self, example22, batched):
+        # a bracket start, an all-distinct start and the collapsed tuple, each
+        # swept twice on one UpsilonTuple, so the second sweep reads the
+        # cached plan: images and the failing component are those of
+        # _images planned afresh
+        p = mfold(example22, 2)
+        F = product_operator(p) if batched else ProductOperator(p.k, product_operator(p).apply)
+        ups = cyclic_shift_upsilon(2)
+        solution = GridFunction(p.grid, 2.0 * p.grid.nodes)
+        values = np.array(solution.values)
+        values[4] = 0.5
+        bad = GridFunction(p.grid, values)
+        starts = [bracket_start(p, 2.0), rough_ordered_tuple(p, np.random.default_rng(4)),
+                  (solution,) * p.k]
+        for _ in range(2):
+            for x in starts:
+                y, fresh = iterate_step(F, ups, x), engine._images(F, ups.sigmas, x)
+                assert all(np.array_equal(a.values, b.values) for a, b in zip(y, fresh))
+                assert engine._pattern(y) == engine._pattern(fresh)
+                # every occurrence of x's last element fails: the pattern is kept
+                last = x[-1]
+                failing = tuple(bad if xi is last else xi for xi in x)
+                with pytest.raises(OperatorEvaluationError) as cached:
+                    iterate_step(F, ups, failing)
+                with pytest.raises(OperatorEvaluationError) as uncached:
+                    engine._images(F, ups.sigmas, failing)
+                assert cached.value.component == uncached.value.component \
+                    == [xi is last for xi in x].index(True) + 1
+        assert len(ups._plans) == 3
 
 
 class TestClosedForms:
