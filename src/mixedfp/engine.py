@@ -38,15 +38,15 @@ class OperatorEvaluationError(RuntimeError):
     those names and None when it names none (a non-finite integrand names
     neither).  The cause's index is mapped to ``x`` through ``to_x``, the
     1-based positions in ``x`` of what it indexes: the distinct elements
-    handed to ``batch``, or the arguments of the failing row of ``apply``.
-    With one failing element both paths name it; with several they may name
-    different ones.  For a sweep ``x`` is the iterate; the sampled checks
-    say how they lay out theirs.
+    handed to ``batch`` (the plan's ``keep``), or the arguments of the
+    failing row of ``apply``.  With one failing element both paths name it;
+    with several they may name different ones.  For a sweep ``x`` is the
+    iterate; the sampled checks say how they lay out theirs.
     """
 
-    def __init__(self, cause: BaseException, to_x: Optional[Sequence[int]] = None):
+    def __init__(self, cause: BaseException, to_x: Sequence[int]):
         c = getattr(cause, "component", None)
-        self.component = c if c is None or to_x is None else int(to_x[c - 1])
+        self.component = None if c is None else int(to_x[c - 1])
         self.node = getattr(cause, "node", None)
         self.cause = cause
         where = "" if self.component is None else f" at component {self.component}"
@@ -66,7 +66,8 @@ class ProductOperator:
     ``batch``, when set, evaluates many argument tuples in one call:
     ``batch(rows, x)`` takes a 1-based (R, k) index table ``rows`` and a
     sequence ``x`` of any number of base elements, and returns the R values
-    ``apply(x[r_1 - 1], ..., x[r_k - 1])``, one per row (r_1..r_k).  An
+    ``apply(x[r_1 - 1], ..., x[r_k - 1])``, exactly one image per row it is
+    handed (r_1..r_k); any other count raises ValueError on every path.  An
     exception may name the failing argument in a ``component`` attribute, a
     1-based index into ``x`` when ``batch`` raises it and a position among
     the arguments when ``apply`` does, and the failing node in ``node``
@@ -147,15 +148,15 @@ _MAX_PLANS = 16
 class _Plan(NamedTuple):
     """The layout of a batch of rows over elements ``x``, which depends only
     on the rows and on ``x``'s pattern (``_pattern``): ``keep``, the 1-based
-    positions in ``x`` of its distinct elements, None when all are;
+    positions in ``x`` of its distinct elements, (1, 2, ...) when all are;
     ``rows``, the distinct rows over those, 1-based among them; ``slots``,
-    the slot in ``rows`` of every given row, None when all are distinct; and
-    for a sweep, ``pairs``, the 1-based position i of each distinct (x_i,
-    y_i, block) (``_compare``)."""
+    the slot in ``rows`` of every given row, (0, 1, ...) when all are
+    distinct; and for a sweep, ``pairs``, the 1-based position i of each
+    distinct (x_i, y_i, block) (``_compare``).  No field is ever None."""
 
-    keep: Optional[Tuple[int, ...]]
+    keep: Tuple[int, ...]
     rows: Tuple[Tuple[int, ...], ...]
-    slots: Optional[Tuple[int, ...]]
+    slots: Tuple[int, ...]
     pairs: Tuple[int, ...] = ()
 
 
@@ -171,23 +172,16 @@ def _plan(rows: Sequence[Sequence[int]], pattern: Tuple[int, ...],
     """The plan of ``rows`` over elements of the given pattern; with a
     ``partition``, the plan of a sweep, rows the sigmas."""
     keep = tuple(i for i, p in enumerate(pattern, start=1) if p == i)
-    if len(keep) == len(pattern):
-        keep, rows = None, list(map(tuple, rows))
-    else:
-        rank = dict(zip(keep, range(1, len(keep) + 1)))
-        index = [0, *(rank[p] for p in pattern)]  # index[j] is that of element j
-        rows = [tuple(map(index.__getitem__, row)) for row in rows]
-    distinct = tuple(dict.fromkeys(rows))
-    slots = None
-    if len(distinct) < len(rows):
-        slot = {row: i for i, row in enumerate(distinct)}
-        slots = tuple(slot[row] for row in rows)
+    rank = dict(zip(keep, range(1, len(keep) + 1)))
+    index = [0, *(rank[p] for p in pattern)]  # index[j] is that of element j
+    slot = {}  # distinct row -> its slot, in order of first occurrence
+    slots = tuple(slot.setdefault(tuple(map(index.__getitem__, row)), len(slot)) for row in rows)
     if partition is None:
-        return _Plan(keep, distinct, slots)
+        return _Plan(keep, tuple(slot), slots)
     pairs = {}  # (x_i, y_i, block) -> i at its first occurrence
     for i, p in enumerate(pattern, start=1):
-        pairs.setdefault((p, i - 1 if slots is None else slots[i - 1], i in partition.a), i)
-    return _Plan(keep, distinct, slots, tuple(pairs.values()))
+        pairs.setdefault((p, slots[i - 1], i in partition.a), i)
+    return _Plan(keep, tuple(slot), slots, tuple(pairs.values()))
 
 
 def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
@@ -203,12 +197,13 @@ def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
     carry into the next sweep.  A sweep passes the plan cached on its
     UpsilonTuple (``_sweep``); a one-shot caller, such as a sampled check,
     passes none and the plan is built here and dropped.  A failure raises
-    OperatorEvaluationError naming the first occurrence.
+    OperatorEvaluationError naming the first occurrence, and a batch that
+    returns other than one image per row it is handed, ValueError.
     """
     if plan is None:
         plan = _plan(rows, _pattern(x))
     keep, distinct, slots = plan[:3]
-    elements = x if keep is None else [x[i - 1] for i in keep]
+    elements = [x[i - 1] for i in keep]
     if F.batch is not None:
         try:
             out = F.batch(distinct, elements)
@@ -220,16 +215,16 @@ def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
             try:
                 out.append(F.apply(*(elements[j - 1] for j in row)))
             except Exception as exc:
-                to_x = row if keep is None else [keep[j - 1] for j in row]
-                raise OperatorEvaluationError(exc, to_x) from exc
-    return out if slots is None else [out[i] for i in slots]
+                raise OperatorEvaluationError(exc, [keep[j - 1] for j in row]) from exc
+    if len(out) != len(distinct):
+        raise ValueError(f"dimension mismatch: {len(out)} images for {len(distinct)} rows")
+    return [out[i] for i in slots]
 
 
 def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> Tuple[tuple, _Plan]:
     """``iterate_step``, with the plan it read: the plan cached on
     ``upsilon`` under ``x``'s pattern, for at most _MAX_PLANS patterns."""
-    k = upsilon.partition.k
-    if len(x) != k or F.k != k:
+    if len(x) != upsilon.partition.k or F.k != upsilon.partition.k:
         raise ValueError("dimension mismatch between operator, tuple and point")
     pattern = _pattern(x)
     plan = upsilon._plans.get(pattern)
@@ -237,10 +232,7 @@ def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> Tuple[tupl
         plan = _plan(upsilon.sigmas, pattern, upsilon.partition)
         if len(upsilon._plans) < _MAX_PLANS:
             upsilon._plans[pattern] = plan
-    y = tuple(_images(F, upsilon.sigmas, x, plan))
-    if len(y) != k:
-        raise ValueError(f"dimension mismatch: {len(y)} images for {k} rows")
-    return y, plan
+    return tuple(_images(F, upsilon.sigmas, x, plan)), plan
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
@@ -347,7 +339,7 @@ def solve(
             )
         d = math.nan if any(map(math.isnan, res)) else max(res)
         steps.append(d)
-        spreads.append(_spread(x if plan.keep is None else [x[i - 1] for i in plan.keep], dist))
+        spreads.append(_spread([x[i - 1] for i in plan.keep], dist))
 
         # no later sweep can recover from a NaN or infinite step, and
         # `d <= tol` is never true for NaN

@@ -94,12 +94,16 @@ class DomainFloorError(ValueError):
 
 
 def _node_array_output(piece: str, fn: Callable, shape: tuple, *args) -> np.ndarray:
-    """Call one piece of problem data on node arrays and broadcast its output
-    to ``shape``; a scalar-only callable fails here with a message naming the
-    piece.  Values are not checked."""
+    """Call one piece of problem data on read-only views of node arrays and
+    broadcast its output to ``shape``; a scalar-only callable, or one that
+    writes into an argument, fails here with a message naming the piece.
+    Values are not checked."""
+    views = [a.view() for a in args]
+    for view in views:
+        view.setflags(write=False)
     try:
         with np.errstate(all="ignore"):
-            out = np.asarray(fn(*args), dtype=float)
+            out = np.asarray(fn(*views), dtype=float)
         return out if out.shape == shape else np.broadcast_to(out, shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(
@@ -129,9 +133,11 @@ class HammersteinProblem:
     A scalar return broadcasts.  A nonlinearity must be deterministic and
     side-effect free, as ``ProductOperator`` requires of the operator: a
     kernel call evaluates a repeated pair of callable and argument once and
-    hands it a read-only argument (``_integrals``).  Construction calls
-    each piece once on the node arrays and raises ValueError, naming the
-    piece, when its output cannot broadcast to that shape.  It also raises
+    hands it a read-only argument (``_integrals``), and every other call
+    hands a piece read-only views of its node arrays (``_node_array_output``).
+    Construction calls each piece once on the node arrays and raises
+    ValueError, naming the piece, when its output cannot broadcast to that
+    shape or it writes into an argument.  It also raises
     ValueError unless the grid's nodes run from 1 to its T and the
     quadrature is a rule on [1, T], and for a non-finite forcing value,
     domain_floor or eta.
@@ -549,7 +555,7 @@ def check_contraction(problem: HammersteinProblem, pairs: np.ndarray,
     count, k, n = len(pairs), problem.k, problem.grid.n
     if pairs.shape[1:] != (2, k, n):
         raise ValueError(f"pairs must have shape (count, 2, {k}, {n})")
-    in_a = np.isin(np.arange(1, k + 1), [*cyclic_shift_upsilon(problem.m).partition.a])[:, None]
+    in_a = (np.arange(k) % 2 == 0)[:, None]  # the cyclic shift's A block, as in check D
     size = _samples_per_block(problem, 2 * k)
     rows = np.arange(1, 2 * k * size + 1).reshape(-1, k)
     slacks, rejected, done = [], [], 0
@@ -583,7 +589,7 @@ def check_mixed_monotone(problem: HammersteinProblem, samples: np.ndarray,
     if samples.shape[1:] != (k + 1, n) or coords.shape != (count,) or \
             not np.all((1 <= coords) & (coords <= k)):
         raise ValueError(f"samples must have shape (count, {k + 1}, {n}), coords be in 1..{k}")
-    in_a = np.isin(np.arange(1, k + 1), [*cyclic_shift_upsilon(problem.m).partition.a])
+    in_a = np.arange(k) % 2 == 0  # the cyclic shift's A block, as in check D
     size = _samples_per_block(problem, k + 1)
     violations = []
     for start in range(0, count, size):

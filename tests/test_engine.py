@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixedfp.contraction import builtin_log_triple, majorant_for
+from mixedfp.contraction import builtin_log_triple, majorant_for, verify_contraction_sampled
 from mixedfp.engine import (
     IterationConfig,
     NonConvergenceError,
@@ -14,6 +14,7 @@ from mixedfp.engine import (
     _MAX_PLANS,
     _images,
     _pattern,
+    _plan,
     check_mixed_monotone_sampled,
     iterate_step,
     solve,
@@ -92,9 +93,22 @@ class TestIterateStep:
         assert str(exc.value) == "operator failed at component 2: argument 2 is out of range"
 
     def test_a_batch_with_too_few_images_is_refused(self):
-        op = ProductOperator(2, MIDPOINT.apply, lambda rows, x: [0.5])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            solve(op, ID_SWAP, (0.0, 1.0), IterationConfig(), dist=absdist, leq=realleq)
+        # the count is read off the plan before any image is handed out, so
+        # a sweep and both generic sampled checks refuse alike
+        op = ProductOperator(2, MIDPOINT.apply, lambda rows, x: [0.5] * (len(rows) - 1))
+        a, b, c, d = (Box(v) for v in range(4))
+        runs = [
+            lambda: solve(op, ID_SWAP, (0.0, 1.0), IterationConfig(), dist=absdist, leq=realleq),
+            lambda: check_mixed_monotone_sampled(op, PART2, [((a, b), 1, c, d)], realleq),
+            lambda: verify_contraction_sampled(op, [((a, b), (c, d))], builtin_log_triple(),
+                                               absdist, lambda x, z: 1.0, lambda x, z: True),
+        ]
+        messages = set()
+        for run in runs:
+            with pytest.raises(ValueError, match="dimension mismatch") as exc:
+                run()
+            messages.add(str(exc.value))
+        assert messages == {"dimension mismatch: 1 images for 2 rows"}
 
     def test_sweep_failure_without_an_argument(self):
         def batch(rows, x):
@@ -479,6 +493,21 @@ class TestDistinctTuples:
             assert list(y) == list(fresh)
             assert _pattern(y) == _pattern(fresh)
         assert len(ups._plans) == _MAX_PLANS
+
+    def test_a_repeated_row_sweep_refuses_a_batch_one_image_over(self):
+        # the alternating start is 2 distinct rows at k = 4; a third image
+        # would otherwise be dropped by the spread to the k rows
+        op = ProductOperator(4, weighted, lambda rows, x: [Box(0.0)] * (len(rows) + 1))
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 images for 2 rows$"):
+            iterate_step(op, cyclic_shift_upsilon(2), alternating(4, Box(0.0), Box(1.0)))
+
+    def test_an_all_distinct_plan_has_the_identity_layout(self):
+        ups = cyclic_shift_upsilon(2)
+        iterate_step(ProductOperator(4, weighted), ups, tuple(Box(v) for v in range(4)))
+        plan = ups._plans[(1, 2, 3, 4)]
+        assert (plan.keep, plan.slots) == ((1, 2, 3, 4), (0, 1, 2, 3))
+        assert plan.rows == tuple(map(tuple, ups.sigmas))
+        assert _plan([(2, 1), (1, 2)], (1, 2))[::2] == ((1, 2), (0, 1))
 
     def test_a_plan_keeps_the_start_check_verdict_per_component(self):
         # a start that fails the order condition names every component's

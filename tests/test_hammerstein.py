@@ -184,6 +184,44 @@ class TestArrayContract:
         with pytest.raises(ValueError, match=f"^{piece} must accept node arrays"):
             _small_problem(**fields)
 
+    @pytest.mark.parametrize("piece,fields", [
+        ("nonlinearity 1", {"nonlinearities": (lambda s, x: np.log(np.add(s, 0.001, out=s) + x),
+                                               lambda s, x: -np.log(x))}),
+        ("kernel", {"kernel": lambda t, s: 1.0 / (t * np.add(s, 0.25, out=s))}),
+        ("kernel", {"kernel": SeparableKernel(lambda t: 1.0 / np.add(t, 0.5, out=t),
+                                              lambda s: 1.0 / s)}),
+        ("forcing", {"forcing": lambda t: np.add(t, 0.5, out=t)}),
+    ], ids=["nonlinearity", "dense_kernel", "kernel_factor", "forcing"])
+    def test_a_piece_cannot_write_into_the_node_arrays(self, piece, fields):
+        # each piece is handed read-only views, so a write is refused before
+        # it can move the nodes that the problem shares with its grid and rule
+        grid, quadrature = uniform_grid(2.0, 16), make_quadrature(2.0, 4, 4)
+        nodes = grid.nodes.tobytes(), quadrature.nodes.tobytes()
+        with pytest.raises(ValueError, match=f"^{piece} must accept node arrays.*read-only"):
+            _small_problem(grid=grid, quadrature=quadrature, **fields)
+        assert (grid.nodes.tobytes(), quadrature.nodes.tobytes()) == nodes
+
+    def test_a_piece_cannot_write_into_the_node_arrays_after_construction(self):
+        # the dense kernel's node block is built at the first operator call,
+        # and check D calls each nonlinearity on arrays of its own
+        armed = set()
+
+        def kernel(t, s):
+            return 1.0 / (t * (np.add(s, 0.25, out=s) if "kernel" in armed else s))
+
+        def f(s, x):
+            return np.log((np.add(s, 0.001, out=s) if "f" in armed else s) + x)
+
+        p = _small_problem(kernel=kernel, nonlinearities=(f, lambda s, x: -np.log(x)))
+        nodes = p.grid.nodes.tobytes(), p.quadrature.nodes.tobytes()
+        armed.add("kernel")
+        with pytest.raises(ValueError, match="^kernel must accept node arrays.*read-only"):
+            product_operator(p).batch(((1, 2),), (linear(p, 2.0), linear(p, 3.0)))
+        armed.add("f")
+        with pytest.raises(ValueError, match="^nonlinearity 1 must accept node arrays.*read-only"):
+            check_assumption_d(p, [(1.0, 2.0)], [1.5])
+        assert (p.grid.nodes.tobytes(), p.quadrature.nodes.tobytes()) == nodes
+
     def test_values_are_not_probed(self):
         # -log(0) on the probe at the floor is infinite; only shapes count,
         # and the probe raises no floating-point warning
@@ -389,13 +427,16 @@ class TestSweepKernel:
     def test_a_nonlinearity_cannot_write_into_a_shared_argument(self):
         # two callables read one column of (u, u); the first writes into its
         # argument, which would change the second's term, so it raises
+        armed = []
+
         def f(s, x):
-            return np.log(x, out=x)
+            return np.log(x, out=x) if armed else np.log(x)
 
         def g(s, x):
             return np.log(s + x)
 
         p = _small_problem(nonlinearities=(f, g))
+        armed.append(True)  # construction's probe passes
         u = linear(p, 2.0)
         with pytest.raises(ValueError, match="read-only"):
             product_operator(p).batch([(1, 1)], (u,))
@@ -1026,6 +1067,25 @@ class TestArrayChecks:
         assert "flipped" not in case or any(i >= size for i, _ in array)
         # every sample violates when no nonlinearity is monotone the right way
         assert case != "nearly flipped" or len(array) == len(samples)
+
+    @pytest.mark.parametrize("case", ["flipped", "steep k=4"])
+    def test_the_a_block_is_read_without_building_upsilon(self, monkeypatch, case):
+        # the array checks read the cyclic shift's A block off the parity
+        # mask, as check D does, and never build its k sigma rows
+        def no_upsilon(m):
+            raise AssertionError("an array check built the cyclic shift")
+
+        p = self.PROBLEMS[case]()
+        rng = np.random.default_rng(4)
+        pairs = swapped(cli._random_ordered_pairs(p, rng, 6), [1, 4])
+        samples, coords = cli._monotone_samples(p, rng, 6)
+        F, partition = product_operator(p), cyclic_shift_upsilon(p.m).partition
+        monkeypatch.setattr(hs, "cyclic_shift_upsilon", no_upsilon)
+        array = check_contraction(p, pairs, builtin_log_triple(), 1e-12)
+        assert array == sampled_contraction(p, F, as_grid_functions(p.grid, pairs))
+        assert array.rejected_pairs == (1, 4)
+        assert check_mixed_monotone(p, samples, coords) == check_mixed_monotone_sampled(
+            F, partition, as_grid_functions(p.grid, samples, coords), pointwise_leq)
 
     @pytest.mark.parametrize("fault", ["floor", "non-finite"])
     def test_failure_in_a_later_block_names_the_generic_component(self, fault):
