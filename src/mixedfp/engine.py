@@ -77,7 +77,7 @@ class ProductOperator:
     tuples.  From a start whose A components are one object and whose B
     components another, as the cyclic shift keeps them, a sweep is 2
     distinct rows over 2 distinct elements whatever k is, and it hands the
-    batch the same rows tuple every time.
+    batch the same rows tuple every time; a one-shot batch gets a list.
     """
 
     k: int
@@ -196,17 +196,19 @@ def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
     and every repeat of a row gets the same image object, so that repeats
     carry into the next sweep.  A sweep passes the plan cached on its
     UpsilonTuple (``_sweep``); a one-shot caller, such as a sampled check,
-    passes none and the plan is built here and dropped.  A failure raises
+    passes none and the plan is built here and dropped, its rows handed
+    over as a list, which no cache keyed on rows keeps.  A failure raises
     OperatorEvaluationError naming the first occurrence, and a batch that
     returns other than one image per row it is handed, ValueError.
     """
-    if plan is None:
+    one_shot = plan is None
+    if one_shot:
         plan = _plan(rows, _pattern(x))
     keep, distinct, slots = plan[:3]
     elements = [x[i - 1] for i in keep]
     if F.batch is not None:
         try:
-            out = F.batch(distinct, elements)
+            out = F.batch(list(distinct) if one_shot else distinct, elements)
         except Exception as exc:
             raise OperatorEvaluationError(exc, keep) from exc
     else:

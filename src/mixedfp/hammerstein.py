@@ -237,10 +237,10 @@ def _check_kernel(*factors: np.ndarray) -> None:
 
 
 def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
-    """Raise DomainFloorError at the first row of ``values``, then the first
-    node, lying below ``floor - ORDER_SLACK``; row i is component i + 1."""
-    bad = values < floor - ORDER_SLACK
-    if bad.any():
+    """Raise DomainFloorError at the first row of ``values``, then the first node, lying
+    below ``floor - ORDER_SLACK``; row i is component i + 1.  Passing costs one ``min``."""
+    if values.min(initial=math.inf) < floor - ORDER_SLACK:
+        bad = values < floor - ORDER_SLACK
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
         raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
@@ -279,12 +279,13 @@ _MAX_LAYOUTS = 16
 
 def _layout(problem: HammersteinProblem, rows):
     """What a kernel call reads off its 1-based (R, k) row table alone: the
-    0-based gather index of the distinct columns, the key (first position of
-    f_j, distinct column of j) of each position j, and the quadrature nodes
-    tiled R times, read-only.  A row tuple, as a sweep's plan hands over,
-    has its layout kept on the problem (``_MAX_LAYOUTS``); a table that
-    cannot be a dict key, such as a sampled check's array, is laid out on
-    each call, so an (0, k) table works."""
+    0-based gather index of the distinct columns, one call (first position
+    of f_j, distinct column of j) per distinct term, the index of each
+    position j's term, and the quadrature nodes tiled R times, read-only.
+    A row tuple, as a sweep's plan hands over, has its layout kept on the
+    problem (``_MAX_LAYOUTS``); a table that cannot be a dict key, such as a
+    one-shot plan's list or a sampled check's array, is laid out on each
+    call, so an (0, k) table works."""
     try:
         return problem._layouts[rows]
     except KeyError:
@@ -292,13 +293,14 @@ def _layout(problem: HammersteinProblem, rows):
     except TypeError:
         keep = False
     table = np.asarray(rows) - 1
-    first, columns, keys = {}, {}, []
+    first, columns, terms, select = {}, {}, {}, []
     for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()),
                                         strict=True)):
-        keys.append((first.setdefault(id(f), j), columns.setdefault(column, len(columns))))
+        key = first.setdefault(id(f), j), columns.setdefault(column, len(columns))
+        select.append(terms.setdefault(key, len(terms)))
     s = np.tile(problem.quadrature.nodes, table.shape[0])
     s.flags.writeable = False
-    layout = np.array([*columns], dtype=np.intp), tuple(keys), s
+    layout = np.array([*columns], dtype=np.intp), tuple(terms), np.array(select, dtype=np.intp), s
     if keep:
         problem._layouts[rows] = layout
     return layout
@@ -327,13 +329,16 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     the array contract holds and a scalar return broadcasts.  Each distinct
     column is gathered once and each distinct pair (f_j, column j), f_j told
     apart by identity, is called once, so d distinct pairs cost d calls
-    whatever k is; the k terms are still summed in j order, so the sum's
-    bits are those of k calls.  The nodes and the gathered arguments are
-    read-only: a nonlinearity that writes into either raises ValueError
-    instead of changing another's.  A caller bounds R: the engine's sweeps
+    whatever k is.  The d terms fill one (d, R*nq) array, and one
+    ``np.add.reduce`` from 0.0 sums the k terms taken from it in j order:
+    numpy adds the rows of an outer-axis reduction one after another, so
+    the sum has the bits of k calls.  The nodes and the gathered arguments
+    are read-only: a nonlinearity that writes into either raises ValueError
+    instead of changing another's.  Both image arrays are checked finite at
+    once and returned read-only.  A caller bounds R: the engine's sweeps
     have at most k rows and a sampled check hands over one block.
     """
-    index, keys, s = _layout(problem, rows)
+    index, calls, select, s = _layout(problem, rows)
     s_nodes, n_rows = problem.quadrature.nodes, len(rows)
     nq = s_nodes.size
     _check_floor(values, problem.grid.nodes, problem.domain_floor)
@@ -341,7 +346,7 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
         vals = problem._transfer.apply(values)
     else:
         if len(known) == len(values):
-            vals = np.stack(at_nodes)
+            vals = np.array(at_nodes)
         else:
             vals = np.empty((len(values), nq))
             vals[known] = at_nodes
@@ -352,16 +357,20 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     # row may be read by several callables, so none may write into it.
     args = vals.take(index, axis=0).reshape(len(index), -1)
     args.flags.writeable = False
-    fs, total, terms = problem.nonlinearities, np.zeros(n_rows * nq), {}
+    fs, terms = problem.nonlinearities, np.empty((len(calls), n_rows * nq))
     with np.errstate(all="ignore"):
-        for j, key in enumerate(keys):
-            if key not in terms:
-                terms[key] = fs[j](s, args[key[1]])
-            total += terms[key]
+        for term, (j, column) in zip(terms, calls):
+            np.copyto(term, fs[j](s, args[column]), casting="same_kind")  # as += casts
+        summands = terms.take(select, axis=0)
+        if summands.shape[1] == 1:  # numpy would pair the terms of a lone column
+            summands = np.broadcast_to(summands, (len(select), 2))
+        total = np.add.reduce(summands, axis=0, initial=0.0)[:n_rows * nq]
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
         out = _apply_kernel(problem, total.reshape(n_rows, nq), nodes)
         out += problem._forcing_values[:out.shape[1]]
+    _check_finite(out)
+    out.flags.writeable = False
     n = problem.grid.n
     return out[:, :n], out[:, n:]
 
@@ -389,10 +398,14 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
 @dataclass(frozen=True)
 class _Image(GridFunction):
     """An image with its values at the nodes of ``quadrature``; both arrays
-    are read-only, so the two cannot drift apart."""
+    are read-only, so the two cannot drift apart.  Only ``batch`` builds
+    one, from rows ``_integrals`` has checked, so they are not checked again."""
 
     quadrature: QuadratureRule
     at_nodes: np.ndarray
+
+    def __post_init__(self):
+        pass
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
@@ -408,17 +421,18 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     row once, as one tuple of rows per pattern (``engine._images``), so
     from the bracket start, whose A components are one object and whose B
     components another, every sweep is R = c = 2 at any k, only the first
-    transfers and every later one reads the layout the problem keeps.
+    transfers and every later one reads the layout the problem keeps.  A
+    call costs d nonlinearity calls and the kernel product plus a fixed
+    number of numpy calls: one reduction in j order, with the bits of k
+    calls, and one finiteness check of both node sets (``_integrals``).
     """
     def batch(rows, x):
         for xi in x:
             _check_same_grid(problem.grid, xi.grid)
         known = [i for i, xi in enumerate(x)
                  if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
-        images, at_nodes = _integrals(problem, rows, np.stack([xi.values for xi in x]),
+        images, at_nodes = _integrals(problem, rows, np.array([xi.values for xi in x]),
                                       known, [x[i].at_nodes for i in known])
-        _check_finite(at_nodes)
-        images.flags.writeable = at_nodes.flags.writeable = False
         return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
                      for out, nodes in zip(images, at_nodes))
 
@@ -536,7 +550,6 @@ def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: 
     OperatorEvaluationError, its ``component`` offset by ``done``."""
     try:
         out = _integrals(problem, rows, values, nodes=False)[0]
-        _check_finite(out)
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
     return out

@@ -25,6 +25,7 @@ from mixedfp.funcspace import (
     Grid,
     GridFunction,
     LinearPlan,
+    QuadratureRule,
     integrate,
     make_quadrature,
     pointwise_leq,
@@ -1443,6 +1444,24 @@ class TestSweepCaches:
         for order in ([4, 3, 2, 1, 0], [1, 0, 2, 1, 0, 2, 4, 3, 4], [0, 2, 1, 3, 0, 4, 2]) * 3:
             assert [run(i) for i in order] == [first[i] for i in order]
 
+    def test_one_shot_batches_leave_the_layouts_to_the_sweeps(self):
+        # the generic sampled checks plan each batch once and hand it a
+        # list of rows: more row tables than the problem keeps are laid out
+        # and dropped, and a later solve's rows are still kept
+        p = build_log_example(2.0, 2.0)  # a new instance, no cache
+        F, ups = product_operator(p), cyclic_shift_upsilon(1)
+        rng = np.random.default_rng(6)
+        for count in range(1, hs._MAX_LAYOUTS + 2):
+            pairs = cli._random_ordered_pairs(p, rng, count)
+            sampled_contraction(p, F, as_grid_functions(p.grid, pairs))
+        samples, coords = cli._monotone_samples(p, rng, 3)
+        check_mixed_monotone_sampled(F, ups.partition, as_grid_functions(p.grid, samples, coords),
+                                     pointwise_leq)
+        assert p._layouts == {}
+        solve(F, ups, initial_bracket(p, 2.0), IterationConfig(), dist=sup_metric,
+              leq=pointwise_leq)
+        assert list(p._layouts) == [((1, 2), (2, 1))]
+
     @pytest.mark.parametrize("batched", [True, False])
     def test_one_upsilon_over_three_patterns_gives_the_uncached_images(self, example22, batched):
         # a bracket start, an all-distinct start and the collapsed tuple, each
@@ -1473,6 +1492,115 @@ class TestSweepCaches:
                 assert cached.value.component == uncached.value.component \
                     == [xi is last for xi in x].index(True) + 1
         assert len(ups._plans) == 3
+
+
+def looped_integrals(problem, rows, values):
+    """``_integrals`` on components without node values, with the k terms
+    summed as k in-place additions, position after position from zeros:
+    the order whose bits the one reduction must keep."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, problem.k)
+    vals, nq = problem._transfer.apply(values), problem.quadrature.nodes.size
+    s = np.tile(problem.quadrature.nodes, len(rows))
+    total = np.zeros(len(rows) * nq)
+    with np.errstate(all="ignore"):
+        for j, f in enumerate(problem.nonlinearities):
+            total += f(s, vals[rows[:, j] - 1].reshape(-1))
+        out = hs._apply_kernel(problem, total.reshape(len(rows), nq))
+        out += problem._forcing_values
+    return out[:, :problem.grid.n], out[:, problem.grid.n:]
+
+
+def cubic(s, x):
+    return x ** 3 / s
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize("R", [0, 1, 2, 33])
+    @pytest.mark.parametrize("rule", [
+        make_quadrature(2.0, 1, 2),
+        make_quadrature(2.0, 32, 8),
+        QuadratureRule(np.array([1.5]), np.array([1.0]), 2.0),  # R*nq = 1 at R = 1
+    ], ids=["1x2", "default", "one-node"])
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    def test_the_sum_has_the_bits_of_k_additions(self, k, rule, R):
+        # terms of magnitudes 0 to 1e3, a callable repeated at several
+        # positions and the scalar-returning zero; rows drawn from 3
+        # components, so columns repeat and terms are shared
+        named = {name: hs.NONLINEARITIES[name](2.0, 2.0)
+                 for name in ("zero", "log-shift", "neg-log-product")}
+        pool = (cubic, named["zero"], named["log-shift"], cubic, named["neg-log-product"])
+        p = _small_problem(m=k // 2, nonlinearities=tuple(pool[j % 5] for j in range(k)),
+                           etas=(1.0,) * k, quadrature=rule)
+        rng = np.random.default_rng(k * 100 + R)
+        values = 1.0 + rng.uniform(0.0, 9.0, (3, p.grid.n))
+        rows = rng.integers(1, 4, (R, k))
+        for got, expected in zip(hs._integrals(p, rows, values), looped_integrals(p, rows, values)):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("term", [lambda x: x + 0j, lambda x: None], ids=["complex", "object"])
+    def test_a_term_that_addition_refuses_fails_the_sweep(self, term):
+        # construction probes f_1 on nq values, the sweep from two distinct
+        # components calls it on 2 * nq; a term that += would not cast into
+        # the float sum raises TypeError there
+        p = _small_problem(nonlinearities=(
+            lambda s, x: term(x) if x.size > 16 else np.log(s + x), lambda s, x: -np.log(x)))
+        x = rough_ordered_tuple(p, np.random.default_rng(16))
+        with warnings.catch_warnings(), pytest.raises(OperatorEvaluationError) as exc:
+            warnings.simplefilter("error")
+            iterate_step(product_operator(p), cyclic_shift_upsilon(1), x)
+        assert isinstance(exc.value.cause, TypeError)
+
+
+class TestOneValidation:
+    @pytest.mark.parametrize("where", ["grid", "quadrature"])
+    def test_an_image_overflowing_at_one_node_set_fails(self, where):
+        # a = 1e308 at the grid nodes only, or at the quadrature nodes only,
+        # and the integral of the constant integrand is 20: the images
+        # overflow there and nowhere else
+        grid = uniform_grid(2.0, 16)
+        p = _small_problem(
+            kernel=SeparableKernel(
+                lambda t: np.where(np.isin(t, grid.nodes) == (where == "grid"), 1e308, 1.0),
+                lambda s: 1.0),
+            nonlinearities=(lambda s, x: 10.0, lambda s, x: 10.0), forcing=lambda t: 0.0,
+            grid=grid)
+        x = (GridFunction(p.grid, np.full(p.grid.n, 2.0)),) * 2
+        pairs = cli._random_ordered_pairs(p, np.random.default_rng(0), 3) + 1.0
+        samples, coords = cli._monotone_samples(p, np.random.default_rng(0), 3)
+        samples += 1.0
+        partition = cyclic_shift_upsilon(p.m).partition
+        batched = [
+            lambda: iterate_step(product_operator(p), cyclic_shift_upsilon(1), x),
+            lambda: sampled_contraction(p, product_operator(p), as_grid_functions(p.grid, pairs)),
+            lambda: check_mixed_monotone_sampled(
+                product_operator(p), partition, as_grid_functions(p.grid, samples, coords),
+                pointwise_leq),
+        ]
+        # the array checks read the grid rows only
+        grid_rows = [lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
+                     lambda: check_mixed_monotone(p, samples, coords)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in batched + (grid_rows if where == "grid" else []):
+                with pytest.raises(OperatorEvaluationError,
+                                   match="grid function values must be finite") as exc:
+                    run()
+                assert (exc.value.component, exc.value.node) == (None, None)
+            with pytest.raises(ValueError, match="grid function values must be finite"):
+                apply_A(p, x)
+            for run in ([] if where == "grid" else grid_rows):
+                run()
+
+    def test_every_image_is_read_only_and_finite(self, example22):
+        x = rough_ordered_tuple(example22, np.random.default_rng(15))
+        F = product_operator(example22)
+        images = [*iterate_step(F, cyclic_shift_upsilon(1), x), apply_A(example22, x),
+                  *F.batch([(1, 2), (2, 2), (2, 1)], list(x))]
+        for y in images:
+            assert isinstance(y, hs._Image) and y.quadrature is example22.quadrature
+            for a in (y.values, y.at_nodes):
+                assert not a.flags.writeable and np.isfinite(a).all()
 
 
 class TestClosedForms:
