@@ -20,8 +20,9 @@ verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
 check report, which fails the check (exit 1; ``solve --force`` goes on).
 
 One order slack, ``funcspace.ORDER_SLACK``, compares grid functions in
-every check and in solve, so assumption E and solve's start check are one
-predicate on one first sweep.  The sampled checks' samples are drawn as
+every check and in solve.  Assumption E's H_r are the first sweep, which
+solve takes as its own (``engine.solve``'s ``first_sweep``), so a solve
+evaluates and judges its start once.  The sampled checks' samples are drawn as
 stacked arrays and checked block by block (``hammerstein.check_contraction``
 and ``check_mixed_monotone``), never as grid functions.
 """
@@ -193,17 +194,19 @@ def _prepare(args):
     return cfg, problem, config
 
 
-def _run_checks(problem, x0) -> dict:
+def _run_checks(problem, x0):
     """Assumptions D and E and sampled mixed monotonicity, with assumption E
-    read at the start tuple ``x0``."""
+    read at the start tuple ``x0``: the check report, and check E's H_r, the
+    first sweep from ``x0``, None when it cannot be evaluated."""
     floor = problem.domain_floor
     pairs = [(floor, floor), (floor, floor + 0.5), (floor + 1.0, floor + 4.0),
              (floor + 0.25, floor + 9.0)]
     s_samples = list(np.linspace(1.0, problem.T, 9))
     d_report = hs.check_assumption_d(problem, pairs, s_samples)
-    e_error = mono_error = None
+    e_error = mono_error = first_sweep = None
     try:
-        e_failures = hs.check_assumption_e(problem, x0).failures
+        e_report = hs.check_assumption_e(problem, x0)
+        e_failures, first_sweep = e_report.failures, e_report.h_functions
     except OperatorEvaluationError as exc:
         # the start tuple cannot be evaluated: a failed check, not a crash
         e_failures, e_error = (), _operator_error(exc)
@@ -228,7 +231,7 @@ def _run_checks(problem, x0) -> dict:
         report["assumption_e_error"] = e_error
     if mono_error is not None:
         report["mixed_monotone_error"] = mono_error
-    return report
+    return report, first_sweep
 
 
 def _operator_error(exc: OperatorEvaluationError) -> dict:
@@ -285,7 +288,7 @@ def _random_ordered_pairs(problem, rng, count):
 
 def cmd_check(args) -> int:
     cfg, problem, _ = _prepare(args)
-    report = _run_checks(problem, _start_tuple(problem, float(cfg["alpha"])))
+    report, _ = _run_checks(problem, _start_tuple(problem, float(cfg["alpha"])))
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
@@ -306,7 +309,7 @@ def cmd_solve(args) -> int:
     except OSError as exc:  # a file at --out or above it
         raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
 
-    check_report = _run_checks(problem, x0)
+    check_report, first_sweep = _run_checks(problem, x0)
     if not check_report["passed"]:
         if not args.force:
             print(json.dumps(check_report, indent=2))
@@ -318,10 +321,8 @@ def cmd_solve(args) -> int:
     F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
     try:
         try:
-            report = solve(
-                F, upsilon, x0, config,
-                dist=sup_metric, leq=pointwise_leq, skip_initial_check=args.force,
-            )
+            report = solve(F, upsilon, x0, config, dist=sup_metric, leq=pointwise_leq,
+                           first_sweep=first_sweep)
             status = EXIT_OK
         except NonConvergenceError as exc:
             report = exc.report

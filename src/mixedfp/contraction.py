@@ -143,7 +143,7 @@ def gain_bound_sequence(d0: float, n: int, triple: ContractionTriple) -> List[fl
     Only valid when psi is the identity (the recurrence otherwise needs
     psi^{-1}, which is not provided in general).
     """
-    if d0 < 0:
+    if not d0 >= 0:  # NaN too
         raise ValueError(f"d0 must be nonnegative, got {d0}")
     if not _psi_is_identity(triple):
         raise UnsupportedDiagnosticError(

@@ -223,10 +223,12 @@ def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
     return [out[i] for i in slots]
 
 
-def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> Tuple[tuple, _Plan]:
+def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence, y=None) -> Tuple[tuple, _Plan]:
     """``iterate_step``, with the plan it read: the plan cached on
-    ``upsilon`` under ``x``'s pattern, for at most _MAX_PLANS patterns."""
-    if len(x) != upsilon.partition.k or F.k != upsilon.partition.k:
+    ``upsilon`` under ``x``'s pattern, for at most _MAX_PLANS patterns.
+    Handed the sweep's images ``y``, it takes them and evaluates nothing."""
+    k = upsilon.partition.k
+    if len(x) != k or F.k != k or len(x if y is None else y) != k:
         raise ValueError("dimension mismatch between operator, tuple and point")
     pattern = _pattern(x)
     plan = upsilon._plans.get(pattern)
@@ -234,7 +236,7 @@ def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> Tuple[tupl
         plan = _plan(upsilon.sigmas, pattern, upsilon.partition)
         if len(upsilon._plans) < _MAX_PLANS:
             upsilon._plans[pattern] = plan
-    return tuple(_images(F, upsilon.sigmas, x, plan)), plan
+    return tuple(_images(F, upsilon.sigmas, x, plan) if y is None else y), plan
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
@@ -290,16 +292,18 @@ def solve(
     *,
     dist: Distance,
     leq: Leq,
-    skip_initial_check: bool = False,
+    first_sweep: Optional[Sequence] = None,
 ) -> IterationReport:
     """Iterate Jacobi sweeps until a sweep's step, its largest residual, is
     at most ``config.tol_step`` (``IterationConfig``).
 
     The first sweep doubles as the starting-point condition: x0_i below
-    its image for i in A, above for i in B (``Partition.orient``).  Unless
-    ``skip_initial_check``, a failing start raises ValueError before any
-    history is recorded.  The same comparison of every later sweep sets
-    ``monotone_ok``.  ``triple`` (a ``ContractionTriple``) is only warned about if undeclared.
+    its image for i in A, above for i in B (``Partition.orient``), and a
+    failing start raises ValueError before any history is recorded.  A
+    caller that has judged it already hands that sweep's k images over as
+    ``first_sweep``, which is then neither evaluated nor judged again.  The
+    same comparison of every sweep that is not judged sets ``monotone_ok``.
+    ``triple`` (a ``ContractionTriple``) is only warned about if undeclared.
 
     The returned fixed_point is the last iterate whose residual was measured,
     so the report's final residual is the defect of the returned point.
@@ -310,8 +314,6 @@ def solve(
     partition = upsilon.partition
     if len(x0) != partition.k:
         raise ValueError("starting point dimension mismatch")
-    if skip_initial_check:
-        log.warning("initial-order condition check overridden by caller")
     if triple is not None:
         triple.warn_if_undeclared()
 
@@ -331,9 +333,9 @@ def solve(
         )
 
     for it in range(config.max_iters):
-        y, plan = _sweep(F, upsilon, x)
+        y, plan = _sweep(F, upsilon, x, first_sweep if it == 0 else None)
         ordered, res = _compare(x, y, plan.pairs, partition, dist, leq)
-        if it == 0 and not skip_initial_check and not all(ordered):
+        if it == 0 and first_sweep is None and not all(ordered):
             ordered, _ = _compare(x, y, range(1, partition.k + 1), partition, dist, leq)
             raise ValueError(
                 f"starting point fails the initial-order condition; "

@@ -285,17 +285,16 @@ def _layout(problem: HammersteinProblem, rows):
     A row tuple, as a sweep's plan hands over, has its layout kept on the
     problem (``_MAX_LAYOUTS``); a table that cannot be a dict key, such as a
     one-shot plan's list or a sampled check's array, is laid out on each
-    call, so an (0, k) table works."""
+    call.  Every table is read as an (R, k) array, so an empty one is (0, k)."""
     try:
         return problem._layouts[rows]
     except KeyError:
         keep = len(problem._layouts) < _MAX_LAYOUTS
     except TypeError:
         keep = False
-    table = np.asarray(rows) - 1
+    table = np.asarray(rows, dtype=np.intp).reshape(len(rows), problem.k) - 1
     first, columns, terms, select = {}, {}, {}, []
-    for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()),
-                                        strict=True)):
+    for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()))):
         key = first.setdefault(id(f), j), columns.setdefault(column, len(columns))
         select.append(terms.setdefault(key, len(terms)))
     s = np.tile(problem.quadrature.nodes, table.shape[0])
@@ -431,8 +430,8 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
             _check_same_grid(problem.grid, xi.grid)
         known = [i for i, xi in enumerate(x)
                  if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
-        images, at_nodes = _integrals(problem, rows, np.array([xi.values for xi in x]),
-                                      known, [x[i].at_nodes for i in known])
+        values = np.array([xi.values for xi in x]).reshape(-1, problem.grid.n)  # (0, n) if empty
+        images, at_nodes = _integrals(problem, rows, values, known, [x[i].at_nodes for i in known])
         return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
                      for out, nodes in zip(images, at_nodes))
 
@@ -523,10 +522,10 @@ def check_assumption_e(
     (u <= v + ORDER_SLACK, as ``funcspace.pointwise_leq``).
 
     H_r is apply_A at y0 permuted by sigma_r of the cyclic shift, so the H_r
-    are the first Jacobi sweep from y0 (``engine.iterate_step``), and this is
-    ``engine.solve``'s starting-point condition on its first sweep, read
-    node by node; an evaluation failure raises the same
-    OperatorEvaluationError as that sweep.
+    are the first Jacobi sweep from y0 (``engine.iterate_step``), which
+    ``engine.solve`` takes as its ``first_sweep``, and this is its
+    starting-point condition on that sweep, read node by node; an
+    evaluation failure raises the same OperatorEvaluationError as that sweep.
     """
     upsilon = cyclic_shift_upsilon(problem.m)
     h_functions = iterate_step(product_operator(problem), upsilon, y0)

@@ -75,8 +75,17 @@ class TestGainBound:
             gain_bound_sequence(1.0, 3, t)
 
     def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d0 must be nonnegative"):
             gain_bound_sequence(-1.0, 3, builtin_log_triple())
+
+    def test_nan_start_rejected(self):
+        # NaN is not below 0 either, and its sequence read [nan, 0.0, ...],
+        # a zero majorant
+        with pytest.raises(ValueError, match="d0 must be nonnegative"):
+            gain_bound_sequence(math.nan, 3, builtin_log_triple())
+
+    def test_infinite_start_states_no_bound(self):
+        assert gain_bound_sequence(math.inf, 3, builtin_log_triple()) == [math.inf] * 4
 
 
 class TestVerifyContractionSampled:

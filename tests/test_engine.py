@@ -229,12 +229,26 @@ class TestSolve:
                 dist=absdist, leq=realleq,
             )
 
-    def test_skip_initial_check(self):
-        report = solve(
-            MIDPOINT, ID_SWAP, (1.0, 0.0), self.config, builtin_log_triple(),
-            dist=absdist, leq=realleq, skip_initial_check=True,
-        )
+    def test_a_handed_over_failing_start_runs_on(self, caplog):
+        # the caller has judged the start on this sweep: no ValueError, and
+        # the failing comparison is recorded as the first sweep's
+        first = iterate_step(MIDPOINT, ID_SWAP, (1.0, 0.0))
+        with caplog.at_level("WARNING", logger="mixedfp.engine"):
+            report = solve(
+                MIDPOINT, ID_SWAP, (1.0, 0.0), self.config, builtin_log_triple(),
+                dist=absdist, leq=realleq, first_sweep=first,
+            )
         assert report.fixed_point == (0.5, 0.5)
+        assert report.step_history == (0.5, 0.0)
+        assert not report.monotone_ok and report.converged
+        assert [r.getMessage() for r in caplog.records] == [
+            "monotone bracketing violated at sweep 1"]
+
+    @pytest.mark.parametrize("first_sweep", [(), (0.5,), (0.5, 0.5, 0.5)])
+    def test_a_first_sweep_of_the_wrong_length_is_refused(self, first_sweep):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(MIDPOINT, ID_SWAP, (0.0, 1.0), self.config, dist=absdist, leq=realleq,
+                  first_sweep=first_sweep)
 
     def test_max_iters_exhausted(self):
         shrink = ProductOperator(2, lambda a, b: 0.9 * a + 0.05)
@@ -251,7 +265,8 @@ class TestSolve:
         nan_op = ProductOperator(2, lambda a, b: float("nan"))
         with pytest.raises(NonConvergenceError) as exc:
             solve(nan_op, ID_SWAP, (0.0, 1.0), IterationConfig(), builtin_log_triple(),
-                  dist=absdist, leq=realleq, skip_initial_check=True)
+                  dist=absdist, leq=realleq,
+                  first_sweep=iterate_step(nan_op, ID_SWAP, (0.0, 1.0)))
         report = exc.value.report
         assert report.iterations == 1
         assert len(report.step_history) == 1 and math.isnan(report.step_history[0])
@@ -263,7 +278,7 @@ class TestSolve:
         op = ProductOperator(2, lambda a, b: float("nan") if a == 1.0 else a)
         with pytest.raises(NonConvergenceError) as exc:
             solve(op, ID_SWAP, (0.0, 1.0), IterationConfig(), builtin_log_triple(),
-                  dist=absdist, leq=realleq, skip_initial_check=True)
+                  dist=absdist, leq=realleq, first_sweep=iterate_step(op, ID_SWAP, (0.0, 1.0)))
         assert len(exc.value.report.step_history) == 1
         assert math.isnan(exc.value.report.final_residual)
 
@@ -281,19 +296,22 @@ class TestSolve:
         ups = UpsilonTuple(Partition(2, [1, 2]), [(1, 1), (2, 2)])
         cfg = IterationConfig(tol_step=1e-10, tol_residual=1e-10, max_iters=200)
         report = solve(op, ups, (1.0, -1.0), cfg, builtin_log_triple(),
-                       dist=absdist, leq=realleq, skip_initial_check=True)
+                       dist=absdist, leq=realleq, first_sweep=iterate_step(op, ups, (1.0, -1.0)))
         assert not report.monotone_ok
         assert report.converged
 
-    @pytest.mark.parametrize("skip", [False, True])
-    def test_one_operator_call_per_component_and_sweep(self, skip):
-        # the start check reads the first sweep instead of making its own
+    @pytest.mark.parametrize("handed_over", [False, True])
+    def test_one_operator_call_per_component_and_sweep(self, handed_over):
+        # the start check reads the first sweep instead of making its own,
+        # and a first sweep handed over is not evaluated again
         calls = []
         op = ProductOperator(2, lambda a, b: calls.append(1) or 0.5 * (a + b))
+        first = iterate_step(op, ID_SWAP, (0.0, 1.0)) if handed_over else None
+        calls.clear()
         report = solve(op, ID_SWAP, (0.0, 1.0), self.config, builtin_log_triple(),
-                       dist=absdist, leq=realleq, skip_initial_check=skip)
+                       dist=absdist, leq=realleq, first_sweep=first)
         assert report.iterations >= 2
-        assert len(calls) == 2 * report.iterations
+        assert len(calls) == 2 * (report.iterations - handed_over)
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):

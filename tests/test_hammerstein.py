@@ -20,12 +20,14 @@ from mixedfp.engine import (
     check_mixed_monotone_sampled,
     iterate_step,
     solve,
+    trace_csv,
 )
 from mixedfp.funcspace import (
     Grid,
     GridFunction,
     LinearPlan,
     QuadratureRule,
+    format_csv,
     integrate,
     make_quadrature,
     pointwise_leq,
@@ -553,6 +555,13 @@ class TestBatchKernel:
                 assert len(images) == n_rows
                 for row, y in zip(rows, images):
                     assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
+
+    @pytest.mark.parametrize("rows, elements", [
+        (np.empty((0, 2), dtype=int), 2), ([], 2), ((), 2), ([], 0),
+    ], ids=["array", "list", "tuple", "no_elements"])
+    def test_an_empty_row_table_has_no_images(self, example22, rows, elements):
+        x = initial_bracket(example22, 2.0)[:elements]
+        assert product_operator(example22).batch(rows, x) == ()
 
     @pytest.mark.parametrize("pool", ["rough", "images", "mixed"])
     @pytest.mark.parametrize("m", [2, 4])
@@ -1347,7 +1356,7 @@ class TestAssumptionE:
         assert 1e-12 < margin.min() and margin.max() <= 1e-10
         report = check_assumption_e(p, y0)
         assert report.failures == tuple((1, j) for j in range(p.grid.n))
-        assert cli._run_checks(p, y0)["assumption_e_failures"] == [list(f) for f in report.failures]
+        assert cli._run_checks(p, y0)[0]["assumption_e_failures"] == [list(f) for f in report.failures]
 
     def test_too_high_lower_start_fails(self, example22):
         y1 = linear(example22, 4.0)   # 2*alpha*t sits above H1
@@ -1406,6 +1415,66 @@ def solve_bits(problem, alpha, upsilon):
     return {"step_history": [v.hex() for v in report.step_history],
             "spread_history": [v.hex() for v in report.spread_history],
             "fixed_point_sha256": digest.hexdigest()}, err
+
+
+GOLDEN_CASES = [(2.0, 2.0), (2.0, math.e), (5.0, 10.0)]
+DATA = Path(__file__).parent / "data"
+
+
+def golden_problem(kind, alpha, T):
+    """A golden case's problem: the registry's factored kernel, its dense
+    twin, or the custom m = 2 problem that names each nonlinearity twice."""
+    if kind == "custom_m2":
+        cfg = cli.load_config(DATA / "custom_m2_repeated.json", {"alpha": alpha, "T": T})
+        return cli.build_problem(cfg)
+    p = named_problem(alpha, T)
+    return dense_twin(p) if kind == "dense" else p
+
+
+class TestFirstSweepHandoff:
+    """``solve`` takes assumption E's H_r as its first sweep, as ``mixedfp
+    solve`` hands them over, and then neither evaluates nor judges it."""
+
+    @staticmethod
+    def solved(problem, alpha, first_sweep=None):
+        return solve(product_operator(problem), cyclic_shift_upsilon(problem.m),
+                     bracket_start(problem, alpha), IterationConfig(),
+                     dist=sup_metric, leq=pointwise_leq, first_sweep=first_sweep)
+
+    # every golden start passes assumption E but the custom one's at (2, 2),
+    # which test_a_failing_start_runs_on_with_its_sweep takes
+    @pytest.mark.parametrize("kind, alpha, T", [
+        *((kind, *case) for kind in ("factored", "dense") for case in GOLDEN_CASES),
+        ("custom_m2", 2.0, math.e), ("custom_m2", 5.0, 10.0),
+    ])
+    def test_a_handed_over_sweep_solves_bit_for_bit(self, kind, alpha, T):
+        p = golden_problem(kind, alpha, T)
+        e_report = check_assumption_e(p, bracket_start(p, alpha))
+        assert e_report.passed
+        own, handed = self.solved(p, alpha), self.solved(p, alpha, e_report.h_functions)
+        assert handed.step_history == own.step_history
+        assert handed.spread_history == own.spread_history
+        assert handed.monotone_ok is own.monotone_ok is True
+        assert handed.converged and handed.collapsed == own.collapsed
+        assert len(handed.fixed_point) == len(own.fixed_point) == p.k
+        for x, y in zip(handed.fixed_point, own.fixed_point):
+            assert np.array_equal(x.values, y.values)
+            assert np.array_equal(x.at_nodes, y.at_nodes)
+
+    def test_a_failing_start_runs_on_with_its_sweep(self):
+        # the custom m = 2 start at (2, 2) fails assumption E: judged by
+        # solve it is refused, handed over with its sweep it runs on to the
+        # trace and solution that ``solve --force`` has pinned
+        p = golden_problem("custom_m2", 2.0, 2.0)
+        e_report = check_assumption_e(p, bracket_start(p, 2.0))
+        assert not e_report.passed
+        with pytest.raises(ValueError, match="initial-order condition"):
+            self.solved(p, 2.0)
+        report = self.solved(p, 2.0, e_report.h_functions)
+        assert not report.monotone_ok and report.converged
+        pinned = DATA / "solve_custom_m2_repeated"
+        assert trace_csv(report) == (pinned / "trace.csv").read_text()
+        assert format_csv(report.fixed_point[0]) == (pinned / "solution.csv").read_text()
 
 
 class TestSweepCaches:
