@@ -102,9 +102,10 @@ def verify_contraction_sampled(
     ``F`` is an ``engine.ProductOperator`` or a callable taking one
     argument tuple, ``F(x)``.  Pairs failing the order precondition are
     rejected before any operator evaluation and reported separately.  The
-    accepted pairs are then evaluated in one batch (``engine._images``)
-    whose elements are their tuples laid end to end, x then z, which an
-    ``engine.OperatorEvaluationError``'s ``component`` indexes.
+    accepted pairs are then evaluated in one batch, prepared for them and
+    dropped (``engine._images``), whose elements are their tuples laid end
+    to end, x then z, which an ``engine.OperatorEvaluationError``'s
+    ``component`` indexes.
     """
     accepted: List[Tuple[Sequence, Sequence]] = []
     dks: List[float] = []

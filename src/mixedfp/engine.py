@@ -8,7 +8,8 @@ shift the components additionally collapse to a single base element.
 
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .order import Distance, Leq, Partition, UpsilonTuple
@@ -38,7 +39,7 @@ class OperatorEvaluationError(RuntimeError):
     those names and None when it names none (a non-finite integrand names
     neither).  The cause's index is mapped to ``x`` through ``to_x``, the
     1-based positions in ``x`` of what it indexes: the distinct elements
-    handed to ``batch`` (the plan's ``keep``), or the arguments of the
+    handed to the batch (the plan's ``keep``), or the arguments of the
     failing row of ``apply``.  With one failing element both paths name it;
     with several they may name different ones.  For a sweep ``x`` is the
     iterate; the sampled checks say how they lay out theirs.
@@ -61,28 +62,31 @@ class ProductOperator:
     argument tuples in any order, and many of them in one batch.  It
     evaluates a repeated tuple once, and repeated rows share one image:
     elements are told apart by identity, so a tuple of the same objects is
-    one tuple, and a plan lays out which are distinct (``_images``).
+    one tuple, and a plan lays out which are distinct (``_prepare``).
 
-    ``batch``, when set, evaluates many argument tuples in one call:
-    ``batch(rows, x)`` takes a 1-based (R, k) index table ``rows`` and a
-    sequence ``x`` of any number of base elements, and returns the R values
-    ``apply(x[r_1 - 1], ..., x[r_k - 1])``, exactly one image per row it is
-    handed (r_1..r_k); any other count raises ValueError on every path.  An
+    ``prepare``, when set, is given by keyword and evaluates many argument
+    tuples in one call: ``prepare(rows)`` takes a 1-based (R, k) index table
+    ``rows`` and returns their batch, which takes a sequence ``x`` of any
+    number of base elements and returns the R values
+    ``apply(x[r_1 - 1], ..., x[r_k - 1])``, exactly one image per row
+    (r_1..r_k); any other count raises ValueError on every path.  An
     exception may name the failing argument in a ``component`` attribute, a
-    1-based index into ``x`` when ``batch`` raises it and a position among
+    1-based index into ``x`` when the batch raises it and a position among
     the arguments when ``apply`` does, and the failing node in ``node``
     (``OperatorEvaluationError``).  A Jacobi sweep is the batch of the
     distinct rows of ``upsilon.sigmas`` over the iterate's distinct
-    elements, as its plan lays them out; the sampled checks batch all their
-    tuples.  From a start whose A components are one object and whose B
-    components another, as the cyclic shift keeps them, a sweep is 2
-    distinct rows over 2 distinct elements whatever k is, and it hands the
-    batch the same rows tuple every time; a one-shot batch gets a list.
+    elements, as its plan lays them out; ``solve`` prepares it again only
+    when the iterate's pattern changes, and every other caller prepares its
+    one batch and drops it.  From a start whose A components are one object
+    and whose B components another, as the cyclic shift keeps them, a sweep
+    is 2 distinct rows over 2 distinct elements whatever k is, and the
+    pattern never changes.
     """
 
     k: int
     apply: Callable[..., object]
-    batch: Optional[Callable[[Sequence[Sequence[int]], Sequence], Sequence]] = None
+    prepare: Optional[Callable[[Sequence[Sequence[int]]], Callable[[Sequence], Sequence]]] = \
+        field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.k < 2:
@@ -102,6 +106,8 @@ class IterationConfig:
     def __post_init__(self):
         if not (0.0 < self.tol_step < math.inf and 0.0 < self.tol_residual < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -138,11 +144,6 @@ class NonConvergenceError(RuntimeError):
             f"no convergence after {report.iterations} sweeps "
             f"(last step {report.step_history[-1]:.3e})"
         )
-
-
-# A sweep's plan is kept on its UpsilonTuple for at most this many patterns
-# of repeated elements; a further pattern is planned on each of its sweeps.
-_MAX_PLANS = 16
 
 
 class _Plan(NamedTuple):
@@ -184,66 +185,64 @@ def _plan(rows: Sequence[Sequence[int]], pattern: Tuple[int, ...],
     return _Plan(keep, tuple(slot), slots, tuple(pairs.values()))
 
 
-def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence,
-            plan: Optional[_Plan] = None) -> Sequence:
-    """F at the argument tuples (x[r_1 - 1], ..., x[r_k - 1]), one per row
-    of the 1-based index table ``rows``: one ``F.batch`` call when the
-    operator has one, else one ``F.apply`` call per row.
-
-    Both paths read one plan (``_Plan``), ``rows``' plan for ``x``'s
-    pattern.  It hands the evaluation each distinct element of ``x`` once,
-    elements told apart by identity, and each distinct row over them once,
-    and every repeat of a row gets the same image object, so that repeats
-    carry into the next sweep.  A sweep passes the plan cached on its
-    UpsilonTuple (``_sweep``); a one-shot caller, such as a sampled check,
-    passes none and the plan is built here and dropped, its rows handed
-    over as a list, which no cache keyed on rows keeps.  A failure raises
-    OperatorEvaluationError naming the first occurrence, and a batch that
-    returns other than one image per row it is handed, ValueError.
+def _prepare(F: ProductOperator, plan: _Plan) -> Callable[[Sequence], list]:
+    """The evaluation ``x -> images`` that ``plan`` lays out, for elements
+    ``x`` of the plan's pattern: F at (x[r_1 - 1], ..., x[r_k - 1]) for each
+    row the plan was made from, by one call of the batch that ``F.prepare``
+    returns for the plan's distinct rows, prepared here, else by one
+    ``F.apply`` call per distinct row.  Each distinct element, told apart
+    by identity, and each distinct row is handed over once, and repeats of
+    a row share one image object, so that repeats carry into the next
+    sweep.  A failure, preparing included, raises OperatorEvaluationError
+    naming the first occurrence, and a batch that returns other than one
+    image per row, ValueError.
     """
-    one_shot = plan is None
-    if one_shot:
-        plan = _plan(rows, _pattern(x))
     keep, distinct, slots = plan[:3]
-    elements = [x[i - 1] for i in keep]
-    if F.batch is not None:
-        try:
-            out = F.batch(list(distinct) if one_shot else distinct, elements)
-        except Exception as exc:
-            raise OperatorEvaluationError(exc, keep) from exc
-    else:
-        out = []
-        for row in distinct:
+    try:
+        batch = F.prepare and F.prepare(distinct)
+    except Exception as exc:
+        raise OperatorEvaluationError(exc, keep) from exc
+
+    def images(x: Sequence) -> list:
+        elements = [x[i - 1] for i in keep]
+        if batch is not None:
             try:
-                out.append(F.apply(*(elements[j - 1] for j in row)))
+                out = batch(elements)
             except Exception as exc:
-                raise OperatorEvaluationError(exc, [keep[j - 1] for j in row]) from exc
-    if len(out) != len(distinct):
-        raise ValueError(f"dimension mismatch: {len(out)} images for {len(distinct)} rows")
-    return [out[i] for i in slots]
+                raise OperatorEvaluationError(exc, keep) from exc
+        else:
+            out = []
+            for row in distinct:
+                try:
+                    out.append(F.apply(*(elements[j - 1] for j in row)))
+                except Exception as exc:
+                    raise OperatorEvaluationError(exc, [keep[j - 1] for j in row]) from exc
+        if len(out) != len(distinct):
+            raise ValueError(f"dimension mismatch: {len(out)} images for {len(distinct)} rows")
+        return [out[i] for i in slots]
+
+    return images
 
 
-def _sweep(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence, y=None) -> Tuple[tuple, _Plan]:
-    """``iterate_step``, with the plan it read: the plan cached on
-    ``upsilon`` under ``x``'s pattern, for at most _MAX_PLANS patterns.
-    Handed the sweep's images ``y``, it takes them and evaluates nothing."""
+def _images(F: ProductOperator, rows: Sequence[Sequence[int]], x: Sequence) -> list:
+    """F at the argument tuples (x[r_1 - 1], ..., x[r_k - 1]), one per row
+    of the 1-based index table ``rows``, by an evaluation planned for
+    ``x``'s pattern, prepared and dropped (``_prepare``)."""
+    return _prepare(F, _plan(rows, _pattern(x)))(x)
+
+
+def _check_dimensions(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> None:
     k = upsilon.partition.k
-    if len(x) != k or F.k != k or len(x if y is None else y) != k:
+    if len(x) != k or F.k != k:
         raise ValueError("dimension mismatch between operator, tuple and point")
-    pattern = _pattern(x)
-    plan = upsilon._plans.get(pattern)
-    if plan is None:
-        plan = _plan(upsilon.sigmas, pattern, upsilon.partition)
-        if len(upsilon._plans) < _MAX_PLANS:
-            upsilon._plans[pattern] = plan
-    return tuple(_images(F, upsilon.sigmas, x, plan) if y is None else y), plan
 
 
 def iterate_step(F: ProductOperator, upsilon: UpsilonTuple, x: Sequence) -> tuple:
     """One Jacobi sweep: y_i = F(x permuted by sigma_i) for every i, as one
-    batch of the k rows sigma_i over the elements ``x``, laid out by the
-    plan of ``x``'s pattern (``_images``, ``OperatorEvaluationError``)."""
-    return _sweep(F, upsilon, x)[0]
+    batch of the k rows sigma_i over the elements ``x``, planned for ``x``'s
+    pattern, prepared and dropped (``_images``, ``OperatorEvaluationError``)."""
+    _check_dimensions(F, upsilon, x)
+    return tuple(_images(F, upsilon.sigmas, x))
 
 
 def check_mixed_monotone_sampled(
@@ -303,6 +302,8 @@ def solve(
     caller that has judged it already hands that sweep's k images over as
     ``first_sweep``, which is then neither evaluated nor judged again.  The
     same comparison of every sweep that is not judged sets ``monotone_ok``.
+    The sweep's plan and prepared evaluation (``_prepare``) are this call's
+    own, made again only when the iterate's pattern changes.
     ``triple`` (a ``ContractionTriple``) is only warned about if undeclared.
 
     The returned fixed_point is the last iterate whose residual was measured,
@@ -316,8 +317,10 @@ def solve(
         raise ValueError("starting point dimension mismatch")
     if triple is not None:
         triple.warn_if_undeclared()
+    _check_dimensions(F, upsilon, x0 if first_sweep is None else first_sweep)
 
     x = tuple(x0)
+    pattern = None
     steps: List[float] = []
     spreads: List[float] = []
     monotone_ok = True
@@ -333,7 +336,10 @@ def solve(
         )
 
     for it in range(config.max_iters):
-        y, plan = _sweep(F, upsilon, x, first_sweep if it == 0 else None)
+        if (seen := _pattern(x)) != pattern:
+            pattern, plan = seen, _plan(upsilon.sigmas, seen, partition)
+            images = _prepare(F, plan)
+        y = tuple(images(x) if it or first_sweep is None else first_sweep)
         ordered, res = _compare(x, y, plan.pairs, partition, dist, leq)
         if it == 0 and first_sweep is None and not all(ordered):
             ordered, _ = _compare(x, y, range(1, partition.k + 1), partition, dist, leq)

@@ -211,11 +211,6 @@ class HammersteinProblem:
         return g * self.quadrature.weights
 
     @cached_property
-    def _layouts(self) -> dict:
-        # row tuple -> what a kernel call reads off it alone (_layout)
-        return {}
-
-    @cached_property
     def _transfer(self) -> LinearPlan:
         # grid values -> quadrature nodes; built at the first operator call
         return LinearPlan(self.grid, self.quadrature.nodes)
@@ -272,26 +267,14 @@ def _apply_kernel(problem: HammersteinProblem, g: np.ndarray, nodes: bool = True
     return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0] for w in blocks], axis=1)
 
 
-# At most this many row tuples have their layout kept on one problem; a
-# further one is laid out on each call.
-_MAX_LAYOUTS = 16
-
-
 def _layout(problem: HammersteinProblem, rows):
     """What a kernel call reads off its 1-based (R, k) row table alone: the
     0-based gather index of the distinct columns, one call (first position
     of f_j, distinct column of j) per distinct term, the index of each
     position j's term, and the quadrature nodes tiled R times, read-only.
-    A row tuple, as a sweep's plan hands over, has its layout kept on the
-    problem (``_MAX_LAYOUTS``); a table that cannot be a dict key, such as a
-    one-shot plan's list or a sampled check's array, is laid out on each
-    call.  Every table is read as an (R, k) array, so an empty one is (0, k)."""
-    try:
-        return problem._layouts[rows]
-    except KeyError:
-        keep = len(problem._layouts) < _MAX_LAYOUTS
-    except TypeError:
-        keep = False
+    The table is read as an (R, k) array, so an empty one is (0, k).  The
+    operator's ``prepare`` lays its rows out once, and a sampled check each
+    block's rows."""
     table = np.asarray(rows, dtype=np.intp).reshape(len(rows), problem.k) - 1
     first, columns, terms, select = {}, {}, {}, []
     for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()))):
@@ -299,21 +282,18 @@ def _layout(problem: HammersteinProblem, rows):
         select.append(terms.setdefault(key, len(terms)))
     s = np.tile(problem.quadrature.nodes, table.shape[0])
     s.flags.writeable = False
-    layout = np.array([*columns], dtype=np.intp), tuple(terms), np.array(select, dtype=np.intp), s
-    if keep:
-        problem._layouts[rows] = layout
-    return layout
+    return np.array([*columns], dtype=np.intp), tuple(terms), np.array(select, dtype=np.intp), s
 
 
-def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), at_nodes=(),
+def _integrals(problem: HammersteinProblem, layout, values: np.ndarray, known=(), at_nodes=(),
                nodes: bool = True):
     """The operator at R argument tuples drawn from ``values``, as the (R, n)
     array of the images at the grid nodes and the (R, nq) array of the same
     images at the quadrature nodes, (R, 0) unless ``nodes``
     (``_apply_kernel``): row r is int_1^T G(t, s) sum_j
     f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
-    ``rows`` a 1-based (R, k) index table and ``values`` a (c, n) array of
-    any number c of components at the problem's grid nodes.
+    ``rows`` the 1-based (R, k) index table that ``layout`` lays out and
+    ``values`` a (c, n) array of any number c of components at the grid nodes.
 
     Every component is checked against the floor.  Those at the 0-based
     positions ``known`` come with their (len(known), nq) values at the
@@ -322,8 +302,8 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     (which stays between each interval's node values, so these need no
     check); when all carry them, they are stacked as they are.  A
     DomainFloorError names the argument, a 1-based index into ``values``,
-    not the row.  All R rows then make one kernel call, laid out by
-    ``_layout``.  Argument j of every row, laid end to end, is column j of
+    not the row.  All R rows then make one kernel call, as ``layout`` lays
+    them out.  Argument j of every row, laid end to end, is column j of
     ``rows`` gathered from the (c, nq) array, a 1-D array of length R*nq, so
     the array contract holds and a scalar return broadcasts.  Each distinct
     column is gathered once and each distinct pair (f_j, column j), f_j told
@@ -337,9 +317,9 @@ def _integrals(problem: HammersteinProblem, rows, values: np.ndarray, known=(), 
     once and returned read-only.  A caller bounds R: the engine's sweeps
     have at most k rows and a sampled check hands over one block.
     """
-    index, calls, select, s = _layout(problem, rows)
-    s_nodes, n_rows = problem.quadrature.nodes, len(rows)
-    nq = s_nodes.size
+    index, calls, select, s = layout
+    s_nodes = problem.quadrature.nodes
+    nq, n_rows = s_nodes.size, s.size // s_nodes.size
     _check_floor(values, problem.grid.nodes, problem.domain_floor)
     if not len(known):
         vals = problem._transfer.apply(values)
@@ -385,20 +365,21 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     matmuls of (n + nq)*nq multiply-adds in all (O(n + nq) for a
     SeparableKernel).  Each of the k arguments is read, a repeated one at
     each position, so its one row has k distinct columns and its kernel
-    call shares no term (``batch``); the row is one tuple, so the problem
-    keeps its layout (``_layout``).  A sweep goes through the engine and
-    the batch instead, which reads each distinct component once.
+    call shares no term; the row is laid out on each call
+    (``product_operator``'s ``prepare``).  A sweep goes through the engine
+    and a prepared batch instead, which reads each distinct component once.
     """
     if len(x) != problem.k:
         raise ValueError(f"expected {problem.k} components, got {len(x)}")
-    return product_operator(problem).batch((range(1, problem.k + 1),), x)[0]
+    return product_operator(problem).prepare((range(1, problem.k + 1),))(x)[0]
 
 
 @dataclass(frozen=True)
 class _Image(GridFunction):
     """An image with its values at the nodes of ``quadrature``; both arrays
-    are read-only, so the two cannot drift apart.  Only ``batch`` builds
-    one, from rows ``_integrals`` has checked, so they are not checked again."""
+    are read-only, so the two cannot drift apart.  Only a prepared batch
+    (``product_operator``) builds one, from rows ``_integrals`` has checked,
+    so they are not checked again."""
 
     quadrature: QuadratureRule
     at_nodes: np.ndarray
@@ -410,32 +391,36 @@ class _Image(GridFunction):
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
     """The problem's operator, with a batched evaluation.
 
-    ``batch(rows, x)`` computes the images at R argument tuples drawn from
-    c components in one ``_integrals`` call, which gathers up to R*k*nq
-    argument values at once, so a caller with many rows hands them over in
-    blocks, as the sampled checks do.  Every image carries its values at the
+    ``prepare(rows)`` lays out the R rows once (``_layout``) and returns the
+    batch ``x -> images``: the images at the R argument tuples drawn from c
+    components, in one ``_integrals`` call that gathers up to R*k*nq
+    argument values, so a caller with many rows hands them over in blocks,
+    as the sampled checks do.  Every image carries its values at the
     quadrature nodes, which a component is read from when it carries them
-    for this problem's rule (``is``); any other is transferred (O(nq)).  The
-    engine hands the batch each distinct component once and each distinct
-    row once, as one tuple of rows per pattern (``engine._images``), so
-    from the bracket start, whose A components are one object and whose B
-    components another, every sweep is R = c = 2 at any k, only the first
-    transfers and every later one reads the layout the problem keeps.  A
-    call costs d nonlinearity calls and the kernel product plus a fixed
-    number of numpy calls: one reduction in j order, with the bits of k
-    calls, and one finiteness check of both node sets (``_integrals``).
+    for this problem's rule (``is``); any other is transferred (O(nq)).
+    From the bracket start, whose A components are one object and whose B
+    components another, a solve prepares R = 2 rows once at any k
+    (``engine._prepare``), and each sweep reads c = 2 components, which
+    only the first sweep transfers.  A call costs d nonlinearity calls and
+    the kernel product plus a fixed number of numpy calls (``_integrals``).
     """
-    def batch(rows, x):
-        for xi in x:
-            _check_same_grid(problem.grid, xi.grid)
-        known = [i for i, xi in enumerate(x)
-                 if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
-        values = np.array([xi.values for xi in x]).reshape(-1, problem.grid.n)  # (0, n) if empty
-        images, at_nodes = _integrals(problem, rows, values, known, [x[i].at_nodes for i in known])
-        return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
-                     for out, nodes in zip(images, at_nodes))
+    def prepare(rows):
+        layout = _layout(problem, rows)
 
-    return ProductOperator(problem.k, lambda *x: apply_A(problem, x), batch)
+        def batch(x):
+            for xi in x:
+                _check_same_grid(problem.grid, xi.grid)
+            known = [i for i, xi in enumerate(x)
+                     if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
+            values = np.array([xi.values for xi in x]).reshape(-1, problem.grid.n)  # (0, n) if empty
+            images, at_nodes = _integrals(problem, layout, values, known,
+                                          [x[i].at_nodes for i in known])
+            return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
+                         for out, nodes in zip(images, at_nodes))
+
+        return batch
+
+    return ProductOperator(problem.k, lambda *x: apply_A(problem, x), prepare=prepare)
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
@@ -548,7 +533,7 @@ def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: 
     evaluated components: a failure or a non-finite image raises
     OperatorEvaluationError, its ``component`` offset by ``done``."""
     try:
-        out = _integrals(problem, rows, values, nodes=False)[0]
+        out = _integrals(problem, _layout(problem, rows), values, nodes=False)[0]
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
     return out

@@ -6,7 +6,7 @@ and the partition-twisted order (componentwise <= on the A-block, >= on the
 B-block).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 __all__ = [
@@ -77,14 +77,11 @@ class UpsilonTuple:
     must swap them (A->B, B->A).  Every instance is a member of Upsilon: the
     constructor raises ValueError for maps that are not total on
     {1,...,k} or leave it, and UpsilonMembershipError for maps that break
-    the block rules (``upsilon_violations``).  ``_plans`` holds the
-    engine's sweep plans, one per pattern of repeated elements
-    (``engine._sweep``).
+    the block rules (``upsilon_violations``).
     """
 
     partition: Partition
     sigmas: Tuple[Tuple[int, ...], ...]
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", tuple(tuple(s) for s in self.sigmas))

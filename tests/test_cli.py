@@ -345,12 +345,12 @@ class TestExitCodes:
                 return g
             return make
 
-        def recorded(problem, rows, values, *args, **kwargs):
+        def recorded(problem, layout, values, *args, **kwargs):
             active.append([])
             try:
-                return integrals(problem, rows, values, *args, **kwargs)
+                return integrals(problem, layout, values, *args, **kwargs)
             finally:
-                calls.append((problem, len(rows), active.pop()))
+                calls.append((problem, layout_rows(problem, layout), active.pop()))
 
         monkeypatch.setattr(hs, "NONLINEARITIES",
                             {name: counting(f) for name, f in hs.NONLINEARITIES.items()})
@@ -934,13 +934,19 @@ class TestReproducibility:
         assert abs(recomputed - report["solution_residual"]) < 1e-12
 
 
+def layout_rows(problem, layout):
+    """The rows R of a ``hammerstein._layout``, read off its quadrature
+    nodes tiled R times."""
+    return layout[-1].size // problem.quadrature.nodes.size
+
+
 def recorded_integrals(monkeypatch):
     """Record (rows, components) of every ``hammerstein._integrals`` call."""
     calls, integrals = [], hs._integrals
 
-    def recorded(problem, rows, values, *args, **kwargs):
-        calls.append((len(rows), len(values)))
-        return integrals(problem, rows, values, *args, **kwargs)
+    def recorded(problem, layout, values, *args, **kwargs):
+        calls.append((layout_rows(problem, layout), len(values)))
+        return integrals(problem, layout, values, *args, **kwargs)
 
     monkeypatch.setattr(hs, "_integrals", recorded)
     return calls

@@ -11,9 +11,9 @@ from mixedfp.engine import (
     NonConvergenceError,
     OperatorEvaluationError,
     ProductOperator,
-    _MAX_PLANS,
     _images,
     _pattern,
+    _prepare,
     _plan,
     check_mixed_monotone_sampled,
     iterate_step,
@@ -74,28 +74,36 @@ class TestIterateStep:
         def no_apply(a, b):
             raise AssertionError("apply called although the operator has a batch")
 
-        def batch(rows, x):
-            return [MIDPOINT.apply(*(x[j - 1] for j in row)) for row in rows]
-
-        op = ProductOperator(2, no_apply, batch)
+        op = ProductOperator(2, no_apply, prepare=lambda rows: lambda x: [
+            MIDPOINT.apply(*(x[j - 1] for j in row)) for row in rows])
         assert iterate_step(op, ID_SWAP, (0.0, 1.0)) == (0.5, 0.5)
 
     def test_sweep_failure_carries_the_named_argument(self):
         class ArgumentError(ValueError):
             component = 2
 
-        def batch(rows, x):
+        def batch(x):
             raise ArgumentError("argument 2 is out of range")
 
+        op = ProductOperator(2, MIDPOINT.apply, prepare=lambda rows: batch)
         with pytest.raises(OperatorEvaluationError) as exc:
-            iterate_step(ProductOperator(2, MIDPOINT.apply, batch), ID_SWAP, (0.0, 1.0))
+            iterate_step(op, ID_SWAP, (0.0, 1.0))
         assert exc.value.component == 2
         assert str(exc.value) == "operator failed at component 2: argument 2 is out of range"
+
+    def test_a_failing_prepare_is_an_operator_failure(self):
+        def prepare(rows):
+            raise ArithmeticError("no layout")
+
+        op = ProductOperator(2, MIDPOINT.apply, prepare=prepare)
+        with pytest.raises(OperatorEvaluationError, match="^operator failed: no layout$"):
+            iterate_step(op, ID_SWAP, (0.0, 1.0))
 
     def test_a_batch_with_too_few_images_is_refused(self):
         # the count is read off the plan before any image is handed out, so
         # a sweep and both generic sampled checks refuse alike
-        op = ProductOperator(2, MIDPOINT.apply, lambda rows, x: [0.5] * (len(rows) - 1))
+        op = ProductOperator(2, MIDPOINT.apply,
+                             prepare=lambda rows: lambda x: [0.5] * (len(rows) - 1))
         a, b, c, d = (Box(v) for v in range(4))
         runs = [
             lambda: solve(op, ID_SWAP, (0.0, 1.0), IterationConfig(), dist=absdist, leq=realleq),
@@ -111,11 +119,12 @@ class TestIterateStep:
         assert messages == {"dimension mismatch: 1 images for 2 rows"}
 
     def test_sweep_failure_without_an_argument(self):
-        def batch(rows, x):
+        def batch(x):
             raise ArithmeticError("boom")
 
+        op = ProductOperator(2, MIDPOINT.apply, prepare=lambda rows: batch)
         with pytest.raises(OperatorEvaluationError) as exc:
-            iterate_step(ProductOperator(2, MIDPOINT.apply, batch), ID_SWAP, (0.0, 1.0))
+            iterate_step(op, ID_SWAP, (0.0, 1.0))
         assert exc.value.component is None
         assert str(exc.value) == "operator failed: boom"
 
@@ -153,9 +162,11 @@ class TestMixedMonotoneSampled:
         difference = ProductOperator(2, lambda a, b: a - b)
         batches = []
 
-        def batch(rows, x):
-            batches.append((list(map(tuple, rows)), list(x)))
-            return [difference.apply(*(x[j - 1] for j in row)) for row in rows]
+        def prepare(rows):
+            def batch(x):
+                batches.append((list(map(tuple, rows)), list(x)))
+                return [difference.apply(*(x[j - 1] for j in row)) for row in rows]
+            return batch
 
         def no_apply(a, b):
             raise AssertionError("apply called although the operator has a batch")
@@ -163,7 +174,7 @@ class TestMixedMonotoneSampled:
         lo, hi = 0.0, 1.0  # one object each, shared by the samples
         samples = [((lo, 5.0), 1, lo, hi), ((2.0, lo), 2, lo, hi), ((hi, hi), 2, -1.0, 3.0)]
         flipped = Partition(2, [2])
-        batched = ProductOperator(2, no_apply, batch)
+        batched = ProductOperator(2, no_apply, prepare=prepare)
         assert check_mixed_monotone_sampled(batched, flipped, samples, realleq) == \
             check_mixed_monotone_sampled(difference, flipped, samples, realleq) == \
             [(0, 1), (1, 2), (2, 2)]
@@ -180,7 +191,7 @@ class TestMixedMonotoneSampled:
         def never(*args):
             raise AssertionError("evaluated without samples")
 
-        assert check_mixed_monotone_sampled(ProductOperator(2, never, never), PART2, [],
+        assert check_mixed_monotone_sampled(ProductOperator(2, never, prepare=never), PART2, [],
                                             realleq) == []
 
 
@@ -317,6 +328,17 @@ class TestSolve:
         with pytest.raises(ValueError):
             ProductOperator(1, lambda a: a)
 
+    def test_prepare_is_keyword_only(self):
+        # a callable given as a third positional argument is refused at
+        # construction, so one written to another contract cannot fail mid-sweep
+        def batch(rows, x):
+            return [MIDPOINT.apply(*(x[j - 1] for j in row)) for row in rows]
+
+        with pytest.raises(TypeError):
+            ProductOperator(2, MIDPOINT.apply, batch)
+        op = ProductOperator(2, MIDPOINT.apply, prepare=lambda rows: lambda x: batch(rows, x))
+        assert iterate_step(op, ID_SWAP, (0.0, 1.0)) == (0.5, 0.5)
+
 
 class TestDiagnostics:
     def test_majorant_dominates_steps(self):
@@ -348,6 +370,15 @@ class TestConfigValidation:
             IterationConfig(tol_residual=-1.0)
         with pytest.raises(ValueError):
             IterationConfig(max_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, 1e400, 3.0, True, False, "3", None])
+    def test_max_iters_must_be_an_integer(self, value):
+        # a float would reach range() in solve, and a bool would run as 0 or 1
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            IterationConfig(max_iters=value)
+
+    def test_an_integral_max_iters_of_any_type_is_kept(self):
+        assert IterationConfig(max_iters=np.int64(3)).max_iters == 3
 
     @pytest.mark.parametrize("field", ["tol_step", "tol_residual"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -391,13 +422,16 @@ class TestDistinctTuples:
     def test_a_k16_sweep_is_two_rows_over_two_elements(self):
         batches = []
 
-        def batch(rows, x):
-            batches.append((list(rows), list(x)))
-            return [Box(weighted(*(x[j - 1] for j in row))) for row in rows]
+        def prepare(rows):
+            def batch(x):
+                batches.append((list(rows), list(x)))
+                return [Box(weighted(*(x[j - 1] for j in row))) for row in rows]
+            return batch
 
         lower, upper = Box(0.25), Box(3.5)
         ups = cyclic_shift_upsilon(8)
-        y = iterate_step(ProductOperator(16, weighted, batch), ups, alternating(16, lower, upper))
+        y = iterate_step(ProductOperator(16, weighted, prepare=prepare), ups,
+                         alternating(16, lower, upper))
         [(rows, elements)] = batches
         assert elements == [lower, upper]
         assert rows == [(1, 2) * 8, (2, 1) * 8]
@@ -454,11 +488,11 @@ class TestDistinctTuples:
                 raise ArgumentError(max(p for p, v in enumerate(args, start=1) if v is b))
             return a
 
-        def batch(rows, x):
+        def batch(x):
             # names the last index of b in its elements
             raise ArgumentError(max(i for i, v in enumerate(x, start=1) if v is b))
 
-        F = ProductOperator(4, apply, batch if batched else None)
+        F = ProductOperator(4, apply, prepare=(lambda rows: batch) if batched else None)
         with pytest.raises(OperatorEvaluationError) as exc:
             iterate_step(F, cyclic_shift_upsilon(2), (a, b, a, b))
         assert exc.value.component == 2
@@ -478,12 +512,14 @@ class TestDistinctTuples:
         expected = [weighted(*(x[j - 1] for j in row)) for row in rows]
         seen = []
 
-        def batch(rows, x):
-            seen.append((len(rows), len(x)))
-            return [weighted(*(x[j - 1] for j in row)) for row in rows]
+        def prepare(rows):
+            def batch(x):
+                seen.append((len(rows), len(x)))
+                return [weighted(*(x[j - 1] for j in row)) for row in rows]
+            return batch
 
         keys = [tuple(id(x[j - 1]) for j in row) for row in rows]
-        for F in (ProductOperator(k, weighted), ProductOperator(k, weighted, batch)):
+        for F in (ProductOperator(k, weighted), ProductOperator(k, weighted, prepare=prepare)):
             images = _images(F, rows, x)
             assert list(images) == expected
             # rows over the same objects share one image
@@ -492,40 +528,53 @@ class TestDistinctTuples:
         assert seen == [(len(set(keys)), len(set(map(id, x))))]
 
     @pytest.mark.parametrize("batched", [True, False])
-    def test_cached_plans_give_the_uncached_images(self, batched):
-        # one UpsilonTuple swept over more patterns of repeated elements than
-        # it keeps plans for: each sweep equals _images planned afresh, value
-        # and sharing, on both evaluation paths, and at most _MAX_PLANS stay
-        def batch(rows, x):
-            return [weighted(*(x[j - 1] for j in row)) for row in rows]
+    def test_a_prepared_sweep_gives_the_fresh_images_at_every_point_of_its_pattern(
+            self, batched):
+        # a sweep that solve plans and prepares once, evaluated at other
+        # elements of the same pattern, as solve does sweep after sweep:
+        # each equals _images planned afresh, value and sharing, on both
+        # evaluation paths
+        def prepare(rows):
+            return lambda x: [weighted(*(x[j - 1] for j in row)) for row in rows]
 
-        F = ProductOperator(6, weighted, batch if batched else None)
+        F = ProductOperator(6, weighted, prepare=prepare if batched else None)
         ups = cyclic_shift_upsilon(3)
-        pool = [Box(0.5 * v) for v in range(6)]
         rng = np.random.default_rng(11)
-        patterns = [rng.integers(0, int(rng.integers(1, 7)), size=6) for _ in range(60)]
-        for pattern in patterns * 2:
-            x = tuple(pool[i] for i in pattern)
-            y = iterate_step(F, ups, x)
-            fresh = _images(F, ups.sigmas, x)
-            assert list(y) == list(fresh)
-            assert _pattern(y) == _pattern(fresh)
-        assert len(ups._plans) == _MAX_PLANS
+        for _ in range(60):
+            pattern = rng.integers(0, int(rng.integers(1, 7)), size=6)
+            first = tuple(Box(0.5 * v) for v in range(6))
+            images = _prepare(F, _plan(ups.sigmas, _pattern([first[i] for i in pattern]),
+                                       ups.partition))
+            for shift in (0.0, 0.25, -1.5):
+                pool = [Box(0.5 * v + shift) for v in range(6)]
+                x = tuple(pool[i] for i in pattern)
+                y, fresh = images(x), _images(F, ups.sigmas, x)
+                assert list(y) == list(fresh)
+                assert _pattern(y) == _pattern(fresh)
 
     def test_a_repeated_row_sweep_refuses_a_batch_one_image_over(self):
         # the alternating start is 2 distinct rows at k = 4; a third image
         # would otherwise be dropped by the spread to the k rows
-        op = ProductOperator(4, weighted, lambda rows, x: [Box(0.0)] * (len(rows) + 1))
+        op = ProductOperator(4, weighted,
+                             prepare=lambda rows: lambda x: [Box(0.0)] * (len(rows) + 1))
         with pytest.raises(ValueError, match="^dimension mismatch: 3 images for 2 rows$"):
             iterate_step(op, cyclic_shift_upsilon(2), alternating(4, Box(0.0), Box(1.0)))
 
     def test_an_all_distinct_plan_has_the_identity_layout(self):
         ups = cyclic_shift_upsilon(2)
-        iterate_step(ProductOperator(4, weighted), ups, tuple(Box(v) for v in range(4)))
-        plan = ups._plans[(1, 2, 3, 4)]
+        plan = _plan(ups.sigmas, _pattern(tuple(Box(v) for v in range(4))), ups.partition)
         assert (plan.keep, plan.slots) == ((1, 2, 3, 4), (0, 1, 2, 3))
         assert plan.rows == tuple(map(tuple, ups.sigmas))
         assert _plan([(2, 1), (1, 2)], (1, 2))[::2] == ((1, 2), (0, 1))
+
+    def test_a_sweep_leaves_nothing_on_its_upsilon_tuple(self):
+        ups = cyclic_shift_upsilon(2)
+        x = tuple(Box(v) for v in range(4))
+        iterate_step(ProductOperator(4, weighted), ups, x)
+        solve(ProductOperator(4, lambda *args: args[0]), ups, x, IterationConfig(),
+              dist=lambda a, b: abs(a.value - b.value), leq=lambda a, b: a.value <= b.value)
+        fields = {f.name for f in dataclasses.fields(ups)}
+        assert set(vars(ups)) == fields == {"partition", "sigmas"}
 
     def test_a_plan_keeps_the_start_check_verdict_per_component(self):
         # a start that fails the order condition names every component's
@@ -535,3 +584,64 @@ class TestDistinctTuples:
         with pytest.raises(ValueError, match=r"per-component: \[True, False, True, False\]"):
             solve(op, cyclic_shift_upsilon(2), alternating(4, lower, upper), IterationConfig(),
                   dist=lambda a, b: abs(a.value - b.value), leq=lambda a, b: a.value <= b.value)
+
+
+class TestOnePlanPerSolve:
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_a_bracket_solve_prepares_its_sweep_once(self, m):
+        # the bracket's pattern never changes, so each solve plans and
+        # prepares once, and a second solve with the same F and Upsilon
+        # prepares once again: nothing is kept between solves
+        problem = mfold_example(m)
+        F, prepared = product_operator(problem), []
+        counted = ProductOperator(F.k, F.apply,
+                                  prepare=lambda rows: prepared.append(rows) or F.prepare(rows))
+        ups = cyclic_shift_upsilon(m)
+        x0 = alternating(problem.k, *initial_bracket(problem, 2.0))
+        reports = []
+        for solves in (1, 2):
+            reports.append(solve(counted, ups, x0, IterationConfig(), dist=sup_metric,
+                                 leq=pointwise_leq))
+            assert prepared == [((1, 2) * m, (2, 1) * m)] * solves
+        assert reports[0].iterations > 2
+        assert reports[0].step_history == reports[1].step_history
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_a_collapse_partway_replans_once_and_solves_as_iterate_step(self, batched):
+        # y_i = (x_i + 1/2) / 2 halves the distance to 1/2, until both images
+        # lie within 1e-3 of it and are one shared object: the iterate's
+        # pattern changes from (1, 2, 1, 2) to (1, 1, 1, 1) at that sweep
+        # alone, and the report is a loop of iterate_step, bit for bit
+        centre = Box(0.5)
+
+        def apply(*args):
+            value = 0.5 * (args[0].value + 0.5)
+            return centre if abs(value - 0.5) < 1e-3 else Box(value)
+
+        prepared, evaluated = [], []
+
+        def prepare(rows):
+            prepared.append((len(evaluated), rows))
+            return lambda x: evaluated.append(1) or [apply(*(x[j - 1] for j in row))
+                                                     for row in rows]
+
+        F = ProductOperator(4, apply, prepare=prepare if batched else None)
+        ups, x0 = cyclic_shift_upsilon(2), alternating(4, Box(0.0), Box(1.0))
+        dist = lambda a, b: abs(a.value - b.value)  # noqa: E731
+        cfg = IterationConfig(tol_step=1e-12, tol_residual=1e-12, max_iters=50)
+        report = solve(F, ups, x0, cfg, dist=dist, leq=lambda a, b: a.value <= b.value)
+        by_solve = list(prepared)
+        steps, spreads, x = [], [], x0
+        while not steps or steps[-1] > cfg.tol_step:
+            y = iterate_step(F, ups, x)
+            steps.append(max(map(dist, x, y)))
+            spreads.append(max(dist(a, b) for a in x for b in x))
+            x, last = y, x
+        assert report.step_history == tuple(steps)
+        assert report.spread_history == tuple(spreads)
+        assert report.fixed_point == last and _pattern(last) == (1, 1, 1, 1)
+        assert report.converged and report.collapsed and report.monotone_ok
+        collapse = spreads.index(0.0)  # the first sweep from the collapsed iterate
+        assert 2 < collapse < report.iterations
+        if batched:
+            assert by_solve == [(0, ((1, 2, 1, 2), (2, 1, 2, 1))), (collapse, ((1, 1, 1, 1),))]

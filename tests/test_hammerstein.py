@@ -219,7 +219,7 @@ class TestArrayContract:
         nodes = p.grid.nodes.tobytes(), p.quadrature.nodes.tobytes()
         armed.add("kernel")
         with pytest.raises(ValueError, match="^kernel must accept node arrays.*read-only"):
-            product_operator(p).batch(((1, 2),), (linear(p, 2.0), linear(p, 3.0)))
+            product_operator(p).prepare(((1, 2),))((linear(p, 2.0), linear(p, 3.0)))
         armed.add("f")
         with pytest.raises(ValueError, match="^nonlinearity 1 must accept node arrays.*read-only"):
             check_assumption_d(p, [(1.0, 2.0)], [1.5])
@@ -338,7 +338,7 @@ class TestSweepKernel:
             example22, quadrature=RULES[quadrature](2.0, 32, 8)), m)
         ups = cyclic_shift_upsilon(m)
         F = product_operator(p)
-        assert F.batch is not None
+        assert F.prepare is not None
         rng = np.random.default_rng(100 + m)
         for _ in range(3):
             x = rough_ordered_tuple(p, rng)
@@ -418,12 +418,12 @@ class TestSweepKernel:
         u, v = linear(p, 2.0), linear(p, 3.0)
         F = product_operator(p)
         # the columns of (u, v) differ: g is called at each of them
-        F.batch([(1, 2)], (u, v))
+        F.prepare([(1, 2)])((u, v))
         assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
         # the columns of (u, u) are one: g is called once, its term added
         # twice, as in apply_A, whose one row (1, 2) has two columns
         calls.clear()
-        image = F.batch([(1, 1)], (u, v))[0]
+        image = F.prepare([(1, 1)])((u, v))[0]
         assert len(calls) == 1
         assert np.array_equal(image.values, apply_A(p, (u, u)).values)
 
@@ -442,7 +442,7 @@ class TestSweepKernel:
         armed.append(True)  # construction's probe passes
         u = linear(p, 2.0)
         with pytest.raises(ValueError, match="read-only"):
-            product_operator(p).batch([(1, 1)], (u,))
+            product_operator(p).prepare([(1, 1)])((u,))
 
     def test_a_nonlinearity_cannot_write_into_the_nodes(self):
         # the tiled nodes are kept between kernel calls, so a nonlinearity
@@ -455,7 +455,7 @@ class TestSweepKernel:
         p = _small_problem(nonlinearities=(f, lambda s, x: np.log(s + x)))
         armed.append(True)  # construction's probe passes
         with pytest.raises(ValueError, match="read-only"):
-            product_operator(p).batch(((1, 2),), (linear(p, 2.0), linear(p, 3.0)))
+            product_operator(p).prepare(((1, 2),))((linear(p, 2.0), linear(p, 3.0)))
 
     def test_floor_error_names_the_argument_not_the_row(self, example22):
         p = mfold(example22, 2)
@@ -507,19 +507,20 @@ def rough_pool(problem, rng, count):
 
 
 def recorded_operator(problem):
-    """The problem's batched operator; ``calls`` records each batch's rows
-    and elements, and ``apply`` must not be called."""
+    """The problem's batched operator; ``calls`` records the rows and
+    elements of each call of a prepared batch, and ``apply`` must not be
+    called."""
     F = product_operator(problem)
     calls = []
 
-    def batch(rows, x):
-        calls.append((list(rows), list(x)))
-        return F.batch(rows, x)
+    def prepare(rows):
+        batch = F.prepare(rows)
+        return lambda x: calls.append((list(rows), list(x))) or batch(x)
 
     def no_apply(*x):
         raise AssertionError("per-tuple apply called although the batch is set")
 
-    return ProductOperator(F.k, no_apply, batch), calls
+    return ProductOperator(F.k, no_apply, prepare=prepare), calls
 
 
 def sampled_contraction(problem, F, pairs):
@@ -551,7 +552,7 @@ class TestBatchKernel:
             x = rough_pool(p, rng, pool)
             for n_rows in (1, block - 1, block, block + 1, 400):
                 rows = rng.integers(1, len(x) + 1, size=(n_rows, p.k))
-                images = F.batch(rows, x)
+                images = F.prepare(rows)(x)
                 assert len(images) == n_rows
                 for row, y in zip(rows, images):
                     assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
@@ -561,7 +562,7 @@ class TestBatchKernel:
     ], ids=["array", "list", "tuple", "no_elements"])
     def test_an_empty_row_table_has_no_images(self, example22, rows, elements):
         x = initial_bracket(example22, 2.0)[:elements]
-        assert product_operator(example22).batch(rows, x) == ()
+        assert product_operator(example22).prepare(rows)(x) == ()
 
     @pytest.mark.parametrize("pool", ["rough", "images", "mixed"])
     @pytest.mark.parametrize("m", [2, 4])
@@ -573,12 +574,12 @@ class TestBatchKernel:
         p = mfold(example22, m)
         F, rng = product_operator(p), np.random.default_rng(300 + m)
         rough = rough_pool(p, rng, 3)
-        images = list(F.batch(rng.integers(1, 4, size=(3, p.k)), rough))
+        images = list(F.prepare(rng.integers(1, 4, size=(3, p.k)))(rough))
         x = {"rough": rough, "images": images, "mixed": rough[:2] + images[:2]}[pool]
         for n_rows in (0, 1, rows_at_the_gather_bound(p), 400):
             columns = rng.integers(1, len(x) + 1, size=(n_rows, 3))
             rows = columns[:, rng.integers(0, 3, size=p.k)]
-            out = F.batch(rows, x)
+            out = F.prepare(rows)(x)
             assert len(out) == n_rows
             for row, y in zip(rows, out):
                 expected = apply_A(p, [x[j - 1] for j in row])
@@ -609,7 +610,7 @@ class TestBatchKernel:
         monkeypatch.setattr(
             LinearPlan, "apply", lambda plan, y: applied.append(y.copy()) or apply(plan, y))
         lengths.clear()  # construction probes each piece once
-        images = product_operator(p).batch(rows, x)
+        images = product_operator(p).prepare(rows)(x)
         assert len(images) == n_rows
         # every component once, in order, in one apply
         assert len(applied) == 1
@@ -646,7 +647,7 @@ class TestBatchKernel:
         x[-1] = GridFunction(p.grid, values)
         rows = [range(r * k + 1, r * k + k + 1) for r in range(block + 1)]
         with pytest.raises(DomainFloorError) as exc:
-            product_operator(p).batch(rows, x)
+            product_operator(p).prepare(rows)(x)
         assert exc.value.component == len(x)
         assert exc.value.node == p.grid.nodes[4]
 
@@ -721,7 +722,8 @@ class TestSeparableKernel:
         rng = np.random.default_rng(11)
         x = rough_pool(p, rng, 12)
         rows = rng.integers(1, len(x) + 1, size=(2 * block + 3, k))
-        for y, z in zip(product_operator(p).batch(rows, x), product_operator(dense).batch(rows, x)):
+        images = (product_operator(q).prepare(rows)(x) for q in (p, dense))
+        for y, z in zip(*images):
             assert np.max(np.abs(y.values - z.values)) <= 1e-14 * np.max(np.abs(z.values))
 
     @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
@@ -735,7 +737,7 @@ class TestSeparableKernel:
         x = rough_pool(p, rng, 9)
         for n_rows in (1, block - 1, block + 1, 2 * block + 3):
             rows = rng.integers(1, len(x) + 1, size=(n_rows, k))
-            for row, y in zip(rows, product_operator(p).batch(rows, x)):
+            for row, y in zip(rows, product_operator(p).prepare(rows)(x)):
                 assert np.array_equal(y.values, apply_A(p, [x[j - 1] for j in row]).values)
 
     @pytest.mark.parametrize("size", SIZES, ids=["n200", "n1000"])
@@ -1403,10 +1405,16 @@ def bracket_start(problem, alpha):
     return tuple(lower if i % 2 == 0 else upper for i in range(problem.k))
 
 
-def solve_bits(problem, alpha, upsilon):
+def per_row(problem):
+    """The problem's operator without its prepared batch: one ``apply`` call
+    per distinct row."""
+    return ProductOperator(problem.k, product_operator(problem).apply)
+
+
+def solve_bits(problem, alpha, upsilon, operator=product_operator):
     """A bracket solve's histories as float.hex and a sha256 of its fixed
     point's values, component after component."""
-    report = solve(product_operator(problem), upsilon, bracket_start(problem, alpha),
+    report = solve(operator(problem), upsilon, bracket_start(problem, alpha),
                    IterationConfig(), dist=sup_metric, leq=pointwise_leq)
     digest = hashlib.sha256()
     for component in report.fixed_point:
@@ -1477,20 +1485,21 @@ class TestFirstSweepHandoff:
         assert format_csv(report.fixed_point[0]) == (pinned / "solution.csv").read_text()
 
 
-class TestSweepCaches:
+class TestSweepPlans:
     @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_mfold_sweeps_are_pinned(self, example22, m):
+    @pytest.mark.parametrize("operator", [product_operator, per_row], ids=["prepared", "per_row"])
+    def test_mfold_sweeps_are_pinned(self, example22, operator, m):
         # the dense m-fold solves from the bracket at alpha = 2, T = 2, bit
-        # for bit as recorded before sweeps were planned once per pattern
-        bits, _ = solve_bits(mfold(example22, m), 2.0, cyclic_shift_upsilon(m))
+        # for bit as recorded before sweeps were planned once per pattern,
+        # through the prepared batch and through one apply per distinct row
+        bits, _ = solve_bits(mfold(example22, m), 2.0, cyclic_shift_upsilon(m), operator)
         assert bits == json.loads(MFOLD_SWEEPS.read_text())[str(m)]
 
     def test_problems_built_and_dropped_in_turn_solve_as_fresh_ones(self):
-        # each problem keeps its kernel-call layouts and each UpsilonTuple its
-        # sweep plans.  Problems at other (alpha, T) and quadratures are
-        # built, solved and dropped one after another, so that their ids are
-        # reused, on one UpsilonTuple per m: each solve gives the bits of the
-        # first solve of its case, near alpha * t
+        # problems at other (alpha, T) and quadratures are built, solved and
+        # dropped one after another, so that their ids are reused, on one
+        # UpsilonTuple per m: each solve gives the bits of the first solve of
+        # its case, near alpha * t
         cases = [(2.0, 2.0, 1, RULES["gauss-legendre"], 32, 8),
                  (5.0, 10.0, 1, RULES["gauss-legendre"], 32, 8),  # other nodes, as many
                  (3.0, math.e, 1, RULES["simpson"], 24, 8),
@@ -1513,32 +1522,33 @@ class TestSweepCaches:
         for order in ([4, 3, 2, 1, 0], [1, 0, 2, 1, 0, 2, 4, 3, 4], [0, 2, 1, 3, 0, 4, 2]) * 3:
             assert [run(i) for i in order] == [first[i] for i in order]
 
-    def test_one_shot_batches_leave_the_layouts_to_the_sweeps(self):
-        # the generic sampled checks plan each batch once and hand it a
-        # list of rows: more row tables than the problem keeps are laid out
-        # and dropped, and a later solve's rows are still kept
+    def test_each_batch_lays_out_its_rows_once_and_keeps_nothing(self, monkeypatch):
+        # the sampled contraction check lays out the one table of its 2 * 3
+        # rows, a solve the bracket's two rows once for all its sweeps, and
+        # neither leaves anything on the problem but the problem's own data
         p = build_log_example(2.0, 2.0)  # a new instance, no cache
         F, ups = product_operator(p), cyclic_shift_upsilon(1)
-        rng = np.random.default_rng(6)
-        for count in range(1, hs._MAX_LAYOUTS + 2):
-            pairs = cli._random_ordered_pairs(p, rng, count)
-            sampled_contraction(p, F, as_grid_functions(p.grid, pairs))
-        samples, coords = cli._monotone_samples(p, rng, 3)
-        check_mixed_monotone_sampled(F, ups.partition, as_grid_functions(p.grid, samples, coords),
-                                     pointwise_leq)
-        assert p._layouts == {}
-        solve(F, ups, initial_bracket(p, 2.0), IterationConfig(), dist=sup_metric,
-              leq=pointwise_leq)
-        assert list(p._layouts) == [((1, 2), (2, 1))]
+        layouts, layout = [], hs._layout
+        monkeypatch.setattr(hs, "_layout", lambda problem, rows: layouts.append(
+            np.asarray(rows).tolist()) or layout(problem, rows))
+        pairs = cli._random_ordered_pairs(p, np.random.default_rng(6), 3)
+        sampled_contraction(p, F, as_grid_functions(p.grid, pairs))
+        report = solve(F, ups, initial_bracket(p, 2.0), IterationConfig(), dist=sup_metric,
+                       leq=pointwise_leq)
+        assert report.iterations > 2
+        assert layouts == [[[2 * r + 1, 2 * r + 2] for r in range(6)], [[1, 2], [2, 1]]]
+        own = {f.name for f in dataclasses.fields(p)}
+        assert set(vars(p)) - own <= {"_nodes", "_weighted_kernel", "_node_block", "_transfer",
+                                      "_forcing_values"}
 
     @pytest.mark.parametrize("batched", [True, False])
-    def test_one_upsilon_over_three_patterns_gives_the_uncached_images(self, example22, batched):
-        # a bracket start, an all-distinct start and the collapsed tuple, each
-        # swept twice on one UpsilonTuple, so the second sweep reads the
-        # cached plan: images and the failing component are those of
-        # _images planned afresh
+    def test_a_prepared_sweep_gives_the_fresh_images_on_three_patterns(self, example22, batched):
+        # a bracket start, an all-distinct start and the collapsed tuple: the
+        # sweep that solve plans and prepares for each pattern, evaluated
+        # twice and then at a failing tuple of that pattern, gives the images
+        # and the failing component of _images planned afresh
         p = mfold(example22, 2)
-        F = product_operator(p) if batched else ProductOperator(p.k, product_operator(p).apply)
+        F = product_operator(p) if batched else per_row(p)
         ups = cyclic_shift_upsilon(2)
         solution = GridFunction(p.grid, 2.0 * p.grid.nodes)
         values = np.array(solution.values)
@@ -1546,21 +1556,21 @@ class TestSweepCaches:
         bad = GridFunction(p.grid, values)
         starts = [bracket_start(p, 2.0), rough_ordered_tuple(p, np.random.default_rng(4)),
                   (solution,) * p.k]
-        for _ in range(2):
-            for x in starts:
-                y, fresh = iterate_step(F, ups, x), engine._images(F, ups.sigmas, x)
+        for x in starts:
+            images = engine._prepare(F, engine._plan(ups.sigmas, engine._pattern(x), ups.partition))
+            for _ in range(2):
+                y, fresh = images(x), engine._images(F, ups.sigmas, x)
                 assert all(np.array_equal(a.values, b.values) for a, b in zip(y, fresh))
                 assert engine._pattern(y) == engine._pattern(fresh)
-                # every occurrence of x's last element fails: the pattern is kept
-                last = x[-1]
-                failing = tuple(bad if xi is last else xi for xi in x)
-                with pytest.raises(OperatorEvaluationError) as cached:
-                    iterate_step(F, ups, failing)
-                with pytest.raises(OperatorEvaluationError) as uncached:
-                    engine._images(F, ups.sigmas, failing)
-                assert cached.value.component == uncached.value.component \
-                    == [xi is last for xi in x].index(True) + 1
-        assert len(ups._plans) == 3
+            # every occurrence of x's last element fails: the pattern is kept
+            last = x[-1]
+            failing = tuple(bad if xi is last else xi for xi in x)
+            with pytest.raises(OperatorEvaluationError) as prepared:
+                images(failing)
+            with pytest.raises(OperatorEvaluationError) as planned_afresh:
+                engine._images(F, ups.sigmas, failing)
+            assert prepared.value.component == planned_afresh.value.component \
+                == [xi is last for xi in x].index(True) + 1
 
 
 def looped_integrals(problem, rows, values):
@@ -1603,7 +1613,9 @@ class TestOneReduction:
         rng = np.random.default_rng(k * 100 + R)
         values = 1.0 + rng.uniform(0.0, 9.0, (3, p.grid.n))
         rows = rng.integers(1, 4, (R, k))
-        for got, expected in zip(hs._integrals(p, rows, values), looped_integrals(p, rows, values)):
+        layout = hs._layout(p, rows)
+        for got, expected in zip(hs._integrals(p, layout, values),
+                                 looped_integrals(p, rows, values)):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
@@ -1665,7 +1677,7 @@ class TestOneValidation:
         x = rough_ordered_tuple(example22, np.random.default_rng(15))
         F = product_operator(example22)
         images = [*iterate_step(F, cyclic_shift_upsilon(1), x), apply_A(example22, x),
-                  *F.batch([(1, 2), (2, 2), (2, 1)], list(x))]
+                  *F.prepare([(1, 2), (2, 2), (2, 1)])(list(x))]
         for y in images:
             assert isinstance(y, hs._Image) and y.quadrature is example22.quadrature
             for a in (y.values, y.at_nodes):
