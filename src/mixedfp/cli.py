@@ -22,9 +22,10 @@ check report, which fails the check (exit 1; ``solve --force`` goes on).
 One order slack, ``funcspace.ORDER_SLACK``, compares grid functions in
 every check and in solve.  Assumption E's H_r are the first sweep, which
 solve takes as its own (``engine.solve``'s ``first_sweep``), so a solve
-evaluates and judges its start once.  The sampled checks' samples are drawn as
-stacked arrays and checked block by block (``hammerstein.check_contraction``
-and ``check_mixed_monotone``), never as grid functions.
+evaluates and judges its start once.  The sampled checks' samples are drawn
+block by block as stacked arrays, each block checked as it is drawn
+(``hammerstein.check_contraction`` and ``check_mixed_monotone``), never as
+grid functions.
 """
 
 import argparse
@@ -61,8 +62,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_OPERATOR_ERROR = 4
 
 # A problem's largest array is its weighted kernel, one float64 per (grid
-# node, quadrature node), though verify's samples can be larger.  build_problem
-# refuses a kernel above this many bytes (256 MiB) before building anything.
+# node, quadrature node); the sampled checks hold one block of samples at a
+# time (hammerstein._BLOCK_ELEMENTS).  build_problem refuses a kernel above
+# this many bytes (256 MiB) before building anything.
 KERNEL_BYTES_GUARD = 2 ** 28
 
 DEFAULTS = {
@@ -210,9 +212,9 @@ def _run_checks(problem, x0):
     except OperatorEvaluationError as exc:
         # the start tuple cannot be evaluated: a failed check, not a crash
         e_failures, e_error = (), _operator_error(exc)
-    mono = _monotone_samples(problem, np.random.default_rng(0), 20)
     try:
-        violations = hs.check_mixed_monotone(problem, *mono)
+        violations = hs.check_mixed_monotone(
+            problem, _monotone_samples(problem, np.random.default_rng(0), 20))
     except OperatorEvaluationError as exc:
         violations, mono_error = [], _operator_error(exc)
     report = {
@@ -240,50 +242,69 @@ def _operator_error(exc: OperatorEvaluationError) -> dict:
 
 
 def _monotone_samples(problem, rng, count):
-    """Random single-coordinate ordered perturbations, as (count, k + 1, n)
-    samples and their coordinates: sample i is k constants in [lo, lo + 4],
-    lo the domain floor, then its component ``coords[i]`` raised by 0.1-3."""
-    k, lo = problem.k, problem.domain_floor
-    samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
-    for i in range(count):
-        samples[i, :k] = lo + rng.uniform(0.0, 4.0, size=k)[:, None]
-        coords[i] = rng.integers(1, k + 1)
-        samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
-    return samples, coords
+    """Random single-coordinate ordered perturbations, drawn block by block
+    as ``hammerstein.check_mixed_monotone`` takes them: each block is a
+    (b, k + 1, n) array of b samples with their b coordinates, b the check's
+    block size (``_samples_per_block``) but at the end.  Sample i is k
+    constants in [lo, lo + 4], lo the domain floor, then its component
+    ``coords[i]`` raised by 0.1-3.  The loop makes only a sample's three
+    draws, in order; one broadcast fills the block."""
+    k, lo, n = problem.k, problem.domain_floor, problem.grid.n
+    size = hs._samples_per_block(problem)
+    for start in range(0, count, size):
+        b = min(size, count - start)
+        points, coords, raises = np.empty((b, k + 1)), np.empty(b, dtype=int), np.empty(b)
+        for i in range(b):
+            points[i, :k] = rng.uniform(0.0, 4.0, size=k)
+            coords[i] = rng.integers(1, k + 1)
+            raises[i] = rng.uniform(0.1, 3.0)
+        points[:, :k] += lo
+        points[:, k] = points[np.arange(b), coords - 1] + raises
+        yield np.repeat(points[:, :, None], n, axis=2), coords
 
 
 def _random_ordered_pairs(problem, rng, count):
     """Seeded ordered pairs of product tuples with values in [lo, lo + 9],
-    lo the domain floor, as ``hammerstein.check_contraction`` takes them: a
-    (count, 2, k, n) array, pair p's x, then its z.
+    lo the domain floor, drawn block by block as
+    ``hammerstein.check_contraction`` takes them: each block is a
+    (b, 2, k, n) array, pair p's x, then its z, b the check's block size
+    (``_samples_per_block``) but at the end.
 
     Half the pairs use constant functions with scalar gaps (these reach the
     extreme separations where a broken nonlinearity actually leaves the
     contraction band); the first pair spans the full range.  Every later
-    pair draws, in order, one (k, 2, width) block of a single
-    ``rng.random`` array, row i the values then the gaps of component i,
-    scaled as ``rng.uniform`` would: width n for the function pairs (odd
-    index), 1 for the constant ones (even index).  The widths 2kn and 2k
-    alternate, so the array is read as rows of one period, 2k(n + 1)
-    values: a function pair's draws, then the next constant pair's.
+    pair draws, in order, one (k, 2, width) array of ``rng.random`` values,
+    row i the values then the gaps of component i, scaled as
+    ``rng.uniform`` would: width n for the function pairs (odd index), 1 for
+    the constant ones (even index).  A block makes one ``rng.random`` call
+    and reads it as rows of one period, 2k(n + 1) values: a function pair's
+    draws, then the next constant pair's; a block that starts at a constant
+    pair leaves its first function slot empty.
     """
     k, n = problem.k, problem.grid.n
     lo, hi = problem.domain_floor, problem.domain_floor + 9.0
-    functions, constants = count // 2, (count - 1) // 2
-    u = np.empty((functions, 2 * k * (n + 1)))
-    rng.random(out=u.reshape(-1)[:2 * k * (n * functions + constants)])
-    pairs = np.empty((count, 2, k, n))
-    a, b = pairs[:, 0], pairs[:, 1]
-    a[0], b[0] = lo, hi
-    for first, top, draws in ((1, hi - 1.0, u[:, :2 * k * n].reshape(-1, k, 2, n)),
-                              (2, hi, u[:constants, 2 * k * n:].reshape(-1, k, 2, 1))):
-        values = lo + (top - lo) * draws[:, :, 0]
-        gap = (hi - values.max(axis=2, keepdims=True)) * draws[:, :, 1]
-        a[first::2], b[first::2] = values, values + gap
-    # x_i <= z_i on the A block (odd i), x_i >= z_i on the B block (even i),
-    # so x is a and z is b on A, the other way round on B
-    a[:, 1::2], b[:, 1::2] = b[:, 1::2], a[:, 1::2].copy()
-    return pairs
+    size = hs._samples_per_block(problem)
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        pairs = np.empty((stop - start, 2, k, n))
+        a, b = pairs[:, 0], pairs[:, 1]
+        if start == 0:
+            a[0], b[0] = lo, hi
+        first = max(start, 1)
+        lead = first % 2 == 0  # the block's first draws are a constant pair's
+        functions, constants = stop // 2 - first // 2, (stop - 1) // 2 - (first - 1) // 2
+        u = np.empty((functions + lead, 2 * k * (n + 1)))
+        skip = 2 * k * n * lead
+        rng.random(out=u.reshape(-1)[skip:skip + 2 * k * (n * functions + constants)])
+        for at, top, draws in ((first + lead, hi - 1.0, u[lead:, :2 * k * n].reshape(-1, k, 2, n)),
+                               (first + 1 - lead, hi, u[:constants, 2 * k * n:].reshape(-1, k, 2, 1))):
+            values = lo + (top - lo) * draws[:, :, 0]
+            gap = (hi - values.max(axis=2, keepdims=True)) * draws[:, :, 1]
+            a[at - start::2], b[at - start::2] = values, values + gap
+        # x_i <= z_i on the A block (odd i), x_i >= z_i on the B block (even i),
+        # so x is a and z is b on A, the other way round on B
+        a[:, 1::2], b[:, 1::2] = b[:, 1::2], a[:, 1::2].copy()
+        yield pairs
 
 
 def cmd_check(args) -> int:
@@ -362,10 +383,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     _, problem, _ = _prepare(args)
     rng = np.random.default_rng(args.seed)
-    pairs = _random_ordered_pairs(problem, rng, 200)
     try:
-        report = hs.check_contraction(problem, pairs, builtin_log_triple(), tol_slack=1e-8)
-        mono_violations = hs.check_mixed_monotone(problem, *_monotone_samples(problem, rng, 50))
+        # each check draws its blocks as it evaluates them: the pairs first,
+        # then the monotonicity samples, from the one generator
+        report = hs.check_contraction(problem, _random_ordered_pairs(problem, rng, 200),
+                                      builtin_log_triple(), tol_slack=1e-8)
+        mono_violations = hs.check_mixed_monotone(problem, _monotone_samples(problem, rng, 50))
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
         print(json.dumps({"operator_error": _operator_error(exc)}, indent=2))

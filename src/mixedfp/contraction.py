@@ -105,12 +105,19 @@ def verify_contraction_sampled(
     accepted pairs are then evaluated in one batch, prepared for them and
     dropped (``engine._images``), whose elements are their tuples laid end
     to end, x then z, which an ``engine.OperatorEvaluationError``'s
-    ``component`` indexes.
+    ``component`` indexes.  Every tuple must have the operator's k
+    components, or, for a plain callable, as many as the first pair's x;
+    any other raises ValueError before any evaluation, as in
+    ``engine.iterate_step``.
     """
     accepted: List[Tuple[Sequence, Sequence]] = []
     dks: List[float] = []
     rejected: List[int] = []
+    k = F.k if isinstance(F, ProductOperator) else None
     for idx, (x, z) in enumerate(pairs):
+        k = len(x) if k is None else k
+        if not len(x) == len(z) == k:
+            raise ValueError("dimension mismatch between operator, tuple and point")
         if not ordered(x, z):
             rejected.append(idx)
             continue
@@ -118,7 +125,6 @@ def verify_contraction_sampled(
         dks.append(dist_k(x, z))
     slacks: List[float] = []
     if accepted:
-        k = len(accepted[0][0])
         op = F if isinstance(F, ProductOperator) else ProductOperator(k, lambda *x: F(x))
         elements = [c for x, z in accepted for c in (*x, *z)]
         rows = [tuple(range(r * k + 1, r * k + k + 1)) for r in range(2 * len(accepted))]

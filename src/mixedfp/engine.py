@@ -262,9 +262,13 @@ def check_mixed_monotone_sampled(
     after every sample has been validated.  The batch's elements are the
     samples laid end to end, each as its base point with ``low`` in
     coordinate j, then ``high``: k + 1 elements per sample, which an
-    OperatorEvaluationError's ``component`` indexes.
+    OperatorEvaluationError's ``component`` indexes.  An operator whose k
+    is not the partition's raises ValueError before any evaluation, as in
+    ``iterate_step``.
     """
     k = partition.k
+    if F.k != k:
+        raise ValueError("dimension mismatch between operator, tuple and point")
     elements, rows = [], []
     for idx, sample in enumerate(samples):
         if len(sample) != 4:

@@ -128,8 +128,14 @@ class LinearPlan:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Values at the planned points of each row of ``y`` (shape (k, n)),
-        shape (k, t.size)."""
-        return self._rest * y.take(self._idx, axis=1) + self._theta * y.take(self._idx1, axis=1)
+        shape (k, t.size), in two (k, t.size) arrays: each gathered end is
+        weighted in place."""
+        out = y.take(self._idx, axis=1)
+        out *= self._rest
+        right = y.take(self._idx1, axis=1)
+        right *= self._theta
+        out += right
+        return out
 
 
 def interpolate(u: GridFunction, t):

@@ -15,6 +15,7 @@ Either way an image is known at the grid nodes and at the quadrature nodes,
 where the next sweep reads it (the Nystrom method, Atkinson 1997, ch. 4).
 """
 
+import itertools
 import logging
 import math
 import numbers
@@ -241,11 +242,15 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
         raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
 
 
-# The one size bound of the batch kernel, in float64 values (64 KiB): a
-# sampled check's block is the samples of at most _BLOCK_ELEMENTS // max(n, nq)
-# components, at least one sample, so its one kernel call gathers under
-# 2 * _BLOCK_ELEMENTS argument values, or one sample's 2k * nq.
-_BLOCK_ELEMENTS = 1 << 13
+# The one size bound of the batch kernel, in float64 values (96 KiB): a
+# sampled check's block is the samples whose two rows of k arguments each
+# make at most _BLOCK_ELEMENTS // max(n, nq) arguments, at least one sample,
+# so no array of its draws or of its one kernel call holds more than
+# _BLOCK_ELEMENTS values, or one sample's 2k * max(n, nq).  Blocks twice as
+# large were faster alone, but their arrays passed 128 KiB, glibc's default
+# threshold for mapping an allocation, and the heap was trimmed and faulted
+# in again around each block, which a round of CLI solves paid for.
+_BLOCK_ELEMENTS = 3 << 12
 
 
 def _apply_kernel(problem: HammersteinProblem, g: np.ndarray, nodes: bool = True) -> np.ndarray:
@@ -340,7 +345,8 @@ def _integrals(problem: HammersteinProblem, layout, values: np.ndarray, known=()
     with np.errstate(all="ignore"):
         for term, (j, column) in zip(terms, calls):
             np.copyto(term, fs[j](s, args[column]), casting="same_kind")  # as += casts
-        summands = terms.take(select, axis=0)
+        # k distinct terms are the summands as they stand
+        summands = terms if len(select) == len(terms) else terms.take(select, axis=0)
         if summands.shape[1] == 1:  # numpy would pair the terms of a lone column
             summands = np.broadcast_to(summands, (len(select), 2))
         total = np.add.reduce(summands, axis=0, initial=0.0)[:n_rows * nq]
@@ -521,84 +527,123 @@ def check_assumption_e(
     return AssumptionEReport(h_functions, tuple(failures))
 
 
-def _samples_per_block(problem: HammersteinProblem, elements: int) -> int:
-    """A sampled check's block: the samples of ``elements`` components each
-    that make at most _BLOCK_ELEMENTS // max(n, nq) components, at least one."""
+def _samples_per_block(problem: HammersteinProblem) -> int:
+    """A sampled check's block: the samples, two rows of k arguments each,
+    that make at most _BLOCK_ELEMENTS // max(n, nq) arguments, at least one.
+    A pair's 2k components are its arguments, a monotonicity sample's k + 1
+    fewer."""
     size = max(problem.grid.n, problem.quadrature.nodes.size)
-    return max(1, _BLOCK_ELEMENTS // size // elements)
+    return max(1, _BLOCK_ELEMENTS // size // (2 * problem.k))
 
 
-def _sample_images(problem: HammersteinProblem, rows, values: np.ndarray, done: int):
+def _cut(samples, size: int):
+    """An array of samples read as one source: its blocks of ``size``."""
+    return (samples[start:start + size] for start in range(0, len(samples), size))
+
+
+def _sample_images(problem: HammersteinProblem, layouts: dict, rows: np.ndarray,
+                   values: np.ndarray, done: int):
     """``_integrals``' grid images on a block that follows ``done``
     evaluated components: a failure or a non-finite image raises
-    OperatorEvaluationError, its ``component`` offset by ``done``."""
+    OperatorEvaluationError, its ``component`` offset by ``done``.  The
+    first row of a sample table is k distinct components, so its k columns
+    are distinct, and its layout is that of any table of its shape but for
+    the gather index, the 0-based table transposed (an empty table gathers
+    nothing): ``layouts``, the caller's own, holds one ``_layout`` per
+    shape."""
     try:
-        out = _integrals(problem, _layout(problem, rows), values, nodes=False)[0]
+        if rows.shape not in layouts:
+            layouts[rows.shape] = _layout(problem, rows)
+        layout = (rows.T - 1, *layouts[rows.shape][1:])
+        out = _integrals(problem, layout, values, nodes=False)[0]
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
     return out
 
 
-def check_contraction(problem: HammersteinProblem, pairs: np.ndarray,
+def check_contraction(problem: HammersteinProblem, pairs,
                       triple: ContractionTriple, tol_slack: float) -> ContractionSampleReport:
-    """``contraction.verify_contraction_sampled`` on a (count, 2, k, n) array
-    of pairs, pair p's x then its z, under the sup metric, its maximum over
-    components and the cyclic shift's twisted order.  Each block of
-    ``_samples_per_block(problem, 2k)`` pairs is order-checked, then its
-    accepted pairs make one ``_integrals`` call, rows x then z; the
-    components of the accepted pairs, laid end to end, are what an
-    OperatorEvaluationError's ``component`` indexes, as in the generic check.
+    """``contraction.verify_contraction_sampled`` on pairs of product
+    tuples under the sup metric, its maximum over components and the cyclic
+    shift's twisted order.  ``pairs`` is a (count, 2, k, n) array, pair p's
+    x then its z, cut into blocks of ``_samples_per_block(problem)``
+    pairs, or an iterable of such (b, 2, k, n) blocks, each checked as it
+    arrives (``cli._random_ordered_pairs`` draws them), so no more than a
+    block is held.  A block's shape is checked, then its order, in one
+    whole-block comparison; its accepted pairs, all of it when none is
+    rejected, make one ``_integrals`` call, rows x then z, and one distance.
+    The components of the accepted pairs, laid end to end over all blocks,
+    are what an OperatorEvaluationError's ``component`` indexes, as in the
+    generic check.
     """
-    count, k, n = len(pairs), problem.k, problem.grid.n
-    if pairs.shape[1:] != (2, k, n):
-        raise ValueError(f"pairs must have shape (count, 2, {k}, {n})")
-    in_a = (np.arange(k) % 2 == 0)[:, None]  # the cyclic shift's A block, as in check D
-    size = _samples_per_block(problem, 2 * k)
-    rows = np.arange(1, 2 * k * size + 1).reshape(-1, k)
-    slacks, rejected, done = [], [], 0
-    for start in range(0, count, size):
-        block = pairs[start:start + size]
+    k, n = problem.k, problem.grid.n
+
+    def checked(block):
+        if block.shape[1:] != (2, k, n):
+            raise ValueError(f"pairs must have shape (count, 2, {k}, {n})")
+        return block
+
+    if isinstance(pairs, np.ndarray):  # checked whole, before any block is evaluated
+        pairs = _cut(checked(pairs), _samples_per_block(problem))
+    layouts, slacks, rejected, count, done = {}, [], [], 0, 0
+    for block in map(checked, pairs):
+        # x <= z on the cyclic shift's A block, the even 0-based components
+        # as in check D, z <= x on its B block
         x, z = block[:, 0], block[:, 1]
-        ordered = np.where(in_a, x <= z + ORDER_SLACK, z <= x + ORDER_SLACK).all(axis=(1, 2))
-        rejected += (start + np.flatnonzero(~ordered)).tolist()
-        accepted = block[ordered]
-        images = _sample_images(problem, rows[:2 * len(accepted)], accepted.reshape(-1, n), done)
-        dks = np.abs(accepted[:, 0] - accepted[:, 1]).max(axis=(1, 2))
+        ordered = ((x[:, 0::2] <= z[:, 0::2] + ORDER_SLACK).all(axis=(1, 2))
+                   & (z[:, 1::2] <= x[:, 1::2] + ORDER_SLACK).all(axis=(1, 2)))
+        if not ordered.all():
+            rejected += (count + np.flatnonzero(~ordered)).tolist()
+            block = block[ordered]
+        count += len(ordered)
+        rows = np.arange(1, block.size // n + 1).reshape(-1, k)
+        images = _sample_images(problem, layouts, rows, block.reshape(-1, n), done)
+        dks = np.abs(block[:, 0] - block[:, 1]).max(axis=(1, 2))
         ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
         slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
                    for dk, d in zip(dks.tolist(), ds.tolist())]
-        done += 2 * k * len(accepted)
+        done += len(rows) * k
     return ContractionSampleReport(tuple(slacks), tuple(rejected), tol_slack)
 
 
-def check_mixed_monotone(problem: HammersteinProblem, samples: np.ndarray,
-                         coords: Sequence[int]) -> List[tuple]:
-    """``engine.check_mixed_monotone_sampled`` on a (count, k + 1, n) array
-    of samples under the cyclic shift's partition: sample i is its point,
-    then ``high``, which replaces the point's component ``coords[i]``
-    (1-based).  Returns the violating samples as (index, coordinate).  Each
-    block of ``_samples_per_block(problem, k + 1)`` samples makes one
-    ``_integrals`` call of two rows a sample; an OperatorEvaluationError's
-    ``component`` indexes the samples' components laid end to end.
+def check_mixed_monotone(problem: HammersteinProblem, samples, coords=None) -> List[tuple]:
+    """``engine.check_mixed_monotone_sampled`` on samples under the cyclic
+    shift's partition: sample i is its point, then ``high``, which replaces
+    the point's component ``coords[i]`` (1-based).  ``samples`` is a
+    (count, k + 1, n) array with its ``coords``, cut into blocks of
+    ``_samples_per_block(problem)`` samples, or, without ``coords``,
+    an iterable of (b, k + 1, n) blocks with their b coordinates, each
+    checked as it arrives (``cli._monotone_samples`` draws them).  Returns
+    the violating samples as (index, coordinate).  A block makes one
+    ``_integrals`` call of two rows a sample and one whole-block order
+    check; an OperatorEvaluationError's ``component`` indexes the samples'
+    components laid end to end.
     """
-    count, k, n = len(samples), problem.k, problem.grid.n
-    coords = np.asarray(coords)
-    if samples.shape[1:] != (k + 1, n) or coords.shape != (count,) or \
-            not np.all((1 <= coords) & (coords <= k)):
-        raise ValueError(f"samples must have shape (count, {k + 1}, {n}), coords be in 1..{k}")
+    k, n = problem.k, problem.grid.n
+
+    def checked(block, j):
+        j = np.asarray(j)
+        if block.shape[1:] != (k + 1, n) or j.shape != (len(block),) or \
+                not np.all((1 <= j) & (j <= k)):
+            raise ValueError(f"samples must have shape (count, {k + 1}, {n}), coords be in 1..{k}")
+        return block, j
+
+    if coords is not None:  # checked whole, before any block is evaluated
+        samples, coords = checked(samples, coords)
+        size = _samples_per_block(problem)
+        samples = zip(_cut(samples, size), _cut(coords, size))
     in_a = np.arange(k) % 2 == 0  # the cyclic shift's A block, as in check D
-    size = _samples_per_block(problem, k + 1)
-    violations = []
-    for start in range(0, count, size):
-        block, j = samples[start:start + size], coords[start:start + size]
+    layouts, violations, count = {}, [], 0
+    for block, j in itertools.starmap(checked, samples):
         index = np.arange(1, block.size // n + 1).reshape(-1, k + 1)
         high = index[:, :k].copy()
         high[np.arange(len(block)), j - 1] = index[:, k]
         rows = np.stack([index[:, :k], high], axis=1).reshape(-1, k)
-        images = _sample_images(problem, rows, block.reshape(-1, n), start * (k + 1))
+        images = _sample_images(problem, layouts, rows, block.reshape(-1, n), count * (k + 1))
         low, up = images[0::2], images[1::2]
         ok = np.where(in_a[j - 1, None], low <= up + ORDER_SLACK, up <= low + ORDER_SLACK)
-        violations += [(start + int(i), int(j[i])) for i in np.flatnonzero(~ok.all(axis=1))]
+        violations += [(count + int(i), int(j[i])) for i in np.flatnonzero(~ok.all(axis=1))]
+        count += len(block)
     return violations
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from mixedfp.cli import (
 from mixedfp.engine import IterationConfig, iterate_step, solve
 from mixedfp.funcspace import LinearPlan, load_csv, pointwise_leq
 from mixedfp.order import cyclic_shift_upsilon
-from worked_example import as_grid_functions
+from worked_example import as_grid_functions, monotone_samples, random_ordered_pairs
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(mixedfp.__file__).resolve().parents[1]
@@ -295,13 +296,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli.hs, "apply_A", no_apply)
         assert main(["verify", "--seed", "5"]) == EXIT_OK
         # the default config: k = 2, n = 201, nq = 256; a block is as many
-        # samples as make _BLOCK_ELEMENTS // nq components, 4 a pair, 3 a sample
-        pairs, samples = (max(1, hs._BLOCK_ELEMENTS // (e * 256)) for e in (4, 3))
-        assert (pairs, samples) == (8, 10)
-        # 200 contraction pairs, none rejected, rows x then z; then 50
-        # monotonicity samples, rows low then high
-        assert calls == ([(2 * pairs, 4 * pairs)] * -(-200 // pairs)
-                         + [(2 * samples, 3 * samples)] * -(-50 // samples))
+        # samples as make _BLOCK_ELEMENTS // nq arguments, 2k a sample
+        size = hs._BLOCK_ELEMENTS // (4 * 256)
+        assert size == 12
+
+        def blocks(count):
+            return [min(size, count - start) for start in range(0, count, size)]
+
+        # 200 contraction pairs, none rejected, rows x then z, 4 components a
+        # pair; then 50 monotonicity samples, rows low then high, 3 a sample
+        assert calls == ([(2 * b, 4 * b) for b in blocks(200)]
+                         + [(2 * b, 3 * b) for b in blocks(50)])
 
     @pytest.mark.parametrize("config", [
         {},
@@ -813,6 +818,25 @@ def test_verify_builds_no_start_tuple(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_peaks_with_check_on_a_wide_grid(tmp_path):
+    # verify draws its 250 samples a block at a time, so at n = 4096 grid
+    # nodes (one sample a block) its traced peak is check's, within 10 % or
+    # 1 MiB; one array of its 200 pairs alone would be 26 MB.  A first
+    # check builds what any first call builds, so neither peak counts it.
+    path = write_config(tmp_path, grid={"n": 4095})
+    peaks = {}
+    for name, argv in (("warm", ["check"]), ("check", ["check"]),
+                       ("verify", ["verify", "--seed", "5"])):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--config", path]) == EXIT_OK
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["verify"] <= max(1.1 * peaks["check"], peaks["check"] + 2 ** 20), peaks
+
+
 def recorded_applies(monkeypatch):
     """The rows of every transfer apply, with "solved" marking where each
     ``solve`` returned."""
@@ -954,7 +978,7 @@ def recorded_integrals(monkeypatch):
 
 def looped_ordered_pairs(problem, rng, count):
     """The pair sampler drawn pair by pair, one ``rng.random`` call each:
-    the reference for the stacked ``_random_ordered_pairs``."""
+    the reference for the stacked ``random_ordered_pairs``."""
     k, ones = problem.k, np.ones_like(problem.grid.nodes)
     lo, hi = problem.domain_floor, problem.domain_floor + 9.0
     in_a = (np.arange(k) % 2 == 0)[:, None]
@@ -980,7 +1004,7 @@ def test_stacked_pairs_equal_the_pair_by_pair_draws(tmp_path, m, count):
                        grid={"n": 16})
     problem = build_problem(load_config(cfg, {}))
     stacked, looped = np.random.default_rng(7), np.random.default_rng(7)
-    pairs = as_grid_functions(problem.grid, _random_ordered_pairs(problem, stacked, count))
+    pairs = as_grid_functions(problem.grid, random_ordered_pairs(problem, stacked, count))
     expected = looped_ordered_pairs(problem, looped, count)
     assert len(pairs) == count
     for (x, z), (ex, ez) in zip(pairs, expected):
@@ -992,7 +1016,7 @@ def test_stacked_pairs_equal_the_pair_by_pair_draws(tmp_path, m, count):
 
 def looped_monotone_samples(problem, rng, count):
     """The monotonicity sampler drawn one ``rng.uniform`` call per constant:
-    the reference for ``_monotone_samples``, which draws a sample's k at once."""
+    the reference for ``monotone_samples``, which draws a sample's k at once."""
     k, lo = problem.k, problem.domain_floor
     samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
     for i in range(count):
@@ -1010,12 +1034,43 @@ def test_monotone_samples_equal_the_constant_by_constant_draws(tmp_path, m, seed
                        grid={"n": 16})
     problem = build_problem(load_config(cfg, {}))
     stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
-    samples, coords = cli._monotone_samples(problem, stacked, 20)
+    samples, coords = monotone_samples(problem, stacked, 20)
     expected_samples, expected_coords = looped_monotone_samples(problem, looped, 20)
     assert np.array_equal(samples, expected_samples)
     assert np.array_equal(coords, expected_coords)
     # the stream continues where the constant-by-constant draws leave it
     assert stacked.random() == looped.random()
+
+
+@pytest.mark.parametrize("panels", [32, 80, 2000])
+@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("count", [1, 2, 3, 50, 200])
+def test_drawn_blocks_equal_the_one_array_draws(tmp_path, count, m, n, panels):
+    # blocks of one sample (2000 x 8 nodes), of an odd number and of an even
+    # one, so that blocks start at function pairs and at constant pairs
+    cfg = write_config(tmp_path, problem="custom", m=m, kernel="constant", forcing="linear",
+                       nonlinearities=["log-shift", "neg-log-product"] * m, eta=[1.0] * (2 * m),
+                       grid={"n": n}, quadrature={"panels": panels, "points": 8})
+    problem = build_problem(load_config(cfg, {}))
+    k = problem.k
+    size = hs._samples_per_block(problem)
+    for sampler, reference in ((_random_ordered_pairs, random_ordered_pairs),
+                               (cli._monotone_samples, monotone_samples)):
+        drawn, one = np.random.default_rng(count), np.random.default_rng(count)
+        blocks = list(sampler(problem, drawn, count))
+        assert [len(b[0] if isinstance(b, tuple) else b) for b in blocks] == \
+            [min(size, count - start) for start in range(0, count, size)]
+        expected = reference(problem, one, count)
+        if isinstance(expected, tuple):  # the samples, then their coordinates
+            blocks = [np.concatenate(part) for part in zip(*blocks)]
+            assert blocks[1].dtype == expected[1].dtype
+        else:
+            blocks, expected = [np.concatenate(blocks)], [expected]
+        for got, want in zip(blocks, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the generator continues where the one-array draws leave it
+        assert drawn.random() == one.random()
 
 
 VERIFY_ARGV = ["verify", "--alpha", "2", "--T", "2", "--seed", "5"]
@@ -1035,7 +1090,10 @@ class TestRegressionSnapshot:
     with ``log-product`` given as ``dense_log_product``.  The ``_factored``
     files pin the registry's SeparableKernel, which differs at the ulp
     level.  The ``custom_m2_repeated`` files pin a custom m = 2 problem that
-    names each nonlinearity twice."""
+    names each nonlinearity twice.  The ``verify`` files at seeds 7 and 42
+    and on ``fine_grid.json`` (n = 1000, 128 x 8 nodes) were recorded while
+    the samplers still drew all their samples in one array, before they
+    drew them block by block."""
 
     @pytest.fixture
     def dense(self, monkeypatch):
@@ -1064,6 +1122,15 @@ class TestRegressionSnapshot:
 
     def test_verify_stdout_factored(self, capsys):
         self.stdout_is(capsys, VERIFY_ARGV, "verify_a2_T2_seed5_factored.json")
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_verify_stdout_at_other_seeds_factored(self, capsys, seed):
+        argv = [*VERIFY_ARGV[:-1], str(seed)]
+        self.stdout_is(capsys, argv, f"verify_a2_T2_seed{seed}_factored.json")
+
+    def test_verify_stdout_fine_grid_factored(self, capsys):
+        argv = ["verify", "--config", str(DATA / "fine_grid.json"), "--seed", "5"]
+        self.stdout_is(capsys, argv, "verify_fine_grid_seed5_factored.json")
 
     def test_check_stdout_factored(self, capsys):
         self.stdout_is(capsys, CHECK_ARGV, "check_a5_T10_factored.json")
@@ -1127,10 +1194,8 @@ class TestCustomDomainFloor:
         assert main(["verify", "--config", cfg, "--seed", "42"]) == expected
         json.loads(capsys.readouterr().out)
         problem = build_problem(load_config(cfg, {}))
-        pairs = _random_ordered_pairs(problem, np.random.default_rng(0), 20)
-        for x, z in as_grid_functions(problem.grid, pairs):
-            for f in x + z:
-                assert floor <= f.values.min() and f.values.max() <= floor + 9.0
+        for block in _random_ordered_pairs(problem, np.random.default_rng(0), 20):
+            assert floor <= block.min() and block.max() <= floor + 9.0
 
     def test_unevaluable_monotone_samples_fail_the_check(self, tmp_path, capsys):
         # below x = 0 the log nonlinearities are NaN: assumption D flags the

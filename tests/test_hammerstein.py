@@ -59,7 +59,14 @@ from mixedfp.order import (
     max_metric,
     product_leq,
 )
-from worked_example import RULES, as_grid_functions, check_exp_inequality, closed_H_formulas
+from worked_example import (
+    RULES,
+    as_grid_functions,
+    check_exp_inequality,
+    closed_H_formulas,
+    monotone_samples,
+    random_ordered_pairs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -695,12 +702,14 @@ class TestSeparableKernel:
         # when the array checks still computed the node rows)
         p = build_log_example(2.0, 2.0)
         dense, reference = dense_twin(p), dense_twin(p)
-        rng = np.random.default_rng(5)
-        pairs = cli._random_ordered_pairs(dense, rng, 200)
-        samples, coords = cli._monotone_samples(dense, rng, 50)
-        report = check_contraction(dense, pairs, builtin_log_triple(), 1e-8)
-        violations = check_mixed_monotone(dense, samples, coords)
+        rng, drawn = np.random.default_rng(5), np.random.default_rng(5)
+        report = check_contraction(dense, cli._random_ordered_pairs(dense, rng, 200),
+                                   builtin_log_triple(), 1e-8)
+        violations = check_mixed_monotone(dense, cli._monotone_samples(dense, rng, 50))
         assert "_node_block" not in vars(dense)
+        # the same draws as one array each, for the generic checks
+        pairs = random_ordered_pairs(p, drawn, 200)
+        samples, coords = monotone_samples(p, drawn, 50)
         F = product_operator(reference)
         assert report == dataclasses.replace(
             sampled_contraction(reference, F, as_grid_functions(p.grid, pairs)), tol_slack=1e-8)
@@ -952,7 +961,7 @@ class TestNamedProblem:
 class TestBatchedChecks:
     def test_monotone_check_is_one_batch_with_the_per_tuple_verdicts(self, example22):
         p = mfold(example22, 2)
-        samples = as_grid_functions(p.grid, *cli._monotone_samples(p, np.random.default_rng(1), 12))
+        samples = as_grid_functions(p.grid, *monotone_samples(p, np.random.default_rng(1), 12))
         partition = cyclic_shift_upsilon(2).partition
         F, calls = recorded_operator(p)
         batched = check_mixed_monotone_sampled(F, partition, samples, pointwise_leq)
@@ -978,7 +987,7 @@ class TestBatchedChecks:
 
     def test_contraction_check_is_one_batch_of_the_accepted_pairs(self, example22):
         pairs = as_grid_functions(
-            example22.grid, cli._random_ordered_pairs(example22, np.random.default_rng(2), 6))
+            example22.grid, random_ordered_pairs(example22, np.random.default_rng(2), 6))
         x, z = pairs[3]
         pairs[3] = (z, x)  # unordered: rejected before any evaluation
         F, calls = recorded_operator(example22)
@@ -991,12 +1000,35 @@ class TestBatchedChecks:
     def test_per_tuple_callable_gives_the_batched_report(self, example22):
         # bench/layers.py passes functools.partial(apply_A, problem)
         pairs = as_grid_functions(
-            example22.grid, cli._random_ordered_pairs(example22, np.random.default_rng(3), 40))
+            example22.grid, random_ordered_pairs(example22, np.random.default_rng(3), 40))
         per_tuple = sampled_contraction(
             example22, lambda x: apply_A(example22, x), pairs)
         batched = sampled_contraction(example22, product_operator(example22), pairs)
         assert per_tuple == batched
         assert len(batched.slacks) == 40 and batched.passed
+
+    @pytest.mark.parametrize("path", ["product_operator", "per_row", "plain"])
+    def test_tuples_of_another_k_are_refused_before_any_evaluation(self, example22, path):
+        # a k = 2 operator on k = 4 tuples raises iterate_step's error up front;
+        # a plain callable has no k, so its pairs are refused when their
+        # tuples differ in length from the first pair's x
+        p = example22
+        lo, hi = initial_bracket(p, 2.0)
+        evaluated = []
+        F, calls = recorded_operator(p)
+        op = {"product_operator": F,
+              "per_row": ProductOperator(2, lambda *x: evaluated.append(x) or apply_A(p, x)),
+              "plain": lambda x: evaluated.append(x) or apply_A(p, x)}[path]
+        four = (lo, hi, lo, hi)
+        pairs = [((lo, hi), (lo, hi)), (four, four)] if path == "plain" else [(four, four)]
+        with pytest.raises(ValueError, match="^dimension mismatch between operator, tuple and point$"):
+            sampled_contraction(p, op, pairs)
+        if path != "plain":
+            with pytest.raises(ValueError,
+                               match="^dimension mismatch between operator, tuple and point$"):
+                check_mixed_monotone_sampled(op, Partition(4, [1, 3]), [(four, 1, lo, hi)],
+                                             pointwise_leq)
+        assert calls == evaluated == []
 
     def test_contraction_check_failure_has_one_type_on_both_paths(self):
         p = _small_problem(domain_floor=0.0)
@@ -1045,8 +1077,8 @@ class TestArrayChecks:
     @pytest.mark.parametrize("case", sorted(PROBLEMS))
     def test_contraction_equals_the_generic_check(self, case, seed):
         p = self.PROBLEMS[case]()
-        size = _samples_per_block(p, 2 * p.k)
-        pairs = cli._random_ordered_pairs(p, np.random.default_rng(seed), 2 * size + 3)
+        size = _samples_per_block(p)
+        pairs = random_ordered_pairs(p, np.random.default_rng(seed), 2 * size + 3)
         # rejected pairs in the first block, on both sides of its end, and in the last
         swaps = sorted({0, size - 1, size, 2 * size + 1})
         pairs = swapped(pairs, swaps)
@@ -1067,8 +1099,8 @@ class TestArrayChecks:
     @pytest.mark.parametrize("case", sorted(PROBLEMS))
     def test_mixed_monotone_equals_the_generic_check(self, case, seed):
         p = self.PROBLEMS[case]()
-        size = _samples_per_block(p, p.k + 1)
-        samples, coords = cli._monotone_samples(p, np.random.default_rng(seed), 2 * size + 3)
+        size = _samples_per_block(p)
+        samples, coords = monotone_samples(p, np.random.default_rng(seed), 2 * size + 3)
         array = check_mixed_monotone(p, samples, coords)
         generic = check_mixed_monotone_sampled(
             product_operator(p), cyclic_shift_upsilon(p.m).partition,
@@ -1089,8 +1121,8 @@ class TestArrayChecks:
 
         p = self.PROBLEMS[case]()
         rng = np.random.default_rng(4)
-        pairs = swapped(cli._random_ordered_pairs(p, rng, 6), [1, 4])
-        samples, coords = cli._monotone_samples(p, rng, 6)
+        pairs = swapped(random_ordered_pairs(p, rng, 6), [1, 4])
+        samples, coords = monotone_samples(p, rng, 6)
         F, partition = product_operator(p), cyclic_shift_upsilon(p.m).partition
         monkeypatch.setattr(hs, "cyclic_shift_upsilon", no_upsilon)
         array = check_contraction(p, pairs, builtin_log_triple(), 1e-12)
@@ -1113,13 +1145,13 @@ class TestArrayChecks:
         # element is the only one that fails; it is coordinate 2 (B) of pair
         # target's z, which keeps the pair ordered, and two earlier pairs are
         # rejected, so it is element 2k * (target - 2) + k + 2 of the accepted
-        size = _samples_per_block(p, 2 * k)
+        size = _samples_per_block(p)
         target = size + 2
-        pairs = swapped(cli._random_ordered_pairs(p, np.random.default_rng(3), 2 * size) + 1.0,
+        pairs = swapped(random_ordered_pairs(p, np.random.default_rng(3), 2 * size) + 1.0,
                         [1, size])
         pairs[target, 1, 1] = bad
-        size_m = _samples_per_block(p, k + 1)
-        samples, coords = cli._monotone_samples(p, np.random.default_rng(4), 2 * size_m)
+        size_m = _samples_per_block(p)
+        samples, coords = monotone_samples(p, np.random.default_rng(4), 2 * size_m)
         samples += 1.0
         samples[size_m + 1, 1] = bad
         partition = cyclic_shift_upsilon(p.m).partition
@@ -1145,8 +1177,8 @@ class TestArrayChecks:
     def test_a_non_finite_image_fails_on_both_paths(self):
         # the forcing is finite, the forcing plus the integral overflows
         p = _small_problem(kernel=lambda t, s: 1e306, forcing=lambda t: 1.79e308)
-        pairs = cli._random_ordered_pairs(p, np.random.default_rng(0), 3)
-        samples, coords = cli._monotone_samples(p, np.random.default_rng(0), 3)
+        pairs = random_ordered_pairs(p, np.random.default_rng(0), 3)
+        samples, coords = monotone_samples(p, np.random.default_rng(0), 3)
         partition = cyclic_shift_upsilon(p.m).partition
         for run in (lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
                     lambda: sampled_contraction(p, product_operator(p),
@@ -1531,7 +1563,7 @@ class TestSweepPlans:
         layouts, layout = [], hs._layout
         monkeypatch.setattr(hs, "_layout", lambda problem, rows: layouts.append(
             np.asarray(rows).tolist()) or layout(problem, rows))
-        pairs = cli._random_ordered_pairs(p, np.random.default_rng(6), 3)
+        pairs = random_ordered_pairs(p, np.random.default_rng(6), 3)
         sampled_contraction(p, F, as_grid_functions(p.grid, pairs))
         report = solve(F, ups, initial_bracket(p, 2.0), IterationConfig(), dist=sup_metric,
                        leq=pointwise_leq)
@@ -1647,8 +1679,8 @@ class TestOneValidation:
             nonlinearities=(lambda s, x: 10.0, lambda s, x: 10.0), forcing=lambda t: 0.0,
             grid=grid)
         x = (GridFunction(p.grid, np.full(p.grid.n, 2.0)),) * 2
-        pairs = cli._random_ordered_pairs(p, np.random.default_rng(0), 3) + 1.0
-        samples, coords = cli._monotone_samples(p, np.random.default_rng(0), 3)
+        pairs = random_ordered_pairs(p, np.random.default_rng(0), 3) + 1.0
+        samples, coords = monotone_samples(p, np.random.default_rng(0), 3)
         samples += 1.0
         partition = cyclic_shift_upsilon(p.m).partition
         batched = [

@@ -2,8 +2,9 @@
 the closed forms of the first Jacobi sweep of the log-kernel example and
 the exponential inequality behind its upper start; and the quadrature rules
 the tests run on: the package's Gauss-Legendre rule and a composite Simpson
-rule, whose nodes hit grid nodes; and the generic sampled checks' form of
-the stacked arrays the CLI's samplers draw."""
+rule, whose nodes hit grid nodes; the CLI's samplers as they drew all their
+samples in one array, the references for the samplers' blocks; and the
+generic sampled checks' form of those arrays."""
 
 import math
 from typing import Tuple
@@ -70,3 +71,36 @@ def as_grid_functions(grid, array, coords=None):
     if coords is None:
         return items
     return [(s[:-1], int(j), s[j - 1], s[-1]) for s, j in zip(items, coords)]
+
+
+def monotone_samples(problem, rng, count):
+    """``cli._monotone_samples`` as one array: the (count, k + 1, n) samples
+    and their coordinates, drawn sample by sample and filled as drawn."""
+    k, lo = problem.k, problem.domain_floor
+    samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
+    for i in range(count):
+        samples[i, :k] = lo + rng.uniform(0.0, 4.0, size=k)[:, None]
+        coords[i] = rng.integers(1, k + 1)
+        samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
+    return samples, coords
+
+
+def random_ordered_pairs(problem, rng, count):
+    """``cli._random_ordered_pairs`` as one (count, 2, k, n) array, from one
+    ``rng.random`` call read as rows of 2k(n + 1) values: a function pair's
+    draws, then the next constant pair's."""
+    k, n = problem.k, problem.grid.n
+    lo, hi = problem.domain_floor, problem.domain_floor + 9.0
+    functions, constants = count // 2, (count - 1) // 2
+    u = np.empty((functions, 2 * k * (n + 1)))
+    rng.random(out=u.reshape(-1)[:2 * k * (n * functions + constants)])
+    pairs = np.empty((count, 2, k, n))
+    a, b = pairs[:, 0], pairs[:, 1]
+    a[0], b[0] = lo, hi
+    for first, top, draws in ((1, hi - 1.0, u[:, :2 * k * n].reshape(-1, k, 2, n)),
+                              (2, hi, u[:constants, 2 * k * n:].reshape(-1, k, 2, 1))):
+        values = lo + (top - lo) * draws[:, :, 0]
+        gap = (hi - values.max(axis=2, keepdims=True)) * draws[:, :, 1]
+        a[first::2], b[first::2] = values, values + gap
+    a[:, 1::2], b[:, 1::2] = b[:, 1::2], a[:, 1::2].copy()
+    return pairs
