@@ -34,6 +34,8 @@ from .hammerstein import (
     build_log_example,
     check_assumption_d,
     check_assumption_e,
+    image_leq,
+    image_metric,
     initial_bracket,
     kernel_bound,
     product_operator,

@@ -20,12 +20,15 @@ verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
 check report, which fails the check (exit 1; ``solve --force`` goes on).
 
 One order slack, ``funcspace.ORDER_SLACK``, compares grid functions in
-every check and in solve.  Assumption E's H_r are the first sweep, which
-solve takes as its own (``engine.solve``'s ``first_sweep``), so a solve
-evaluates and judges its start once.  The sampled checks' samples are drawn
-block by block as stacked arrays, each block checked as it is drawn
-(``hammerstein.check_contraction`` and ``check_mixed_monotone``), never as
-grid functions.
+every check and in solve, whose metric and order are
+``hammerstein.image_metric`` and ``image_leq``: two rank-one images are
+compared on their coefficients, anything else at the grid nodes.
+Assumption E's H_r are the first sweep, which solve takes as its own
+(``engine.solve``'s ``first_sweep``), evaluated on the one operator and Υ
+tuple that ``solve`` builds, so a solve evaluates and judges its start
+once.  The sampled checks' samples are drawn block by block as stacked
+arrays, each block checked as it is drawn (``hammerstein.check_contraction``
+and ``check_mixed_monotone``), never as grid functions.
 """
 
 import argparse
@@ -48,7 +51,7 @@ from .engine import (
     solve,
     trace_csv,
 )
-from .funcspace import format_csv, pointwise_leq, sup_metric
+from .funcspace import format_csv
 from .hammerstein import FORCINGS, KERNELS, NONLINEARITIES  # noqa: F401 (re-exported)
 from .hammerstein import _number
 from .order import cyclic_shift_upsilon
@@ -196,10 +199,13 @@ def _prepare(args):
     return cfg, problem, config
 
 
-def _run_checks(problem, x0):
+def _run_checks(problem, x0, F=None, upsilon=None):
     """Assumptions D and E and sampled mixed monotonicity, with assumption E
     read at the start tuple ``x0``: the check report, and check E's H_r, the
-    first sweep from ``x0``, None when it cannot be evaluated."""
+    first sweep from ``x0``, None when it cannot be evaluated.  Check E's
+    sweep is evaluated on ``F`` and ``upsilon``, the operator and Υ tuple
+    of the solve that follows, by default the problem's own
+    (``hammerstein.check_assumption_e``)."""
     floor = problem.domain_floor
     pairs = [(floor, floor), (floor, floor + 0.5), (floor + 1.0, floor + 4.0),
              (floor + 0.25, floor + 9.0)]
@@ -207,7 +213,7 @@ def _run_checks(problem, x0):
     d_report = hs.check_assumption_d(problem, pairs, s_samples)
     e_error = mono_error = first_sweep = None
     try:
-        e_report = hs.check_assumption_e(problem, x0)
+        e_report = hs.check_assumption_e(problem, x0, F=F, upsilon=upsilon)
         e_failures, first_sweep = e_report.failures, e_report.h_functions
     except OperatorEvaluationError as exc:
         # the start tuple cannot be evaluated: a failed check, not a crash
@@ -330,7 +336,9 @@ def cmd_solve(args) -> int:
     except OSError as exc:  # a file at --out or above it
         raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
 
-    check_report, first_sweep = _run_checks(problem, x0)
+    # one operator and one Υ tuple: check E's sweep is the solve's first
+    F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
+    check_report, first_sweep = _run_checks(problem, x0, F=F, upsilon=upsilon)
     if not check_report["passed"]:
         if not args.force:
             print(json.dumps(check_report, indent=2))
@@ -339,10 +347,9 @@ def cmd_solve(args) -> int:
             return EXIT_CHECK_FAILED
         log.warning("assumption checks failed; continuing under --force")
 
-    F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
     try:
         try:
-            report = solve(F, upsilon, x0, config, dist=sup_metric, leq=pointwise_leq,
+            report = solve(F, upsilon, x0, config, dist=hs.image_metric, leq=hs.image_leq,
                            first_sweep=first_sweep)
             status = EXIT_OK
         except NonConvergenceError as exc:
@@ -352,7 +359,7 @@ def cmd_solve(args) -> int:
         # one distinct row over one element, so one transfer at any k; under
         # --force the last iterate can lie below the floor
         solution = report.fixed_point[0]
-        collapsed_residual = sup_metric(
+        collapsed_residual = hs.image_metric(
             solution, iterate_step(F, upsilon, (solution,) * problem.k)[0])
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)

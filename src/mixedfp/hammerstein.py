@@ -11,8 +11,12 @@ A kernel is a callable G(t, s), kept as the dense n x nq weighted grid
 block and an nq x nq node block, or a rank-one ``SeparableKernel``, kept
 as its two factors (the degenerate-kernel form, Atkinson 1997, ch. 2), as
 every registry kernel is.
-Either way an image is known at the grid nodes and at the quadrature nodes,
-where the next sweep reads it (the Nystrom method, Atkinson 1997, ch. 4).
+Either way an image is known at the quadrature nodes, where the next sweep
+reads it (the Nystrom method, Atkinson 1997, ch. 4), and at the grid nodes,
+where a rank-one image is its one coefficient c, ``c * a + p`` formed only
+where its grid values are read (``_RankOne``); ``image_metric`` and
+``image_leq``, the metric and order that ``mixedfp solve`` hands
+``engine.solve``, read two such images off their coefficients.
 """
 
 import itertools
@@ -36,6 +40,8 @@ from .funcspace import (
     _check_finite,
     _check_same_grid,
     make_quadrature,
+    pointwise_leq,
+    sup_metric,
     uniform_grid,
 )
 from .order import cyclic_shift_upsilon
@@ -48,6 +54,8 @@ __all__ = [
     "AssumptionEReport",
     "apply_A",
     "product_operator",
+    "image_metric",
+    "image_leq",
     "kernel_bound",
     "check_assumption_d",
     "check_assumption_e",
@@ -224,6 +232,15 @@ class HammersteinProblem:
             raise ValueError("forcing must be finite on the grid")
         return values
 
+    @cached_property
+    def _rank_one(self):
+        # the grid side of a SeparableKernel problem's images (``_RankOne``),
+        # None for a dense kernel; built at the first operator call
+        if not isinstance(self.kernel, SeparableKernel):
+            return None
+        n = self.grid.n
+        return _RankOne(self._weighted_kernel[0][:n], self._forcing_values[:n])
+
 
 def _check_kernel(*factors: np.ndarray) -> None:
     # NaN fails >= 0; an infinite value or product makes the product of maxima inf or NaN
@@ -232,14 +249,41 @@ def _check_kernel(*factors: np.ndarray) -> None:
         raise ValueError("kernel must be finite and nonnegative on the grid")
 
 
-def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float):
+def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, components=None):
     """Raise DomainFloorError at the first row of ``values``, then the first node, lying
-    below ``floor - ORDER_SLACK``; row i is component i + 1.  Passing costs one ``min``."""
+    below ``floor - ORDER_SLACK``; row i is component i + 1, or ``components[i] + 1``.
+    Passing costs one ``min``."""
     if values.min(initial=math.inf) < floor - ORDER_SLACK:
         bad = values < floor - ORDER_SLACK
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
-        raise DomainFloorError(i + 1, float(nodes[j]), float(values[i, j]), floor)
+        component = i + 1 if components is None else components[i] + 1
+        raise DomainFloorError(component, float(nodes[j]), float(values[i, j]), floor)
+
+
+class _RankOne:
+    """The grid side of a SeparableKernel problem's images: the image of
+    coefficient c is ``grid(c)``, fl(fl(c * a_t) + p_t) at the n grid nodes,
+    a = a(t) >= 0 and p the forcing, with the bits of ``_apply_kernel``'s
+    grid rows.  One is built per problem, and an image of that problem
+    holds it as its ``family`` (``_Image``).
+
+    Rounding is monotone and a >= 0, so c <= c' gives grid(c) <= grid(c')
+    at every node: two images are ordered as their coefficients are, and an
+    image whose coefficient is at least that of one whose grid values lie
+    above the floor lies above it too.  Their sup distance is |c - c'| *
+    ``scale`` (max a) up to rounding, and every grid value of c is finite
+    when |c| * ``scale`` + ``bound`` (max |p|) rounds to a finite number."""
+
+    def __init__(self, a: np.ndarray, p: np.ndarray):
+        self.a, self.p = a, p
+        self.scale, self.bound = float(a.max()), float(np.abs(p).max())
+
+    def grid(self, c) -> np.ndarray:
+        """The grid values of coefficient c, a scalar or an (R, 1) column."""
+        out = c * self.a
+        out += self.p
+        return out
 
 
 # The one size bound of the batch kernel, in float64 values (96 KiB): a
@@ -264,12 +308,20 @@ def _apply_kernel(problem: HammersteinProblem, g: np.ndarray, nodes: bool = True
     rows it reads: the operator's images read both, ``kernel_bound`` and
     the sampled checks the grid rows only, so only an image builds a dense
     kernel's nq x nq node block.  Each row is summed on its own, so its
-    bits depend on neither R nor ``nodes``."""
+    bits depend on neither R nor ``nodes``.  A batch of rank-one images
+    takes the c_r alone (``_coefficients``) and scales ``a`` at the
+    quadrature nodes only (``_integrals``)."""
     if isinstance(problem.kernel, SeparableKernel):
-        a, wb = problem._weighted_kernel
-        return np.matmul(g[:, None, :], wb[:, None])[:, 0] * (a if nodes else a[:problem.grid.n])
+        a = problem._weighted_kernel[0]
+        return _coefficients(problem, g) * (a if nodes else a[:problem.grid.n])
     blocks = (problem._weighted_kernel, problem._node_block) if nodes else (problem._weighted_kernel,)
     return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0] for w in blocks], axis=1)
+
+
+def _coefficients(problem: HammersteinProblem, g: np.ndarray) -> np.ndarray:
+    """The (R, 1) column of a SeparableKernel problem's c_r = sum_q b(s_q)
+    w_q g[r, q], R dot products of length nq, each summed on its own."""
+    return np.matmul(g[:, None, :], problem._weighted_kernel[1][:, None])[:, 0]
 
 
 def _layout(problem: HammersteinProblem, rows):
@@ -290,24 +342,69 @@ def _layout(problem: HammersteinProblem, rows):
     return np.array([*columns], dtype=np.intp), tuple(terms), np.array(select, dtype=np.intp), s
 
 
-def _integrals(problem: HammersteinProblem, layout, values: np.ndarray, known=(), at_nodes=(),
-               nodes: bool = True):
+def _node_values(problem: HammersteinProblem, values) -> np.ndarray:
+    """The c components ``values`` at the quadrature nodes, a (c, nq) array,
+    each checked against the floor; a DomainFloorError names the component,
+    a 1-based index into ``values``.
+
+    ``values`` is a (c, n) array of grid values, of a sampled check, or the
+    c grid functions of a batch (``product_operator``).  A component is
+    transferred to the quadrature nodes in one apply of the problem's
+    ``LinearPlan`` (which stays between each interval's node values, so
+    these need no check), unless it is an image for this problem's rule
+    (``is``), which carries its values there; when all carry them, they are
+    stacked as they are, and when any does, the whole array is checked at
+    the quadrature nodes too.  At the grid nodes a component is checked as
+    it stands, but for a rank-one image of this problem whose coefficient is
+    at least the least ``floor_safe`` among them: its grid values lie above
+    those of an image that passed (``_RankOne``), so they pass without
+    being formed.  Checking the rest in their order names the first failing
+    component, as checking all of them would.
+    """
+    grid_nodes, floor = problem.grid.nodes, problem.domain_floor
+    if isinstance(values, np.ndarray):
+        _check_floor(values, grid_nodes, floor)
+        return problem._transfer.apply(values)
+    family, rule = problem._rank_one, problem.quadrature
+    known = [i for i, xi in enumerate(values) if isinstance(xi, _Image) and xi.quadrature is rule]
+    if not known:  # every component checked and transferred as it stands
+        return _node_values(problem, np.array([xi.values for xi in values]).reshape(
+            -1, problem.grid.n))  # (0, n) if empty
+    checked = range(len(values))
+    if family is not None:
+        ours = [i for i in known if values[i].family is family]
+        safe = min([values[i].floor_safe for i in ours], default=math.inf)
+        passed = {i for i in ours if values[i].coefficient >= safe}
+        checked = [i for i in checked if i not in passed]
+    if checked:
+        grid = np.array([values[i].values for i in checked])
+        _check_floor(grid, grid_nodes, floor, checked)
+    if len(known) == len(values):
+        vals = np.array([xi.at_nodes for xi in values])
+    else:
+        vals = np.empty((len(values), problem.quadrature.nodes.size))
+        vals[known] = [values[i].at_nodes for i in known]
+        todo = np.delete(np.arange(len(values)), known)  # none a rank-one image: all checked
+        vals[todo] = problem._transfer.apply(grid[np.searchsorted(checked, todo)])
+    _check_floor(vals, problem.quadrature.nodes, floor)
+    return vals
+
+
+def _integrals(problem: HammersteinProblem, layout, values, nodes: bool = True,
+               coefficients: bool = False):
     """The operator at R argument tuples drawn from ``values``, as the (R, n)
     array of the images at the grid nodes and the (R, nq) array of the same
     images at the quadrature nodes, (R, 0) unless ``nodes``
     (``_apply_kernel``): row r is int_1^T G(t, s) sum_j
     f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
     ``rows`` the 1-based (R, k) index table that ``layout`` lays out and
-    ``values`` a (c, n) array of any number c of components at the grid nodes.
+    ``values`` any number c of components, as ``_node_values`` takes them,
+    which checks them against the floor.  With ``coefficients``, a
+    SeparableKernel problem's images are not formed at the grid nodes:
+    the first array is then the (R, 1) column of their coefficients
+    (``_coefficients``), whose grid values ``_RankOne.grid`` forms.
 
-    Every component is checked against the floor.  Those at the 0-based
-    positions ``known`` come with their (len(known), nq) values at the
-    quadrature nodes, ``at_nodes``, which are then checked too; the others
-    are transferred there in one apply of the problem's ``LinearPlan``
-    (which stays between each interval's node values, so these need no
-    check); when all carry them, they are stacked as they are.  A
-    DomainFloorError names the argument, a 1-based index into ``values``,
-    not the row.  All R rows then make one kernel call, as ``layout`` lays
+    All R rows make one kernel call, as ``layout`` lays
     them out.  Argument j of every row, laid end to end, is column j of
     ``rows`` gathered from the (c, nq) array, a 1-D array of length R*nq, so
     the array contract holds and a scalar return broadcasts.  Each distinct
@@ -319,29 +416,22 @@ def _integrals(problem: HammersteinProblem, layout, values: np.ndarray, known=()
     the sum has the bits of k calls.  The nodes and the gathered arguments
     are read-only: a nonlinearity that writes into either raises ValueError
     instead of changing another's.  Both image arrays are checked finite at
-    once and returned read-only.  A caller bounds R: the engine's sweeps
-    have at most k rows and a sampled check hands over one block.
+    once and returned read-only; the grid values of coefficients are finite
+    when |c| * max a + max |p| is (``_RankOne``), and are formed and checked
+    only when it is not, so an image that overflows at either node set fails
+    as it would if formed.  A caller bounds R: the engine's sweeps have at
+    most k rows and a sampled check hands over one block.
     """
     index, calls, select, s = layout
-    s_nodes = problem.quadrature.nodes
-    nq, n_rows = s_nodes.size, s.size // s_nodes.size
-    _check_floor(values, problem.grid.nodes, problem.domain_floor)
-    if not len(known):
-        vals = problem._transfer.apply(values)
-    else:
-        if len(known) == len(values):
-            vals = np.array(at_nodes)
-        else:
-            vals = np.empty((len(values), nq))
-            vals[known] = at_nodes
-            todo = np.delete(np.arange(len(values)), known)
-            vals[todo] = problem._transfer.apply(values[todo])
-        _check_floor(vals, s_nodes, problem.domain_floor)
+    nq, n = problem.quadrature.nodes.size, problem.grid.n
+    n_rows = s.size // nq
+    vals = _node_values(problem, values)
     # one gather; row c holds distinct column c of every row end to end.  A
     # row may be read by several callables, so none may write into it.
     args = vals.take(index, axis=0).reshape(len(index), -1)
     args.flags.writeable = False
     fs, terms = problem.nonlinearities, np.empty((len(calls), n_rows * nq))
+    family = problem._rank_one if coefficients else None
     with np.errstate(all="ignore"):
         for term, (j, column) in zip(terms, calls):
             np.copyto(term, fs[j](s, args[column]), casting="same_kind")  # as += casts
@@ -352,12 +442,21 @@ def _integrals(problem: HammersteinProblem, layout, values: np.ndarray, known=()
         total = np.add.reduce(summands, axis=0, initial=0.0)[:n_rows * nq]
         if not np.isfinite(total).all():
             raise ArithmeticError("non-finite integrand encountered")
-        out = _apply_kernel(problem, total.reshape(n_rows, nq), nodes)
-        out += problem._forcing_values[:out.shape[1]]
-    _check_finite(out)
+        if family is None:
+            out = _apply_kernel(problem, total.reshape(n_rows, nq), nodes)
+            out += problem._forcing_values[:out.shape[1]]
+            _check_finite(out)
+            first, at_nodes = out[:, :n], out[:, n:]
+        else:
+            first = out = _coefficients(problem, total.reshape(n_rows, nq))  # out: made read-only
+            at_nodes = first * problem._weighted_kernel[0][n:] if nodes else np.empty((n_rows, 0))
+            at_nodes += problem._forcing_values[n:n + at_nodes.shape[1]]
+            _check_finite(at_nodes)
+            if not math.isfinite(abs(first).max(initial=0.0) * family.scale + family.bound):
+                _check_finite(family.grid(first))
+            at_nodes.flags.writeable = False
     out.flags.writeable = False
-    n = problem.grid.n
-    return out[:, :n], out[:, n:]
+    return first, at_nodes
 
 
 def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunction:
@@ -380,18 +479,36 @@ def apply_A(problem: HammersteinProblem, x: Sequence[GridFunction]) -> GridFunct
     return product_operator(problem).prepare((range(1, problem.k + 1),))(x)[0]
 
 
-@dataclass(frozen=True)
 class _Image(GridFunction):
-    """An image with its values at the nodes of ``quadrature``; both arrays
-    are read-only, so the two cannot drift apart.  Only a prepared batch
-    (``product_operator``) builds one, from rows ``_integrals`` has checked,
-    so they are not checked again."""
+    """An image with its values at the nodes of ``quadrature``,
+    ``at_nodes``.  A dense kernel's image holds its grid values as well; a
+    rank-one image holds its ``coefficient`` c over its problem's
+    ``family`` (``_RankOne``) instead, and forms its grid values, with the
+    bits a dense formation would give them, at the first read of
+    ``values``.  ``floor_safe`` is a coefficient of that family whose image
+    is known to lie above the floor at the grid nodes, inf when none is
+    (``_node_values``).  Every array is read-only, so the values cannot
+    drift apart.  Only a prepared batch (``product_operator``) builds one,
+    from rows ``_integrals`` has checked, so they are not checked again."""
 
-    quadrature: QuadratureRule
-    at_nodes: np.ndarray
+    family = coefficient = None
+    floor_safe = math.inf
 
-    def __post_init__(self):
-        pass
+    def __init__(self, grid: Grid, quadrature: QuadratureRule, at_nodes: np.ndarray,
+                 values=None, family=None, coefficient=None, floor_safe=math.inf):
+        fields = vars(self)  # the frozen grid function's own fields, set once here
+        fields["grid"], fields["quadrature"], fields["at_nodes"] = grid, quadrature, at_nodes
+        if values is not None:
+            fields["values"] = values
+        else:
+            fields["family"], fields["coefficient"], fields["floor_safe"] = \
+                family, coefficient, floor_safe
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        out = self.family.grid(self.coefficient)
+        out.flags.writeable = False
+        return out
 
 
 def product_operator(problem: HammersteinProblem) -> ProductOperator:
@@ -404,6 +521,12 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
     as the sampled checks do.  Every image carries its values at the
     quadrature nodes, which a component is read from when it carries them
     for this problem's rule (``is``); any other is transferred (O(nq)).
+    A SeparableKernel problem's image carries its coefficient instead of
+    its grid values (``_Image``), so a batch over rank-one images of the
+    problem costs O(R*nq) and forms no grid value, the floor check at the
+    grid nodes included, unless a component lies below the coefficients
+    known to be safe (``_node_values``).  Its images' ``floor_safe`` is the
+    least coefficient of the family among the components, which all passed.
     From the bracket start, whose A components are one object and whose B
     components another, a solve prepares R = 2 rows once at any k
     (``engine._prepare``), and each sweep reads c = 2 components, which
@@ -416,17 +539,50 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
         def batch(x):
             for xi in x:
                 _check_same_grid(problem.grid, xi.grid)
-            known = [i for i, xi in enumerate(x)
-                     if isinstance(xi, _Image) and xi.quadrature is problem.quadrature]
-            values = np.array([xi.values for xi in x]).reshape(-1, problem.grid.n)  # (0, n) if empty
-            images, at_nodes = _integrals(problem, layout, values, known,
-                                          [x[i].at_nodes for i in known])
-            return tuple(_Image(problem.grid, out, problem.quadrature, nodes)
-                         for out, nodes in zip(images, at_nodes))
+            first, at_nodes = _integrals(problem, layout, x, coefficients=True)
+            family = problem._rank_one
+            if family is None:
+                return tuple(_Image(problem.grid, problem.quadrature, nodes, out)
+                             for out, nodes in zip(first, at_nodes))
+            safe = min([min(xi.coefficient, xi.floor_safe) for xi in x
+                        if isinstance(xi, _Image) and xi.family is family], default=math.inf)
+            return tuple(_Image(problem.grid, problem.quadrature, nodes, family=family,
+                                coefficient=c, floor_safe=safe)
+                         for c, nodes in zip(first[:, 0].tolist(), at_nodes))
 
         return batch
 
     return ProductOperator(problem.k, lambda *x: apply_A(problem, x), prepare=prepare)
+
+
+def _rank_one_pair(u, v):
+    """The family of two rank-one images of one problem, else None."""
+    if isinstance(u, _Image) and isinstance(v, _Image) and u.family is v.family:
+        return u.family
+    return None
+
+
+def image_metric(u: GridFunction, v: GridFunction) -> float:
+    """``funcspace.sup_metric``, read off the coefficients of two rank-one
+    images of one problem: |c_u - c_v| * max_t a(t), within a few ulps of
+    max |x| of the grid sup, which rounds each grid value (``_RankOne``).
+    Any other pair is measured at the grid nodes, with sup_metric's bits."""
+    family = _rank_one_pair(u, v)
+    if family is None:
+        return sup_metric(u, v)
+    return abs(u.coefficient - v.coefficient) * family.scale
+
+
+def image_leq(u: GridFunction, v: GridFunction) -> bool:
+    """``funcspace.pointwise_leq`` with ``ORDER_SLACK``, read exactly off the
+    coefficients of two rank-one images of one problem when c_u <= c_v:
+    rounding is monotone and a >= 0, so u lies below v at every grid node
+    (``_RankOne``).  When the coefficients cannot decide, or the pair is
+    not of that kind, the grid values are compared, as pointwise_leq does."""
+    family = _rank_one_pair(u, v)
+    if family is not None and u.coefficient <= v.coefficient:
+        return True
+    return pointwise_leq(u, v)
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
@@ -507,6 +663,9 @@ class AssumptionEReport:
 def check_assumption_e(
     problem: HammersteinProblem,
     y0: Sequence[GridFunction],
+    *,
+    F: ProductOperator = None,
+    upsilon=None,
 ) -> AssumptionEReport:
     """Starting-bracket condition: odd components sit below their comparison
     integrals H_r, even components above, nodewise, up to ORDER_SLACK
@@ -517,9 +676,13 @@ def check_assumption_e(
     ``engine.solve`` takes as its ``first_sweep``, and this is its
     starting-point condition on that sweep, read node by node; an
     evaluation failure raises the same OperatorEvaluationError as that sweep.
+    The sweep is evaluated on ``F`` and ``upsilon``, by default the
+    problem's ``product_operator`` and ``cyclic_shift_upsilon(m)``; a
+    caller that solves next hands over the ones its solve uses.
     """
-    upsilon = cyclic_shift_upsilon(problem.m)
-    h_functions = iterate_step(product_operator(problem), upsilon, y0)
+    upsilon = cyclic_shift_upsilon(problem.m) if upsilon is None else upsilon
+    F = product_operator(problem) if F is None else F
+    h_functions = iterate_step(F, upsilon, y0)
     failures: List[tuple] = []
     for r, (comp, h) in enumerate(zip(y0, h_functions), start=1):
         lo, hi = upsilon.partition.orient(r, comp, h)
@@ -541,21 +704,31 @@ def _cut(samples, size: int):
     return (samples[start:start + size] for start in range(0, len(samples), size))
 
 
-def _sample_images(problem: HammersteinProblem, layouts: dict, rows: np.ndarray,
-                   values: np.ndarray, done: int):
-    """``_integrals``' grid images on a block that follows ``done``
-    evaluated components: a failure or a non-finite image raises
-    OperatorEvaluationError, its ``component`` offset by ``done``.  The
-    first row of a sample table is k distinct components, so its k columns
-    are distinct, and its layout is that of any table of its shape but for
-    the gather index, the 0-based table transposed (an empty table gathers
-    nothing): ``layouts``, the caller's own, holds one ``_layout`` per
-    shape."""
+def _sample_layout(problem: HammersteinProblem, held, n_rows: int):
+    """A sampled check's one ``_layout``.  The first row of a sample table
+    is k distinct components, so its k columns are distinct, and its terms
+    and their selection do not depend on R: a table of any R rows reads
+    them, and the first R tilings of the quadrature nodes, off one layout
+    (``_sample_images``).  ``held``, the call's own, is laid out again only
+    for a table of more rows than it tiles."""
+    if held is None or held[-1].size < n_rows * problem.quadrature.nodes.size:
+        n_rows = max(n_rows, 1)
+        held = _layout(problem, np.arange(1, n_rows * problem.k + 1).reshape(n_rows, problem.k))
+    return held
+
+
+def _sample_images(problem: HammersteinProblem, layout, rows: np.ndarray,
+                   values: np.ndarray, done: int, coefficients: bool = False):
+    """``_integrals``' grid images, or with ``coefficients`` what it returns
+    for them, on a block that follows ``done`` evaluated components, laid
+    out by ``_sample_layout`` with the gather index the 0-based table
+    transposed (an empty table gathers nothing): a failure or a non-finite
+    image raises OperatorEvaluationError, its ``component`` offset by
+    ``done``."""
+    _, terms, select, s = layout
+    layout = (rows.T - 1, terms, select, s[:len(rows) * problem.quadrature.nodes.size])
     try:
-        if rows.shape not in layouts:
-            layouts[rows.shape] = _layout(problem, rows)
-        layout = (rows.T - 1, *layouts[rows.shape][1:])
-        out = _integrals(problem, layout, values, nodes=False)[0]
+        out = _integrals(problem, layout, values, nodes=False, coefficients=coefficients)[0]
     except Exception as exc:
         raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
     return out
@@ -585,8 +758,9 @@ def check_contraction(problem: HammersteinProblem, pairs,
 
     if isinstance(pairs, np.ndarray):  # checked whole, before any block is evaluated
         pairs = _cut(checked(pairs), _samples_per_block(problem))
-    layouts, slacks, rejected, count, done = {}, [], [], 0, 0
+    layout, slacks, rejected, count, done = None, [], [], 0, 0
     for block in map(checked, pairs):
+        layout = _sample_layout(problem, layout, 2 * len(block))
         # x <= z on the cyclic shift's A block, the even 0-based components
         # as in check D, z <= x on its B block
         x, z = block[:, 0], block[:, 1]
@@ -597,7 +771,7 @@ def check_contraction(problem: HammersteinProblem, pairs,
             block = block[ordered]
         count += len(ordered)
         rows = np.arange(1, block.size // n + 1).reshape(-1, k)
-        images = _sample_images(problem, layouts, rows, block.reshape(-1, n), done)
+        images = _sample_images(problem, layout, rows, block.reshape(-1, n), done)
         dks = np.abs(block[:, 0] - block[:, 1]).max(axis=(1, 2))
         ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
         slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
@@ -617,7 +791,11 @@ def check_mixed_monotone(problem: HammersteinProblem, samples, coords=None) -> L
     the violating samples as (index, coordinate).  A block makes one
     ``_integrals`` call of two rows a sample and one whole-block order
     check; an OperatorEvaluationError's ``component`` indexes the samples'
-    components laid end to end.
+    components laid end to end.  A SeparableKernel problem's two images of
+    a sample are ordered as their coefficients are (``_RankOne``), so the
+    order check reads the coefficients, exactly, and forms the grid rows
+    of only the samples whose coefficients do not pass, which are compared
+    node by node under ``ORDER_SLACK`` as a dense kernel's images are.
     """
     k, n = problem.k, problem.grid.n
 
@@ -633,16 +811,27 @@ def check_mixed_monotone(problem: HammersteinProblem, samples, coords=None) -> L
         size = _samples_per_block(problem)
         samples = zip(_cut(samples, size), _cut(coords, size))
     in_a = np.arange(k) % 2 == 0  # the cyclic shift's A block, as in check D
-    layouts, violations, count = {}, [], 0
+    family = problem._rank_one
+    layout, violations, count = None, [], 0
     for block, j in itertools.starmap(checked, samples):
+        layout = _sample_layout(problem, layout, 2 * len(block))
         index = np.arange(1, block.size // n + 1).reshape(-1, k + 1)
         high = index[:, :k].copy()
         high[np.arange(len(block)), j - 1] = index[:, k]
         rows = np.stack([index[:, :k], high], axis=1).reshape(-1, k)
-        images = _sample_images(problem, layouts, rows, block.reshape(-1, n), count * (k + 1))
+        images = _sample_images(problem, layout, rows, block.reshape(-1, n), count * (k + 1),
+                                coefficients=True)
         low, up = images[0::2], images[1::2]
-        ok = np.where(in_a[j - 1, None], low <= up + ORDER_SLACK, up <= low + ORDER_SLACK)
-        violations += [(count + int(i), int(j[i])) for i in np.flatnonzero(~ok.all(axis=1))]
+        ok = np.zeros(len(block), dtype=bool)
+        if family is not None:  # the (b, 1) coefficients: low <= up on A, up <= low on B
+            ok = np.where(in_a[j - 1], low[:, 0] <= up[:, 0], up[:, 0] <= low[:, 0])
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            if family is not None:
+                low, up = family.grid(low[rest]), family.grid(up[rest])
+            ok[rest] = np.where(in_a[j[rest] - 1, None], low <= up + ORDER_SLACK,
+                                up <= low + ORDER_SLACK).all(axis=1)
+        violations += [(count + int(i), int(j[i])) for i in np.flatnonzero(~ok)]
         count += len(block)
     return violations
 

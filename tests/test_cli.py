@@ -1153,6 +1153,59 @@ class TestRegressionSnapshot:
                 (DATA / "solve_custom_m2_repeated" / name).read_bytes()
 
 
+class TestPinnedFallbacks:
+    """Outputs of the paths on which a rank-one image is formed at the grid
+    nodes after all, recorded before images carried their coefficients.
+    ``solve --force`` at the first three cases stops at sweep 2, where
+    component 1 drops below the floor at s = 1, a grid node that no Gauss
+    node hits, so the floor check of a coefficient must hand that image to
+    the grid check; ``floor_10.json`` is ``TestCustomDomainFloor``'s floor
+    of 10, whose start fails at s = 1.  Run as child processes, so stderr
+    holds the log lines as a user sees them."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("a1.01_T2", ["--alpha", "1.01", "--T", "2"]),
+        ("a1.3_T2", ["--alpha", "1.3", "--T", "2"]),
+        ("a1.2_T5", ["--alpha", "1.2", "--T", "5"]),
+        ("floor_10", ["--config", str(DATA / "floor_10.json")]),
+    ])
+    def test_forced_solve_report_and_stderr(self, tmp_path, name, argv):
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "mixedfp.cli", "solve", "--force", *argv, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=120)
+        pinned = DATA / f"solve_force_{name}"
+        assert result.returncode == EXIT_OPERATOR_ERROR
+        assert result.stdout == ""
+        assert result.stderr == (pinned / "stderr.txt").read_text()
+        assert (out / "report.json").read_bytes() == (pinned / "report.json").read_bytes()
+        assert sorted(path.name for path in out.iterdir()) == ["report.json"]
+
+    @pytest.mark.parametrize("alpha, T", [("2", "2"), ("5", "10")])
+    def test_fine_grid_solution(self, tmp_path, capsys, alpha, T):
+        # the fine-grid workload's solves, recorded before images carried
+        # their coefficients: every sweep after the first forms no grid value
+        out = tmp_path / "out"
+        argv = ["solve", "--alpha", alpha, "--T", T, "--config", str(DATA / "fine_grid.json"),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        pinned = DATA / f"solve_fine_grid_a{alpha}_T{T}" / "solution.csv"
+        assert (out / "solution.csv").read_bytes() == pinned.read_bytes()
+
+
+def test_solve_builds_one_operator_and_one_upsilon(tmp_path, monkeypatch, capsys):
+    # check E's sweep, the solve and the collapsed residual share them
+    calls = []
+    operator, upsilon = hs.product_operator, cli.cyclic_shift_upsilon
+    monkeypatch.setattr(hs, "product_operator", lambda p: calls.append("F") or operator(p))
+    for module in (cli, hs):
+        monkeypatch.setattr(module, "cyclic_shift_upsilon",
+                            lambda m: calls.append("upsilon") or upsilon(m))
+    assert main(["solve", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert sorted(calls) == ["F", "upsilon"]
+
+
 def floor_config(tmp_path, floor):
     # the start bracket (alpha*t/2 clamped to the floor, 3*alpha*t/2) has its
     # upper component below a floor of 10 at t = 1

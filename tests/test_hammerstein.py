@@ -47,6 +47,8 @@ from mixedfp.hammerstein import (
     check_assumption_e,
     check_contraction,
     check_mixed_monotone,
+    image_leq,
+    image_metric,
     initial_bracket,
     kernel_bound,
     named_problem,
@@ -1112,6 +1114,28 @@ class TestArrayChecks:
         # every sample violates when no nonlinearity is monotone the right way
         assert case != "nearly flipped" or len(array) == len(samples)
 
+    @pytest.mark.parametrize("case", ["example", "m=2"])
+    def test_each_check_lays_out_once(self, monkeypatch, case):
+        # two full blocks and a short last one, the first with a rejected
+        # pair: one _layout a call, and the same verdicts as the generic checks
+        p = self.PROBLEMS[case]()
+        size = _samples_per_block(p)
+        rng = np.random.default_rng(8)
+        pairs = swapped(random_ordered_pairs(p, rng, 2 * size + 3), [1])
+        samples, coords = monotone_samples(p, rng, 2 * size + 3)
+        F, partition = product_operator(p), cyclic_shift_upsilon(p.m).partition
+        generic = (sampled_contraction(p, F, as_grid_functions(p.grid, pairs)),
+                   check_mixed_monotone_sampled(F, partition,
+                                                as_grid_functions(p.grid, samples, coords),
+                                                pointwise_leq))
+        layouts, layout = [], hs._layout
+        monkeypatch.setattr(hs, "_layout", lambda problem, rows: layouts.append(len(rows))
+                            or layout(problem, rows))
+        assert check_contraction(p, pairs, builtin_log_triple(), 1e-12) == generic[0]
+        assert layouts == [2 * size]
+        assert check_mixed_monotone(p, samples, coords) == generic[1]
+        assert layouts == [2 * size] * 2
+
     @pytest.mark.parametrize("case", ["flipped", "steep k=4"])
     def test_the_a_block_is_read_without_building_upsilon(self, monkeypatch, case):
         # the array checks read the cyclic shift's A block off the parity
@@ -1473,13 +1497,14 @@ def golden_problem(kind, alpha, T):
 
 class TestFirstSweepHandoff:
     """``solve`` takes assumption E's H_r as its first sweep, as ``mixedfp
-    solve`` hands them over, and then neither evaluates nor judges it."""
+    solve`` hands them over, with the metric and order it hands over, and
+    then neither evaluates nor judges it."""
 
     @staticmethod
     def solved(problem, alpha, first_sweep=None):
         return solve(product_operator(problem), cyclic_shift_upsilon(problem.m),
                      bracket_start(problem, alpha), IterationConfig(),
-                     dist=sup_metric, leq=pointwise_leq, first_sweep=first_sweep)
+                     dist=image_metric, leq=image_leq, first_sweep=first_sweep)
 
     # every golden start passes assumption E but the custom one's at (2, 2),
     # which test_a_failing_start_runs_on_with_its_sweep takes
@@ -1571,7 +1596,7 @@ class TestSweepPlans:
         assert layouts == [[[2 * r + 1, 2 * r + 2] for r in range(6)], [[1, 2], [2, 1]]]
         own = {f.name for f in dataclasses.fields(p)}
         assert set(vars(p)) - own <= {"_nodes", "_weighted_kernel", "_node_block", "_transfer",
-                                      "_forcing_values"}
+                                      "_forcing_values", "_rank_one"}
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_a_prepared_sweep_gives_the_fresh_images_on_three_patterns(self, example22, batched):
