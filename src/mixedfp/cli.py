@@ -26,9 +26,11 @@ compared on their coefficients, anything else at the grid nodes.
 Assumption E's H_r are the first sweep, which solve takes as its own
 (``engine.solve``'s ``first_sweep``), evaluated on the one operator and Υ
 tuple that ``solve`` builds, so a solve evaluates and judges its start
-once.  The sampled checks' samples are drawn block by block as stacked
-arrays, each block checked as it is drawn (``hammerstein.check_contraction``
-and ``check_mixed_monotone``), never as grid functions.
+once.  The sampled checks' samples are never grid functions: the
+contraction pairs are drawn block by block as stacked arrays, each block
+checked as it is drawn (``hammerstein.check_contraction``), and the
+mixed-monotonicity samples are k + 1 constants each, drawn in one array
+(``hammerstein.check_mixed_monotone``).
 """
 
 import argparse
@@ -220,7 +222,7 @@ def _run_checks(problem, x0, F=None, upsilon=None):
         e_failures, e_error = (), _operator_error(exc)
     try:
         violations = hs.check_mixed_monotone(
-            problem, _monotone_samples(problem, np.random.default_rng(0), 20))
+            problem, *_monotone_samples(problem, np.random.default_rng(0), 20))
     except OperatorEvaluationError as exc:
         violations, mono_error = [], _operator_error(exc)
     report = {
@@ -248,25 +250,20 @@ def _operator_error(exc: OperatorEvaluationError) -> dict:
 
 
 def _monotone_samples(problem, rng, count):
-    """Random single-coordinate ordered perturbations, drawn block by block
-    as ``hammerstein.check_mixed_monotone`` takes them: each block is a
-    (b, k + 1, n) array of b samples with their b coordinates, b the check's
-    block size (``_samples_per_block``) but at the end.  Sample i is k
-    constants in [lo, lo + 4], lo the domain floor, then its component
-    ``coords[i]`` raised by 0.1-3.  The loop makes only a sample's three
-    draws, in order; one broadcast fills the block."""
-    k, lo, n = problem.k, problem.domain_floor, problem.grid.n
-    size = hs._samples_per_block(problem)
-    for start in range(0, count, size):
-        b = min(size, count - start)
-        points, coords, raises = np.empty((b, k + 1)), np.empty(b, dtype=int), np.empty(b)
-        for i in range(b):
-            points[i, :k] = rng.uniform(0.0, 4.0, size=k)
-            coords[i] = rng.integers(1, k + 1)
-            raises[i] = rng.uniform(0.1, 3.0)
-        points[:, :k] += lo
-        points[:, k] = points[np.arange(b), coords - 1] + raises
-        yield np.repeat(points[:, :, None], n, axis=2), coords
+    """Random single-coordinate ordered perturbations of constant tuples, as
+    ``hammerstein.check_mixed_monotone`` takes them: a (count, k + 1) array
+    of constants and their 1-based coordinates.  Sample i is k constants in
+    [lo, lo + 4], lo the domain floor, then its component ``coords[i]``
+    raised by 0.1-3.  The loop makes only a sample's three draws, in order."""
+    k = problem.k
+    points, coords, raises = np.empty((count, k + 1)), np.empty(count, dtype=int), np.empty(count)
+    for i in range(count):
+        points[i, :k] = rng.uniform(0.0, 4.0, size=k)
+        coords[i] = rng.integers(1, k + 1)
+        raises[i] = rng.uniform(0.1, 3.0)
+    points[:, :k] += problem.domain_floor
+    points[:, k] = points[np.arange(count), coords - 1] + raises
+    return points, coords
 
 
 def _random_ordered_pairs(problem, rng, count):
@@ -391,11 +388,11 @@ def cmd_verify(args) -> int:
     _, problem, _ = _prepare(args)
     rng = np.random.default_rng(args.seed)
     try:
-        # each check draws its blocks as it evaluates them: the pairs first,
-        # then the monotonicity samples, from the one generator
+        # the contraction check draws its pair blocks as it evaluates them,
+        # then the monotonicity samples are drawn, from the one generator
         report = hs.check_contraction(problem, _random_ordered_pairs(problem, rng, 200),
                                       builtin_log_triple(), tol_slack=1e-8)
-        mono_violations = hs.check_mixed_monotone(problem, _monotone_samples(problem, rng, 50))
+        mono_violations = hs.check_mixed_monotone(problem, *_monotone_samples(problem, rng, 50))
     except OperatorEvaluationError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
         print(json.dumps({"operator_error": _operator_error(exc)}, indent=2))

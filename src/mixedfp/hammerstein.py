@@ -1,8 +1,8 @@
 """Hammerstein integral equations x(t) = int_1^T G(t,s) sum_i f_i(s, x(s)) ds + p(t)
 with 2m nonlinearities banded by log(1 + .) in alternating directions, the
 induced product operator, and numerical checkers for the standing
-assumptions and, on stacked sample arrays, for contraction and mixed
-monotonicity.
+assumptions and, on stacked sample arrays, for contraction and, on
+constant samples, for mixed monotonicity.
 
 Named pieces of problem data are built by one constructor, ``named_problem``,
 whose defaults are the paper's example: G(t,s) = 1/(2 ln T * t * s),
@@ -19,7 +19,6 @@ where its grid values are read (``_RankOne``); ``image_metric`` and
 ``engine.solve``, read two such images off their coefficients.
 """
 
-import itertools
 import logging
 import math
 import numbers
@@ -330,8 +329,8 @@ def _layout(problem: HammersteinProblem, rows):
     of f_j, distinct column of j) per distinct term, the index of each
     position j's term, and the quadrature nodes tiled R times, read-only.
     The table is read as an (R, k) array, so an empty one is (0, k).  The
-    operator's ``prepare`` lays its rows out once, and a sampled check each
-    block's rows."""
+    operator's ``prepare`` lays its rows out once, and a sampled check a
+    full block's rows (``_samples_per_block``)."""
     table = np.asarray(rows, dtype=np.intp).reshape(len(rows), problem.k) - 1
     first, columns, terms, select = {}, {}, {}, []
     for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()))):
@@ -347,22 +346,29 @@ def _node_values(problem: HammersteinProblem, values) -> np.ndarray:
     each checked against the floor; a DomainFloorError names the component,
     a 1-based index into ``values``.
 
-    ``values`` is a (c, n) array of grid values, of a sampled check, or the
-    c grid functions of a batch (``product_operator``).  A component is
-    transferred to the quadrature nodes in one apply of the problem's
-    ``LinearPlan`` (which stays between each interval's node values, so
-    these need no check), unless it is an image for this problem's rule
-    (``is``), which carries its values there; when all carry them, they are
-    stacked as they are, and when any does, the whole array is checked at
-    the quadrature nodes too.  At the grid nodes a component is checked as
-    it stands, but for a rank-one image of this problem whose coefficient is
-    at least the least ``floor_safe`` among them: its grid values lie above
-    those of an image that passed (``_RankOne``), so they pass without
-    being formed.  Checking the rest in their order names the first failing
-    component, as checking all of them would.
+    ``values`` is a (c, n) array of grid values, of the sampled contraction
+    check, a (c,) array of constants, of the sampled monotonicity check, or
+    the c grid functions of a batch (``product_operator``).  A constant is
+    its value at every node: it is checked as one number, a failure naming
+    the grid's first node, and spread over the quadrature nodes as it is.
+    Any other component is transferred to the quadrature nodes in one
+    apply of the problem's ``LinearPlan`` (which stays between each
+    interval's node values, so these need no check), unless it is an image
+    for this problem's rule (``is``), which carries its values there; when
+    all carry them, they are stacked as they are, and when any does, the
+    whole array is checked at the quadrature nodes too.  At the grid nodes
+    a component is checked as it stands, but for a rank-one image of this
+    problem whose coefficient is at least the least ``floor_safe`` among
+    them: its grid values lie above those of an image that passed
+    (``_RankOne``), so they pass without being formed.  Checking the rest
+    in their order names the first failing component, as checking all of
+    them would.
     """
     grid_nodes, floor = problem.grid.nodes, problem.domain_floor
     if isinstance(values, np.ndarray):
+        if values.ndim == 1:  # constants
+            _check_floor(values[:, None], grid_nodes, floor)
+            return np.broadcast_to(values[:, None], (values.size, problem.quadrature.nodes.size))
         _check_floor(values, grid_nodes, floor)
         return problem._transfer.apply(values)
     family, rule = problem._rank_one, problem.quadrature
@@ -398,11 +404,12 @@ def _integrals(problem: HammersteinProblem, layout, values, nodes: bool = True,
     (``_apply_kernel``): row r is int_1^T G(t, s) sum_j
     f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
     ``rows`` the 1-based (R, k) index table that ``layout`` lays out and
-    ``values`` any number c of components, as ``_node_values`` takes them,
-    which checks them against the floor.  With ``coefficients``, a
-    SeparableKernel problem's images are not formed at the grid nodes:
-    the first array is then the (R, 1) column of their coefficients
-    (``_coefficients``), whose grid values ``_RankOne.grid`` forms.
+    ``values`` any number c of components, as ``_node_values`` takes them
+    (grid values, constants or grid functions), which checks them against
+    the floor.  With ``coefficients``, a SeparableKernel problem's images
+    are not formed at the grid nodes: the first array is then the (R, 1)
+    column of their coefficients (``_coefficients``), whose grid values
+    ``_RankOne.grid`` forms.
 
     All R rows make one kernel call, as ``layout`` lays
     them out.  Argument j of every row, laid end to end, is column j of
@@ -694,34 +701,20 @@ def _samples_per_block(problem: HammersteinProblem) -> int:
     """A sampled check's block: the samples, two rows of k arguments each,
     that make at most _BLOCK_ELEMENTS // max(n, nq) arguments, at least one.
     A pair's 2k components are its arguments, a monotonicity sample's k + 1
-    fewer."""
+    constants fewer.  Each check lays out a full block's 2 * size rows once
+    a call (``_layout``): their k columns are distinct, so the terms and
+    their selection do not depend on the row count, and a shorter block,
+    the last or a filtered one, reads the first of the tiled nodes
+    (``_sample_images``)."""
     size = max(problem.grid.n, problem.quadrature.nodes.size)
     return max(1, _BLOCK_ELEMENTS // size // (2 * problem.k))
-
-
-def _cut(samples, size: int):
-    """An array of samples read as one source: its blocks of ``size``."""
-    return (samples[start:start + size] for start in range(0, len(samples), size))
-
-
-def _sample_layout(problem: HammersteinProblem, held, n_rows: int):
-    """A sampled check's one ``_layout``.  The first row of a sample table
-    is k distinct components, so its k columns are distinct, and its terms
-    and their selection do not depend on R: a table of any R rows reads
-    them, and the first R tilings of the quadrature nodes, off one layout
-    (``_sample_images``).  ``held``, the call's own, is laid out again only
-    for a table of more rows than it tiles."""
-    if held is None or held[-1].size < n_rows * problem.quadrature.nodes.size:
-        n_rows = max(n_rows, 1)
-        held = _layout(problem, np.arange(1, n_rows * problem.k + 1).reshape(n_rows, problem.k))
-    return held
 
 
 def _sample_images(problem: HammersteinProblem, layout, rows: np.ndarray,
                    values: np.ndarray, done: int, coefficients: bool = False):
     """``_integrals``' grid images, or with ``coefficients`` what it returns
     for them, on a block that follows ``done`` evaluated components, laid
-    out by ``_sample_layout`` with the gather index the 0-based table
+    out for a full block's rows with the gather index the 0-based table
     transposed (an empty table gathers nothing): a failure or a non-finite
     image raises OperatorEvaluationError, its ``component`` offset by
     ``done``."""
@@ -734,92 +727,88 @@ def _sample_images(problem: HammersteinProblem, layout, rows: np.ndarray,
     return out
 
 
-def check_contraction(problem: HammersteinProblem, pairs,
+def check_contraction(problem: HammersteinProblem, blocks,
                       triple: ContractionTriple, tol_slack: float) -> ContractionSampleReport:
     """``contraction.verify_contraction_sampled`` on pairs of product
     tuples under the sup metric, its maximum over components and the cyclic
-    shift's twisted order.  ``pairs`` is a (count, 2, k, n) array, pair p's
-    x then its z, cut into blocks of ``_samples_per_block(problem)``
-    pairs, or an iterable of such (b, 2, k, n) blocks, each checked as it
-    arrives (``cli._random_ordered_pairs`` draws them), so no more than a
-    block is held.  A block's shape is checked, then its order, in one
-    whole-block comparison; its accepted pairs, all of it when none is
-    rejected, make one ``_integrals`` call, rows x then z, and one distance.
-    The components of the accepted pairs, laid end to end over all blocks,
-    are what an OperatorEvaluationError's ``component`` indexes, as in the
-    generic check.
+    shift's twisted order.  ``blocks`` is an iterable of (b, 2, k, n)
+    arrays, pair p's x then its z (``cli._random_ordered_pairs`` draws
+    them; a caller with one array passes ``[pairs]``).  Each is checked for
+    shape as it arrives and cut into blocks of ``_samples_per_block(problem)``
+    pairs, so no more than one array of the iterable is held.  A block's
+    order is checked in one whole-block comparison; its accepted pairs, all
+    of it when none is rejected, make one ``_integrals`` call, rows x then
+    z, and one distance.  The components of the accepted pairs, laid end to
+    end over all blocks, are what an OperatorEvaluationError's
+    ``component`` indexes, as in the generic check.
     """
     k, n = problem.k, problem.grid.n
-
-    def checked(block):
-        if block.shape[1:] != (2, k, n):
+    size = _samples_per_block(problem)
+    layout = _layout(problem, np.arange(2 * size * k).reshape(-1, k) + 1)
+    slacks, rejected, count, done = [], [], 0, 0
+    for pairs in blocks:
+        if pairs.shape[1:] != (2, k, n):
             raise ValueError(f"pairs must have shape (count, 2, {k}, {n})")
-        return block
-
-    if isinstance(pairs, np.ndarray):  # checked whole, before any block is evaluated
-        pairs = _cut(checked(pairs), _samples_per_block(problem))
-    layout, slacks, rejected, count, done = None, [], [], 0, 0
-    for block in map(checked, pairs):
-        layout = _sample_layout(problem, layout, 2 * len(block))
-        # x <= z on the cyclic shift's A block, the even 0-based components
-        # as in check D, z <= x on its B block
-        x, z = block[:, 0], block[:, 1]
-        ordered = ((x[:, 0::2] <= z[:, 0::2] + ORDER_SLACK).all(axis=(1, 2))
-                   & (z[:, 1::2] <= x[:, 1::2] + ORDER_SLACK).all(axis=(1, 2)))
-        if not ordered.all():
-            rejected += (count + np.flatnonzero(~ordered)).tolist()
-            block = block[ordered]
-        count += len(ordered)
-        rows = np.arange(1, block.size // n + 1).reshape(-1, k)
-        images = _sample_images(problem, layout, rows, block.reshape(-1, n), done)
-        dks = np.abs(block[:, 0] - block[:, 1]).max(axis=(1, 2))
-        ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
-        slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
-                   for dk, d in zip(dks.tolist(), ds.tolist())]
-        done += len(rows) * k
+        for start in range(0, len(pairs), size):
+            block = pairs[start:start + size]
+            # x <= z on the cyclic shift's A block, the even 0-based components
+            # as in check D, z <= x on its B block
+            x, z = block[:, 0], block[:, 1]
+            ordered = ((x[:, 0::2] <= z[:, 0::2] + ORDER_SLACK).all(axis=(1, 2))
+                       & (z[:, 1::2] <= x[:, 1::2] + ORDER_SLACK).all(axis=(1, 2)))
+            if not ordered.all():
+                rejected += (count + np.flatnonzero(~ordered)).tolist()
+                block = block[ordered]
+            count += len(ordered)
+            rows = np.arange(1, block.size // n + 1).reshape(-1, k)
+            images = _sample_images(problem, layout, rows, block.reshape(-1, n), done)
+            dks = np.abs(block[:, 0] - block[:, 1]).max(axis=(1, 2))
+            ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
+            slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
+                       for dk, d in zip(dks.tolist(), ds.tolist())]
+            done += len(rows) * k
     return ContractionSampleReport(tuple(slacks), tuple(rejected), tol_slack)
 
 
-def check_mixed_monotone(problem: HammersteinProblem, samples, coords=None) -> List[tuple]:
-    """``engine.check_mixed_monotone_sampled`` on samples under the cyclic
-    shift's partition: sample i is its point, then ``high``, which replaces
-    the point's component ``coords[i]`` (1-based).  ``samples`` is a
-    (count, k + 1, n) array with its ``coords``, cut into blocks of
-    ``_samples_per_block(problem)`` samples, or, without ``coords``,
-    an iterable of (b, k + 1, n) blocks with their b coordinates, each
-    checked as it arrives (``cli._monotone_samples`` draws them).  Returns
-    the violating samples as (index, coordinate).  A block makes one
-    ``_integrals`` call of two rows a sample and one whole-block order
-    check; an OperatorEvaluationError's ``component`` indexes the samples'
-    components laid end to end.  A SeparableKernel problem's two images of
-    a sample are ordered as their coefficients are (``_RankOne``), so the
-    order check reads the coefficients, exactly, and forms the grid rows
-    of only the samples whose coefficients do not pass, which are compared
-    node by node under ``ORDER_SLACK`` as a dense kernel's images are.
+def check_mixed_monotone(problem: HammersteinProblem, points, coords) -> List[tuple]:
+    """``engine.check_mixed_monotone_sampled`` on constant samples under
+    the cyclic shift's partition.  ``points`` is a (count, k + 1) array of
+    constants, sample i's point then ``high``, which replaces the point's
+    component ``coords[i]`` (1-based), as ``cli._monotone_samples`` draws
+    them.  Both are checked whole before any evaluation: a shape, a
+    ``coords`` that is not an integer array (a bool one included) or
+    outside 1..k, or a non-finite point raises ValueError.  Returns the
+    violating samples as (index, coordinate).
+
+    The samples are cut into blocks of ``_samples_per_block(problem)``.  A
+    block makes one ``_integrals`` call of two rows a sample, which reads
+    each constant as its value at every node (``_node_values``): a floor
+    failure names the grid's first node, and an OperatorEvaluationError's
+    ``component`` indexes the samples' constants laid end to end.  A
+    SeparableKernel problem's two images of a sample are ordered as their
+    coefficients are (``_RankOne``), so the order check reads the
+    coefficients, exactly, and forms the grid rows of only the samples
+    whose coefficients do not pass, which are compared node by node under
+    ``ORDER_SLACK`` as a dense kernel's images are.
     """
-    k, n = problem.k, problem.grid.n
-
-    def checked(block, j):
-        j = np.asarray(j)
-        if block.shape[1:] != (k + 1, n) or j.shape != (len(block),) or \
-                not np.all((1 <= j) & (j <= k)):
-            raise ValueError(f"samples must have shape (count, {k + 1}, {n}), coords be in 1..{k}")
-        return block, j
-
-    if coords is not None:  # checked whole, before any block is evaluated
-        samples, coords = checked(samples, coords)
-        size = _samples_per_block(problem)
-        samples = zip(_cut(samples, size), _cut(coords, size))
+    k = problem.k
+    points, coords = np.asarray(points, dtype=float), np.asarray(coords)
+    if points.shape[1:] != (k + 1,) or coords.shape != points.shape[:1] \
+            or coords.dtype.kind not in "iu" or not np.all((1 <= coords) & (coords <= k)):
+        raise ValueError(f"points must have shape (count, {k + 1}), coords be integers in 1..{k}")
+    if not np.isfinite(points).all():
+        raise ValueError("sample points must be finite")
+    size = _samples_per_block(problem)
+    layout = _layout(problem, np.arange(2 * size * k).reshape(-1, k) + 1)
     in_a = np.arange(k) % 2 == 0  # the cyclic shift's A block, as in check D
-    family = problem._rank_one
-    layout, violations, count = None, [], 0
-    for block, j in itertools.starmap(checked, samples):
-        layout = _sample_layout(problem, layout, 2 * len(block))
-        index = np.arange(1, block.size // n + 1).reshape(-1, k + 1)
+    family, violations = problem._rank_one, []
+    for start in range(0, len(points), size):
+        block, j = points[start:start + size], coords[start:start + size]
+        index = np.arange(1, block.size + 1).reshape(-1, k + 1)
         high = index[:, :k].copy()
         high[np.arange(len(block)), j - 1] = index[:, k]
         rows = np.stack([index[:, :k], high], axis=1).reshape(-1, k)
-        images = _sample_images(problem, layout, rows, block.reshape(-1, n), count * (k + 1),
+        images = _sample_images(problem, layout, rows, block.reshape(-1), start * (k + 1),
                                 coefficients=True)
         low, up = images[0::2], images[1::2]
         ok = np.zeros(len(block), dtype=bool)
@@ -831,8 +820,7 @@ def check_mixed_monotone(problem: HammersteinProblem, samples, coords=None) -> L
                 low, up = family.grid(low[rest]), family.grid(up[rest])
             ok[rest] = np.where(in_a[j[rest] - 1, None], low <= up + ORDER_SLACK,
                                 up <= low + ORDER_SLACK).all(axis=1)
-        violations += [(count + int(i), int(j[i])) for i in np.flatnonzero(~ok)]
-        count += len(block)
+        violations += [(start + int(i), int(j[i])) for i in np.flatnonzero(~ok)]
     return violations
 
 

@@ -858,17 +858,15 @@ K4_ZERO = dict(problem="custom", m=2, kernel="constant", nonlinearities=["zero"]
 @pytest.mark.parametrize("alpha, T", [(2.0, 2.0), (2.0, math.e), (5.0, 10.0)])
 def test_registry_solve_transfers_only_its_start(tmp_path, monkeypatch, config, alpha, T):
     # check E's sweep over the start's two distinct components, which solve
-    # takes as its first sweep, then the sampled mixed-monotonicity check, 20
-    # samples of k + 1 components; every later image, the solution whose
-    # collapsed residual the report states among them, carries its
-    # quadrature-node values
+    # takes as its first sweep; the sampled mixed-monotonicity check reads
+    # its constants at the nodes as they are, and every later image, the
+    # solution whose collapsed residual the report states among them,
+    # carries its quadrature-node values
     applied = recorded_applies(monkeypatch)
     cfg = write_config(tmp_path, **config)
     argv = ["solve", "--config", cfg, "--alpha", repr(alpha), "--T", repr(T)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
-    k = 2 * config.get("m", 1)
-    assert applied[0] == 2 and applied[-1] == "solved"
-    assert sum(applied[1:-1]) == 20 * (k + 1)
+    assert applied == [2, "solved"]
 
 
 def test_collapsed_residual_of_a_dense_kernel_transfers_nothing(monkeypatch):
@@ -1018,12 +1016,12 @@ def looped_monotone_samples(problem, rng, count):
     """The monotonicity sampler drawn one ``rng.uniform`` call per constant:
     the reference for ``monotone_samples``, which draws a sample's k at once."""
     k, lo = problem.k, problem.domain_floor
-    samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
+    points, coords = np.empty((count, k + 1)), np.empty(count, dtype=int)
     for i in range(count):
-        samples[i, :k] = lo + np.array([rng.uniform(0.0, 4.0) for _ in range(k)])[:, None]
+        points[i, :k] = lo + np.array([rng.uniform(0.0, 4.0) for _ in range(k)])
         coords[i] = rng.integers(1, k + 1)
-        samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
-    return samples, coords
+        points[i, k] = points[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
+    return points, coords
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -1034,9 +1032,10 @@ def test_monotone_samples_equal_the_constant_by_constant_draws(tmp_path, m, seed
                        grid={"n": 16})
     problem = build_problem(load_config(cfg, {}))
     stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
-    samples, coords = monotone_samples(problem, stacked, 20)
-    expected_samples, expected_coords = looped_monotone_samples(problem, looped, 20)
-    assert np.array_equal(samples, expected_samples)
+    points, coords = monotone_samples(problem, stacked, 20)
+    expected_points, expected_coords = looped_monotone_samples(problem, looped, 20)
+    assert points.shape == (20, problem.k + 1)
+    assert np.array_equal(points, expected_points)
     assert np.array_equal(coords, expected_coords)
     # the stream continues where the constant-by-constant draws leave it
     assert stacked.random() == looped.random()
@@ -1047,30 +1046,25 @@ def test_monotone_samples_equal_the_constant_by_constant_draws(tmp_path, m, seed
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("count", [1, 2, 3, 50, 200])
 def test_drawn_blocks_equal_the_one_array_draws(tmp_path, count, m, n, panels):
-    # blocks of one sample (2000 x 8 nodes), of an odd number and of an even
-    # one, so that blocks start at function pairs and at constant pairs
+    # pair blocks of one sample (2000 x 8 nodes), of an odd number and of an
+    # even one, so that blocks start at function pairs and at constant pairs;
+    # the monotonicity samples are one (count, k + 1) array at any block size
     cfg = write_config(tmp_path, problem="custom", m=m, kernel="constant", forcing="linear",
                        nonlinearities=["log-shift", "neg-log-product"] * m, eta=[1.0] * (2 * m),
                        grid={"n": n}, quadrature={"panels": panels, "points": 8})
     problem = build_problem(load_config(cfg, {}))
-    k = problem.k
     size = hs._samples_per_block(problem)
-    for sampler, reference in ((_random_ordered_pairs, random_ordered_pairs),
-                               (cli._monotone_samples, monotone_samples)):
-        drawn, one = np.random.default_rng(count), np.random.default_rng(count)
-        blocks = list(sampler(problem, drawn, count))
-        assert [len(b[0] if isinstance(b, tuple) else b) for b in blocks] == \
-            [min(size, count - start) for start in range(0, count, size)]
-        expected = reference(problem, one, count)
-        if isinstance(expected, tuple):  # the samples, then their coordinates
-            blocks = [np.concatenate(part) for part in zip(*blocks)]
-            assert blocks[1].dtype == expected[1].dtype
-        else:
-            blocks, expected = [np.concatenate(blocks)], [expected]
-        for got, want in zip(blocks, expected):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # the generator continues where the one-array draws leave it
-        assert drawn.random() == one.random()
+    drawn, one = np.random.default_rng(count), np.random.default_rng(count)
+    blocks = list(_random_ordered_pairs(problem, drawn, count))
+    assert [len(b) for b in blocks] == [min(size, count - start) for start in range(0, count, size)]
+    got, want = np.concatenate(blocks), random_ordered_pairs(problem, one, count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for got, want in zip(cli._monotone_samples(problem, drawn, count),
+                         monotone_samples(problem, one, count)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # the generator continues where the one-array draws leave it
+    assert drawn.random() == one.random()
 
 
 VERIFY_ARGV = ["verify", "--alpha", "2", "--T", "2", "--seed", "5"]
@@ -1090,7 +1084,9 @@ class TestRegressionSnapshot:
     with ``log-product`` given as ``dense_log_product``.  The ``_factored``
     files pin the registry's SeparableKernel, which differs at the ulp
     level.  The ``custom_m2_repeated`` files pin a custom m = 2 problem that
-    names each nonlinearity twice.  The ``verify`` files at seeds 7 and 42
+    names each nonlinearity twice, and the ``check_negative_floor`` and
+    ``check_floor_10`` files two failing checks, recorded before the
+    monotonicity samples became k + 1 constants.  The ``verify`` files at seeds 7 and 42
     and on ``fine_grid.json`` (n = 1000, 128 x 8 nodes) were recorded while
     the samplers still drew all their samples in one array, before they
     drew them block by block."""
@@ -1142,6 +1138,14 @@ class TestRegressionSnapshot:
         argv = ["check", "--config", str(DATA / "custom_m2_repeated.json")]
         assert main(argv) == EXIT_CHECK_FAILED
         assert capsys.readouterr().out == (DATA / "check_custom_m2_repeated.json").read_text()
+
+    @pytest.mark.parametrize("config", ["negative_floor", "floor_10"])
+    def test_failing_check_stdout(self, capsys, config):
+        # the monotonicity check's operator-failure record below x = 0, and
+        # a floor of 10 that the samples pass and check E's start does not
+        argv = ["check", "--config", str(DATA / f"{config}.json")]
+        assert main(argv) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (DATA / f"check_{config}.json").read_text()
 
     def test_repeated_names_solve_files(self, tmp_path):
         out = tmp_path / "out"

@@ -642,7 +642,7 @@ class TestBatchKernel:
         z = x + rng.uniform(0.0, 1.0, (10, k, n))
         x[:, 1::2], z[:, 1::2] = z[:, 1::2], x[:, 1::2].copy()
         pairs = np.stack([x, z], axis=1)
-        check_contraction(p, pairs, builtin_log_triple(), 0.0)
+        check_contraction(p, [pairs], builtin_log_triple(), 0.0)
         assert sum(rows for rows, _ in applied) == 2 * k * len(pairs)
         assert all(rows * n <= max(_BLOCK_ELEMENTS, 2 * k * n) for rows, _ in applied)
 
@@ -707,17 +707,17 @@ class TestSeparableKernel:
         rng, drawn = np.random.default_rng(5), np.random.default_rng(5)
         report = check_contraction(dense, cli._random_ordered_pairs(dense, rng, 200),
                                    builtin_log_triple(), 1e-8)
-        violations = check_mixed_monotone(dense, cli._monotone_samples(dense, rng, 50))
+        violations = check_mixed_monotone(dense, *cli._monotone_samples(dense, rng, 50))
         assert "_node_block" not in vars(dense)
         # the same draws as one array each, for the generic checks
         pairs = random_ordered_pairs(p, drawn, 200)
-        samples, coords = monotone_samples(p, drawn, 50)
+        points, coords = monotone_samples(p, drawn, 50)
         F = product_operator(reference)
         assert report == dataclasses.replace(
             sampled_contraction(reference, F, as_grid_functions(p.grid, pairs)), tol_slack=1e-8)
         assert violations == check_mixed_monotone_sampled(
             F, cyclic_shift_upsilon(1).partition,
-            as_grid_functions(p.grid, samples, coords), pointwise_leq) == []
+            as_grid_functions(p.grid, points, coords), pointwise_leq) == []
         assert report.min_slack == 0.2218914661679627 and report.rejected_pairs == ()
         assert "_node_block" in vars(reference)
 
@@ -1089,7 +1089,7 @@ class TestArrayChecks:
         x, z = pairs[1:3, 0], pairs[1:3, 1]
         z[0, 1, 3] = x[0, 1, 3] + 1e-9
         x[1, 0, 3], z[1, 1, 3] = z[1, 0, 3] + 5e-13, x[1, 1, 3] + 5e-13
-        array = check_contraction(p, pairs, builtin_log_triple(), 1e-12)
+        array = check_contraction(p, [pairs], builtin_log_triple(), 1e-12)
         generic = sampled_contraction(p, product_operator(p), as_grid_functions(p.grid, pairs))
         assert array == generic
         assert array.rejected_pairs == tuple(sorted({1, *swaps}))
@@ -1102,39 +1102,56 @@ class TestArrayChecks:
     def test_mixed_monotone_equals_the_generic_check(self, case, seed):
         p = self.PROBLEMS[case]()
         size = _samples_per_block(p)
-        samples, coords = monotone_samples(p, np.random.default_rng(seed), 2 * size + 3)
-        array = check_mixed_monotone(p, samples, coords)
+        points, coords = monotone_samples(p, np.random.default_rng(seed), 2 * size + 3)
+        array = check_mixed_monotone(p, points, coords)
         generic = check_mixed_monotone_sampled(
             product_operator(p), cyclic_shift_upsilon(p.m).partition,
-            as_grid_functions(p.grid, samples, coords), pointwise_leq)
+            as_grid_functions(p.grid, points, coords), pointwise_leq)
         assert array == generic
         assert all(type(i) is int and type(j) is int for i, j in array)
         assert ("flipped" in case) == bool(array)
         assert "flipped" not in case or any(i >= size for i, _ in array)
         # every sample violates when no nonlinearity is monotone the right way
-        assert case != "nearly flipped" or len(array) == len(samples)
+        assert case != "nearly flipped" or len(array) == len(points)
 
     @pytest.mark.parametrize("case", ["example", "m=2"])
     def test_each_check_lays_out_once(self, monkeypatch, case):
-        # two full blocks and a short last one, the first with a rejected
-        # pair: one _layout a call, and the same verdicts as the generic checks
+        # one _layout a call, for a full block's rows, whatever the number
+        # of blocks: one short block, then two full and a short last one,
+        # the pairs handed over in arrays that the check cuts (the first a
+        # rejected pair), with the same verdicts as the generic checks
         p = self.PROBLEMS[case]()
         size = _samples_per_block(p)
-        rng = np.random.default_rng(8)
-        pairs = swapped(random_ordered_pairs(p, rng, 2 * size + 3), [1])
-        samples, coords = monotone_samples(p, rng, 2 * size + 3)
-        F, partition = product_operator(p), cyclic_shift_upsilon(p.m).partition
-        generic = (sampled_contraction(p, F, as_grid_functions(p.grid, pairs)),
-                   check_mixed_monotone_sampled(F, partition,
-                                                as_grid_functions(p.grid, samples, coords),
-                                                pointwise_leq))
         layouts, layout = [], hs._layout
         monkeypatch.setattr(hs, "_layout", lambda problem, rows: layouts.append(len(rows))
                             or layout(problem, rows))
-        assert check_contraction(p, pairs, builtin_log_triple(), 1e-12) == generic[0]
-        assert layouts == [2 * size]
-        assert check_mixed_monotone(p, samples, coords) == generic[1]
-        assert layouts == [2 * size] * 2
+        for count in (1, 2 * size + 3):
+            rng = np.random.default_rng(8)
+            pairs = swapped(random_ordered_pairs(p, rng, count), [0])
+            points, coords = monotone_samples(p, rng, count)
+            F, partition = product_operator(p), cyclic_shift_upsilon(p.m).partition
+            generic = (sampled_contraction(p, F, as_grid_functions(p.grid, pairs)),
+                       check_mixed_monotone_sampled(F, partition,
+                                                    as_grid_functions(p.grid, points, coords),
+                                                    pointwise_leq))
+            layouts.clear()
+            arrays = np.split(pairs, [1, size + 2])
+            assert check_contraction(p, arrays, builtin_log_triple(), 1e-12) == generic[0]
+            assert layouts == [2 * size]
+            assert check_mixed_monotone(p, points, coords) == generic[1]
+            assert layouts == [2 * size] * 2
+
+    @pytest.mark.parametrize("case", sorted(PROBLEMS))
+    def test_the_mixed_monotone_check_transfers_nothing(self, monkeypatch, case):
+        # its constants are their own node values: no LinearPlan.apply, in
+        # one block or three
+        p = self.PROBLEMS[case]()
+        points, coords = monotone_samples(p, np.random.default_rng(9),
+                                          2 * _samples_per_block(p) + 3)
+        applied = recorded_rows(monkeypatch)
+        check_mixed_monotone(p, points[:1], coords[:1])
+        check_mixed_monotone(p, points, coords)
+        assert applied == []
 
     @pytest.mark.parametrize("case", ["flipped", "steep k=4"])
     def test_the_a_block_is_read_without_building_upsilon(self, monkeypatch, case):
@@ -1146,14 +1163,14 @@ class TestArrayChecks:
         p = self.PROBLEMS[case]()
         rng = np.random.default_rng(4)
         pairs = swapped(random_ordered_pairs(p, rng, 6), [1, 4])
-        samples, coords = monotone_samples(p, rng, 6)
+        points, coords = monotone_samples(p, rng, 6)
         F, partition = product_operator(p), cyclic_shift_upsilon(p.m).partition
         monkeypatch.setattr(hs, "cyclic_shift_upsilon", no_upsilon)
-        array = check_contraction(p, pairs, builtin_log_triple(), 1e-12)
+        array = check_contraction(p, [pairs], builtin_log_triple(), 1e-12)
         assert array == sampled_contraction(p, F, as_grid_functions(p.grid, pairs))
         assert array.rejected_pairs == (1, 4)
-        assert check_mixed_monotone(p, samples, coords) == check_mixed_monotone_sampled(
-            F, partition, as_grid_functions(p.grid, samples, coords), pointwise_leq)
+        assert check_mixed_monotone(p, points, coords) == check_mixed_monotone_sampled(
+            F, partition, as_grid_functions(p.grid, points, coords), pointwise_leq)
 
     @pytest.mark.parametrize("fault", ["floor", "non-finite"])
     def test_failure_in_a_later_block_names_the_generic_component(self, fault):
@@ -1174,43 +1191,44 @@ class TestArrayChecks:
         pairs = swapped(random_ordered_pairs(p, np.random.default_rng(3), 2 * size) + 1.0,
                         [1, size])
         pairs[target, 1, 1] = bad
-        size_m = _samples_per_block(p)
-        samples, coords = monotone_samples(p, np.random.default_rng(4), 2 * size_m)
-        samples += 1.0
-        samples[size_m + 1, 1] = bad
+        # a monotonicity sample is constants: the bad one is the least of
+        # bad, and a floor failure names the grid's first node
+        points, coords = monotone_samples(p, np.random.default_rng(4), 2 * size)
+        points += 1.0
+        points[size + 1, 1] = bad.min()
         partition = cyclic_shift_upsilon(p.m).partition
         runs = [
-            (lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
+            (lambda: check_contraction(p, [pairs], builtin_log_triple(), 1e-12),
              lambda: sampled_contraction(p, product_operator(p), as_grid_functions(p.grid, pairs)),
-             2 * k * (target - 2) + k + 2),
-            (lambda: check_mixed_monotone(p, samples, coords),
+             2 * k * (target - 2) + k + 2, node),
+            (lambda: check_mixed_monotone(p, points, coords),
              lambda: check_mixed_monotone_sampled(product_operator(p), partition,
-                                                  as_grid_functions(p.grid, samples, coords),
+                                                  as_grid_functions(p.grid, points, coords),
                                                   pointwise_leq),
-             (k + 1) * (size_m + 1) + 2),
+             (k + 1) * (size + 1) + 2, node if node is None else p.grid.nodes[0]),
         ]
-        for array, generic, component in runs:
+        for array, generic, component, at in runs:
             records = []
             for run in (array, generic):
                 with pytest.raises(OperatorEvaluationError) as exc:
                     run()
                 assert type(exc.value.cause) is cause
                 records.append((exc.value.component, exc.value.node))
-            assert records[0] == records[1] == (component if fault == "floor" else None, node)
+            assert records[0] == records[1] == (component if fault == "floor" else None, at)
 
     def test_a_non_finite_image_fails_on_both_paths(self):
         # the forcing is finite, the forcing plus the integral overflows
         p = _small_problem(kernel=lambda t, s: 1e306, forcing=lambda t: 1.79e308)
         pairs = random_ordered_pairs(p, np.random.default_rng(0), 3)
-        samples, coords = monotone_samples(p, np.random.default_rng(0), 3)
+        points, coords = monotone_samples(p, np.random.default_rng(0), 3)
         partition = cyclic_shift_upsilon(p.m).partition
-        for run in (lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
+        for run in (lambda: check_contraction(p, [pairs], builtin_log_triple(), 1e-12),
                     lambda: sampled_contraction(p, product_operator(p),
                                                 as_grid_functions(p.grid, pairs)),
-                    lambda: check_mixed_monotone(p, samples, coords),
+                    lambda: check_mixed_monotone(p, points, coords),
                     lambda: check_mixed_monotone_sampled(
                         product_operator(p), partition,
-                        as_grid_functions(p.grid, samples, coords), pointwise_leq)):
+                        as_grid_functions(p.grid, points, coords), pointwise_leq)):
             # the overflow is reported as the operator error, with no warning
             with warnings.catch_warnings(), pytest.raises(
                     OperatorEvaluationError, match="grid function values must be finite") as exc:
@@ -1218,22 +1236,46 @@ class TestArrayChecks:
                 run()
             assert (exc.value.component, exc.value.node) == (None, None)
 
-    @pytest.mark.parametrize("shape, coords", [
-        ((3, 4, 17), [1, 2, 1]),  # k + 2 rows a sample
-        ((3, 3, 16), [1, 2, 1]),  # off the grid
-        ((3, 3, 17), [1, 2]),     # a coordinate missing
-        ((3, 3, 17), [1, 0, 1]),
-        ((3, 3, 17), [1, 3, 1]),
-    ], ids=["rows", "grid", "count", "zero", "above_k"])
-    def test_malformed_samples_refused(self, shape, coords):
+    @pytest.mark.parametrize("points, coords, message", [
+        (np.full((3, 4), 2.0), [1, 2, 1], "points must have shape"),  # k + 2 numbers a sample
+        (np.full((3, 3, 17), 2.0), [1, 2, 1], "points must have shape"),  # a grid axis
+        (np.full(3, 2.0), [1, 2, 1], "points must have shape"),
+        (np.full((3, 3), 2.0), [1, 2], "points must have shape"),  # a coordinate missing
+        (np.full((3, 3), 2.0), 1, "points must have shape"),
+        (np.full((3, 3), 2.0), [1, 0, 1], "coords be integers in 1..2"),
+        (np.full((3, 3), 2.0), [1, 3, 1], "coords be integers in 1..2"),
+        (np.full((3, 3), 2.0), [1.0, 2.0, 1.0], "coords be integers in 1..2"),
+        (np.full((3, 3), 2.0), [True, True, True], "coords be integers in 1..2"),
+        (np.full((3, 3), 2.0), ["1", "2", "1"], "coords be integers in 1..2"),
+        (np.array([[2.0, 2.0, 3.0], [2.0, np.nan, 3.0], [2.0, 2.0, 3.0]]), [1, 2, 1],
+         "sample points must be finite"),
+        (np.array([[2.0, 2.0, np.inf]] * 3), [1, 2, 1], "sample points must be finite"),
+        (np.array([[-np.inf, 2.0, 3.0]] * 3), [1, 2, 1], "sample points must be finite"),
+    ], ids=["rows", "grid", "flat", "count", "scalar_coords", "zero", "above_k",
+            "float_coords", "bool_coords", "string_coords", "nan", "inf", "minus_inf"])
+    def test_malformed_samples_refused(self, monkeypatch, points, coords, message):
+        # well-formed samples pass, both coordinates raised by 1; each
+        # malformed one is refused before any evaluation
         p = _small_problem()
-        with pytest.raises(ValueError, match="samples must have shape"):
-            check_mixed_monotone(p, np.full(shape, 2.0), coords)
+        assert check_mixed_monotone(p, [[2.0, 2.0, 3.0]] * 3, np.array([1, 2, 1])) == []
 
-    @pytest.mark.parametrize("shape", [(3, 2, 3, 17), (3, 2, 2, 16), (3, 3, 2, 17)])
+        def evaluated(*args, **kwargs):
+            raise AssertionError("malformed samples were evaluated")
+
+        monkeypatch.setattr(hs, "_integrals", evaluated)
+        with pytest.raises(ValueError, match=message):
+            check_mixed_monotone(p, points, coords)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3, 17), (3, 2, 2, 16), (3, 3, 2, 17), (2, 2, 17)])
     def test_malformed_pairs_refused(self, shape):
         with pytest.raises(ValueError, match="pairs must have shape"):
-            check_contraction(_small_problem(), np.full(shape, 2.0), builtin_log_triple(), 1e-12)
+            check_contraction(_small_problem(), [np.full(shape, 2.0)], builtin_log_triple(), 1e-12)
+
+    def test_a_bare_pair_array_is_refused(self):
+        # iterated, it is read as blocks of one pair's shape
+        with pytest.raises(ValueError, match="pairs must have shape"):
+            check_contraction(_small_problem(), np.full((4, 2, 2, 17), 2.0),
+                              builtin_log_triple(), 1e-12)
 
 
 class TestOperatorFailureContract:
@@ -1246,7 +1288,9 @@ class TestOperatorFailureContract:
     def evaluate(user, p, op, bad):
         """Run ``user`` with ``bad`` in coordinate 2 of one of its tuples: a
         sampled check's input is built as its stacked array and run by the
-        array check when ``op`` is None, else wrapped for the generic one."""
+        array check when ``op`` is None, else wrapped for the generic one.
+        The array monotonicity check takes constants, so there the bad
+        coordinate is the least of ``bad``."""
         ok = np.stack([p.grid.nodes + i for i in range(p.k)])
         ups = cyclic_shift_upsilon(p.m)
         with_bad = ok.copy()
@@ -1254,17 +1298,19 @@ class TestOperatorFailureContract:
         if user == "iterate_step":
             iterate_step(op, ups, as_grid_functions(p.grid, with_bad))
         elif user == "check_mixed_monotone_sampled":
-            high = 9.0 * p.grid.nodes
-            samples, coords = np.stack([np.vstack([ok, high]), np.vstack([with_bad, high])]), [2, 1]
             if op is None:
-                check_mixed_monotone(p, samples, coords)
+                points = np.tile(np.append(1.0 + np.arange(p.k), 9.0), (2, 1))
+                points[1, 1] = bad.min()
+                check_mixed_monotone(p, points, [2, 1])
             else:
-                check_mixed_monotone_sampled(
-                    op, ups.partition, as_grid_functions(p.grid, samples, coords), pointwise_leq)
+                x, y = as_grid_functions(p.grid, ok), as_grid_functions(p.grid, with_bad)
+                high = GridFunction(p.grid, 9.0 * p.grid.nodes)
+                samples = [(tuple(x), 2, x[1], high), (tuple(y), 1, y[0], high)]
+                check_mixed_monotone_sampled(op, ups.partition, samples, pointwise_leq)
         else:
             pairs = np.stack([[ok, ok], [ok, with_bad]])
             if op is None:
-                check_contraction(p, pairs, builtin_log_triple(), 1e-12)
+                check_contraction(p, [pairs], builtin_log_triple(), 1e-12)
             else:
                 sampled_contraction(p, op, as_grid_functions(p.grid, pairs))
 
@@ -1290,7 +1336,10 @@ class TestOperatorFailureContract:
         for op in ops:
             with pytest.raises(OperatorEvaluationError) as exc:
                 self.evaluate(user, p, op, values)
-            assert (exc.value.component, exc.value.node) == expected
+            # a constant below the floor fails at the grid's first node
+            constant = op is None and user == "check_mixed_monotone_sampled" and fault == "floor"
+            assert (exc.value.component, exc.value.node) == (
+                (index, p.grid.nodes[0]) if constant else expected)
             assert type(exc.value.cause) is cause
 
 
@@ -1705,19 +1754,19 @@ class TestOneValidation:
             grid=grid)
         x = (GridFunction(p.grid, np.full(p.grid.n, 2.0)),) * 2
         pairs = random_ordered_pairs(p, np.random.default_rng(0), 3) + 1.0
-        samples, coords = monotone_samples(p, np.random.default_rng(0), 3)
-        samples += 1.0
+        points, coords = monotone_samples(p, np.random.default_rng(0), 3)
+        points += 1.0
         partition = cyclic_shift_upsilon(p.m).partition
         batched = [
             lambda: iterate_step(product_operator(p), cyclic_shift_upsilon(1), x),
             lambda: sampled_contraction(p, product_operator(p), as_grid_functions(p.grid, pairs)),
             lambda: check_mixed_monotone_sampled(
-                product_operator(p), partition, as_grid_functions(p.grid, samples, coords),
+                product_operator(p), partition, as_grid_functions(p.grid, points, coords),
                 pointwise_leq),
         ]
         # the array checks read the grid rows only
-        grid_rows = [lambda: check_contraction(p, pairs, builtin_log_triple(), 1e-12),
-                     lambda: check_mixed_monotone(p, samples, coords)]
+        grid_rows = [lambda: check_contraction(p, [pairs], builtin_log_triple(), 1e-12),
+                     lambda: check_mixed_monotone(p, points, coords)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for run in batched + (grid_rows if where == "grid" else []):

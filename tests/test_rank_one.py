@@ -2,7 +2,8 @@
 over the problem's (a, p), and its grid values fl(fl(c * a) + p) are formed
 only where they are read.  The properties check each shortcut against the
 grid computation it stands for, on registry problems drawn at m = 1 and 2
-and random (alpha, T)."""
+and random (alpha, T); the last checks the sampled monotonicity check on
+constant samples, for these problems and their dense twins."""
 
 import dataclasses
 import math
@@ -160,16 +161,56 @@ class TestShortcuts:
         # are formed
         if broken:
             problem = dataclasses.replace(problem, nonlinearities=problem.nonlinearities[::-1])
-        samples, coords = monotone_samples(problem, np.random.default_rng(seed), 7)
+        points, coords = monotone_samples(problem, np.random.default_rng(seed), 7)
         formed, grid = [], hs._RankOne.grid
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hs._RankOne, "grid", lambda f, c: formed.append(1) or grid(f, c))
-            verdicts = check_mixed_monotone(problem, samples, coords)
+            verdicts = check_mixed_monotone(problem, points, coords)
         reference = check_mixed_monotone_sampled(
             product_operator(problem), cyclic_shift_upsilon(problem.m).partition,
-            as_grid_functions(problem.grid, samples, coords), pointwise_leq)
+            as_grid_functions(problem.grid, points, coords), pointwise_leq)
         assert verdicts == reference
         assert bool(formed) == bool(verdicts) == broken
+
+
+@st.composite
+def constant_samples(draw):
+    """A registry problem or its dense twin, its nonlinearities swapped or
+    not, and 1 to 8 constant samples: each constant on the floor or up to 4
+    above it, and ``high`` raised by 0.1 to 3 or by 1 to 4 ulps."""
+    problem = draw(problems)
+    if draw(st.booleans()):
+        kernel = problem.kernel
+        problem = dataclasses.replace(problem, kernel=lambda t, s: kernel(t, s))
+    if draw(st.booleans()):
+        problem = dataclasses.replace(problem, nonlinearities=problem.nonlinearities[::-1])
+    k, count = problem.k, draw(st.integers(1, 8))
+    offsets = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 4.0)), min_size=k, max_size=k)
+    points = problem.domain_floor + np.array(draw(st.lists(offsets, min_size=count,
+                                                           max_size=count)))
+    coords = np.array(draw(st.lists(st.integers(1, k), min_size=count, max_size=count)))
+    high = points[np.arange(count), coords - 1]
+    for i in range(count):
+        ulps = draw(st.one_of(st.integers(1, 4), st.floats(0.1, 3.0)))
+        if isinstance(ulps, int):
+            for _ in range(ulps):
+                high[i] = np.nextafter(high[i], np.inf)
+        else:
+            high[i] += ulps
+    return problem, np.column_stack([points, high]), coords
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)  # about 1.5 s, a third violating
+@given(constant_samples())
+def test_constant_samples_get_the_verdicts_of_constant_grid_functions(case):
+    # the generic check on constant grid functions, transferred to the
+    # nodes, is the reference for the check that reads the constants as
+    # they are
+    problem, points, coords = case
+    reference = check_mixed_monotone_sampled(
+        product_operator(problem), cyclic_shift_upsilon(problem.m).partition,
+        as_grid_functions(problem.grid, points, coords), pointwise_leq)
+    assert check_mixed_monotone(problem, points, coords) == reference
 
 
 def test_a_rank_one_solve_forms_its_grid_values_a_fixed_number_of_times(monkeypatch):

@@ -2,9 +2,9 @@
 the closed forms of the first Jacobi sweep of the log-kernel example and
 the exponential inequality behind its upper start; and the quadrature rules
 the tests run on: the package's Gauss-Legendre rule and a composite Simpson
-rule, whose nodes hit grid nodes; the CLI's samplers as they drew all their
-samples in one array, the references for the samplers' blocks; and the
-generic sampled checks' form of those arrays."""
+rule, whose nodes hit grid nodes; the CLI's samplers drawn in one array
+sample by sample, the references for the samplers; and the generic sampled
+checks' form of those arrays."""
 
 import math
 from typing import Tuple
@@ -62,27 +62,29 @@ RULES = {"gauss-legendre": make_quadrature, "simpson": simpson_rule}
 def as_grid_functions(grid, array, coords=None):
     """A stacked sampler array as the generic checks take it, every length-n
     row a new GridFunction on ``grid``: pairs, (count, 2, k, n), as a list
-    of (x, z) tuples; samples, (count, k + 1, n) with their 1-based
-    ``coords``, as a list of (point, j, low, high) with low = point[j - 1]."""
+    of (x, z) tuples; monotonicity samples, (count, k + 1) constants with
+    their 1-based ``coords``, as a list of (point, j, low, high) of constant
+    grid functions, low = point[j - 1]."""
     def wrap(a):
         return GridFunction(grid, a) if a.ndim == 1 else tuple(map(wrap, a))
 
-    items = list(wrap(np.asarray(array)))
+    array = np.asarray(array)
     if coords is None:
-        return items
+        return list(wrap(array))
+    items = wrap(np.repeat(array[:, :, None], grid.n, axis=2))
     return [(s[:-1], int(j), s[j - 1], s[-1]) for s, j in zip(items, coords)]
 
 
 def monotone_samples(problem, rng, count):
-    """``cli._monotone_samples`` as one array: the (count, k + 1, n) samples
-    and their coordinates, drawn sample by sample and filled as drawn."""
+    """``cli._monotone_samples`` drawn sample by sample and filled as drawn:
+    the (count, k + 1) constants and their coordinates."""
     k, lo = problem.k, problem.domain_floor
-    samples, coords = np.empty((count, k + 1, problem.grid.n)), np.empty(count, dtype=int)
+    points, coords = np.empty((count, k + 1)), np.empty(count, dtype=int)
     for i in range(count):
-        samples[i, :k] = lo + rng.uniform(0.0, 4.0, size=k)[:, None]
+        points[i, :k] = lo + rng.uniform(0.0, 4.0, size=k)
         coords[i] = rng.integers(1, k + 1)
-        samples[i, k] = samples[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
-    return samples, coords
+        points[i, k] = points[i, coords[i] - 1] + rng.uniform(0.1, 3.0)
+    return points, coords
 
 
 def random_ordered_pairs(problem, rng, count):
