@@ -329,8 +329,8 @@ def _layout(problem: HammersteinProblem, rows):
     of f_j, distinct column of j) per distinct term, the index of each
     position j's term, and the quadrature nodes tiled R times, read-only.
     The table is read as an (R, k) array, so an empty one is (0, k).  The
-    operator's ``prepare`` lays its rows out once, and a sampled check a
-    full block's rows (``_samples_per_block``)."""
+    operator's ``prepare`` lays its rows out once; a sampled check's rows
+    have k distinct columns and lay out as ``_distinct_terms``."""
     table = np.asarray(rows, dtype=np.intp).reshape(len(rows), problem.k) - 1
     first, columns, terms, select = {}, {}, {}, []
     for j, (f, column) in enumerate(zip(problem.nonlinearities, map(tuple, table.T.tolist()))):
@@ -341,101 +341,105 @@ def _layout(problem: HammersteinProblem, rows):
     return np.array([*columns], dtype=np.intp), tuple(terms), np.array(select, dtype=np.intp), s
 
 
-def _node_values(problem: HammersteinProblem, values) -> np.ndarray:
-    """The c components ``values`` at the quadrature nodes, a (c, nq) array,
-    each checked against the floor; a DomainFloorError names the component,
-    a 1-based index into ``values``.
+def _distinct_terms(problem: HammersteinProblem, rows: int):
+    """``_layout``'s calls, selection and tiled nodes for ``rows`` rows whose
+    k columns are distinct, as a sampled check's are: term j is f_j on
+    argument row j, and the k terms are the summands as they stand."""
+    s = np.tile(problem.quadrature.nodes, rows)
+    s.flags.writeable = False
+    return tuple(zip(range(problem.k), range(problem.k))), np.arange(problem.k), s
 
-    ``values`` is a (c, n) array of grid values, of the sampled contraction
-    check, a (c,) array of constants, of the sampled monotonicity check, or
-    the c grid functions of a batch (``product_operator``).  A constant is
-    its value at every node: it is checked as one number, a failure naming
-    the grid's first node, and spread over the quadrature nodes as it is.
-    Any other component is transferred to the quadrature nodes in one
-    apply of the problem's ``LinearPlan`` (which stays between each
-    interval's node values, so these need no check), unless it is an image
-    for this problem's rule (``is``), which carries its values there; when
-    all carry them, they are stacked as they are, and when any does, the
-    whole array is checked at the quadrature nodes too.  At the grid nodes
-    a component is checked as it stands, but for a rank-one image of this
-    problem whose coefficient is at least the least ``floor_safe`` among
-    them: its grid values lie above those of an image that passed
-    (``_RankOne``), so they pass without being formed.  Checking the rest
-    in their order names the first failing component, as checking all of
+
+def _node_values(problem: HammersteinProblem, x: Sequence[GridFunction]):
+    """The c grid functions ``x`` of a batch (``product_operator``) at the
+    quadrature nodes, a (c, nq) array, each checked against the floor, and
+    the least coefficient of this problem's rank-one images among them, or
+    of their ``floor_safe``, inf when there is none: the ``floor_safe`` of
+    the batch's images.  A DomainFloorError names the component, a 1-based
+    index into ``x``, and a component on another grid raises ValueError.
+
+    One pass classifies the components, after one that finds the family's
+    least ``floor_safe`` and coefficient.  An image for this problem's rule
+    (``is``) carries its values at the quadrature nodes; any other component
+    is transferred there in one apply of the problem's ``LinearPlan``, which
+    stays between each interval's node values, so it is checked at the grid
+    nodes only.  A rank-one image of this problem whose coefficient is at
+    least the least ``floor_safe`` among them is checked at neither node
+    set: a >= 0 and rounding is monotone, so its values lie above those of
+    an image that passed both checks (``_RankOne``).  Any other image is
+    checked at the grid nodes, and then, when there is one, all the node
+    values at once, which the others pass.  Checking the rest in their
+    order names the first failing component and node, as checking all of
     them would.
     """
-    grid_nodes, floor = problem.grid.nodes, problem.domain_floor
-    if isinstance(values, np.ndarray):
-        if values.ndim == 1:  # constants
-            _check_floor(values[:, None], grid_nodes, floor)
-            return np.broadcast_to(values[:, None], (values.size, problem.quadrature.nodes.size))
-        _check_floor(values, grid_nodes, floor)
-        return problem._transfer.apply(values)
-    family, rule = problem._rank_one, problem.quadrature
-    known = [i for i, xi in enumerate(values) if isinstance(xi, _Image) and xi.quadrature is rule]
-    if not known:  # every component checked and transferred as it stands
-        return _node_values(problem, np.array([xi.values for xi in values]).reshape(
-            -1, problem.grid.n))  # (0, n) if empty
-    checked = range(len(values))
+    rule, family, floor = problem.quadrature, problem._rank_one, problem.domain_floor
+    safe = least = math.inf  # the least floor_safe and the least coefficient of the family
     if family is not None:
-        ours = [i for i in known if values[i].family is family]
-        safe = min([values[i].floor_safe for i in ours], default=math.inf)
-        passed = {i for i in ours if values[i].coefficient >= safe}
-        checked = [i for i in checked if i not in passed]
+        for xi in x:
+            if isinstance(xi, _Image) and xi.family is family:
+                safe, least = min(safe, xi.floor_safe), min(least, xi.coefficient)
+    vals, checked, moved, carried = np.empty((len(x), rule.nodes.size)), [], [], False
+    for i, xi in enumerate(x):
+        _check_same_grid(problem.grid, xi.grid)
+        if isinstance(xi, _Image) and xi.quadrature is rule:
+            vals[i] = xi.at_nodes
+            if family is not None and xi.family is family and xi.coefficient >= safe:
+                continue
+            carried = True
+        else:
+            moved.append(i)
+        checked.append(i)
     if checked:
-        grid = np.array([values[i].values for i in checked])
-        _check_floor(grid, grid_nodes, floor, checked)
-    if len(known) == len(values):
-        vals = np.array([xi.at_nodes for xi in values])
-    else:
-        vals = np.empty((len(values), problem.quadrature.nodes.size))
-        vals[known] = [values[i].at_nodes for i in known]
-        todo = np.delete(np.arange(len(values)), known)  # none a rank-one image: all checked
-        vals[todo] = problem._transfer.apply(grid[np.searchsorted(checked, todo)])
-    _check_floor(vals, problem.quadrature.nodes, floor)
-    return vals
+        grid = np.array([x[i].values for i in checked])
+        _check_floor(grid, problem.grid.nodes, floor, checked)
+        if moved:
+            at = grid if len(moved) == len(checked) else grid[np.searchsorted(checked, moved)]
+            vals[moved] = problem._transfer.apply(at)
+        if carried:  # the rows transferred or at or above floor_safe pass
+            _check_floor(vals, rule.nodes, floor)
+    return vals, min(safe, least)
 
 
-def _integrals(problem: HammersteinProblem, layout, values, nodes: bool = True,
-               coefficients: bool = False):
-    """The operator at R argument tuples drawn from ``values``, as the (R, n)
-    array of the images at the grid nodes and the (R, nq) array of the same
-    images at the quadrature nodes, (R, 0) unless ``nodes``
-    (``_apply_kernel``): row r is int_1^T G(t, s) sum_j
-    f_j(s, u_j(s)) ds + p(t), u_j the component ``values[rows[r, j] - 1]``,
-    ``rows`` the 1-based (R, k) index table that ``layout`` lays out and
-    ``values`` any number c of components, as ``_node_values`` takes them
-    (grid values, constants or grid functions), which checks them against
-    the floor.  With ``coefficients``, a SeparableKernel problem's images
-    are not formed at the grid nodes: the first array is then the (R, 1)
-    column of their coefficients (``_coefficients``), whose grid values
-    ``_RankOne.grid`` forms.
+def _integrals(problem: HammersteinProblem, args: np.ndarray, calls, select, s: np.ndarray,
+               nodes: bool = True, coefficients: bool = False):
+    """The operator at R argument tuples that the caller has laid out at the
+    quadrature nodes and checked against the floor, as the (R, n) array of
+    the images at the grid nodes and the (R, nq) array of the same images at
+    the quadrature nodes, (R, 0) unless ``nodes`` (``_apply_kernel``): row r
+    is int_1^T G(t, s) sum_j f_j(s, u_rj(s)) ds + p(t).  With
+    ``coefficients``, a SeparableKernel problem's images are not formed at
+    the grid nodes: the first array is then the (R, 1) column of their
+    coefficients (``_coefficients``), whose grid values ``_RankOne.grid``
+    forms.
 
-    All R rows make one kernel call, as ``layout`` lays
-    them out.  Argument j of every row, laid end to end, is column j of
-    ``rows`` gathered from the (c, nq) array, a 1-D array of length R*nq, so
-    the array contract holds and a scalar return broadcasts.  Each distinct
-    column is gathered once and each distinct pair (f_j, column j), f_j told
-    apart by identity, is called once, so d distinct pairs cost d calls
-    whatever k is.  The d terms fill one (d, R*nq) array, and one
-    ``np.add.reduce`` from 0.0 sums the k terms taken from it in j order:
-    numpy adds the rows of an outer-axis reduction one after another, so
-    the sum has the bits of k calls.  The nodes and the gathered arguments
-    are read-only: a nonlinearity that writes into either raises ValueError
-    instead of changing another's.  Both image arrays are checked finite at
-    once and returned read-only; the grid values of coefficients are finite
-    when |c| * max a + max |p| is (``_RankOne``), and are formed and checked
-    only when it is not, so an image that overflows at either node set fails
-    as it would if formed.  A caller bounds R: the engine's sweeps have at
-    most k rows and a sampled check hands over one block.
+    ``args`` holds the distinct argument columns, row c column c's R
+    arguments laid end to end at the quadrature nodes, a 1-D array of
+    length R*nq for each, so the array contract holds and a scalar return
+    broadcasts; ``calls`` holds one (position j of f_j, row of ``args``)
+    per distinct term, ``select`` the term of each position j and ``s`` the
+    quadrature nodes tiled R times, read-only (``_layout``,
+    ``_distinct_terms``).  Each caller lays out its own value form: the
+    prepared batch gathers its components' node values (``_node_values``),
+    the monotonicity check repeats each position's constants over the
+    nodes, and the contraction check transfers each block's positions at
+    the grid.  This call marks ``args`` read-only, since a row may be read
+    by several callables, so a nonlinearity that writes into it raises
+    ValueError instead of changing another's term.
+
+    Then all R rows make one kernel call: each distinct term is called
+    once, so d distinct terms cost d calls whatever k is.  The d terms fill
+    one (d, R*nq) array, and one ``np.add.reduce`` from 0.0 sums the k
+    terms taken from it in j order: numpy adds the rows of an outer-axis
+    reduction one after another, so the sum has the bits of k calls.  Both
+    image arrays are checked finite at once and returned read-only; the
+    grid values of coefficients are finite when |c| * max a + max |p| is
+    (``_RankOne``), and are formed and checked only when it is not, so an
+    image that overflows at either node set fails as it would if formed.  A
+    caller bounds R: the engine's sweeps have at most k rows and a sampled
+    check hands over one block.
     """
-    index, calls, select, s = layout
     nq, n = problem.quadrature.nodes.size, problem.grid.n
     n_rows = s.size // nq
-    vals = _node_values(problem, values)
-    # one gather; row c holds distinct column c of every row end to end.  A
-    # row may be read by several callables, so none may write into it.
-    args = vals.take(index, axis=0).reshape(len(index), -1)
     args.flags.writeable = False
     fs, terms = problem.nonlinearities, np.empty((len(calls), n_rows * nq))
     family = problem._rank_one if coefficients else None
@@ -493,7 +497,8 @@ class _Image(GridFunction):
     ``family`` (``_RankOne``) instead, and forms its grid values, with the
     bits a dense formation would give them, at the first read of
     ``values``.  ``floor_safe`` is a coefficient of that family whose image
-    is known to lie above the floor at the grid nodes, inf when none is
+    is known to lie above the floor at the grid nodes and at the quadrature
+    nodes, inf when none is: one of a batch's components, which all passed
     (``_node_values``).  Every array is read-only, so the values cannot
     drift apart.  Only a prepared batch (``product_operator``) builds one,
     from rows ``_integrals`` has checked, so they are not checked again."""
@@ -523,36 +528,37 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
 
     ``prepare(rows)`` lays out the R rows once (``_layout``) and returns the
     batch ``x -> images``: the images at the R argument tuples drawn from c
-    components, in one ``_integrals`` call that gathers up to R*k*nq
-    argument values, so a caller with many rows hands them over in blocks,
-    as the sampled checks do.  Every image carries its values at the
-    quadrature nodes, which a component is read from when it carries them
-    for this problem's rule (``is``); any other is transferred (O(nq)).
-    A SeparableKernel problem's image carries its coefficient instead of
-    its grid values (``_Image``), so a batch over rank-one images of the
-    problem costs O(R*nq) and forms no grid value, the floor check at the
-    grid nodes included, unless a component lies below the coefficients
-    known to be safe (``_node_values``).  Its images' ``floor_safe`` is the
-    least coefficient of the family among the components, which all passed.
-    From the bracket start, whose A components are one object and whose B
-    components another, a solve prepares R = 2 rows once at any k
+    components.  The batch's value form is its components' node values
+    (``_node_values``), classified in one pass: an image for this problem's
+    rule (``is``) carries them, and any other component is transferred
+    (O(nq)).  One gather lays out the distinct columns, up to R*k*nq
+    argument values, for one ``_integrals`` call, so a caller with many
+    rows hands them over in blocks.  A SeparableKernel problem's image
+    carries its coefficient instead of its grid values (``_Image``), so a
+    batch over rank-one images of the problem costs O(R*nq) and forms no
+    grid value and makes no floor check, at the grid nodes or at the
+    quadrature nodes, unless a component lies below the coefficients known
+    to be safe.  Its images' ``floor_safe`` is the least coefficient of the
+    family among the components, which all passed.  From the bracket
+    start, whose A components are one object and whose B components
+    another, a solve prepares R = 2 rows once at any k
     (``engine._prepare``), and each sweep reads c = 2 components, which
-    only the first sweep transfers.  A call costs d nonlinearity calls and
-    the kernel product plus a fixed number of numpy calls (``_integrals``).
+    only the first sweep transfers and only the first two check.  A call
+    costs d nonlinearity calls and the kernel product plus a fixed number
+    of numpy calls (``_integrals``).
     """
     def prepare(rows):
-        layout = _layout(problem, rows)
+        index, *layout = _layout(problem, rows)
 
         def batch(x):
-            for xi in x:
-                _check_same_grid(problem.grid, xi.grid)
-            first, at_nodes = _integrals(problem, layout, x, coefficients=True)
+            vals, safe = _node_values(problem, x)
+            # one gather; row c holds distinct column c of every row end to end
+            first, at_nodes = _integrals(problem, vals.take(index, axis=0).reshape(len(index), -1),
+                                         *layout, coefficients=True)
             family = problem._rank_one
             if family is None:
                 return tuple(_Image(problem.grid, problem.quadrature, nodes, out)
                              for out, nodes in zip(first, at_nodes))
-            safe = min([min(xi.coefficient, xi.floor_safe) for xi in x
-                        if isinstance(xi, _Image) and xi.family is family], default=math.inf)
             return tuple(_Image(problem.grid, problem.quadrature, nodes, family=family,
                                 coefficient=c, floor_safe=safe)
                          for c, nodes in zip(first[:, 0].tolist(), at_nodes))
@@ -702,29 +708,13 @@ def _samples_per_block(problem: HammersteinProblem) -> int:
     that make at most _BLOCK_ELEMENTS // max(n, nq) arguments, at least one.
     A pair's 2k components are its arguments, a monotonicity sample's k + 1
     constants fewer.  Each check lays out a full block's 2 * size rows once
-    a call (``_layout``): their k columns are distinct, so the terms and
-    their selection do not depend on the row count, and a shorter block,
-    the last or a filtered one, reads the first of the tiled nodes
-    (``_sample_images``)."""
+    a call (``_distinct_terms``): their k columns are distinct, so the
+    terms and their selection do not depend on the row count, and a shorter
+    block, the last or a filtered one, reads the first of the tiled nodes.
+    Its argument rows, k of 2 * size * nq values, hold at most
+    _BLOCK_ELEMENTS values when the block's arguments do."""
     size = max(problem.grid.n, problem.quadrature.nodes.size)
     return max(1, _BLOCK_ELEMENTS // size // (2 * problem.k))
-
-
-def _sample_images(problem: HammersteinProblem, layout, rows: np.ndarray,
-                   values: np.ndarray, done: int, coefficients: bool = False):
-    """``_integrals``' grid images, or with ``coefficients`` what it returns
-    for them, on a block that follows ``done`` evaluated components, laid
-    out for a full block's rows with the gather index the 0-based table
-    transposed (an empty table gathers nothing): a failure or a non-finite
-    image raises OperatorEvaluationError, its ``component`` offset by
-    ``done``."""
-    _, terms, select, s = layout
-    layout = (rows.T - 1, terms, select, s[:len(rows) * problem.quadrature.nodes.size])
-    try:
-        out = _integrals(problem, layout, values, nodes=False, coefficients=coefficients)[0]
-    except Exception as exc:
-        raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
-    return out
 
 
 def check_contraction(problem: HammersteinProblem, blocks,
@@ -733,22 +723,29 @@ def check_contraction(problem: HammersteinProblem, blocks,
     tuples under the sup metric, its maximum over components and the cyclic
     shift's twisted order.  ``blocks`` is an iterable of (b, 2, k, n)
     arrays, pair p's x then its z (``cli._random_ordered_pairs`` draws
-    them; a caller with one array passes ``[pairs]``).  Each is checked for
-    shape as it arrives and cut into blocks of ``_samples_per_block(problem)``
-    pairs, so no more than one array of the iterable is held.  A block's
-    order is checked in one whole-block comparison; its accepted pairs, all
-    of it when none is rejected, make one ``_integrals`` call, rows x then
-    z, and one distance.  The components of the accepted pairs, laid end to
-    end over all blocks, are what an OperatorEvaluationError's
+    them; a caller with one array passes ``[pairs]``).  Each is checked as
+    it arrives, before any of it is evaluated: a shape or a non-finite
+    value raises ValueError.  It is cut into blocks of
+    ``_samples_per_block(problem)`` pairs, so no more than one array of the
+    iterable is held.  A block's order is checked in one whole-block
+    comparison; its accepted pairs, all of it when none is rejected, make
+    one ``_integrals`` call, rows x then z, and one distance.  Their
+    components are checked against the floor at the grid nodes, and each
+    position's components, gathered at the grid, are transferred to the
+    quadrature nodes in one apply of the problem's ``LinearPlan`` as that
+    position's argument row.  The components of the accepted pairs, laid
+    end to end over all blocks, are what an OperatorEvaluationError's
     ``component`` indexes, as in the generic check.
     """
-    k, n = problem.k, problem.grid.n
+    k, n, nq = problem.k, problem.grid.n, problem.quadrature.nodes.size
     size = _samples_per_block(problem)
-    layout = _layout(problem, np.arange(2 * size * k).reshape(-1, k) + 1)
+    calls, select, s = _distinct_terms(problem, 2 * size)
     slacks, rejected, count, done = [], [], 0, 0
     for pairs in blocks:
         if pairs.shape[1:] != (2, k, n):
             raise ValueError(f"pairs must have shape (count, 2, {k}, {n})")
+        if not np.isfinite(pairs).all():
+            raise ValueError("sample pairs must be finite")
         for start in range(0, len(pairs), size):
             block = pairs[start:start + size]
             # x <= z on the cyclic shift's A block, the even 0-based components
@@ -760,13 +757,20 @@ def check_contraction(problem: HammersteinProblem, blocks,
                 rejected += (count + np.flatnonzero(~ordered)).tolist()
                 block = block[ordered]
             count += len(ordered)
-            rows = np.arange(1, block.size // n + 1).reshape(-1, k)
-            images = _sample_images(problem, layout, rows, block.reshape(-1, n), done)
+            values = block.reshape(-1, n)  # the accepted pairs' components, rows x then z
+            try:
+                _check_floor(values, problem.grid.nodes, problem.domain_floor)
+                args = problem._transfer.apply(values.reshape(-1, k, n).transpose(1, 0, 2)
+                                               .reshape(-1, n))
+                images = _integrals(problem, args.reshape(k, -1), calls, select,
+                                    s[:len(values) // k * nq], nodes=False)[0]
+            except Exception as exc:
+                raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
             dks = np.abs(block[:, 0] - block[:, 1]).max(axis=(1, 2))
             ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
             slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
                        for dk, d in zip(dks.tolist(), ds.tolist())]
-            done += len(rows) * k
+            done += len(values)
     return ContractionSampleReport(tuple(slacks), tuple(rejected), tol_slack)
 
 
@@ -781,10 +785,13 @@ def check_mixed_monotone(problem: HammersteinProblem, points, coords) -> List[tu
     violating samples as (index, coordinate).
 
     The samples are cut into blocks of ``_samples_per_block(problem)``.  A
-    block makes one ``_integrals`` call of two rows a sample, which reads
-    each constant as its value at every node (``_node_values``): a floor
-    failure names the grid's first node, and an OperatorEvaluationError's
-    ``component`` indexes the samples' constants laid end to end.  A
+    block makes one ``_integrals`` call of two rows a sample, low then
+    high.  Each constant is checked against the floor as one number, a
+    failure naming the grid's first node, and is its value at every node:
+    a position's argument row repeats its constants over the quadrature
+    nodes, with no transfer and no array with a grid axis.  An
+    OperatorEvaluationError's ``component`` indexes the samples' constants
+    laid end to end.  A
     SeparableKernel problem's two images of a sample are ordered as their
     coefficients are (``_RankOne``), so the order check reads the
     coefficients, exactly, and forms the grid rows of only the samples
@@ -799,28 +806,33 @@ def check_mixed_monotone(problem: HammersteinProblem, points, coords) -> List[tu
     if not np.isfinite(points).all():
         raise ValueError("sample points must be finite")
     size = _samples_per_block(problem)
-    layout = _layout(problem, np.arange(2 * size * k).reshape(-1, k) + 1)
-    in_a = np.arange(k) % 2 == 0  # the cyclic shift's A block, as in check D
+    calls, select, s = _distinct_terms(problem, 2 * size)
+    nq, in_a = problem.quadrature.nodes.size, np.arange(k) % 2 == 0  # A as in check D
     family, violations = problem._rank_one, []
+    # position i's constant in the rows low then high of every sample, the
+    # high row's coordinate raised
+    columns = np.repeat(points[:, :k].T, 2, axis=1)
+    columns[coords - 1, 2 * np.arange(len(points)) + 1] = points[:, k]
     for start in range(0, len(points), size):
         block, j = points[start:start + size], coords[start:start + size]
-        index = np.arange(1, block.size + 1).reshape(-1, k + 1)
-        high = index[:, :k].copy()
-        high[np.arange(len(block)), j - 1] = index[:, k]
-        rows = np.stack([index[:, :k], high], axis=1).reshape(-1, k)
-        images = _sample_images(problem, layout, rows, block.reshape(-1), start * (k + 1),
-                                coefficients=True)
+        rows, done = columns[:, 2 * start:2 * (start + len(block))], start * (k + 1)
+        try:
+            _check_floor(block.reshape(-1, 1), problem.grid.nodes, problem.domain_floor)
+            images = _integrals(problem, np.repeat(rows, nq, axis=1), calls, select,
+                                s[:rows.size // k * nq], nodes=False, coefficients=True)[0]
+        except Exception as exc:
+            raise OperatorEvaluationError(exc, range(done + 1, done + block.size + 1)) from exc
         low, up = images[0::2], images[1::2]
-        ok = np.zeros(len(block), dtype=bool)
+        rest = np.arange(len(block))
         if family is not None:  # the (b, 1) coefficients: low <= up on A, up <= low on B
-            ok = np.where(in_a[j - 1], low[:, 0] <= up[:, 0], up[:, 0] <= low[:, 0])
-        rest = np.flatnonzero(~ok)
+            rest = np.flatnonzero(~np.where(in_a[j - 1], low[:, 0] <= up[:, 0],
+                                            up[:, 0] <= low[:, 0]))
         if rest.size:
             if family is not None:
                 low, up = family.grid(low[rest]), family.grid(up[rest])
-            ok[rest] = np.where(in_a[j[rest] - 1, None], low <= up + ORDER_SLACK,
-                                up <= low + ORDER_SLACK).all(axis=1)
-        violations += [(start + int(i), int(j[i])) for i in np.flatnonzero(~ok)]
+            ok = np.where(in_a[j[rest] - 1, None], low <= up + ORDER_SLACK,
+                          up <= low + ORDER_SLACK).all(axis=1)
+            violations += [(start + i, int(j[i])) for i in rest[~ok].tolist()]
     return violations
 
 

@@ -268,7 +268,7 @@ def random_instance(k: int, n: int, rng: np.random.Generator):
                 v for v in range(1, k + 1)
                 if (v in partition.a) == want_a
             ]
-            row.append(int(rng.choice(pool)))
+            row.append(pool[int(rng.integers(len(pool)))])  # rng.choice's draw
         sigmas.append(row)
     upsilon = UpsilonTuple(partition, sigmas)
 

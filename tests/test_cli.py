@@ -303,10 +303,11 @@ class TestExitCodes:
         def blocks(count):
             return [min(size, count - start) for start in range(0, count, size)]
 
-        # 200 contraction pairs, none rejected, rows x then z, 4 components a
-        # pair; then 50 monotonicity samples, rows low then high, 3 a sample
-        assert calls == ([(2 * b, 4 * b) for b in blocks(200)]
-                         + [(2 * b, 3 * b) for b in blocks(50)])
+        # 200 contraction pairs, none rejected, rows x then z; then 50
+        # monotonicity samples, rows low then high; the k = 2 columns of a
+        # sampled check's rows are distinct, so each call reads 2 argument rows
+        assert calls == ([(2 * b, 2) for b in blocks(200)]
+                         + [(2 * b, 2) for b in blocks(50)])
 
     @pytest.mark.parametrize("config", [
         {},
@@ -316,9 +317,10 @@ class TestExitCodes:
     ], ids=["default", "wide_quadrature", "k4"])
     def test_sampled_checks_transfer_one_block_at_a_time(
             self, tmp_path, monkeypatch, capsys, config):
-        # the transfer array of an _integrals call is (c, nq): a sampled check
-        # hands it one block, _BLOCK_ELEMENTS // max(n, nq) components, or
-        # one sample's 2k when a single sample is larger
+        # the argument rows of an _integrals call are (k, R*nq): a sampled
+        # check hands it one block, R rows of k arguments that make at most
+        # _BLOCK_ELEMENTS // max(n, nq) arguments, or one sample's 2k when a
+        # single sample is larger
         path = write_config(tmp_path, **config)
         problem = build_problem(load_config(path, {}))
         k, size = problem.k, max(problem.grid.n, problem.quadrature.nodes.size)
@@ -326,7 +328,7 @@ class TestExitCodes:
         for argv in (["check"], ["verify", "--seed", "5"]):
             assert main([*argv, "--config", path]) in (EXIT_OK, EXIT_CHECK_FAILED)
         assert calls
-        assert max(c for _, c in calls) <= max(hs._BLOCK_ELEMENTS // size, 2 * k)
+        assert max(r * c for r, c in calls) <= max(hs._BLOCK_ELEMENTS // size, 2 * k)
 
     @pytest.mark.parametrize("config", [
         {},
@@ -350,12 +352,12 @@ class TestExitCodes:
                 return g
             return make
 
-        def recorded(problem, layout, values, *args, **kwargs):
+        def recorded(problem, args, *layout, **kwargs):
             active.append([])
             try:
-                return integrals(problem, layout, values, *args, **kwargs)
+                return integrals(problem, args, *layout, **kwargs)
             finally:
-                calls.append((problem, layout_rows(problem, layout), active.pop()))
+                calls.append((problem, argument_rows(problem, args), active.pop()))
 
         monkeypatch.setattr(hs, "NONLINEARITIES",
                             {name: counting(f) for name, f in hs.NONLINEARITIES.items()})
@@ -956,19 +958,20 @@ class TestReproducibility:
         assert abs(recomputed - report["solution_residual"]) < 1e-12
 
 
-def layout_rows(problem, layout):
-    """The rows R of a ``hammerstein._layout``, read off its quadrature
-    nodes tiled R times."""
-    return layout[-1].size // problem.quadrature.nodes.size
+def argument_rows(problem, args):
+    """The rows R of a ``hammerstein._integrals`` call, read off its
+    argument rows, each R rows' arguments at the quadrature nodes."""
+    return args.shape[1] // problem.quadrature.nodes.size
 
 
 def recorded_integrals(monkeypatch):
-    """Record (rows, components) of every ``hammerstein._integrals`` call."""
+    """Record (rows, argument rows) of every ``hammerstein._integrals``
+    call."""
     calls, integrals = [], hs._integrals
 
-    def recorded(problem, layout, values, *args, **kwargs):
-        calls.append((layout_rows(problem, layout), len(values)))
-        return integrals(problem, layout, values, *args, **kwargs)
+    def recorded(problem, args, *layout, **kwargs):
+        calls.append((argument_rows(problem, args), len(args)))
+        return integrals(problem, args, *layout, **kwargs)
 
     monkeypatch.setattr(hs, "_integrals", recorded)
     return calls
@@ -1043,7 +1046,7 @@ def test_monotone_samples_equal_the_constant_by_constant_draws(tmp_path, m, seed
 
 @pytest.mark.parametrize("panels", [32, 80, 2000])
 @pytest.mark.parametrize("n", [8, 200])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("count", [1, 2, 3, 50, 200])
 def test_drawn_blocks_equal_the_one_array_draws(tmp_path, count, m, n, panels):
     # pair blocks of one sample (2000 x 8 nodes), of an odd number and of an
@@ -1188,14 +1191,22 @@ class TestPinnedFallbacks:
 
     @pytest.mark.parametrize("alpha, T", [("2", "2"), ("5", "10")])
     def test_fine_grid_solution(self, tmp_path, capsys, alpha, T):
-        # the fine-grid workload's solves, recorded before images carried
-        # their coefficients: every sweep after the first forms no grid value
+        # the fine-grid workload's solves: every sweep after the first forms
+        # no grid value.  The solutions were recorded before images carried
+        # their coefficients, the traces and reports before the kernel call
+        # read argument rows its caller lays out
         out = tmp_path / "out"
         argv = ["solve", "--alpha", alpha, "--T", T, "--config", str(DATA / "fine_grid.json"),
                 "--out", str(out)]
         assert main(argv) == EXIT_OK
-        pinned = DATA / f"solve_fine_grid_a{alpha}_T{T}" / "solution.csv"
-        assert (out / "solution.csv").read_bytes() == pinned.read_bytes()
+        pinned = DATA / f"solve_fine_grid_a{alpha}_T{T}"
+        for name in ("solution.csv", "trace.csv", "report.json"):
+            assert (out / name).read_bytes() == (pinned / name).read_bytes()
+
+    def test_fine_grid_check_stdout(self, capsys):
+        # recorded before the kernel call read argument rows its caller lays out
+        assert main(["check", "--config", str(DATA / "fine_grid.json")]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "check_fine_grid.json").read_text()
 
 
 def test_solve_builds_one_operator_and_one_upsilon(tmp_path, monkeypatch, capsys):

@@ -1116,15 +1116,18 @@ class TestArrayChecks:
 
     @pytest.mark.parametrize("case", ["example", "m=2"])
     def test_each_check_lays_out_once(self, monkeypatch, case):
-        # one _layout a call, for a full block's rows, whatever the number
-        # of blocks: one short block, then two full and a short last one,
-        # the pairs handed over in arrays that the check cuts (the first a
-        # rejected pair), with the same verdicts as the generic checks
+        # no _layout: one _distinct_terms a call, for a full block's rows,
+        # whatever the number of blocks: one short block, then two full and
+        # a short last one, the pairs handed over in arrays that the check
+        # cuts (the first a rejected pair), with the same verdicts as the
+        # generic checks
         p = self.PROBLEMS[case]()
         size = _samples_per_block(p)
-        layouts, layout = [], hs._layout
+        layouts, layout, terms = [], hs._layout, hs._distinct_terms
         monkeypatch.setattr(hs, "_layout", lambda problem, rows: layouts.append(len(rows))
                             or layout(problem, rows))
+        monkeypatch.setattr(hs, "_distinct_terms", lambda problem, rows: layouts.append(
+            ("distinct", rows)) or terms(problem, rows))
         for count in (1, 2 * size + 3):
             rng = np.random.default_rng(8)
             pairs = swapped(random_ordered_pairs(p, rng, count), [0])
@@ -1137,9 +1140,9 @@ class TestArrayChecks:
             layouts.clear()
             arrays = np.split(pairs, [1, size + 2])
             assert check_contraction(p, arrays, builtin_log_triple(), 1e-12) == generic[0]
-            assert layouts == [2 * size]
+            assert layouts == [("distinct", 2 * size)]
             assert check_mixed_monotone(p, points, coords) == generic[1]
-            assert layouts == [2 * size] * 2
+            assert layouts == [("distinct", 2 * size)] * 2
 
     @pytest.mark.parametrize("case", sorted(PROBLEMS))
     def test_the_mixed_monotone_check_transfers_nothing(self, monkeypatch, case):
@@ -1270,6 +1273,29 @@ class TestArrayChecks:
     def test_malformed_pairs_refused(self, shape):
         with pytest.raises(ValueError, match="pairs must have shape"):
             check_contraction(_small_problem(), [np.full(shape, 2.0)], builtin_log_triple(), 1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("where", ["x", "z", "both", "later"])
+    def test_non_finite_pairs_refused(self, monkeypatch, value, where):
+        # well-formed pairs pass; a non-finite value in a pair's x, its z,
+        # both (which the order check admits, inf <= inf), or in a later
+        # array of the stream is refused before that array is evaluated,
+        # after the earlier arrays were
+        p = _small_problem()
+        pairs = random_ordered_pairs(p, np.random.default_rng(5), 4)
+        assert check_contraction(p, [pairs], builtin_log_triple(), 1e-12).rejected_pairs == ()
+        bad = pairs.copy()
+        if where != "z":
+            bad[2, 0, 1, 5] = value
+        if where in ("z", "both"):
+            bad[2, 1, 1, 5] = value
+        evaluated, integrals = [], hs._integrals
+        monkeypatch.setattr(hs, "_integrals", lambda *args, **kwargs: evaluated.append(1)
+                            or integrals(*args, **kwargs))
+        with pytest.raises(ValueError, match="sample pairs must be finite"):
+            check_contraction(p, [pairs, bad] if where == "later" else [bad],
+                              builtin_log_triple(), 1e-12)
+        assert len(evaluated) == (where == "later")
 
     def test_a_bare_pair_array_is_refused(self):
         # iterated, it is read as blocks of one pair's shape
@@ -1679,18 +1705,17 @@ class TestSweepPlans:
                 == [xi is last for xi in x].index(True) + 1
 
 
-def looped_integrals(problem, rows, values):
-    """``_integrals`` on components without node values, with the k terms
-    summed as k in-place additions, position after position from zeros:
-    the order whose bits the one reduction must keep."""
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1, problem.k)
-    vals, nq = problem._transfer.apply(values), problem.quadrature.nodes.size
-    s = np.tile(problem.quadrature.nodes, len(rows))
-    total = np.zeros(len(rows) * nq)
+def looped_integrals(problem, args, calls, select, s):
+    """``_integrals`` on the same argument rows, with the k terms summed as
+    k in-place additions, position after position from zeros, each f_j
+    called on the argument row of its term: the order whose bits the one
+    reduction must keep."""
+    nq = problem.quadrature.nodes.size
+    total = np.zeros(s.size)
     with np.errstate(all="ignore"):
-        for j, f in enumerate(problem.nonlinearities):
-            total += f(s, vals[rows[:, j] - 1].reshape(-1))
-        out = hs._apply_kernel(problem, total.reshape(len(rows), nq))
+        for f, term in zip(problem.nonlinearities, select):
+            total += f(s, args[calls[term][1]])
+        out = hs._apply_kernel(problem, total.reshape(-1, nq))
         out += problem._forcing_values
     return out[:, :problem.grid.n], out[:, problem.grid.n:]
 
@@ -1719,9 +1744,16 @@ class TestOneReduction:
         rng = np.random.default_rng(k * 100 + R)
         values = 1.0 + rng.uniform(0.0, 9.0, (3, p.grid.n))
         rows = rng.integers(1, 4, (R, k))
-        layout = hs._layout(p, rows)
-        for got, expected in zip(hs._integrals(p, layout, values),
-                                 looped_integrals(p, rows, values)):
+        # the batch's argument rows: the distinct columns gathered from the
+        # components' node values; position j's is column j of the table
+        index, *layout = hs._layout(p, rows)
+        vals = p._transfer.apply(values)
+        args = vals.take(index, axis=0).reshape(len(index), -1)
+        calls, select = layout[:2]
+        for j in range(k):
+            assert np.array_equal(args[calls[select[j]][1]], vals[rows[:, j] - 1].reshape(-1))
+        for got, expected in zip(hs._integrals(p, args, *layout),
+                                 looped_integrals(p, args, *layout)):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 

@@ -13,6 +13,7 @@ from mixedfp.engine import IterationConfig, ProductOperator, solve
 from mixedfp.oracle import (
     SIZE_GUARD,
     FiniteSpace,
+    _metric_closure,
     _monotone_table,
     _random_order,
     check_theorem_hypotheses,
@@ -230,6 +231,46 @@ def test_random_instance_always_returns_one(k, n):
         space, ups, F = random_instance(k, n, np.random.default_rng(seed))
         assert space.n == n and ups.partition.k == k and ups.partition.a
         assert all(0 <= F(*x) < n for x in itertools.product(range(n), repeat=k))
+
+
+def choice_random_instance(k, n, rng):
+    """``random_instance`` with each sigma entry drawn by ``rng.choice``:
+    the reference for its one ``rng.integers`` draw per entry."""
+    raw = rng.integers(1, 3, size=(n, n)).astype(float)
+    d = _metric_closure(np.triu(raw, 1) + np.triu(raw, 1).T)
+    space = FiniteSpace(tuple(f"e{i}" for i in range(n)), d, _random_order(n, rng))
+    partition = Partition(k, frozenset(i for i in range(1, k + 1) if rng.random() < 0.5)
+                          or frozenset({1}))
+    sigmas = [[int(rng.choice([v for v in range(1, k + 1)
+                               if (v in partition.a) == ((j in partition.a) == (i in partition.a))]))
+               for j in range(1, k + 1)] for i in range(1, k + 1)]
+    if rng.random() < 0.5:
+        c = int(rng.integers(0, n))
+        F = lambda *x: c  # noqa: E731
+    else:
+        j = int(rng.integers(0, k))
+        perm = _monotone_table(space, rng, increasing=(j + 1) in partition.a)
+        F = lambda *x: perm[x[j]]  # noqa: E731
+    return space, UpsilonTuple(partition, sigmas), F
+
+
+@pytest.mark.parametrize("k, n", list(itertools.product((2, 3, 4), repeat=2)))
+def test_random_instance_equals_the_choice_draws(k, n):
+    # the same space, partition, sigma table and operator table, and the
+    # generator left in the same state
+    for seed in range(100):
+        drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        (space, ups, F), (space2, ups2, F2) = (random_instance(k, n, drawn),
+                                               choice_random_instance(k, n, chosen))
+        assert space.labels == space2.labels
+        assert space.dist.tobytes() == space2.dist.tobytes()
+        assert np.array_equal(space.leq, space2.leq)
+        assert ups.partition.a == ups2.partition.a
+        assert [list(row) for row in ups.sigmas] == [list(row) for row in ups2.sigmas]
+        assert all(type(v) is int for row in ups.sigmas for v in row)
+        tuples = list(itertools.product(range(n), repeat=k))
+        assert [F(*x) for x in tuples] == [F2(*x) for x in tuples]
+        assert drawn.random() == chosen.random()
 
 
 @pytest.mark.parametrize("k, n", list(itertools.product((2, 3, 4), repeat=2)))

@@ -58,6 +58,38 @@ def pairs_of(images):
     return [(u, v) for u in images for v in images if u is not v]
 
 
+def node_values_of(problem, c):
+    """The (1, nq) quadrature-node values of the rank-one image of
+    coefficient c, fl(fl(c * a) + p), as a batch forms them."""
+    n = problem.grid.n
+    return np.array([[c]]) * problem._weighted_kernel[0][n:] + problem._forcing_values[n:]
+
+
+def clears_the_floor(problem, y):
+    """Whether image y lies above the floor at the grid and the quadrature
+    nodes, as a batch checks a component."""
+    try:
+        hs._check_floor(y.values[None], problem.grid.nodes, problem.domain_floor)
+        hs._check_floor(y.at_nodes[None], problem.quadrature.nodes, problem.domain_floor)
+    except hs.DomainFloorError:
+        return False
+    return True
+
+
+def first_floor_failure(problem, x):
+    """(component, node) of the first component below the floor when every
+    component is checked at the grid nodes and then at the quadrature
+    nodes, each in order, as a batch checked them before it skipped the
+    components at or above floor_safe; None when all clear it."""
+    for values, nodes in ((np.array([xi.values for xi in x]), problem.grid.nodes),
+                          (np.array([xi.at_nodes for xi in x]), problem.quadrature.nodes)):
+        bad = values < problem.domain_floor - ORDER_SLACK
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=1)))
+            return i + 1, float(nodes[np.argmax(bad[i])])
+    return None
+
+
 class TestShortcuts:
     @PROPERTY
     @given(problems, st.integers(0, 2 ** 16))
@@ -85,39 +117,50 @@ class TestShortcuts:
     @PROPERTY
     @given(problems, st.integers(0, 2 ** 16))
     def test_a_batch_forms_no_grid_value_above_the_safe_coefficient(self, problem, seed):
-        # images above the floor, whose floor_safe is the least coefficient
-        # among them, pass the grid floor check unformed, and a batch over
-        # them gives what it gives over the same images formed and checked
-        nodes, floor = problem.grid.nodes, problem.domain_floor
-        above = []
-        for y in images_of(problem, seed):
-            try:
-                hs._check_floor(y.values[None], nodes, floor)
-                above.append(y)
-            except hs.DomainFloorError:
-                pass
+        # images above the floor at both node sets, whose floor_safe is the
+        # least coefficient among them, pass unformed and with no floor
+        # check, and a batch over them gives what it gives over the same
+        # images formed and checked
+        above = [y for y in images_of(problem, seed) if clears_the_floor(problem, y)]
         if not above:
             return
         safe = min(y.coefficient for y in above)
         rows = np.random.default_rng(seed).integers(1, len(above) + 1, size=(3, problem.k))
         batch = product_operator(problem).prepare(rows)
-        outcomes = []
+        outcomes, checks, check_floor = [], [], hs._check_floor
         for x in ([hs._Image(problem.grid, problem.quadrature, y.at_nodes, family=y.family,
                              coefficient=y.coefficient, floor_safe=safe) for y in above],
                   [hs._Image(problem.grid, problem.quadrature, y.at_nodes, y.values)
                    for y in above]):
-            try:
+            checks.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hs, "_check_floor", lambda *args: checks.append(1)
+                              or check_floor(*args))
                 outcomes.append([(y.values, y.at_nodes) for y in batch(x)])
-            except hs.DomainFloorError as exc:  # below the floor at a quadrature node
-                outcomes.append((exc.component, exc.node))
             if len(outcomes) == 1:
                 assert all("values" not in vars(xi) for xi in x)
-        if isinstance(outcomes[0], tuple):
-            assert outcomes[0] == outcomes[1]
-        else:
-            for (values, at_nodes), (want_values, want_at_nodes) in zip(*outcomes):
-                assert np.array_equal(values, want_values)
-                assert np.array_equal(at_nodes, want_at_nodes)
+                assert checks == []
+        for (values, at_nodes), (want_values, want_at_nodes) in zip(*outcomes):
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(at_nodes, want_at_nodes)
+
+    @PROPERTY
+    @given(problems, st.integers(0, 2 ** 16), st.integers(0, 4))
+    def test_an_image_above_the_safe_coefficient_clears_the_floor_at_the_nodes(
+            self, problem, seed, ulps):
+        # a floor that a batch's image just clears, at its least value over
+        # both node sets, so that its coefficient is a floor_safe: an image
+        # whose coefficient is 0 to 4 ulps above it lies above that image
+        # at every quadrature node, so it passes the node check it skips
+        for ref in images_of(problem, seed)[:6]:  # the batch's own images
+            assert node_values_of(problem, ref.coefficient).tobytes() == ref.at_nodes.tobytes()
+            floor = min(float(ref.values.min()), float(ref.at_nodes.min()))
+            c = ref.coefficient
+            for _ in range(ulps):
+                c = math.nextafter(c, math.inf)
+            at_nodes = node_values_of(problem, c)
+            assert (at_nodes >= ref.at_nodes).all()
+            hs._check_floor(at_nodes, problem.quadrature.nodes, floor)
 
     @PROPERTY
     @given(problems, st.integers(0, 2 ** 16))
@@ -140,12 +183,13 @@ class TestShortcuts:
             nonlinearities=(lambda s, x: integral, lambda s, x: 0.0), forcing=lambda t: p,
             etas=(1.0, 1.0), domain_floor=1.0, grid=grid,
             quadrature=hs.make_quadrature(2.0, 2, 4))
-        layout = hs._layout(problem, [(1, 1)])
-        values = np.full((1, grid.n), 2.0)
+        # one row reading one component of 2.0 at every node
+        index, *layout = hs._layout(problem, [(1, 1)])
+        args = np.full((len(index), problem.quadrature.nodes.size), 2.0)
         outcomes = []
         for coefficients in (False, True):
             try:
-                hs._integrals(problem, layout, values, coefficients=coefficients)
+                hs._integrals(problem, args, *layout, coefficients=coefficients)
                 outcomes.append(None)
             except ValueError as exc:
                 outcomes.append(str(exc))
@@ -226,3 +270,58 @@ def test_a_rank_one_solve_forms_its_grid_values_a_fixed_number_of_times(monkeypa
         counts.append((report.iterations, len(formed)))
     (few, first), (many, second) = counts
     assert few < many and first == second == 2
+
+
+def test_a_bracket_solve_checks_the_floor_at_the_nodes_in_one_sweep(monkeypatch):
+    # the first sweep transfers the start and checks it at the grid nodes;
+    # the second reads images whose floor_safe is not yet known and checks
+    # them at both node sets; every later sweep reads images at or above
+    # floor_safe and makes no floor reduction at either
+    check_floor, node_values = hs._check_floor, hs._node_values
+    for alpha, p in ((2.0, hs.build_log_example(2.0, 2.0)),
+                     (5.0, hs.build_log_example(5.0, 10.0, 1000, 128))):
+        sweeps = []
+        monkeypatch.setattr(hs, "_check_floor", lambda values, nodes, *args: sweeps[-1].append(
+            "grid" if nodes is p.grid.nodes else "nodes") or check_floor(values, nodes, *args))
+        monkeypatch.setattr(hs, "_node_values", lambda problem, x: sweeps.append([])
+                            or node_values(problem, x))
+        report = solve(product_operator(p), cyclic_shift_upsilon(1), initial_bracket(p, alpha),
+                       IterationConfig(), dist=image_metric, leq=image_leq)
+        assert report.converged and len(sweeps) == report.iterations > 3
+        assert sweeps[:2] == [["grid"], ["grid", "nodes"]]
+        assert all(checks == [] for checks in sweeps[2:])
+
+
+@pytest.mark.parametrize("where", ["grid", "nodes"])
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_a_component_below_floor_safe_names_the_first_failure(where, bad_first):
+    # the image of coefficient c is 2t + (c / ln 2 - C) / (2t), whose least
+    # value lies between grid nodes; a floor between its least grid value
+    # and its least quadrature-node value fails it at a node only, a floor
+    # above both at a grid node.  Next to it an image above the floor at
+    # floor_safe, which the batch skips: the record is still the one of
+    # checking every component at the grid nodes, then at the quadrature
+    # nodes
+    base = hs.build_log_example(2.0, 2.0)
+    c = next(c for c in np.linspace(3.0, 9.0, 601).tolist()
+             if node_values_of(base, c).min() < hs._RankOne(
+                 base._weighted_kernel[0][:base.grid.n],
+                 base._forcing_values[:base.grid.n]).grid(c).min() - 1e-9)
+    grid_min = float(base._rank_one.grid(c).min())
+    nodes_min = float(node_values_of(base, c).min())
+    floor = (grid_min + nodes_min) / 2 if where == "nodes" else grid_min + 1e-6
+    p = hs.named_problem(2.0, 2.0, domain_floor=floor)
+    family, safe = p._rank_one, 2.0 * c
+    assert clears_the_floor(p, hs._Image(p.grid, p.quadrature, node_values_of(p, safe)[0],
+                                         family=family, coefficient=safe))
+    x = [hs._Image(p.grid, p.quadrature, node_values_of(p, coefficient)[0], family=family,
+                   coefficient=coefficient, floor_safe=safe)
+         for coefficient in (c, 3.0 * c)]
+    if bad_first is False:
+        x.reverse()
+    expected = first_floor_failure(p, x)
+    assert expected is not None and expected[0] == (1 if bad_first else 2)
+    assert (expected[1] in p.grid.nodes) == (where == "grid")
+    with pytest.raises(hs.DomainFloorError) as exc:
+        product_operator(p).prepare([(1, 2), (2, 1)])(x)
+    assert (exc.value.component, exc.value.node) == expected
