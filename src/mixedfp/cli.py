@@ -13,7 +13,10 @@ KERNEL_BYTES_GUARD, an integer field that is not integral, a key that
 nothing reads, and any value the constructors of the problem, the iteration
 settings or the start bracket refuse), 3 non-convergence, 4 operator error
 (the operator could not be evaluated during a solve, e.g. a component below
-the domain floor under --force, or during verify's sampled checks).  Every
+the domain floor under --force, or during verify's sampled checks), 130
+interrupted (SIGINT) and 141 stdout closed by its reader, each with one
+line on stderr.  A solve that stops before its solution writes report.json
+alone and removes the solution.csv and trace.csv of an earlier run.  Every
 operator failure is written as one record, ``{component, node, message}``
 (``_operator_error``): ``operator_error`` in solve's report.json and in
 verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
@@ -26,7 +29,10 @@ compared on their coefficients, anything else at the grid nodes.
 Assumption E's H_r are the first sweep, which solve takes as its own
 (``engine.solve``'s ``first_sweep``), evaluated on the one operator and Υ
 tuple that ``solve`` builds, so a solve evaluates and judges its start
-once.  The sampled checks' samples are never grid functions: the
+once.  Check and solve decide assumption D's bands and mixed monotonicity
+from the registry pieces' declarations where these prove them
+(``hammerstein.declared_verdicts``) and sample them otherwise; verify
+always samples.  The sampled checks' samples are never grid functions: the
 contraction pairs are drawn block by block as stacked arrays, each block
 checked as it is drawn (``hammerstein.check_contraction``), and the
 mixed-monotonicity samples are k + 1 constants each, drawn in one array
@@ -38,6 +44,7 @@ import functools
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -65,6 +72,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_OPERATOR_ERROR = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it ends
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 # A problem's largest array is its weighted kernel, one float64 per (grid
 # node, quadrature node); the sampled checks hold one block of samples at a
@@ -202,15 +211,24 @@ def _prepare(args):
 
 
 def _run_checks(problem, x0, F=None, upsilon=None):
-    """Assumptions D and E and sampled mixed monotonicity, with assumption E
-    read at the start tuple ``x0``: the check report, and check E's H_r, the
-    first sweep from ``x0``, None when it cannot be evaluated.  Check E's
-    sweep is evaluated on ``F`` and ``upsilon``, the operator and Υ tuple
-    of the solve that follows, by default the problem's own
-    (``hammerstein.check_assumption_e``)."""
+    """Assumptions D and E and mixed monotonicity, with assumption E read at
+    the start tuple ``x0``: the check report, and check E's H_r, the first
+    sweep from ``x0``, None when it cannot be evaluated.  Check E's sweep
+    is evaluated on ``F`` and ``upsilon``, the operator and Υ tuple of the
+    solve that follows, by default the problem's own
+    (``hammerstein.check_assumption_e``).
+
+    D's bands and mixed monotonicity are read off the nonlinearities'
+    declarations first (``hammerstein.declared_verdicts``): a proved
+    verdict skips its samples, D's increments or the monotonicity samples,
+    and any other runs its sampled check.  A refutation fails the check.
+    The report's ``verdicts`` names each verdict "proved" or "sampled",
+    with the refutations, when there are any, by position, piece and
+    reason."""
+    verdicts = hs.declared_verdicts(problem)
     floor = problem.domain_floor
-    pairs = [(floor, floor), (floor, floor + 0.5), (floor + 1.0, floor + 4.0),
-             (floor + 0.25, floor + 9.0)]
+    pairs = [] if verdicts.assumption_d else [
+        (floor, floor), (floor, floor + 0.5), (floor + 1.0, floor + 4.0), (floor + 0.25, floor + 9.0)]
     s_samples = list(np.linspace(1.0, problem.T, 9))
     d_report = hs.check_assumption_d(problem, pairs, s_samples)
     e_error = mono_error = first_sweep = None
@@ -220,11 +238,18 @@ def _run_checks(problem, x0, F=None, upsilon=None):
     except OperatorEvaluationError as exc:
         # the start tuple cannot be evaluated: a failed check, not a crash
         e_failures, e_error = (), _operator_error(exc)
-    try:
-        violations = hs.check_mixed_monotone(
-            problem, *_monotone_samples(problem, np.random.default_rng(0), 20))
-    except OperatorEvaluationError as exc:
-        violations, mono_error = [], _operator_error(exc)
+    violations = []
+    if not verdicts.mixed_monotone:
+        try:
+            violations = hs.check_mixed_monotone(
+                problem, *_monotone_samples(problem, np.random.default_rng(0), 20))
+        except OperatorEvaluationError as exc:
+            mono_error = _operator_error(exc)
+    record = {"assumption_d": "proved" if verdicts.assumption_d else "sampled",
+              "mixed_monotone": "proved" if verdicts.mixed_monotone else "sampled"}
+    if verdicts.refutations:
+        record["refutations"] = [{"position": j, "piece": piece, "reason": reason}
+                                 for j, piece, reason in verdicts.refutations]
     report = {
         "kernel_bound": d_report.kernel_bound,
         "eta_ok": d_report.eta_ok,
@@ -234,8 +259,9 @@ def _run_checks(problem, x0, F=None, upsilon=None):
         ],
         "assumption_e_failures": [list(f) for f in e_failures],
         "mixed_monotone_violations": [list(v) for v in violations],
+        "verdicts": record,
         "passed": (d_report.passed and e_error is None and not e_failures
-                   and mono_error is None and not violations),
+                   and mono_error is None and not violations and not verdicts.refutations),
     }
     if e_error is not None:
         report["assumption_e_error"] = e_error
@@ -320,11 +346,23 @@ def cmd_check(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:  # a directory or an unwritable file at that name
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+def _write(out_dir: Path, report: dict, trace: str = None, solution: str = None) -> None:
+    """Write ``trace.csv`` and ``solution.csv`` into ``out_dir``, or remove
+    the one whose text is None, then ``report.json``: a run that stops
+    before its solution writes its report alone, and never beside another
+    run's files."""
+    files = {"trace.csv": trace, "solution.csv": solution,
+             "report.json": json.dumps(report, indent=2) + "\n"}
+    for name, text in files.items():
+        path = out_dir / name
+        try:
+            if text is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_text(text)
+        except OSError as exc:  # a directory or an unwritable file at that name
+            raise ConfigError(f"cannot {'remove' if text is None else 'write'} {path}: {exc}") \
+                from exc
 
 
 def cmd_solve(args) -> int:
@@ -342,8 +380,7 @@ def cmd_solve(args) -> int:
     if not check_report["passed"]:
         if not args.force:
             print(json.dumps(check_report, indent=2))
-            payload = {"config": cfg, "converged": False, "check": check_report}
-            _write(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
+            _write(out_dir, {"config": cfg, "converged": False, "check": check_report})
             return EXIT_CHECK_FAILED
         log.warning("assumption checks failed; continuing under --force")
 
@@ -365,11 +402,9 @@ def cmd_solve(args) -> int:
         print(f"operator error: {exc}", file=sys.stderr)
         payload = {"config": cfg, "converged": False,
                    "operator_error": _operator_error(exc), "check": check_report}
-        _write(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
+        _write(out_dir, payload)
         return EXIT_OPERATOR_ERROR
 
-    _write(out_dir / "trace.csv", trace_csv(report))
-    _write(out_dir / "solution.csv", format_csv(solution))
     payload = {
         "solution_residual": collapsed_residual,
         "config": cfg,
@@ -381,7 +416,7 @@ def cmd_solve(args) -> int:
         "final_spread": report.final_spread,
         "check": check_report,
     }
-    _write(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
+    _write(out_dir, payload, trace_csv(report), format_csv(solution))
     return status
 
 
@@ -436,14 +471,28 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # the handlers are read at call time, so a patched cmd_* is the one that runs
-    handler = {"check": cmd_check, "solve": cmd_solve, "verify": cmd_verify}[args.command]
     try:
-        return handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        args = _parser().parse_args(argv)
+        # the handlers are read at call time, so a patched cmd_* is the one that runs
+        handler = {"check": cmd_check, "solve": cmd_solve, "verify": cmd_verify}[args.command]
+        try:
+            status = handler(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            status = EXIT_CONFIG_ERROR
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: what stdout still buffers goes
+        # to devnull, so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_CLOSED_STDOUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

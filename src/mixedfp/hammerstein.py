@@ -17,6 +17,9 @@ where a rank-one image is its one coefficient c, ``c * a + p`` formed only
 where its grid values are read (``_RankOne``); ``image_metric`` and
 ``image_leq``, the metric and order that ``mixedfp solve`` hands
 ``engine.solve``, read two such images off their coefficients.
+Each registry nonlinearity declares its direction, domain and least band
+constant (``PieceProperties``), from which ``declared_verdicts`` proves or
+refutes assumption D's bands and mixed monotonicity without a sample.
 """
 
 import logging
@@ -60,6 +63,9 @@ __all__ = [
     "check_assumption_e",
     "check_contraction",
     "check_mixed_monotone",
+    "PieceProperties",
+    "DeclaredVerdicts",
+    "declared_verdicts",
     "build_log_example",
     "named_problem",
     "initial_bracket",
@@ -629,7 +635,8 @@ def check_assumption_d(
     nonlinearity.  Each nonlinearity is called once, on the arrays of every
     (s, y) and then every (s, x) combination laid end to end.  A non-finite
     increment (a nonlinearity undefined there) is a violation with excess
-    inf.
+    inf.  With no value pairs no nonlinearity is called, and the report
+    holds the kernel bound and the eta cap alone.
     """
     for x, y in value_pairs:
         if y < x or x < problem.domain_floor:
@@ -640,6 +647,10 @@ def check_assumption_d(
     pairs, n_s = np.array(value_pairs, dtype=float).reshape(-1, 2), len(s_samples)
     ss = np.tile(np.asarray(s_samples, dtype=float), len(pairs))
     xs, ys = pairs.repeat(n_s, axis=0).T
+    bound = kernel_bound(problem)
+    eta_ok = max(problem.etas) <= 1.0 / bound + 1e-8 if bound > 0 else True
+    if not len(pairs):  # no increment to sample: no nonlinearity call
+        return AssumptionDReport(bound, eta_ok, ())
     # eta_i * log(1 + y - x), shape (k, pairs * n_s), with math.log1p (numpy's
     # may differ by an ulp)
     bands = np.repeat([math.log1p(y - x) for x, y in pairs], n_s)
@@ -658,8 +669,6 @@ def check_assumption_d(
     # the transpose's nonzero runs over pair, then s, then nonlinearity
     violations = [(int(i) + 1, float(ss[q]), float(xs[q]), float(ys[q]), float(excess[i, q]))
                   for q, i in zip(*np.nonzero(bad.T))]
-    bound = kernel_bound(problem)
-    eta_ok = max(problem.etas) <= 1.0 / bound + 1e-8 if bound > 0 else True
     return AssumptionDReport(bound, eta_ok, tuple(violations))
 
 
@@ -836,6 +845,73 @@ def check_mixed_monotone(problem: HammersteinProblem, points, coords) -> List[tu
     return violations
 
 
+@dataclass(frozen=True)
+class PieceProperties:
+    """What a nonlinearity f(s, x) declares about itself for s >= 1, where
+    every problem's quadrature nodes lie: its ``direction`` in x (1
+    nondecreasing, -1 nonincreasing, 0 constant), the ``domain`` above
+    which it is defined and finite (x > domain), and ``band(floor)``, for a
+    floor above the domain, its least band constant there: the least eta
+    with |f(s, y) - f(s, x)| <= eta * log(1 + y - x) for all y >= x >= floor
+    and s >= 1.  A registry factory's callable carries it as ``f.declared``,
+    as a ``ContractionTriple`` carries its ``DeclaredProperties``, and
+    ``declared_verdicts`` trusts it; the tests check each declaration
+    against the sampled checks."""
+
+    name: str
+    direction: int
+    domain: float
+    band: Callable[[float], float]
+
+
+@dataclass(frozen=True)
+class DeclaredVerdicts:
+    """What ``declared_verdicts`` decides: whether the declarations prove
+    assumption D's bands and mixed monotonicity, and the refutations, each
+    (position, piece name, reason), that fail either whatever samples
+    show."""
+
+    assumption_d: bool
+    mixed_monotone: bool
+    refutations: Tuple[Tuple[int, str, str], ...]
+
+
+def declared_verdicts(problem: HammersteinProblem) -> DeclaredVerdicts:
+    """Decide assumption D's bands and mixed monotonicity from the
+    nonlinearities' declarations (``PieceProperties``), their position
+    parities, the domain floor and ``etas``.
+
+    Mixed monotonicity is proved when every nonlinearity is declared, its
+    domain lies below the floor and its direction fits its position (odd
+    positions nondecreasing, even ones nonincreasing, a constant either):
+    W >= 0, checked when the problem is built, then makes the operator
+    nondecreasing in its odd components and nonincreasing in its even ones
+    at every tuple above the floor.  D's bands are proved when besides each
+    eta_j is at least f_j's band constant at the floor.  A declared piece
+    refutes both when the floor is at or below its domain or its direction
+    does not fit its position, and D alone when its eta is below its band
+    constant; each position gives at most the first of these reasons.  An
+    undeclared piece proves nothing and refutes nothing."""
+    floor, refutations, monotone = problem.domain_floor, [], True
+    for j, (f, eta) in enumerate(zip(problem.nonlinearities, problem.etas), start=1):
+        piece, odd = getattr(f, "declared", None), j % 2 == 1
+        if piece is None:
+            monotone = False
+        elif not floor > piece.domain:
+            refutations.append((j, piece.name, f"the floor {floor!r} is not above its "
+                                f"domain x > {piece.domain!r}"))
+            monotone = False
+        elif piece.direction == (-1 if odd else 1):
+            refutations.append((j, piece.name, f"it is non{'in' if odd else 'de'}creasing in x, "
+                                f"and an {'odd' if odd else 'even'} position needs a "
+                                f"non{'de' if odd else 'in'}creasing piece"))
+            monotone = False
+        elif eta < (band := piece.band(floor)):
+            refutations.append((j, piece.name, f"eta {eta!r} is below its band constant "
+                                f"{band!r} above the floor {floor!r}"))
+    return DeclaredVerdicts(monotone and not refutations, monotone, tuple(refutations))
+
+
 def _linear_minus_log_forcing(alpha: float, T: float) -> Forcing:
     ratio = (1 + alpha) / (alpha * math.sqrt(T))
     if not ratio > 0.0:
@@ -845,6 +921,11 @@ def _linear_minus_log_forcing(alpha: float, T: float) -> Forcing:
     return lambda t: alpha * t - c / (2.0 * t)
 
 
+def _declared(f: Nonlinearity, properties: PieceProperties) -> Nonlinearity:
+    f.declared = properties
+    return f
+
+
 # Named pieces of problem data, each a factory of (alpha, T), read only by
 # named_problem, so the paper's pieces live here only.
 KERNELS = {
@@ -852,10 +933,21 @@ KERNELS = {
                                                     lambda s: 1.0 / s),
     "constant": lambda alpha, T: SeparableKernel(lambda t: 1.0 / (T - 1.0), lambda s: 1.0),
 }
+# Each nonlinearity factory returns a new callable that carries its
+# declaration (``PieceProperties``).  With u the least s + x (log-shift) or
+# x (neg-log-product) above the floor, an increment over d = y - x is
+# log(1 + d/u) in size, and sup_d log(1 + d/u) / log(1 + d) is 1/u for
+# u < 1 (as d -> 0) and 1 for u >= 1 (as d -> inf); s >= 1 gives
+# u = 1 + floor and u = floor.
 NONLINEARITIES = {
-    "log-shift": lambda alpha, T: (lambda s, x: np.log(s + x)),
-    "neg-log-product": lambda alpha, T: (lambda s, x: -(np.log(s) + np.log(x))),
-    "zero": lambda alpha, T: (lambda s, x: 0.0),
+    "log-shift": lambda alpha, T: _declared(
+        lambda s, x: np.log(s + x),
+        PieceProperties("log-shift", 1, -1.0, lambda floor: max(1.0, 1.0 / (1.0 + floor)))),
+    "neg-log-product": lambda alpha, T: _declared(
+        lambda s, x: -(np.log(s) + np.log(x)),
+        PieceProperties("neg-log-product", -1, 0.0, lambda floor: max(1.0, 1.0 / floor))),
+    "zero": lambda alpha, T: _declared(
+        lambda s, x: 0.0, PieceProperties("zero", 0, -math.inf, lambda floor: 0.0)),
 }
 FORCINGS = {
     "linear-minus-log": _linear_minus_log_forcing,

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1092,7 +1093,9 @@ class TestRegressionSnapshot:
     monotonicity samples became k + 1 constants.  The ``verify`` files at seeds 7 and 42
     and on ``fine_grid.json`` (n = 1000, 128 x 8 nodes) were recorded while
     the samplers still drew all their samples in one array, before they
-    drew them block by block."""
+    drew them block by block.  Every ``check`` file and ``report.json``
+    was regenerated when the reports gained their ``verdicts`` field, and
+    differs from its recording by that field alone."""
 
     @pytest.fixture
     def dense(self, monkeypatch):
@@ -1168,7 +1171,9 @@ class TestPinnedFallbacks:
     node hits, so the floor check of a coefficient must hand that image to
     the grid check; ``floor_10.json`` is ``TestCustomDomainFloor``'s floor
     of 10, whose start fails at s = 1.  Run as child processes, so stderr
-    holds the log lines as a user sees them."""
+    holds the log lines as a user sees them.  The ``report.json`` and
+    ``check`` files differ from their recordings by the ``verdicts``
+    field alone."""
 
     @pytest.mark.parametrize("name, argv", [
         ("a1.01_T2", ["--alpha", "1.01", "--T", "2"]),
@@ -1219,6 +1224,157 @@ def test_solve_builds_one_operator_and_one_upsilon(tmp_path, monkeypatch, capsys
                             lambda m: calls.append("upsilon") or upsilon(m))
     assert main(["solve", "--out", str(tmp_path / "out")]) == EXIT_OK
     assert sorted(calls) == ["F", "upsilon"]
+
+
+def cli_child(*args, **kwargs):
+    """``python -m mixedfp.cli`` as a child process, text mode."""
+    return subprocess.Popen([sys.executable, "-m", "mixedfp.cli", *args],
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, text=True, **kwargs)
+
+
+class TestProcessBoundary:
+    """A closed stdout, a Ctrl-C and a second run into one --out directory
+    end with a documented exit code and one stderr line, never a traceback
+    or another run's files."""
+
+    def test_a_closed_stdout_exits_141(self):
+        # the reader is gone before the child writes its first byte
+        child = cli_child("verify", "--seed", "5", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 141  # 128 + SIGPIPE
+        assert err == "output error: stdout was closed before the output was written\n"
+
+    def test_sigint_during_verify_exits_130(self, tmp_path):
+        # the child stops after drawing its second block of pairs, says so
+        # on stderr, and is sent SIGINT there
+        script = (
+            "import sys, time\n"
+            "from mixedfp import cli\n"
+            "draw = cli._random_ordered_pairs\n"
+            "def stalled(*args):\n"
+            "    for i, block in enumerate(draw(*args)):\n"
+            "        if i == 1:\n"
+            "            print('drawn', file=sys.stderr, flush=True)\n"
+            "            time.sleep(120)\n"
+            "        yield block\n"
+            "cli._random_ordered_pairs = stalled\n"
+            "sys.exit(cli.main(['verify', '--config', sys.argv[1], '--seed', '5']))\n"
+        )
+        path = write_config(tmp_path, grid={"n": 16383})
+        child = subprocess.Popen([sys.executable, "-c", script, path],
+                                 env={**os.environ, "PYTHONPATH": str(SRC)}, text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert child.stderr.readline() == "drawn\n"
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
+        assert child.returncode == 130  # 128 + SIGINT
+        assert (out, err) == ("", "interrupted\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--alpha", "1.01", "--T", "2"], EXIT_CHECK_FAILED),
+        (["--alpha", "1.01", "--T", "2", "--force"], EXIT_OPERATOR_ERROR),
+    ], ids=["check_failed", "operator_error"])
+    def test_a_failed_solve_leaves_no_stale_files(self, tmp_path, argv, code):
+        out = str(tmp_path / "out")
+        first = cli_child("solve", "--out", out, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert first.wait(timeout=120) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["report.json", "solution.csv", "trace.csv"]
+        second = cli_child("solve", *argv, "--out", out,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        err = second.communicate(timeout=120)[1]
+        assert second.returncode == code and "Traceback" not in err
+        assert os.listdir(out) == ["report.json"]
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["alpha"] == 1.01
+
+
+def counted_registry(monkeypatch, in_d, called, declared=True):
+    """Registry nonlinearities that append to ``called`` whether check D
+    is running (``in_d`` non-empty) at each call, carrying their factory's
+    declaration when ``declared``."""
+    def counting(factory):
+        def make(alpha, T):
+            f = factory(alpha, T)
+
+            def g(s, x):
+                called.append(bool(in_d))
+                return f(s, x)
+            if declared:
+                g.declared = f.declared
+            return g
+        return make
+
+    check_d = hs.check_assumption_d
+
+    def recorded_d(*args):
+        in_d.append(True)
+        try:
+            return check_d(*args)
+        finally:
+            in_d.pop()
+
+    monkeypatch.setattr(hs, "NONLINEARITIES",
+                        {name: counting(f) for name, f in hs.NONLINEARITIES.items()})
+    monkeypatch.setattr(hs, "check_assumption_d", recorded_d)
+
+
+class TestDeclaredVerdicts:
+    """Check and solve read D's bands and mixed monotonicity off the
+    registry pieces' declarations, sample what they do not prove, and fail
+    on what they refute."""
+
+    @pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+    def test_a_proved_check_samples_nothing(self, monkeypatch, capsys, declared):
+        # the default check: check E's sweep (2 rows over 2 argument rows)
+        # is its one kernel call, and check D calls no nonlinearity; pieces
+        # that declare nothing are sampled as before, 20 monotonicity
+        # samples in blocks of 12 and 8 and check D's increments
+        calls, in_d, called = recorded_integrals(monkeypatch), [], []
+        counted_registry(monkeypatch, in_d, called, declared)
+        assert main(["check"]) == EXIT_OK
+        verdict = "proved" if declared else "sampled"
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {
+            "assumption_d": verdict, "mixed_monotone": verdict}
+        assert calls == ([(2, 2)] if declared else [(2, 2), (24, 2), (16, 2)])
+        assert sum(called) == (0 if declared else 2)
+
+    @pytest.mark.parametrize("config, code, refuted, reason", [
+        ({"eta": [0.9, 0.9]}, EXIT_CHECK_FAILED, [(1, "log-shift"), (2, "neg-log-product")],
+         "eta 0.9 is below its band constant 1.0 above the floor 1.0"),
+        # the bounded samples pass eta 0.95 for log-shift; the band does not
+        ({"eta": [0.95, 1.0]}, EXIT_CHECK_FAILED, [(1, "log-shift")],
+         "eta 0.95 is below its band constant 1.0 above the floor 1.0"),
+        ({"problem": "custom", "kernel": "log-product", "forcing": "linear-minus-log",
+          "nonlinearities": ["neg-log-product", "log-shift"]}, EXIT_CHECK_FAILED,
+         [(1, "neg-log-product"), (2, "log-shift")], "position needs a non"),
+        (DATA / "negative_floor.json", EXIT_CHECK_FAILED,
+         [(1, "log-shift"), (2, "neg-log-product")], "the floor -5.0 is not above its domain"),
+        ({"problem": "custom", "m": 2, "kernel": "constant", "forcing": "linear",
+          "nonlinearities": ["zero"] * 4, "eta": [0.25] * 4}, EXIT_OK, [], None),
+    ], ids=["eta_0.9", "eta_0.95", "parity", "negative_floor", "zero"])
+    def test_a_refutation_names_the_piece(self, tmp_path, capsys, config, code, refuted, reason):
+        path = str(config) if isinstance(config, Path) else write_config(tmp_path, **config)
+        assert main(["check", "--config", path]) == code
+        report = json.loads(capsys.readouterr().out)
+        refutations = report["verdicts"].get("refutations", [])
+        assert [(r["position"], r["piece"]) for r in refutations] == refuted
+        assert all(reason in r["reason"] for r in refutations)
+        assert report["passed"] is (code == EXIT_OK)
+
+    def test_a_band_refutation_fails_what_the_samples_pass(self, tmp_path, capsys):
+        # D's samples reach floor + 9, where log-shift's increments stay
+        # below 0.95 * log(1 + d); the band constant 1 is reached as d -> inf
+        path = write_config(tmp_path, eta=[0.95, 1.0])
+        assert main(["check", "--config", path]) == EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["assumption_d_violations"] == [] and report["eta_ok"]
+        assert report["verdicts"]["mixed_monotone"] == "proved"
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) \
+            == EXIT_CHECK_FAILED
+        assert json.loads(capsys.readouterr().out) == report
 
 
 def floor_config(tmp_path, floor):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixedfp import cli
 from mixedfp import engine
@@ -1465,6 +1466,70 @@ class TestAssumptionD:
     def test_s_sample_outside_1_to_T_is_structural(self, example22, s):
         with pytest.raises(ValueError, match=r"outside \[1, T\]"):
             check_assumption_d(example22, [(2.0, 3.0)], [1.0, s])
+
+
+# floors on both sides of each registry domain (x > -1, x > 0), and etas on
+# both sides of each band constant they give: 1, 1/(1 + floor), 1/floor
+DECLARED_FLOORS = (-1.5, -1.0, -0.75, -0.5, 0.0, 0.125, 0.5, 1.0, 2.0, 10.0, 1e3)
+DECLARED_ETAS = (0.25, 0.5, 0.9, 0.95, 1.0, 1.5, 2.0, 4.0, 10.0)
+
+
+@st.composite
+def declared_problems(draw):
+    """A problem of registry nonlinearities in any order, m in {1, 2}, with
+    a floor and etas drawn from the lists above."""
+    m = draw(st.sampled_from((1, 2)))
+    pick = lambda values: [draw(st.sampled_from(values)) for _ in range(2 * m)]
+    return named_problem(2.0, 2.0, 8, 2, 4, m=m, kernel="constant", forcing="linear",
+                         nonlinearities=pick(sorted(hs.NONLINEARITIES)),
+                         etas=pick(DECLARED_ETAS),
+                         domain_floor=draw(st.sampled_from(DECLARED_FLOORS)))
+
+
+def refuted_at(problem, j, widths):
+    """Whether check D, at s = 1 and the pairs (floor, floor + d) for d in
+    ``widths``, finds a violation of nonlinearity j."""
+    floor = problem.domain_floor
+    report = check_assumption_d(problem, [(floor, floor + d) for d in widths], [1.0])
+    return any(v[0] == j for v in report.violations)
+
+
+class TestDeclaredPieces:
+    """Each registry declaration against the sampled checks: what the
+    declarations prove the samples pass, far above the floor too, and each
+    refutation has a witness that check D finds."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(declared_problems())
+    @example(named_problem(2.0, 2.0, 8, 2, 4, etas=(0.95, 1.0)))
+    @example(named_problem(2.0, 2.0, 8, 2, 4, kernel="constant", forcing="linear",
+                           domain_floor=-5.0))
+    def test_declarations_agree_with_the_samples(self, problem):
+        verdicts, floor, k = hs.declared_verdicts(problem), problem.domain_floor, problem.k
+        if verdicts.assumption_d:
+            pairs = [(floor, floor), (floor, floor + 1e-6), (floor, floor + 0.5),
+                     (floor + 1.0, floor + 4.0), (floor, floor + 1e6), (floor + 0.25, floor + 1e6)]
+            assert check_assumption_d(problem, pairs, [1.0, 1.5, 2.0]).violations == ()
+        if verdicts.mixed_monotone:
+            rng = np.random.default_rng(0)
+            points, coords = cli._monotone_samples(problem, rng, 20)
+            far = floor + rng.uniform(0.0, 1e6, (10, k + 1))
+            far_coords = rng.integers(1, k + 1, 10)
+            far[:, k] = far[np.arange(10), far_coords - 1] + rng.uniform(0.1, 1e6, 10)
+            assert check_mixed_monotone(problem, np.vstack([points, far]),
+                                        np.concatenate([coords, far_coords])) == []
+        assert verdicts.assumption_d == (verdicts.mixed_monotone and not verdicts.refutations)
+        for j, name, reason in verdicts.refutations:
+            piece = problem.nonlinearities[j - 1].declared
+            assert piece.name == name
+            if not floor > piece.domain:  # not finite at the floor
+                assert refuted_at(problem, j, [0.0])
+            elif piece.direction == (-1 if j % 2 else 1):  # the wrong way over d = 1
+                assert refuted_at(problem, j, [1.0])
+            elif piece.band(floor) > 1.0:  # 1/u, reached as d -> 0
+                assert refuted_at(problem, j, [10.0 ** -e for e in range(1, 9)])
+            else:  # 1, reached as d -> inf
+                assert refuted_at(problem, j, [10.0 ** e for e in (1, 2, 4, 8, 16, 32, 64, 128)])
 
 
 class TestAssumptionE:
