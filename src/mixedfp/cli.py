@@ -13,11 +13,15 @@ KERNEL_BYTES_GUARD, an integer field that is not integral, a key that
 nothing reads, and any value the constructors of the problem, the iteration
 settings or the start bracket refuse), 3 non-convergence, 4 operator error
 (the operator could not be evaluated during a solve, e.g. a component below
-the domain floor under --force, or during verify's sampled checks), 130
-interrupted (SIGINT) and 141 stdout closed by its reader, each with one
-line on stderr.  A solve that stops before its solution writes report.json
-alone and removes the solution.csv and trace.csv of an earlier run.  Every
-operator failure is written as one record, ``{component, node, message}``
+the domain floor under --force, or during verify's sampled checks), 5
+output error (an --out directory or file that the device fails to create,
+write or remove: a full disk, a quota, an I/O error; an --out entry that
+cannot be used, a file or directory in the way, a missing or non-directory
+parent or no permission, is a config error), 130 interrupted (SIGINT) and
+141 stdout closed by its reader, each with one line on stderr.  A solve
+that stops before its solution writes report.json alone and removes the
+solution.csv and trace.csv of an earlier run.  Every operator failure is
+written as one record, ``{component, node, message}``
 (``_operator_error``): ``operator_error`` in solve's report.json and in
 verify's stdout, and ``assumption_e_error`` or ``mixed_monotone_error`` in a
 check report, which fails the check (exit 1; ``solve --force`` goes on).
@@ -72,6 +76,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_OPERATOR_ERROR = 4
+EXIT_OUTPUT_ERROR = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it ends
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
@@ -100,6 +105,11 @@ CUSTOM_KEYS = ("kernel", "nonlinearities", "forcing", "domain_floor")
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(Exception):
+    """An --out directory or file that the device failed to create, write
+    or remove."""
 
 
 def _integer(value, name) -> int:
@@ -346,6 +356,9 @@ def cmd_check(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
+_UNUSABLE_ENTRY = (IsADirectoryError, FileNotFoundError, NotADirectoryError, PermissionError)
+
+
 def _write(out_dir: Path, report: dict, trace: str = None, solution: str = None) -> None:
     """Write ``trace.csv`` and ``solution.csv`` into ``out_dir``, or remove
     the one whose text is None, then ``report.json``: a run that stops
@@ -360,9 +373,12 @@ def _write(out_dir: Path, report: dict, trace: str = None, solution: str = None)
                 path.unlink(missing_ok=True)
             else:
                 path.write_text(text)
-        except OSError as exc:  # a directory or an unwritable file at that name
-            raise ConfigError(f"cannot {'remove' if text is None else 'write'} {path}: {exc}") \
-                from exc
+        except OSError as exc:
+            # an entry that cannot be used (a directory at that name, a missing
+            # or non-directory parent, no permission) is a config error, any
+            # other fault (ENOSPC, EIO, EDQUOT, ...) the device's
+            error = ConfigError if isinstance(exc, _UNUSABLE_ENTRY) else OutputError
+            raise error(f"cannot {'remove' if text is None else 'write'} {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -371,8 +387,9 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at --out or above it
-        raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
+    except OSError as exc:  # a file at --out or above it is a config error
+        error = ConfigError if isinstance(exc, (FileExistsError, *_UNUSABLE_ENTRY)) else OutputError
+        raise error(f"cannot create --out {args.out}: {exc}") from exc
 
     # one operator and one Υ tuple: check E's sweep is the solve's first
     F, upsilon = hs.product_operator(problem), cyclic_shift_upsilon(problem.m)
@@ -480,6 +497,9 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             status = EXIT_CONFIG_ERROR
+        except OutputError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            status = EXIT_OUTPUT_ERROR
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status
     except BrokenPipeError:

@@ -269,9 +269,9 @@ def _check_floor(values: np.ndarray, nodes: np.ndarray, floor: float, components
 class _RankOne:
     """The grid side of a SeparableKernel problem's images: the image of
     coefficient c is ``grid(c)``, fl(fl(c * a_t) + p_t) at the n grid nodes,
-    a = a(t) >= 0 and p the forcing, with the bits of ``_apply_kernel``'s
-    grid rows.  One is built per problem, and an image of that problem
-    holds it as its ``family`` (``_Image``).
+    a = a(t) >= 0 and p the forcing: every grid value of a rank-one image,
+    a sampled check's included, is formed here.  One is built per problem,
+    and an image of that problem holds it as its ``family`` (``_Image``).
 
     Rounding is monotone and a >= 0, so c <= c' gives grid(c) <= grid(c')
     at every node: two images are ordered as their coefficients are, and an
@@ -303,22 +303,15 @@ _BLOCK_ELEMENTS = 3 << 12
 
 
 def _apply_kernel(problem: HammersteinProblem, g: np.ndarray, nodes: bool = True) -> np.ndarray:
-    """sum_q W[j, q] g[r, q] for (R, nq) integrands g: the (R, n) rows at the
-    grid nodes, then, when ``nodes``, the (R, nq) rows at the quadrature
-    nodes.  A dense kernel costs R*n*nq multiply-adds, plus R*nq*nq for the
-    node rows; a SeparableKernel row is c_r * a with the scalar
-    c_r = sum_q b(s_q) w_q g[r, q], R dot products of length nq.
-
-    Every kernel product goes through here, and each caller asks for the
-    rows it reads: the operator's images read both, ``kernel_bound`` and
-    the sampled checks the grid rows only, so only an image builds a dense
-    kernel's nq x nq node block.  Each row is summed on its own, so its
-    bits depend on neither R nor ``nodes``.  A batch of rank-one images
-    takes the c_r alone (``_coefficients``) and scales ``a`` at the
-    quadrature nodes only (``_integrals``)."""
-    if isinstance(problem.kernel, SeparableKernel):
-        a = problem._weighted_kernel[0]
-        return _coefficients(problem, g) * (a if nodes else a[:problem.grid.n])
+    """sum_q W[j, q] g[r, q] for (R, nq) integrands g of a dense kernel:
+    the (R, n) rows at the grid nodes, then, when ``nodes``, the (R, nq)
+    rows at the quadrature nodes, R*n*nq multiply-adds plus R*nq*nq for the
+    node rows.  Each caller asks for the rows it reads: an image reads
+    both, ``kernel_bound`` and the sampled checks the grid rows only, so
+    only an image builds the nq x nq node block.  Each row is summed on its
+    own, so its bits depend on neither R nor ``nodes``.  A SeparableKernel
+    row is c_r * a with the scalar c_r of ``_coefficients``, which its
+    callers scale themselves (``_integrals``, ``_RankOne.grid``)."""
     blocks = (problem._weighted_kernel, problem._node_block) if nodes else (problem._weighted_kernel,)
     return np.concatenate([np.matmul(w, g[:, :, None])[:, :, 0] for w in blocks], axis=1)
 
@@ -407,16 +400,15 @@ def _node_values(problem: HammersteinProblem, x: Sequence[GridFunction]):
 
 
 def _integrals(problem: HammersteinProblem, args: np.ndarray, calls, select, s: np.ndarray,
-               nodes: bool = True, coefficients: bool = False):
+               nodes: bool = True):
     """The operator at R argument tuples that the caller has laid out at the
     quadrature nodes and checked against the floor, as the (R, n) array of
     the images at the grid nodes and the (R, nq) array of the same images at
-    the quadrature nodes, (R, 0) unless ``nodes`` (``_apply_kernel``): row r
-    is int_1^T G(t, s) sum_j f_j(s, u_rj(s)) ds + p(t).  With
-    ``coefficients``, a SeparableKernel problem's images are not formed at
-    the grid nodes: the first array is then the (R, 1) column of their
-    coefficients (``_coefficients``), whose grid values ``_RankOne.grid``
-    forms.
+    the quadrature nodes, (R, 0) unless ``nodes``: row r is
+    int_1^T G(t, s) sum_j f_j(s, u_rj(s)) ds + p(t).  A SeparableKernel
+    problem's images are not formed at the grid nodes: the first array is
+    then the (R, 1) column of their coefficients (``_coefficients``), whose
+    grid values ``_RankOne.grid`` forms.
 
     ``args`` holds the distinct argument columns, row c column c's R
     arguments laid end to end at the quadrature nodes, a 1-D array of
@@ -448,7 +440,7 @@ def _integrals(problem: HammersteinProblem, args: np.ndarray, calls, select, s: 
     n_rows = s.size // nq
     args.flags.writeable = False
     fs, terms = problem.nonlinearities, np.empty((len(calls), n_rows * nq))
-    family = problem._rank_one if coefficients else None
+    family = problem._rank_one
     with np.errstate(all="ignore"):
         for term, (j, column) in zip(terms, calls):
             np.copyto(term, fs[j](s, args[column]), casting="same_kind")  # as += casts
@@ -560,7 +552,7 @@ def product_operator(problem: HammersteinProblem) -> ProductOperator:
             vals, safe = _node_values(problem, x)
             # one gather; row c holds distinct column c of every row end to end
             first, at_nodes = _integrals(problem, vals.take(index, axis=0).reshape(len(index), -1),
-                                         *layout, coefficients=True)
+                                         *layout)
             family = problem._rank_one
             if family is None:
                 return tuple(_Image(problem.grid, problem.quadrature, nodes, out)
@@ -605,10 +597,15 @@ def image_leq(u: GridFunction, v: GridFunction) -> bool:
 
 
 def kernel_bound(problem: HammersteinProblem) -> float:
-    """2m * max over collocation nodes t of int_1^T G(t, s) ds, read off
-    ``_apply_kernel``'s grid rows on a row of ones."""
+    """2m * max over collocation nodes t of int_1^T G(t, s) ds, read off a
+    row of ones: a dense kernel's grid row (``_apply_kernel``), or a
+    SeparableKernel's coefficient times a at the grid nodes."""
     ones = np.ones((1, problem.quadrature.nodes.size))
-    return problem.k * float(np.max(_apply_kernel(problem, ones, nodes=False)))
+    if isinstance(problem.kernel, SeparableKernel):
+        row = _coefficients(problem, ones) * problem._weighted_kernel[0][:problem.grid.n]
+    else:
+        row = _apply_kernel(problem, ones, nodes=False)
+    return problem.k * float(np.max(row))
 
 
 @dataclass(frozen=True)
@@ -738,7 +735,9 @@ def check_contraction(problem: HammersteinProblem, blocks,
     ``_samples_per_block(problem)`` pairs, so no more than one array of the
     iterable is held.  A block's order is checked in one whole-block
     comparison; its accepted pairs, all of it when none is rejected, make
-    one ``_integrals`` call, rows x then z, and one distance.  Their
+    one ``_integrals`` call, rows x then z, and one distance, a
+    SeparableKernel problem's images formed at the grid nodes from their
+    coefficients (``_RankOne.grid``).  Their
     components are checked against the floor at the grid nodes, and each
     position's components, gathered at the grid, are transferred to the
     quadrature nodes in one apply of the problem's ``LinearPlan`` as that
@@ -775,6 +774,8 @@ def check_contraction(problem: HammersteinProblem, blocks,
                                     s[:len(values) // k * nq], nodes=False)[0]
             except Exception as exc:
                 raise OperatorEvaluationError(exc, range(done + 1, done + len(values) + 1)) from exc
+            if problem._rank_one is not None:  # the (b, 1) coefficients' grid rows
+                images = problem._rank_one.grid(images)
             dks = np.abs(block[:, 0] - block[:, 1]).max(axis=(1, 2))
             ds = np.abs(images[0::2] - images[1::2]).max(axis=1)
             slacks += [triple.theta(dk) - triple.phi(dk) - triple.psi(d)
@@ -828,7 +829,7 @@ def check_mixed_monotone(problem: HammersteinProblem, points, coords) -> List[tu
         try:
             _check_floor(block.reshape(-1, 1), problem.grid.nodes, problem.domain_floor)
             images = _integrals(problem, np.repeat(rows, nq, axis=1), calls, select,
-                                s[:rows.size // k * nq], nodes=False, coefficients=True)[0]
+                                s[:rows.size // k * nq], nodes=False)[0]
         except Exception as exc:
             raise OperatorEvaluationError(exc, range(done + 1, done + block.size + 1)) from exc
         low, up = images[0::2], images[1::2]

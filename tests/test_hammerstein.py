@@ -880,10 +880,10 @@ class TestCarriedNodeValues:
         s = p.quadrature.nodes
         x = p._transfer.apply(np.stack([alpha * p.grid.nodes] * 2))
         g = sum(f(s, xi) for f, xi in zip(p.nonlinearities, x))
-        image, a = hs._apply_kernel(p, g[None])[0], p._weighted_kernel[0]
+        c, a = hs._coefficients(p, g[None]), p._weighted_kernel[0]
         exact = math.log(T) * math.log((1 + alpha) / (alpha * math.sqrt(T)))
-        assert image.shape == a.shape == (p.grid.n + s.size,)
-        assert np.abs(image - exact * a).max() <= 5e-16
+        assert c.shape == (1, 1) and a.shape == (p.grid.n + s.size,)
+        assert np.abs(c[0] * a - exact * a).max() <= 5e-16
 
     def test_images_carry_read_only_node_values(self, example22):
         x = rough_ordered_tuple(example22, np.random.default_rng(13))
