@@ -24,10 +24,10 @@ __all__ = [
 ]
 
 # Bounds n^k for enumerate_fixed_points, which visits the candidate tuples
-# one at a time, and (n^k)^2 for check_theorem_hypotheses, whose pair tables
-# have that many cells: one boolean (the product order) and one integer (the
-# rank of the max metric), plus two float gathers (both sides of the
-# contraction inequality) and one boolean gather (F's order) over them.
+# one at a time, and the m^k ordered pairs x <= z of check_theorem_hypotheses
+# (m = leq.sum() ordered base pairs), whose index arrays of x, z and the
+# max-metric rank, and the gathers over them, have that many entries.  The
+# pairs include every (x, x), so the bound covers F's n^k table too.
 SIZE_GUARD = 10 ** 6
 
 
@@ -81,6 +81,14 @@ def _guard(count: int, what: str):
         raise ValueError(f"{what} exceed the size guard")
 
 
+def _element(space: FiniteSpace, F: Callable[..., int], x: tuple) -> int:
+    """F(*x), refused unless it is an element index in 0..n-1 (a bool is not)."""
+    n, v = space.n, F(*x)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+        raise ValueError(f"F{x} = {v!r} is not an element index in 0..{n - 1}")
+    return v
+
+
 def enumerate_fixed_points(
     space: FiniteSpace,
     F: Callable[..., int],
@@ -92,7 +100,8 @@ def enumerate_fixed_points(
     found = []
     for x in itertools.product(range(space.n), repeat=k):
         if all(
-            F(*upsilon.permute(i, x)) == x[i - 1] for i in range(1, k + 1)
+            _element(space, F, upsilon.permute(i, x)) == x[i - 1]
+            for i in range(1, k + 1)
         ):
             found.append(x)
     return found
@@ -119,22 +128,10 @@ class HypothesisReport:
 def _operator_table(space: FiniteSpace, F: Callable[..., int], k: int) -> np.ndarray:
     """F at every tuple, evaluated once each, indexed like itertools.product:
     tuple x has index sum_j x_j n^(k-j), first coordinate most significant."""
-    n = space.n
-    fvals = np.empty(n ** k, dtype=np.intp)
-    for p, x in enumerate(itertools.product(range(n), repeat=k)):
-        v = F(*x)
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-            raise ValueError(f"F{x} = {v!r} is not an element index in 0..{n - 1}")
-        fvals[p] = v
-    return fvals
-
-
-def _over_pairs(table: np.ndarray, i: int, k: int) -> np.ndarray:
-    """An n x n table read at (x_i, z_i), as a view broadcasting over the
-    (n,)*k x (n,)*k grid of pairs (x, z); i is 0-based."""
-    shape = [1] * (2 * k)
-    shape[i] = shape[k + i] = table.shape[0]
-    return table.reshape(shape)
+    return np.array(
+        [_element(space, F, x) for x in itertools.product(range(space.n), repeat=k)],
+        dtype=np.intp,
+    )
 
 
 def check_theorem_hypotheses(
@@ -155,13 +152,15 @@ def check_theorem_hypotheses(
     F is called once per tuple and must return an element index in
     0..n-1 (ValueError otherwise); the triple is called at most three times
     per distinct entry of ``space.dist``.  Every hypothesis is read off
-    tables of those values and one mask of the ordered pairs.
+    tables of those values and index arrays of the ordered pairs, whose
+    count leq.sum() ** k is bounded by ``SIZE_GUARD`` before F is called.
     """
     partition = upsilon.partition
     k = partition.k
     n = space.n
     size = n ** k
-    _guard(size ** 2, f"({n}^{k})^2 pair cells")
+    lo, hi = np.nonzero(space.leq)  # the ordered base pairs lo <= hi
+    _guard(lo.size ** k, f"{lo.size}^{k} ordered pairs")
     fvals = _operator_table(space, F, k)
     digits = np.indices((n,) * k).reshape(k, size).T  # row p: the tuple of index p
     place = n ** np.arange(k - 1, -1, -1)             # place[j - 1] = n^(k-j)
@@ -176,21 +175,19 @@ def check_theorem_hypotheses(
     bound = np.array(
         [triple.theta(v) - triple.phi(v) for v in vals.tolist()], dtype=float
     )
-    # The first coordinate comes last, so the final, full-size operation
-    # broadcasts an n x n table over contiguous inner axes.
-    ordered, dk_rank = True, 0
-    for i in reversed(range(k)):
-        ordered = ordered & _over_pairs(
-            space.leq if in_a[i] else space.leq.T, i, k
-        )
-        dk_rank = np.maximum(dk_rank, _over_pairs(rank, i, k))
-    ordered = ordered.reshape(size, size)
-    lhs = psi[rank][fvals][:, fvals]
-    rhs = bound[dk_rank.reshape(size, size)]
-    contraction_ok = bool((lhs[ordered] <= rhs[ordered] + 1e-12).all())
+    # x <= z iff each (x_i, z_i) is a base pair oriented by i's block: grow
+    # their product one coordinate at a time, as tuple indices and max rank
+    xs = zs = dk_rank = np.zeros(1, dtype=np.intp)
+    for i in range(1, k + 1):
+        xi, zi = partition.orient(i, lo, hi)
+        xs = (xs[:, None] * n + xi).ravel()
+        zs = (zs[:, None] * n + zi).ravel()
+        dk_rank = np.maximum(dk_rank[:, None], rank[xi, zi]).ravel()
+    fx, fz = fvals[xs], fvals[zs]
+    contraction_ok = bool((psi[rank[fx, fz]] <= bound[dk_rank] + 1e-12).all())
     # x <= z in the twisted order chains single-coordinate moves, so by
     # transitivity F(x) <= F(z) over those pairs is mixed monotonicity
-    mixed_monotone_ok = bool(space.leq[fvals][:, fvals][ordered].all())
+    mixed_monotone_ok = bool(space.leq[fx, fz].all())
 
     # f_perm[p, i - 1] = F(x permuted by sigma_i), x the tuple of index p
     f_perm = fvals[digits[:, np.array(upsilon.sigmas) - 1] @ place]

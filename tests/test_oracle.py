@@ -1,8 +1,10 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedfp.contraction import (
     ContractionTriple,
@@ -37,8 +39,16 @@ def chain_space(n):
     return FiniteSpace(tuple(str(i) for i in range(n)), dist, leq)
 
 
+def antichain_space(n):
+    """n pairwise incomparable points with |i - j| distances."""
+    space = chain_space(n)
+    return FiniteSpace(space.labels, space.dist, np.eye(n, dtype=bool))
+
+
 PART2 = Partition(2, [1])
 ID_SWAP = UpsilonTuple(PART2, [(1, 2), (2, 1)])
+UPS4 = UpsilonTuple(Partition(4, [1, 3]),
+                    [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)])
 
 
 class TestFiniteSpace:
@@ -113,6 +123,12 @@ class TestEnumeration:
         )
         assert points == [(0, 0), (0, 1), (1, 0)]
 
+    @pytest.mark.parametrize("value", [-1, 7, 1.0, True])
+    def test_rejects_operator_value_outside_the_space(self, value):
+        # == would read 1.0 and True as element 1 and drop -1 and 7 silently
+        with pytest.raises(ValueError, match=rf"F\(0, 0\) = {value} is not an element"):
+            enumerate_fixed_points(chain_space(3), lambda a, b: value, ID_SWAP)
+
     def test_size_guard(self):
         space = chain_space(4)
         part = Partition(12, range(1, 13, 2))
@@ -124,17 +140,34 @@ class TestEnumeration:
 
 class TestHypothesisChecks:
     def test_pair_guard_bounds_the_pair_tables(self):
-        # 10^4 candidates pass the n^k guard but need 10^8-cell tables
-        space = chain_space(10)
-        part = Partition(4, [1, 3])
-        ups = UpsilonTuple(part, [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)])
-
+        # 10^4 candidates pass the n^k guard, but a 10-point chain has 55
+        # ordered base pairs, so 55^4 ordered pairs of 4-tuples
         def F(*x):
             raise AssertionError("no table may be built")
 
-        with pytest.raises(ValueError, match=r"\(10\^4\)\^2 pair cells"):
-            check_theorem_hypotheses(space, F, ups, HALF_TRIPLE)
-        assert (4 ** 4) ** 2 <= SIZE_GUARD < (10 ** 4) ** 2
+        with pytest.raises(ValueError, match=r"55\^4 ordered pairs exceed the size guard"):
+            check_theorem_hypotheses(chain_space(10), F, UPS4, HALF_TRIPLE)
+        assert 10 ** 4 <= SIZE_GUARD < 55 ** 4
+        # an antichain's 10^4 ordered pairs are the (x, x) alone
+        calls = []
+        report = check_theorem_hypotheses(
+            antichain_space(10), lambda *x: calls.append(x) or 0, UPS4, HALF_TRIPLE
+        )
+        assert len(calls) == 10 ** 4
+        assert report.contraction_ok and report.mixed_monotone_ok
+        assert report.fixed_points == ((0, 0, 0, 0),)
+
+    def test_check_allocates_for_the_ordered_pairs_only(self):
+        # 4^4 ordered pairs on a 4-point antichain at k = 4, against the
+        # (4^4)^2 = 65 536 cells of a table over every pair
+        space = antichain_space(4)
+        tracemalloc.start()
+        try:
+            check_theorem_hypotheses(space, lambda *x: x[0], UPS4, HALF_TRIPLE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
     def test_one_point_space(self):
         space = FiniteSpace(("o",), np.zeros((1, 1)), np.ones((1, 1), dtype=bool))
@@ -159,9 +192,10 @@ class TestHypothesisChecks:
         # the enumeration result is still reported
         assert isinstance(report.fixed_points, tuple)
 
-    @pytest.mark.parametrize("value", [-1, 3, 0.5])
+    @pytest.mark.parametrize("value", [-1, 3, 0.5, True])
     def test_rejects_operator_value_outside_the_space(self, value):
-        # numpy indexing would wrap -1 to element 2; 3 is past the tables
+        # numpy indexing would wrap -1 to element 2, 3 is past the tables
+        # and True would read as element 1
         with pytest.raises(ValueError, match=rf"F\(0, 0\) = {value} is not an element"):
             check_theorem_hypotheses(chain_space(3), lambda a, b: value, ID_SWAP, HALF_TRIPLE)
 
@@ -294,6 +328,45 @@ def test_hypotheses_match_the_pairwise_reference(k, n):
         assert all(type(v) is int for x in report.fixed_points for v in x)
         json.dumps([report.start_point, report.fixed_points])
         checked += 1
+
+
+@st.composite
+def table_instances(draw):
+    """A random partial order, metric, partition, sigma table, table
+    operator and triple at k, n <= 3."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    # an order on a drawn ranking of the points: edges only go up the
+    # ranking, so the closure stays antisymmetric
+    ranking = draw(st.permutations(range(n)))
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in itertools.combinations(ranking, 2):
+        leq[lo, hi] = draw(st.booleans())
+    for mid in range(n):
+        leq |= leq[:, mid : mid + 1] & leq[mid : mid + 1, :]
+    raw = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        raw[i, j] = raw[j, i] = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+    space = FiniteSpace(tuple(map(str, range(n))), _metric_closure(raw), leq)
+    # A is never empty: a sigma_i with i in B maps B into A
+    a = draw(st.sets(st.integers(1, k), min_size=1))
+    sigmas = [[draw(st.sampled_from([v for v in range(1, k + 1)
+                                     if (v in a) == ((j in a) == (i in a))]))
+               for j in range(1, k + 1)] for i in range(1, k + 1)]
+    table = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n ** k, max_size=n ** k)))
+    table = table.reshape((n,) * k)
+    triple = draw(st.sampled_from((HALF_TRIPLE, builtin_log_triple())))
+    return space, UpsilonTuple(Partition(k, a), sigmas), (lambda *x: int(table[x])), triple
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table_instances())
+def test_hypotheses_match_the_pairwise_reference_on_drawn_instances(instance):
+    space, ups, F, triple = instance
+    report = check_theorem_hypotheses(space, F, ups, triple)
+    fields = (report.contraction_ok, report.start_point, report.mixed_monotone_ok,
+              report.upper_bounds_ok, report.fixed_points)
+    assert fields == reference_report(space, F, ups, triple)
 
 
 class TestRandomizedEquivalence:
